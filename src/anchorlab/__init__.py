@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``policy``     tabular softmax policies, sampling, snapshots, serialization
+* ``policy``     dense (C, V) softmax policy tables, sampling, serialization
 * ``gradients``  closed-form logit gradients + finite-difference oracle
 * ``anchor``     safe manifold, exclusive anchor set, anchor-ratio gradient
 * ``objectives`` method surrogates (grpo / grpo_kl / error-only KL / nsr / apo)
@@ -13,60 +13,4 @@ Submodules:
 * ``cli``        experiment runner front end
 """
 
-from .anchor import AnchorContext, DegenerateAnchorError, build_anchor, grad_anchor_ratio, top_k
-from .env import EnvConfig, ReasoningTree, Trajectory, generate_tree, oracle_coverage, rollout, verify
-from .gradients import finite_diff, grad_log_prob, grad_prob, grad_support_mass
-from .metrics import MetricRecord, diversity_score, evaluate, pass_metrics, support_mass
-from .objectives import (
-    MethodConfig,
-    TokenUpdate,
-    apo_rectified_ratio,
-    apo_token_update,
-    group_advantages,
-    grpo_token_loss,
-    kl_penalty,
-    method_token_update,
-)
-from .policy import LogitTable, sample_token, snapshot, softmax
-from .trainer import TrainConfig, run_experiment, train_step
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnchorContext",
-    "DegenerateAnchorError",
-    "EnvConfig",
-    "LogitTable",
-    "MethodConfig",
-    "MetricRecord",
-    "ReasoningTree",
-    "TokenUpdate",
-    "TrainConfig",
-    "Trajectory",
-    "apo_rectified_ratio",
-    "apo_token_update",
-    "build_anchor",
-    "diversity_score",
-    "evaluate",
-    "finite_diff",
-    "generate_tree",
-    "grad_anchor_ratio",
-    "grad_log_prob",
-    "grad_prob",
-    "grad_support_mass",
-    "group_advantages",
-    "grpo_token_loss",
-    "kl_penalty",
-    "method_token_update",
-    "oracle_coverage",
-    "pass_metrics",
-    "rollout",
-    "run_experiment",
-    "sample_token",
-    "snapshot",
-    "softmax",
-    "support_mass",
-    "top_k",
-    "train_step",
-    "verify",
-]

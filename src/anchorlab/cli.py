@@ -96,6 +96,10 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     unknown = set(train) - set(_TRAIN_KEYS)
     if unknown:
         raise ConfigError(f"unknown train keys: {sorted(unknown)}")
+    try:
+        TrainConfig(env=env, **train)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"train: {exc}") from exc
     return ExperimentSpec(
         name=str(name),
         env=env,
@@ -266,12 +270,22 @@ def _write_summary(spec: ExperimentSpec, out_root: Path, timestamp: str | None) 
     return path
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{what}: expected comma-separated integers, got {text!r}") from exc
+
+
 def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
     if args.seeds:
-        return [int(s) for s in args.seeds.split(",")]
+        return _parse_ints(args.seeds, "--seeds")
     env_seed = os.environ.get("ANCHORLAB_SEED")
     if env_seed is not None:
-        return [int(env_seed)]
+        try:
+            return [int(env_seed)]
+        except ValueError as exc:
+            raise ConfigError(f"ANCHORLAB_SEED must be an integer, got {env_seed!r}") from exc
     return spec.seeds
 
 
@@ -299,7 +313,7 @@ def cmd_train(args) -> int:
 def cmd_summarize(args) -> int:
     spec = load_spec(args.spec)
     if args.seeds:
-        spec.seeds = [int(s) for s in args.seeds.split(",")]
+        spec.seeds = _parse_ints(args.seeds, "--seeds")
     out_root = Path(args.out or spec.output_dir or "results")
     path = _write_summary(spec, out_root, _timestamp(args))
     for row in _summary_rows(spec, out_root):
@@ -312,11 +326,17 @@ def cmd_coverage(args) -> int:
     if args.spec:
         env = load_spec(args.spec).env
     else:
-        env = EnvConfig(args.depth, args.branching, args.leaves,
-                        args.concentration, args.noise, args.seed)
+        try:
+            env = EnvConfig(args.depth, args.branching, args.leaves,
+                            args.concentration, args.noise, args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    ks = sorted(_parse_ints(args.k_values, "--k-values"))
     tree = generate_tree(env)
-    ks = sorted(int(k) for k in args.k_values.split(","))
-    table = oracle_coverage(tree, tree.ref_policy, ks)
+    try:
+        table = oracle_coverage(tree, tree.ref_policy, ks)
+    except ValueError as exc:
+        raise ConfigError(f"--k-values: {exc}") from exc
     print("K,recall,loss_rate")
     lines = ["K,recall,loss_rate"]
     for k in ks:

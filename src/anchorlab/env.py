@@ -6,7 +6,9 @@ a rollout earns reward 1 iff its D tokens form a valid leaf. The generated
 reference policy gives a logit bonus to children that lead to at least one
 valid leaf, plus Gaussian jitter, so it is informative but imperfect.
 
-Context ids use heap indexing: root = 0, child(ctx, token) = ctx*B + token + 1.
+Context ids use heap indexing: root = 0, child(ctx, token) = ctx*B + token + 1,
+so the C = (B^D - 1) / (B - 1) internal nodes are 0..C-1 in breadth-first
+order and the reference policy is one dense (C, B) logit table.
 """
 
 from __future__ import annotations
@@ -109,27 +111,19 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
     leaf_ids = rng.choice(b**d, size=cfg.num_valid_leaves, replace=False)
     valid = frozenset(_leaf_from_index(int(i), b, d) for i in sorted(leaf_ids))
 
-    tree = ReasoningTree(d, b, valid, LogitTable(b))
-    bonus: dict[int, set[int]] = {}
-    for leaf in sorted(valid):
-        ctx = tree.ROOT
-        for t in leaf:
-            bonus.setdefault(ctx, set()).add(t)
-            ctx = tree.child_context(ctx, t)
-
-    # Breadth-first over internal nodes fixes the rng call order.
-    frontier = [tree.ROOT]
-    for _ in range(d):
-        next_frontier = []
-        for ctx in frontier:
-            z = np.zeros(b)
-            for t in bonus.get(ctx, ()):
-                z[t] += cfg.ref_concentration
-            z += cfg.ref_noise * rng.standard_normal(b)
-            tree.ref_policy.set_logits(ctx, z)
-            next_frontier.extend(tree.child_context(ctx, t) for t in range(b))
-        frontier = next_frontier
-    return tree
+    # Row ctx of the reference is context ctx; rows 0..C-1 are the internal
+    # nodes in breadth-first order, so one (C, B) draw fixes the rng stream.
+    c = (b**d - 1) // (b - 1)
+    bonus = np.zeros((c, b), dtype=bool)
+    leaves = np.array(sorted(valid))
+    ctx = np.zeros(len(leaves), dtype=np.int64)
+    for step in range(d):
+        bonus[ctx, leaves[:, step]] = True
+        ctx = ctx * b + leaves[:, step] + 1
+    z = np.zeros((c, b))
+    z[bonus] += cfg.ref_concentration
+    z += cfg.ref_noise * rng.standard_normal((c, b))
+    return ReasoningTree(d, b, valid, LogitTable(z))
 
 
 def verify(tree: ReasoningTree, tokens) -> int:
@@ -207,12 +201,3 @@ def load_tree(text: str) -> ReasoningTree:
     ref = load_logit_table("\n".join(lines[i:]))
     return ReasoningTree(depth, branching, frozenset(leaves), ref)
 
-
-def save_tree(tree: ReasoningTree, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_tree(tree))
-
-
-def read_tree(path) -> ReasoningTree:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_tree(fh.read())

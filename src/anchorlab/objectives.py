@@ -75,7 +75,6 @@ class TokenUpdate:
     gradient: np.ndarray
     clipped: bool
     degenerate_anchor: bool = False
-    context: int | None = None
 
 
 def group_advantages(rewards, adv_eps: float = 1e-6) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Tabular softmax policies over enumerated contexts.
 
-A policy is a table of per-context logit vectors over a fixed vocabulary of
-size V. Distributions are plain numpy arrays of length V. Three instances of
+A policy is a dense ``(C, V)`` logit array over the C heap-indexed contexts
+of a tree and a fixed vocabulary of size V; row ``ctx`` is context ``ctx``.
+Distributions are plain numpy arrays of length V. Three instances of
 :class:`LogitTable` play the roles of the live policy, the frozen sampling
 policy, and the fixed reference policy.
 
@@ -13,7 +14,7 @@ on any platform.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,121 +77,92 @@ def entropy(dist: np.ndarray) -> float:
 
 
 class LogitTable:
-    """Mutable map from context id to a length-V logit vector.
+    """Dense logit table: row ``ctx`` of one finite float64 ``(C, V)`` array
+    holds the logits of heap context ``ctx`` (root 0, contexts 0..C-1).
+    Context ids are not range-checked on access: as in numpy, a negative id
+    counts from the last row.
 
-    Stored vectors are always finite float64 arrays of length ``vocab_size``.
-    Insertion order is preserved and defines the deterministic iteration
-    order used everywhere (serialization, gradient application).
-
-    Tables are single-writer: frozen snapshots may be shared freely across
-    concurrent readers, live tables must not be mutated during shared reads.
+    A snapshot is a copy whose array is read-only, so it may be shared freely
+    across concurrent readers; a live table must not be mutated during
+    shared reads.
     """
 
-    def __init__(self, vocab_size: int):
-        if vocab_size < 1:
-            raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-        self.vocab_size = int(vocab_size)
-        self._entries: dict[ContextId, np.ndarray] = {}
-        self._frozen = False
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, ctx: ContextId) -> bool:
-        return ctx in self._entries
-
-    def contexts(self) -> Iterator[ContextId]:
-        return iter(self._entries)
+    def __init__(self, z: np.ndarray):
+        z = np.array(z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] < 1:
+            raise ValueError(f"logits must be a (C, V) array with V >= 1, got shape {z.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("logits contain non-finite values")
+        self._z = z
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
+    def vocab_size(self) -> int:
+        return self._z.shape[1]
 
-    def _check_values(self, values: Iterable[float] | np.ndarray) -> np.ndarray:
-        z = np.asarray(values, dtype=np.float64)
-        if z.shape != (self.vocab_size,):
-            raise ValueError(
-                f"logit vector must have shape ({self.vocab_size},), got {z.shape}"
-            )
-        if not np.all(np.isfinite(z)):
-            raise ValueError("logit vector contains non-finite values")
-        return z
-
-    def set_logits(self, ctx: ContextId, values: Iterable[float] | np.ndarray) -> None:
-        if self._frozen:
-            raise ValueError("cannot mutate a frozen snapshot")
-        self._entries[int(ctx)] = self._check_values(values).copy()
+    def __len__(self) -> int:
+        return self._z.shape[0]
 
     def add_to_logits(self, ctx: ContextId, delta: np.ndarray) -> None:
-        if self._frozen:
-            raise ValueError("cannot mutate a frozen snapshot")
-        updated = self._entries[ctx] + self._check_values(delta)
+        d = np.asarray(delta, dtype=np.float64)
+        if d.shape != (self.vocab_size,):
+            raise ValueError(f"logit delta must have shape ({self.vocab_size},), got {d.shape}")
+        updated = self._z[ctx] + d
         if not np.all(np.isfinite(updated)):
             raise ValueError(f"logit update at context {ctx} produced non-finite values")
-        self._entries[ctx] = updated
+        self._z[ctx] = updated
 
     def logits(self, ctx: ContextId) -> np.ndarray:
-        view = self._entries[ctx].view()
+        view = self._z[ctx]
         view.flags.writeable = False
         return view
 
     def dist(self, ctx: ContextId) -> np.ndarray:
-        return softmax(self._entries[ctx])
+        return softmax(self._z[ctx])
 
     def copy(self) -> "LogitTable":
-        out = LogitTable(self.vocab_size)
-        for ctx, z in self._entries.items():
-            out._entries[ctx] = z.copy()
+        out = object.__new__(LogitTable)  # the source array is already checked
+        out._z = self._z.copy()
         return out
 
     def snapshot(self) -> "LogitTable":
-        """Deep immutable copy; later mutation of the source never leaks in."""
+        """Read-only copy; later mutation of the source never leaks in."""
         out = self.copy()
-        out._frozen = True
-        for z in out._entries.values():
-            z.flags.writeable = False
+        out._z.flags.writeable = False
         return out
 
 
-def snapshot(policy: LogitTable) -> LogitTable:
-    """Freeze the current state of ``policy`` (see :meth:`LogitTable.snapshot`)."""
-    return policy.snapshot()
-
-
 def dump_logit_table(table: LogitTable) -> str:
-    """Serialize to the line format ``V=<int>`` then ``ctx=<id> z=<v0>,<v1>,...``.
+    """Serialize to the line format ``V=<int>`` then one ``ctx=<id> z=<v0>,<v1>,...``
+    line per row, ``ctx=0..C-1`` in order.
 
     Values use Python's shortest round-trip float repr, which preserves every
     bit on reload (equivalent to 17 significant decimal digits).
     """
     lines = [f"V={table.vocab_size}"]
-    for ctx in table.contexts():
+    for ctx in range(len(table)):
         z = table.logits(ctx)
         lines.append(f"ctx={ctx} z=" + ",".join(repr(float(v)) for v in z))
     return "\n".join(lines) + "\n"
 
 
 def load_logit_table(text: str) -> LogitTable:
-    """Parse the :func:`dump_logit_table` format back into a table."""
+    """Parse the :func:`dump_logit_table` format back into a table.
+
+    Rows must be ``ctx=0..C-1`` in order, each with exactly V values.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("V="):
         raise ValueError("logit table text must start with a 'V=<int>' header")
-    table = LogitTable(int(lines[0][2:]))
+    v = int(lines[0][2:])
+    rows = []
     for ln in lines[1:]:
         if not ln.startswith("ctx="):
             raise ValueError(f"malformed logit table line: {ln!r}")
         head, _, tail = ln.partition(" z=")
-        ctx = int(head[4:])
-        values = [float(v) for v in tail.split(",")]
-        table.set_logits(ctx, values)
-    return table
-
-
-def save_logit_table(table: LogitTable, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_logit_table(table))
-
-
-def read_logit_table(path) -> LogitTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_logit_table(fh.read())
+        if int(head[4:]) != len(rows):
+            raise ValueError(f"expected row ctx={len(rows)}, got {head!r}")
+        values = [float(x) for x in tail.split(",")]
+        if len(values) != v:
+            raise ValueError(f"row {head!r} has {len(values)} values, expected V={v}")
+        rows.append(values)
+    return LogitTable(np.array(rows, dtype=np.float64).reshape(len(rows), v))

@@ -23,7 +23,7 @@ import numpy as np
 from .env import EnvConfig, ReasoningTree, Trajectory, generate_tree, rollout
 from .metrics import MetricRecord, evaluate
 from .objectives import MethodConfig, group_advantages, method_token_update
-from .policy import LogitTable, snapshot
+from .policy import LogitTable
 
 
 @dataclass
@@ -49,6 +49,10 @@ class TrainConfig:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.eval_samples_k < 2:
             raise ValueError(f"eval_samples_k must be >= 2, got {self.eval_samples_k}")
+        if self.support_k is not None and not 1 <= self.support_k <= self.env.branching:
+            raise ValueError(
+                f"support_k must be in [1, {self.env.branching}], got {self.support_k}"
+            )
 
 
 @dataclass
@@ -127,7 +131,6 @@ def apply_token_batch(
         update = method_token_update(
             policy_dists[ctx], old_dists[ctx], ref_dists[ctx], token, adv, mcfg
         )
-        update.context = ctx
         clipped += update.clipped
         degenerate += update.degenerate_anchor
         if ctx in grads:
@@ -151,7 +154,7 @@ def train_step(
     """One outer optimization step (mutates ``policy`` in place)."""
     t0 = time.perf_counter()
     mcfg = cfg.method_config
-    pi_old = snapshot(policy)
+    pi_old = policy.snapshot()
     groups = [sample_group(tree, pi_old, mcfg, rng) for _ in range(cfg.groups_per_step)]
     rewards = [t.reward for g in groups for t in g.trajectories]
     batch = _token_batch(groups)

@@ -128,6 +128,42 @@ class TestTrainCommand:
         assert first.startswith("# generated ")
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["train", "--seeds", "a"], {}),
+            (["summarize", "--seeds", "a"], {}),
+            (["train"], {"ANCHORLAB_SEED": "x"}),
+            (["coverage", "--k-values", "0,9"], {}),
+            (["coverage", "--k-values", "x"], {}),
+            (["coverage", "--depth", "0"], {}),
+        ],
+        ids=["train-seeds", "summarize-seeds", "env-seed", "k-values-range", "k-values-text",
+             "coverage-depth"],
+    )
+    def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        if argv[0] != "coverage":
+            argv = argv + ["--spec", str(write_spec(tmp_path)), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("error: config:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("total_steps", -1), ("support_k", 0), ("support_k", 4), ("eval_every", "x")],
+    )
+    def test_bad_train_value_exits_2_before_any_cell(self, tmp_path, capsys, key, value):
+        spec = dict(SPEC, train=dict(SPEC["train"], **{key: value}))
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: config: train:")
+        assert not out.exists()
+
+
 class TestSummarizeCommand:
     def test_summary_has_row_per_method(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path)

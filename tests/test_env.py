@@ -14,7 +14,7 @@ from anchorlab.env import (
     rollout,
     verify,
 )
-from anchorlab.policy import LogitTable
+from anchorlab.policy import LogitTable, dump_logit_table
 
 
 def leaf_probability(tree, policy, leaf):
@@ -41,7 +41,7 @@ class TestGenerateTree:
         cfg = EnvConfig(depth=2, branching=3, num_valid_leaves=2,
                         ref_concentration=0.0, ref_noise=0.0, seed=1)
         tree = generate_tree(cfg)
-        for ctx in tree.ref_policy.contexts():
+        for ctx in range(len(tree.ref_policy)):
             np.testing.assert_allclose(tree.ref_policy.dist(ctx), np.full(3, 1 / 3))
 
     def test_determinism(self):
@@ -54,7 +54,7 @@ class TestGenerateTree:
         cfg = EnvConfig(depth=3, branching=3, num_valid_leaves=2, seed=7)
         tree = generate_tree(cfg)
         assert len(tree.ref_policy) == tree.num_contexts()
-        for ctx in tree.ref_policy.contexts():
+        for ctx in range(len(tree.ref_policy)):
             assert np.all(tree.ref_policy.dist(ctx) > 0.0)
 
     def test_every_valid_leaf_reachable(self):
@@ -62,6 +62,50 @@ class TestGenerateTree:
         tree = generate_tree(cfg)
         for leaf in tree.valid_leaves:
             assert leaf_probability(tree, tree.ref_policy, leaf) > 0.0
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_matches_breadth_first_draw(self, seed, noise):
+        # Oracle: draw the reference one context at a time, breadth first,
+        # adding the bonus once per (context, token) before the noise. With
+        # noise 0 a different order of additions would turn +0.0 into -0.0,
+        # which the text format keeps.
+        cfg = EnvConfig(depth=4, branching=3, num_valid_leaves=5,
+                        ref_concentration=1.5, ref_noise=noise, seed=seed)
+        rng = np.random.default_rng(seed)
+        b, d = cfg.branching, cfg.depth
+        ids = rng.choice(b**d, size=cfg.num_valid_leaves, replace=False)
+        leaves = sorted(tuple(int(i) // b**(d - 1 - k) % b for k in range(d)) for i in ids)
+        bonus = {}
+        for leaf in leaves:
+            ctx = 0
+            for t in leaf:
+                bonus.setdefault(ctx, set()).add(t)
+                ctx = ctx * b + t + 1
+        rows, noise_terms, frontier = [], [], [0]
+        for _ in range(d):
+            for ctx in frontier:
+                assert ctx == len(rows)
+                z = np.zeros(b)
+                for t in bonus.get(ctx, ()):
+                    z[t] += cfg.ref_concentration
+                noise_terms.append(cfg.ref_noise * rng.standard_normal(b))
+                z += noise_terms[-1]
+                rows.append(z)
+            frontier = [ctx * b + t + 1 for ctx in frontier for t in range(b)]
+
+        tree = generate_tree(cfg)
+        assert sorted(tree.valid_leaves) == leaves
+        expected = np.array(rows)
+        got = np.array([tree.ref_policy.logits(c) for c in range(len(tree.ref_policy))])
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        assert dump_logit_table(tree.ref_policy) == dump_logit_table(LogitTable(expected))
+        if noise == 0.0:
+            # The noise term holds -0.0 wherever the draw was negative, and
+            # 0.0 + -0.0 is +0.0: no -0.0 may survive into the reference.
+            assert np.signbit(noise_terms).any()
+            assert "-0.0" not in dump_logit_table(tree.ref_policy)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -94,16 +138,13 @@ class TestRollout:
     def test_one_hot_policy_is_deterministic(self):
         tree = generate_tree(EnvConfig(depth=3, branching=3, num_valid_leaves=1, seed=2))
         (leaf,) = tree.valid_leaves
-        policy = LogitTable(3)
+        z = np.zeros((tree.num_contexts(), 3))
         ctx = tree.ROOT
-        for ctx_id in tree.ref_policy.contexts():
-            policy.set_logits(ctx_id, np.zeros(3))
         for t in leaf:
-            z = np.full(3, -200.0)
-            z[t] = 200.0
-            policy.set_logits(ctx, z)
+            z[ctx] = -200.0
+            z[ctx, t] = 200.0
             ctx = tree.child_context(ctx, t)
-        traj = rollout(tree, policy, np.random.default_rng(0))
+        traj = rollout(tree, LogitTable(z), np.random.default_rng(0))
         assert traj.tokens == leaf
         assert traj.reward == 1
 
@@ -192,12 +233,10 @@ class TestOracleCoverage:
                       ref_concentration=0.0, ref_noise=0.0, seed=0)
         )
         tree = type(tree)(2, 2, frozenset({(0, 0), (1, 1)}), tree.ref_policy)
-        model = LogitTable(2)
-        for ctx in tree.ref_policy.contexts():
-            model.set_logits(ctx, np.zeros(2))
-        model.set_logits(tree.ROOT, [50.0, 0.0])
-        model.set_logits(tree.child_context(tree.ROOT, 0), [50.0, 0.0])
-        table = oracle_coverage(tree, model, {1, 2})
+        z = np.zeros((tree.num_contexts(), 2))
+        z[tree.ROOT] = [50.0, 0.0]
+        z[tree.child_context(tree.ROOT, 0)] = [50.0, 0.0]
+        table = oracle_coverage(tree, LogitTable(z), {1, 2})
         assert table[1] == pytest.approx((2 + 0) / 4)
         assert table[2] == 1.0
 
@@ -209,12 +248,10 @@ class TestOracleCoverage:
                       ref_concentration=0.0, ref_noise=0.0, seed=0)
         )
         tree = type(base)(2, 2, frozenset({(0, 0), (0, 1)}), base.ref_policy)
-        model = LogitTable(2)
-        for ctx in base.ref_policy.contexts():
-            model.set_logits(ctx, np.zeros(2))
-        model.set_logits(tree.ROOT, [50.0, 0.0])
-        model.set_logits(tree.child_context(tree.ROOT, 0), [50.0, 0.0])
-        assert oracle_coverage(tree, model, {1})[1] == pytest.approx(0.75)
+        z = np.zeros((tree.num_contexts(), 2))
+        z[tree.ROOT] = [50.0, 0.0]
+        z[tree.child_context(tree.ROOT, 0)] = [50.0, 0.0]
+        assert oracle_coverage(tree, LogitTable(z), {1})[1] == pytest.approx(0.75)
 
     def test_invalid_k_rejected(self):
         tree = generate_tree(EnvConfig(depth=2, branching=3, num_valid_leaves=1, seed=0))
@@ -231,7 +268,8 @@ class TestTreeSerialization:
         assert loaded.depth == tree.depth
         assert loaded.branching == tree.branching
         assert loaded.valid_leaves == tree.valid_leaves
-        for ctx in tree.ref_policy.contexts():
+        assert len(loaded.ref_policy) == len(tree.ref_policy)
+        for ctx in range(len(tree.ref_policy)):
             np.testing.assert_array_equal(
                 loaded.ref_policy.logits(ctx), tree.ref_policy.logits(ctx)
             )

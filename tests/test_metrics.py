@@ -85,12 +85,10 @@ class TestPassMetrics:
 
 class TestEntropyAndMaxProb:
     def make_policy(self):
-        policy = LogitTable(8)
-        policy.set_logits(0, np.zeros(8))          # uniform
-        z = np.full(8, -300.0)
-        z[3] = 300.0
-        policy.set_logits(1, z)                    # one-hot
-        return policy
+        z = np.zeros((2, 8))                       # row 0 uniform
+        z[1] = -300.0
+        z[1, 3] = 300.0                            # row 1 one-hot
+        return LogitTable(z)
 
     def traj(self, contexts):
         from anchorlab.env import Trajectory
@@ -160,26 +158,21 @@ class TestDiversityScore:
 
 class TestSupportMass:
     def test_uniform_matches_k_over_v(self):
-        policy = LogitTable(8)
-        policy.set_logits(0, np.zeros(8))
+        policy = LogitTable(np.zeros((1, 8)))
         assert support_mass(policy, policy, 2, [0]) == pytest.approx(0.25, abs=1e-12)
         assert support_mass(policy, policy, 8, [0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_hot_on_manifold_member(self):
-        ref = LogitTable(4)
-        ref.set_logits(0, [2.0, 1.0, 0.0, -1.0])
-        policy = LogitTable(4)
-        z = np.full(4, -300.0)
-        z[1] = 300.0
-        policy.set_logits(0, z)
+        ref = LogitTable(np.array([[2.0, 1.0, 0.0, -1.0]]))
+        z = np.full((1, 4), -300.0)
+        z[0, 1] = 300.0
+        policy = LogitTable(z)
         assert support_mass(policy, ref, 2, [0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKlToReference:
     def test_zero_iff_equal(self):
-        ref = LogitTable(4)
-        ref.set_logits(0, [0.5, 0.2, -0.3, 0.0])
-        ref.set_logits(1, [1.0, 0.0, 0.0, -1.0])
+        ref = LogitTable(np.array([[0.5, 0.2, -0.3, 0.0], [1.0, 0.0, 0.0, -1.0]]))
         assert kl_to_reference(ref, ref, [0, 1]) == pytest.approx(0.0, abs=1e-12)
         moved = ref.copy()
         moved.add_to_logits(0, np.array([0.5, 0.0, 0.0, 0.0]))

@@ -12,7 +12,6 @@ from anchorlab.policy import (
     entropy,
     load_logit_table,
     sample_token,
-    snapshot,
     softmax,
 )
 
@@ -95,74 +94,106 @@ class TestSampling:
 
 class TestLogitTable:
     def test_set_and_read(self):
-        table = LogitTable(3)
-        table.set_logits(0, [1.0, 2.0, 3.0])
+        table = LogitTable(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         np.testing.assert_array_equal(table.logits(0), [1.0, 2.0, 3.0])
-        assert 0 in table and 1 not in table
+        np.testing.assert_array_equal(table.logits(1), [4.0, 5.0, 6.0])
+        assert len(table) == 2 and table.vocab_size == 3
+        with pytest.raises(IndexError):
+            table.logits(2)
 
     def test_rejects_wrong_length_and_non_finite(self):
-        table = LogitTable(3)
         with pytest.raises(ValueError):
-            table.set_logits(0, [1.0, 2.0])
+            LogitTable(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            table.set_logits(0, [1.0, np.nan, 2.0])
+            LogitTable(np.zeros((2, 0)))
+        with pytest.raises(ValueError):
+            LogitTable(np.array([[1.0, np.nan, 2.0]]))
+        table = LogitTable(np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            table.add_to_logits(0, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            table.add_to_logits(0, np.array([1.0, np.inf, 2.0]))
+        np.testing.assert_array_equal(table.logits(0), [0.0, 0.0, 0.0])
 
     def test_snapshot_immutability(self):
-        table = LogitTable(2)
-        table.set_logits(0, [0.5, -0.5])
-        frozen = snapshot(table)
+        table = LogitTable(np.array([[0.5, -0.5], [1.0, 2.0]]))
+        frozen = table.snapshot()
         table.add_to_logits(0, np.array([1.0, 0.0]))
         np.testing.assert_array_equal(frozen.logits(0), [0.5, -0.5])
+        np.testing.assert_array_equal(table.logits(0), [1.5, -0.5])
         with pytest.raises(ValueError):
-            frozen.set_logits(0, [0.0, 0.0])
+            frozen.add_to_logits(1, np.array([0.0, 1.0]))
         with pytest.raises((ValueError, RuntimeError)):
             frozen.logits(0)[0] = 9.0
+        np.testing.assert_array_equal(frozen.logits(1), [1.0, 2.0])
 
     def test_snapshot_of_empty_table(self):
-        frozen = snapshot(LogitTable(4))
+        frozen = LogitTable(np.zeros((0, 4))).snapshot()
         assert len(frozen) == 0
+        assert frozen.vocab_size == 4
 
     def test_snapshot_ratios_are_one(self):
-        table = LogitTable(4)
-        table.set_logits(0, [0.1, 0.2, 0.3, 0.4])
-        old = snapshot(table)
+        table = LogitTable(np.array([[0.1, 0.2, 0.3, 0.4]]))
+        old = table.snapshot()
         ratios = table.dist(0) / old.dist(0)
         np.testing.assert_allclose(ratios, 1.0, rtol=0, atol=0)
 
     def test_defensive_copy_on_set(self):
-        table = LogitTable(2)
-        src = np.array([1.0, 2.0])
-        table.set_logits(0, src)
-        src[0] = 99.0
+        # The constructor copies its array, and a copy never shares rows.
+        src = np.array([[1.0, 2.0]])
+        table = LogitTable(src)
+        src[0, 0] = 99.0
         np.testing.assert_array_equal(table.logits(0), [1.0, 2.0])
+        clone = table.copy()
+        clone.add_to_logits(0, np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(table.logits(0), [1.0, 2.0])
+        np.testing.assert_array_equal(clone.logits(0), [2.0, 3.0])
 
 
 class TestSerialization:
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(11)
-        table = LogitTable(5)
-        for ctx in range(7):
-            table.set_logits(ctx, rng.normal(0, 10, size=5))
+        z = rng.normal(0, 10, size=(8, 5))
         # Awkward exact values must survive the text format bit-for-bit.
-        table.set_logits(99, [1 / 3, math.pi, -1e-17, 2**-40, 1e300])
+        z[7] = [1 / 3, math.pi, -1e-17, 2**-40, 1e300]
+        z[6, 0] = -0.0
+        table = LogitTable(z)
         text = dump_logit_table(table)
         loaded = load_logit_table(text)
         assert loaded.vocab_size == 5
-        assert list(loaded.contexts()) == list(table.contexts())
-        for ctx in table.contexts():
+        assert len(loaded) == len(table)
+        for ctx in range(len(table)):
             np.testing.assert_array_equal(loaded.logits(ctx), table.logits(ctx))
+        assert dump_logit_table(loaded) == text
 
     def test_header_format(self):
-        table = LogitTable(2)
-        table.set_logits(3, [0.0, 1.0])
-        text = dump_logit_table(table)
-        lines = text.strip().splitlines()
+        table = LogitTable(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        lines = dump_logit_table(table).strip().splitlines()
         assert lines[0] == "V=2"
-        assert lines[1].startswith("ctx=3 z=")
+        assert lines[1].startswith("ctx=0 z=")
+        assert lines[2].startswith("ctx=1 z=")
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             load_logit_table("not a table")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["ctx=1 z=0.0,1.0"],                                   # ctx=0 missing
+            ["ctx=0 z=0.0,1.0", "ctx=2 z=0.0,1.0"],                # ctx=1 missing
+            ["ctx=0 z=0.0,1.0", "ctx=0 z=0.0,1.0"],                # duplicated
+            ["ctx=1 z=0.0,1.0", "ctx=0 z=0.0,1.0"],                # out of order
+            ["ctx=0 z=0.0,1.0", "ctx=1 z=0.0,1.0,2.0"],            # too long
+            ["ctx=0 z=0.0"],                                       # too short
+        ],
+        ids=["missing-first", "missing-middle", "duplicated", "out-of-order",
+             "row-too-long", "row-too-short"],
+    )
+    def test_rejects_rows_not_dense_in_order(self, rows):
+        assert load_logit_table("V=2\nctx=0 z=0.0,1.0\n").vocab_size == 2
+        with pytest.raises(ValueError, match="expected"):
+            load_logit_table("\n".join(["V=2"] + rows) + "\n")
 
 
 def test_entropy_reference_values():
