@@ -290,6 +290,8 @@ def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     spec = load_spec(args.spec)
     spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")

@@ -9,16 +9,19 @@ valid leaf, plus Gaussian jitter, so it is informative but imperfect.
 Context ids use heap indexing: root = 0, child(ctx, token) = ctx*B + token + 1,
 so the C = (B^D - 1) / (B - 1) internal nodes are 0..C-1 in breadth-first
 order and the reference policy is one dense (C, B) logit table.
+A batch of n rollouts is three arrays: ``(n, D)`` tokens, the ``(n, D)``
+contexts they were drawn from, and ``(n,)`` verified rewards.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anchor import top_k
-from .policy import LogitTable, dump_logit_table, load_logit_table, sample_token
+from .policy import LogitTable, dump_logit_table, load_logit_table
 
 
 @dataclass
@@ -46,17 +49,6 @@ class EnvConfig:
             raise ValueError(f"ref_noise must be >= 0, got {self.ref_noise}")
 
 
-@dataclass
-class Trajectory:
-    """One root-to-leaf sample: tokens, the contexts they were drawn from,
-    log-probs under the sampling policy, and the verified binary reward."""
-
-    tokens: tuple[int, ...]
-    contexts: tuple[int, ...]
-    old_log_probs: tuple[float, ...]
-    reward: int
-
-
 class ReasoningTree:
     def __init__(
         self,
@@ -74,15 +66,6 @@ class ReasoningTree:
 
     def child_context(self, ctx: int, token: int) -> int:
         return ctx * self.branching + token + 1
-
-    def path_contexts(self, tokens) -> tuple[int, ...]:
-        """Context visited before each of the D steps along ``tokens``."""
-        ctx = self.ROOT
-        out = []
-        for t in tokens:
-            out.append(ctx)
-            ctx = self.child_context(ctx, t)
-        return tuple(out)
 
     def num_contexts(self) -> int:
         b, d = self.branching, self.depth
@@ -134,21 +117,27 @@ def verify(tree: ReasoningTree, tokens) -> int:
     return 1 if seq in tree.valid_leaves else 0
 
 
-def rollout(tree: ReasoningTree, policy: LogitTable, rng: np.random.Generator) -> Trajectory:
-    """Sample one root-to-leaf trajectory under ``policy``."""
-    ctx = tree.ROOT
-    tokens: list[int] = []
-    contexts: list[int] = []
-    log_probs: list[float] = []
-    for _ in range(tree.depth):
-        dist = policy.dist(ctx)
-        token = sample_token(dist, rng)
-        tokens.append(token)
+def rollout(
+    tree: ReasoningTree, policy: LogitTable, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample ``n`` root-to-leaf rollouts: ``(tokens, contexts, rewards)``.
+
+    Rollout i consumes row i of one ``rng.random((n, D))`` block, which is
+    the stream of n*D scalar :func:`~anchorlab.policy.sample_token` draws.
+    """
+    u = rng.random((n, tree.depth))
+    ctx = np.full(n, tree.ROOT)
+    tokens, contexts = [], []
+    for step in range(tree.depth):
+        cdf = np.cumsum(policy.dist(ctx), axis=1)
+        # searchsorted(side="right") per row, clamped as in sample_token.
+        tok = np.minimum((cdf <= u[:, step, None]).sum(axis=1), policy.vocab_size - 1)
         contexts.append(ctx)
-        log_probs.append(float(np.log(dist[token])))
-        ctx = tree.child_context(ctx, token)
-    seq = tuple(tokens)
-    return Trajectory(seq, tuple(contexts), tuple(log_probs), verify(tree, seq))
+        tokens.append(tok)
+        ctx = tree.child_context(ctx, tok)
+    tokens = np.stack(tokens, axis=1)
+    rewards = np.array([verify(tree, row) for row in tokens.tolist()])
+    return tokens, np.stack(contexts, axis=1), rewards
 
 
 def oracle_coverage(
@@ -186,18 +175,26 @@ def dump_tree(tree: ReasoningTree) -> str:
 
 
 def load_tree(text: str) -> ReasoningTree:
+    """Parse :func:`dump_tree` text; raises ValueError unless every leaf is
+    D tokens in ``[0, B)`` and the reference is a (C, B) table."""
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("D="):
-        raise ValueError("tree text must start with a 'D=<int> B=<int>' header")
-    head, b_part = lines[0].split()
-    depth = int(head[2:])
-    branching = int(b_part[2:])
+    head = re.fullmatch(r"D=(\d+) B=(\d+)", lines[0]) if lines else None
+    if head is None or int(head[1]) < 1 or int(head[2]) < 2:
+        raise ValueError("tree text must start with a 'D=<int> B=<int>' header, D >= 1, B >= 2")
+    depth, branching = int(head[1]), int(head[2])
     leaves = set()
     i = 1
     while i < len(lines) and not lines[i].startswith("V="):
         if lines[i].strip():
-            leaves.add(tuple(int(t) for t in lines[i].split(",")))
+            leaf = tuple(int(t) for t in lines[i].split(","))
+            if len(leaf) != depth or not all(0 <= t < branching for t in leaf):
+                raise ValueError(f"leaf {lines[i]!r} is not {depth} tokens in [0, {branching})")
+            leaves.add(leaf)
         i += 1
     ref = load_logit_table("\n".join(lines[i:]))
-    return ReasoningTree(depth, branching, frozenset(leaves), ref)
-
+    tree = ReasoningTree(depth, branching, frozenset(leaves), ref)
+    if (len(ref), ref.vocab_size) != (tree.num_contexts(), branching):
+        raise ValueError(
+            f"reference is {len(ref)}x{ref.vocab_size}, expected {tree.num_contexts()}x{branching}"
+        )
+    return tree

@@ -18,7 +18,7 @@ from math import exp, log
 import numpy as np
 
 from .anchor import top_k
-from .env import ReasoningTree, Trajectory, rollout
+from .env import ReasoningTree, rollout
 from .objectives import kl_penalty
 from .policy import LogitTable, entropy
 
@@ -53,23 +53,18 @@ def pass_metrics(rewards_per_prompt) -> tuple[float, float]:
     return float(np.mean(all_rewards)), any_hit / len(rewards_per_prompt)
 
 
-def entropy_and_maxprob(
-    policy: LogitTable, trajectories: list[Trajectory]
-) -> tuple[float, float]:
-    """Mean entropy (nats) and mean max-probability over all visited steps.
+def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
+    """Mean entropy (nats) and mean max-probability over all visited steps,
+    given as an array of context ids (one per step, in rollout order).
 
-    A context visited by several trajectories counts once per visit.
+    A context visited by several rollouts counts once per visit.
     """
-    ents: list[float] = []
-    maxps: list[float] = []
-    for traj in trajectories:
-        for ctx in traj.contexts:
-            dist = policy.dist(ctx)
-            ents.append(entropy(dist))
-            maxps.append(float(dist.max()))
-    if not ents:
+    ctxs = np.asarray(contexts).ravel()
+    if ctxs.size == 0:
         raise ValueError("no visited contexts")
-    return float(np.mean(ents)), float(np.mean(maxps))
+    dists = policy.dist(ctxs)
+    ents = [entropy(dist) for dist in dists]
+    return float(np.mean(ents)), float(np.mean(dists.max(axis=1)))
 
 
 def _ngram_counts(seq: tuple[int, ...], n: int) -> Counter:
@@ -154,27 +149,26 @@ def evaluate(
 
     ``support_k`` defaults to half the vocabulary (at least 1); entropy and
     max-prob average over visited steps, support mass and KL over the set of
-    distinct visited contexts.
+    distinct visited contexts. ``policy`` is read in place, not copied, so
+    nothing may write to it during the call.
     """
     if eval_k < 2:
         raise ValueError(f"eval_k must be >= 2 (diversity needs it), got {eval_k}")
     if support_k is None:
         support_k = max(1, tree.branching // 2)
-    frozen = policy.snapshot()
-    trajectories = [rollout(tree, frozen, rng) for _ in range(eval_k)]
-    rewards = [t.reward for t in trajectories]
-    p1, pk = pass_metrics([rewards])
-    mean_ent, mean_maxp = entropy_and_maxprob(frozen, trajectories)
-    visited = sorted({ctx for t in trajectories for ctx in t.contexts})
+    tokens, contexts, rewards = rollout(tree, policy, eval_k, rng)
+    p1, pk = pass_metrics([rewards.tolist()])
+    mean_ent, mean_maxp = entropy_and_maxprob(policy, contexts)
+    visited = sorted(set(contexts.ravel().tolist()))  # np.unique would import numpy.ma
     return MetricRecord(
         step=step,
         pass_at_1=p1,
         pass_at_k=pk,
         mean_entropy=mean_ent,
         mean_max_prob=mean_maxp,
-        diversity_score=diversity_score([t.tokens for t in trajectories], n_max),
-        support_mass=support_mass(frozen, tree.ref_policy, support_k, visited),
-        kl_to_ref=kl_to_reference(frozen, tree.ref_policy, visited),
+        diversity_score=diversity_score(tokens.tolist(), n_max),
+        support_mass=support_mass(policy, tree.ref_policy, support_k, visited),
+        kl_to_ref=kl_to_reference(policy, tree.ref_policy, visited),
         eval_k=eval_k,
     )
 

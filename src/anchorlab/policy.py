@@ -2,14 +2,16 @@
 
 A policy is a dense ``(C, V)`` logit array over the C heap-indexed contexts
 of a tree and a fixed vocabulary of size V; row ``ctx`` is context ``ctx``.
-Distributions are plain numpy arrays of length V. Three instances of
-:class:`LogitTable` play the roles of the live policy, the frozen sampling
-policy, and the fixed reference policy.
+Distributions are plain numpy arrays of length V (``(n, V)`` for a vector
+of contexts). Three instances of :class:`LogitTable` play the roles of the
+live policy, the frozen sampling policy, and the fixed reference policy.
+Logits are checked finite when set, so every softmax row is a valid
+distribution and hot loops do not re-check it.
 
 Randomness contract: every sampling function takes a ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``). Sampling is inverse-CDF over the
 cumulative distribution, so a fixed seed yields a bit-identical token stream
-on any platform.
+on any platform; batched rollouts (``env.rollout``) draw the same stream.
 """
 
 from __future__ import annotations
@@ -27,18 +29,20 @@ DIST_ATOL = 1e-9
 
 
 def softmax(logits: Iterable[float] | np.ndarray) -> np.ndarray:
-    """Numerically stabilized softmax (max-subtraction before exp).
+    """Numerically stabilized softmax (max-subtraction before exp) along the
+    last axis of a 1-D logit vector or a 2-D stack of rows; each row of a
+    2-D result is bitwise the 1-D result for that row.
 
     Raises ValueError on non-finite input.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError(f"logits must be a nonempty 1-D sequence, got shape {z.shape}")
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise ValueError(f"logits must be a nonempty 1-D or 2-D array, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits contain non-finite values")
-    shifted = z - z.max()
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:
@@ -116,7 +120,8 @@ class LogitTable:
         view.flags.writeable = False
         return view
 
-    def dist(self, ctx: ContextId) -> np.ndarray:
+    def dist(self, ctx: ContextId | np.ndarray) -> np.ndarray:
+        """Distribution at ``ctx``, or an ``(n, V)`` stack for a vector of ids."""
         return softmax(self._z[ctx])
 
     def copy(self) -> "LogitTable":

@@ -1,7 +1,8 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
 Each outer step freezes the sampling policy, draws ``groups_per_step``
-groups of ``group_size`` rollouts from the tree root, computes
+groups of ``group_size`` rollouts from the tree root (one ``rollout`` call
+per group, returning ``(n, D)`` token and context arrays), computes
 group-relative advantages, then performs ``inner_epochs`` passes in which
 every sampled token contributes one surrogate gradient. Gradients are
 averaged over all tokens in the batch (token-mean) and applied as a plain
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import EnvConfig, ReasoningTree, Trajectory, generate_tree, rollout
+from .env import EnvConfig, ReasoningTree, generate_tree, rollout
 from .metrics import MetricRecord, evaluate
 from .objectives import MethodConfig, group_advantages, method_token_update
 from .policy import LogitTable
@@ -57,7 +58,12 @@ class TrainConfig:
 
 @dataclass
 class TrajectoryGroup:
-    trajectories: list[Trajectory]
+    """One group of n rollouts: ``(n, D)`` tokens and the contexts they were
+    drawn from, ``(n,)`` rewards and group-relative advantages."""
+
+    tokens: np.ndarray
+    contexts: np.ndarray
+    rewards: np.ndarray
     advantages: np.ndarray
 
     @property
@@ -81,9 +87,8 @@ def sample_group(
     cfg: MethodConfig,
     rng: np.random.Generator,
 ) -> TrajectoryGroup:
-    trajectories = [rollout(tree, frozen_policy, rng) for _ in range(cfg.group_size)]
-    rewards = [t.reward for t in trajectories]
-    return TrajectoryGroup(trajectories, group_advantages(rewards, cfg.adv_eps))
+    tokens, contexts, rewards = rollout(tree, frozen_policy, cfg.group_size, rng)
+    return TrajectoryGroup(tokens, contexts, rewards, group_advantages(rewards, cfg.adv_eps))
 
 
 def _token_batch(groups: list[TrajectoryGroup]) -> list[tuple[int, int, float]]:
@@ -92,9 +97,11 @@ def _token_batch(groups: list[TrajectoryGroup]) -> list[tuple[int, int, float]]:
     for group in groups:
         if group.skipped:
             continue
-        for traj, adv in zip(group.trajectories, group.advantages):
-            for ctx, token in zip(traj.contexts, traj.tokens):
-                batch.append((ctx, token, float(adv)))
+        batch += zip(
+            group.contexts.ravel().tolist(),
+            group.tokens.ravel().tolist(),
+            np.repeat(group.advantages, group.tokens.shape[1]).tolist(),
+        )
     return batch
 
 
@@ -156,7 +163,7 @@ def train_step(
     mcfg = cfg.method_config
     pi_old = policy.snapshot()
     groups = [sample_group(tree, pi_old, mcfg, rng) for _ in range(cfg.groups_per_step)]
-    rewards = [t.reward for g in groups for t in g.trajectories]
+    rewards = np.concatenate([g.rewards for g in groups])
     batch = _token_batch(groups)
 
     clipped = 0

@@ -138,9 +138,11 @@ class TestMalformedInput:
             (["coverage", "--k-values", "0,9"], {}),
             (["coverage", "--k-values", "x"], {}),
             (["coverage", "--depth", "0"], {}),
+            (["train", "--jobs", "0"], {}),
+            (["train", "--jobs", "-3"], {}),
         ],
         ids=["train-seeds", "summarize-seeds", "env-seed", "k-values-range", "k-values-text",
-             "coverage-depth"],
+             "coverage-depth", "jobs-0", "jobs-negative"],
     )
     def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, env):
         for key, value in env.items():

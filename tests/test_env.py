@@ -6,7 +6,6 @@ import pytest
 
 from anchorlab.env import (
     EnvConfig,
-    Trajectory,
     dump_tree,
     generate_tree,
     load_tree,
@@ -14,7 +13,7 @@ from anchorlab.env import (
     rollout,
     verify,
 )
-from anchorlab.policy import LogitTable, dump_logit_table
+from anchorlab.policy import LogitTable, dump_logit_table, sample_token
 
 
 def leaf_probability(tree, policy, leaf):
@@ -134,6 +133,28 @@ class TestVerify:
             verify(tree, (0,))
 
 
+def scalar_rollouts(tree, policy, n, rng):
+    """Oracle: n rollouts walked one scalar ``sample_token`` draw per step."""
+    tokens, contexts = [], []
+    for _ in range(n):
+        ctx, toks, ctxs = tree.ROOT, [], []
+        for _ in range(tree.depth):
+            tok = sample_token(policy.dist(ctx), rng)
+            toks.append(tok)
+            ctxs.append(ctx)
+            ctx = tree.child_context(ctx, tok)
+        tokens.append(toks)
+        contexts.append(ctxs)
+    return tokens, contexts
+
+
+class _AllOnes:
+    """Stub generator whose every uniform draw is exactly 1.0."""
+
+    def random(self, shape=None):
+        return 1.0 if shape is None else np.ones(shape)
+
+
 class TestRollout:
     def test_one_hot_policy_is_deterministic(self):
         tree = generate_tree(EnvConfig(depth=3, branching=3, num_valid_leaves=1, seed=2))
@@ -144,25 +165,68 @@ class TestRollout:
             z[ctx] = -200.0
             z[ctx, t] = 200.0
             ctx = tree.child_context(ctx, t)
-        traj = rollout(tree, LogitTable(z), np.random.default_rng(0))
-        assert traj.tokens == leaf
-        assert traj.reward == 1
+        tokens, _, rewards = rollout(tree, LogitTable(z), 5, np.random.default_rng(0))
+        assert tokens.tolist() == [list(leaf)] * 5
+        assert rewards.tolist() == [1] * 5
 
-    def test_reward_matches_verify_and_logprobs(self):
+    def test_reward_matches_verify_and_contexts_follow_path(self):
         tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=4, seed=5))
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            traj = rollout(tree, tree.ref_policy, rng)
-            assert traj.reward == verify(tree, traj.tokens)
+        tokens, contexts, rewards = rollout(tree, tree.ref_policy, 50, np.random.default_rng(8))
+        assert tokens.shape == contexts.shape == (50, 3)
+        assert rewards.shape == (50,)
+        for toks, ctxs, reward in zip(tokens, contexts, rewards):
+            assert reward == verify(tree, toks)
             ctx = tree.ROOT
-            for step, (c, t, lp) in enumerate(
-                zip(traj.contexts, traj.tokens, traj.old_log_probs)
-            ):
+            for c, t in zip(ctxs, toks):
                 assert c == ctx
-                assert lp == pytest.approx(
-                    float(np.log(tree.ref_policy.dist(ctx)[t])), abs=1e-12
-                )
                 ctx = tree.child_context(ctx, t)
+
+    @pytest.mark.parametrize("policy_kind", ["reference", "one_hot", "sparse", "peaked"])
+    @pytest.mark.parametrize(
+        "depth, branching, seed", [(1, 2, 0), (3, 4, 5), (4, 8, 1), (5, 3, 7), (2, 9, 3)]
+    )
+    def test_matches_scalar_sample_token_oracle(self, depth, branching, seed, policy_kind):
+        tree = generate_tree(
+            EnvConfig(depth=depth, branching=branching, num_valid_leaves=2, seed=seed)
+        )
+        c, b = tree.num_contexts(), branching
+        noise = np.random.default_rng(seed + 50).standard_normal((c, b))
+        if policy_kind == "reference":
+            policy = tree.ref_policy
+        elif policy_kind == "one_hot":
+            # exp(-800) underflows: every row is an exact one-hot distribution.
+            z = np.full((c, b), -400.0)
+            z[np.arange(c), np.argmax(noise, axis=1)] = 400.0
+            policy = LogitTable(z)
+        elif policy_kind == "sparse":
+            # Exact zeros between nonzero tokens give flat steps in the CDF.
+            z = np.where(noise < 0.0, -1000.0, noise)
+            z[np.arange(c), np.argmax(noise, axis=1)] = 0.0
+            policy = LogitTable(z)
+        else:
+            policy = LogitTable(8.0 * noise)
+        rng_a = np.random.default_rng(seed + 100)
+        rng_b = np.random.default_rng(seed + 100)
+        tokens, contexts, rewards = rollout(tree, policy, 37, rng_a)
+        want_tokens, want_contexts = scalar_rollouts(tree, policy, 37, rng_b)
+        assert tokens.shape == contexts.shape == (37, depth)
+        assert tokens.tolist() == want_tokens
+        assert contexts.tolist() == want_contexts
+        assert rewards.tolist() == [verify(tree, t) for t in want_tokens]
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_draw_of_one_clamps_to_last_token(self, noise):
+        # A uniform 4-way CDF sums to exactly 1.0, so u = 1.0 counts all V
+        # entries and only the clamp keeps the token in range.
+        tree = generate_tree(
+            EnvConfig(depth=3, branching=4, num_valid_leaves=2,
+                      ref_concentration=0.0, ref_noise=noise, seed=4)
+        )
+        tokens, contexts, _ = rollout(tree, tree.ref_policy, 6, _AllOnes())
+        assert tokens.tolist() == [[3, 3, 3]] * 6
+        assert sample_token(tree.ref_policy.dist(tree.ROOT), _AllOnes()) == 3
+        assert contexts.tolist() == [[0, 4, 20]] * 6
 
     def test_uniform_policy_mean_reward(self):
         tree = generate_tree(
@@ -171,7 +235,7 @@ class TestRollout:
         )
         rng = np.random.default_rng(13)
         n = 10**4
-        mean = np.mean([rollout(tree, tree.ref_policy, rng).reward for _ in range(n)])
+        mean = np.mean(rollout(tree, tree.ref_policy, n, rng)[2])
         assert abs(mean - 0.25) < 0.02
 
     def test_leaf_probabilities_sum_to_one(self):
@@ -189,7 +253,7 @@ class TestRollout:
         )
         rng = np.random.default_rng(23)
         n = 4000
-        hits = sum(rollout(tree, tree.ref_policy, rng).reward for _ in range(n))
+        hits = int(rollout(tree, tree.ref_policy, n, rng)[2].sum())
         sigma = math.sqrt(exact * (1 - exact) / n)
         assert abs(hits / n - exact) < 3 * sigma + 1e-9
 
@@ -261,6 +325,10 @@ class TestOracleCoverage:
             oracle_coverage(tree, tree.ref_policy, {4})
 
 
+# A valid reference for a D=2, B=3 tree: 4 contexts, V=3.
+TABLE_4X3 = dump_logit_table(LogitTable(np.zeros((4, 3))))
+
+
 class TestTreeSerialization:
     def test_round_trip(self):
         tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=31))
@@ -277,3 +345,28 @@ class TestTreeSerialization:
     def test_header(self):
         tree = generate_tree(EnvConfig(depth=2, branching=3, num_valid_leaves=2, seed=1))
         assert dump_tree(tree).splitlines()[0] == "D=2 B=3"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "D=2 B=3\n0,5\nV=3\nctx=0 z=0.0,0.0,0.0\n",
+            "D=2\n0,1\n" + TABLE_4X3,
+            "D=x B=3\n0,1\n" + TABLE_4X3,
+            "D=2 B=3 C=4\n0,1\n" + TABLE_4X3,
+            "",
+            "D=2 B=3\n0,1,2\n" + TABLE_4X3,
+            "D=2 B=3\n0\n" + TABLE_4X3,
+            "D=2 B=3\n0,3\n" + TABLE_4X3,
+            "D=2 B=3\n-1,0\n" + TABLE_4X3,
+            "D=2 B=3\n0,1\n" + dump_logit_table(LogitTable(np.zeros((4, 2)))),
+            "D=2 B=3\n0,1\nV=3\nctx=0 z=0.0,0.0,0.0\n",
+            "D=2 B=3\n0,1\n" + dump_logit_table(LogitTable(np.zeros((5, 3)))),
+        ],
+        ids=["leaf-token-5-and-one-row", "header-no-B", "header-not-int", "header-extra",
+             "empty", "leaf-too-long", "leaf-too-short", "leaf-token-B", "leaf-token-negative",
+             "ref-V-not-B", "ref-one-row", "ref-too-many-rows"],
+    )
+    def test_malformed_tree_rejected_at_load(self, text):
+        assert load_tree("D=2 B=3\n0,1\n" + TABLE_4X3).valid_leaves == {(0, 1)}
+        with pytest.raises(ValueError):
+            load_tree(text)

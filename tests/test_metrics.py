@@ -90,22 +90,18 @@ class TestEntropyAndMaxProb:
         z[1, 3] = 300.0                            # row 1 one-hot
         return LogitTable(z)
 
-    def traj(self, contexts):
-        from anchorlab.env import Trajectory
-        return Trajectory((0,) * len(contexts), tuple(contexts), (0.0,) * len(contexts), 0)
-
     def test_uniform_context(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy(), [self.traj([0])])
+        ent, maxp = entropy_and_maxprob(self.make_policy(), np.array([[0]]))
         assert ent == pytest.approx(math.log(8), abs=1e-12)
         assert maxp == pytest.approx(0.125, abs=1e-12)
 
     def test_one_hot_context(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy(), [self.traj([1])])
+        ent, maxp = entropy_and_maxprob(self.make_policy(), np.array([[1]]))
         assert ent == pytest.approx(0.0, abs=1e-12)
         assert maxp == pytest.approx(1.0, abs=1e-12)
 
     def test_even_mixture_is_midpoint(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy(), [self.traj([0, 1])])
+        ent, maxp = entropy_and_maxprob(self.make_policy(), np.array([[0, 1]]))
         assert ent == pytest.approx(math.log(8) / 2, abs=1e-12)
         assert maxp == pytest.approx((0.125 + 1.0) / 2, abs=1e-12)
 

@@ -35,6 +35,27 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([0.0, float("inf")])
 
+    @pytest.mark.parametrize("v", [1, 2, 3, 8, 9, 32])
+    def test_rows_of_2d_call_equal_1d_call_bitwise(self, v):
+        z = 5.0 * np.random.default_rng(v).standard_normal((17, v))
+        picked = [3, 0, 3, 16]
+        rows, fancy = softmax(z), softmax(z[picked])
+        assert rows.shape == (17, v) and fancy.shape == (4, v)
+        for i in range(17):
+            assert rows[i].tobytes() == softmax(z[i]).tobytes()
+        for j, i in enumerate(picked):
+            assert fancy[j].tobytes() == softmax(z[i]).tobytes()
+
+    @pytest.mark.parametrize(
+        "logits",
+        [1.0, np.zeros((2, 2, 2)), [], np.zeros((0, 3)), np.zeros((3, 0)),
+         [[0.0, 1.0], [float("nan"), 0.0]], [[0.0, float("-inf")]]],
+        ids=["0-D", "3-D", "empty", "no-rows", "no-columns", "nan-row", "inf-row"],
+    )
+    def test_rejects_bad_shape_and_non_finite(self, logits):
+        with pytest.raises(ValueError):
+            softmax(logits)
+
     def test_extreme_logits_stay_valid(self):
         for z in ([700.0, -700.0], [700.0, 700.0], [-700.0, -700.0, 0.0]):
             check_dist(softmax(z))

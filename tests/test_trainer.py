@@ -56,8 +56,8 @@ class TestTrainStep:
         for g in groups:
             if g.skipped:
                 continue
-            for traj, adv in zip(g.trajectories, g.advantages):
-                batch.extend(zip(traj.contexts, traj.tokens, [float(adv)] * tree.depth))
+            for ctxs, toks, adv in zip(g.contexts, g.tokens, g.advantages):
+                batch.extend(zip(ctxs.tolist(), toks.tolist(), [float(adv)] * tree.depth))
         grads = {}
         for ctx, token, adv in batch:
             dz = adv * grad_log_prob(pi_old.dist(ctx), token)
@@ -144,8 +144,8 @@ class TestTokenMeanAggregation:
         rng = np.random.default_rng(9)
         group = sample_group(tree, pi_old, mcfg, rng)
         batch = []
-        for traj, adv in zip(group.trajectories, group.advantages):
-            batch.extend(zip(traj.contexts, traj.tokens, [float(adv)] * tree.depth))
+        for ctxs, toks, adv in zip(group.contexts, group.tokens, group.advantages):
+            batch.extend(zip(ctxs.tolist(), toks.tolist(), [float(adv)] * tree.depth))
 
         once = initial_policy(tree)
         apply_token_batch(once, pi_old, tree, batch, mcfg)
