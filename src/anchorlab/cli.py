@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics as dyn
 from .anchor import build_anchor, grad_anchor_ratio
 from .env import EnvConfig, generate_tree, oracle_coverage
 from .gradients import (
@@ -42,7 +41,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .objectives import MethodConfig, kl_penalty, method_token_update
-from .policy import softmax
+from .policy import check_int, softmax
 from .trainer import TrainConfig, run_experiment, write_steps_jsonl
 
 GRADCHECK_TOLERANCE = 1e-6
@@ -84,7 +83,9 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             env_data["seed"] = 0
         env = EnvConfig(**env_data)
         methods = [MethodConfig(**m) for m in data["methods"]]
-        seeds = [int(s) for s in data["seeds"]]
+        seeds = list(data["seeds"])
+        for s in seeds:
+            check_int("seeds", s)
         train = dict(data.get("train", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -366,6 +367,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    # Imported here: no other subcommand needs it, and without a bytecode
+    # cache every imported module is compiled at start-up.
+    from . import dynamics as dyn
+
     rng = np.random.default_rng(args.seed)
     reports = []
 

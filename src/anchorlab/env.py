@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchor import top_k
-from .policy import LogitTable, dump_logit_table, load_logit_table
+from .policy import LogitTable, check_int, dump_logit_table, load_logit_table
 
 
 @dataclass
@@ -34,6 +34,8 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("depth", "branching", "num_valid_leaves", "seed"):
+            check_int(name, getattr(self, name))
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.branching < 2:
@@ -105,7 +107,12 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
         ctx = ctx * b + leaves[:, step] + 1
     z = np.zeros((c, b))
     z[bonus] += cfg.ref_concentration
-    z += cfg.ref_noise * rng.standard_normal((c, b))
+    # Scaled in place and freed before LogitTable copies z, so at most two
+    # (C, B) float arrays are live here, not three; the values are the same.
+    noise = rng.standard_normal((c, b))
+    noise *= cfg.ref_noise
+    z += noise
+    del noise
     return ReasoningTree(d, b, valid, LogitTable(z))
 
 

@@ -1,6 +1,10 @@
 """Per-token surrogate objectives and their exact logit gradients.
 
-Five methods share one entry point, :func:`method_token_update`:
+Five methods share two entry points. :func:`token_gradients` is the
+trainer's path: it computes the ascent gradient of every token of a batch
+at once, as ``(N, V)`` arrays. :func:`method_token_update` is the scalar
+oracle for one token, which also returns the surrogate value; the dense
+kernel reproduces its gradients and flags bit for bit.
 
 * ``grpo``                -- clipped ratio surrogate only.
 * ``grpo_kl``             -- clipped surrogate minus a KL penalty to the
@@ -26,6 +30,7 @@ import numpy as np
 
 from .anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio
 from .gradients import grad_log_prob, grad_prob
+from .policy import check_int
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
 
@@ -45,6 +50,8 @@ class MethodConfig:
     adv_eps: float = 1e-6
 
     def __post_init__(self) -> None:
+        check_int("anchor_k", self.anchor_k)
+        check_int("group_size", self.group_size)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.clip_eps <= 0:
@@ -233,3 +240,117 @@ def method_token_update(
         return apo_token_update(policy_dist, old_dist, ref_dist, token, advantage, cfg)
 
     raise ValueError(f"unknown method {cfg.method!r}")
+
+
+# ---------------------------------------------------------------------------
+# Dense kernel: every token of a batch at once. Each expression is evaluated
+# in the scalar kernels' order, and every sum over a subset of a row is a sum
+# of the compressed subset in the scalar order (numpy sums 8 or more terms
+# pairwise, so a masked full-row sum would differ in the last bits).
+
+
+def _clipped_surrogate_grads(
+    ratio: np.ndarray, adv: np.ndarray, push: np.ndarray, cfg: MethodConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`grpo_token_update` per row: (gradients, clipped)."""
+    eps = cfg.clip_eps
+    capped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps) * adv
+    clipped = ratio * adv > capped
+    zero = clipped | (adv == 0.0)
+    return np.where(zero[:, None], 0.0, adv[:, None] * push), clipped
+
+
+def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """:func:`kl_penalty` gradient per row."""
+    pos = P > 0.0
+    log_ratio = np.log(np.where(pos, P / Q, 1.0))
+    terms = P * log_ratio
+    kl = terms.sum(axis=1)
+    for i in np.flatnonzero(~pos.all(axis=1)):
+        kl[i] = terms[i][pos[i]].sum()  # the scalar kernel sums positive entries only
+    return P * (log_ratio - kl[:, None])
+
+
+def _exclusive_anchors(P: np.ndarray, Q: np.ndarray, tokens: np.ndarray, k: int):
+    """:func:`~anchorlab.anchor.build_anchor` per row.
+
+    Returns (member mask, z_ref, policy anchor mass, P_safe, empty). Rows
+    whose anchor set is empty get z_ref 1 and zero masses.
+    """
+    n, v = P.shape
+    k = min(k, v)
+    rows = np.arange(n)
+    top = np.argsort(-Q, axis=1, kind="stable")[:, :k]
+    hit = top == tokens[:, None]
+    in_top = hit.any(axis=1)
+    member = np.zeros((n, v), dtype=bool)
+    member[rows[:, None], top] = True
+    member[rows, tokens] = False
+    z_ref, mass, p_safe = np.ones(n), np.zeros(n), np.zeros(n)
+    # Rows with the error token inside the Top-K have k-1 members, the others k.
+    for sel, m in ((in_top, k - 1), (~in_top, k)):
+        if m == 0 or not sel.any():
+            continue
+        r = np.flatnonzero(sel)[:, None]
+        ranked = top[sel][~hit[sel]].reshape(-1, m)  # Top-K order
+        z_ref[sel] = Q[r, ranked].sum(axis=1)
+        mass[sel] = P[r, ranked].sum(axis=1)
+        ascending = np.nonzero(member[sel])[1].reshape(-1, m)  # grad_support_mass order
+        p_safe[sel] = P[r, ascending].sum(axis=1)
+    return member, z_ref, mass, p_safe, in_top & (k == 1)
+
+
+def token_gradients(
+    P: np.ndarray,
+    O: np.ndarray,
+    Q: np.ndarray,
+    tokens: np.ndarray,
+    adv: np.ndarray,
+    cfg: MethodConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascent gradients of N tokens at once: row i is
+    ``method_token_update(P[i], O[i], Q[i], tokens[i], adv[i], cfg)``.
+
+    ``P``, ``O`` and ``Q`` are the ``(N, V)`` policy, old and reference rows
+    at each token's context. Returns ``(N, V)`` gradients and ``(N,)``
+    boolean clipped and degenerate-anchor flags, all bitwise equal to the
+    scalar kernel's.
+    """
+    rows = np.arange(tokens.size)
+    p_t, o_t = P[rows, tokens], O[rows, tokens]
+    a = adv[:, None]
+    dz = -P  # grad_log_prob
+    dz[rows, tokens] += 1.0
+    none = np.zeros(tokens.size, dtype=bool)
+    if cfg.method == "nsr":
+        return np.where(a >= 0.0, 0.0, a * dz), none, none
+    push = dz  # _push_gradient, in place
+    push *= p_t[:, None]
+    push /= o_t[:, None]
+    ratio = p_t / o_t
+
+    grads, clipped = _clipped_surrogate_grads(ratio, adv, push, cfg)
+    if cfg.method == "grpo":
+        return grads, clipped, none
+    if cfg.method in ("grpo_kl", "grpo_kl_error_only"):
+        with_kl = grads - cfg.kl_coef * _kl_grads(P, Q)
+        if cfg.method == "grpo_kl":
+            return with_kl, clipped, none
+        return np.where(a < 0.0, with_kl, grads), clipped, none
+
+    # apo: the rectified ratio on negative advantages, gated by the window.
+    member, z_ref, mass, p_safe, empty = _exclusive_anchors(P, Q, tokens, cfg.anchor_k)
+    neg = adv < 0.0
+    push_only = cfg.push_coef * ratio
+    rectified = np.where(empty, push_only, push_only - cfg.pull_coef * (mass / z_ref))
+    eps = cfg.clip_eps
+    outside = ~(((1.0 - eps) <= rectified) & (rectified <= (1.0 + eps)))
+    rect = (a * cfg.push_coef) * push
+    gsm = np.where(member, P * (1.0 - p_safe[:, None]), -P * p_safe[:, None])
+    rect = np.where(empty[:, None], rect, rect - (a * cfg.pull_coef) * (gsm / z_ref[:, None]))
+    rect = np.where(outside[:, None], 0.0, rect)
+    return (
+        np.where(neg[:, None], rect, grads),
+        np.where(neg, outside, clipped),
+        neg & empty,
+    )

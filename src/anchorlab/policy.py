@@ -16,6 +16,7 @@ on any platform; batched rollouts (``env.rollout``) draw the same stream.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable
 
 import numpy as np
@@ -58,6 +59,13 @@ def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:
     if abs(total - 1.0) > atol:
         raise ValueError(f"distribution sums to {total!r}, expected 1 within {atol}")
     return p
+
+
+def check_int(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an integer; a bool, or a float
+    such as 4.0, is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def sample_token(dist: np.ndarray, rng: np.random.Generator) -> VocabId:
@@ -106,13 +114,19 @@ class LogitTable:
     def __len__(self) -> int:
         return self._z.shape[0]
 
-    def add_to_logits(self, ctx: ContextId, delta: np.ndarray) -> None:
+    def add_to_logits(self, ctx: ContextId | np.ndarray, delta: np.ndarray) -> None:
+        """Add ``delta`` to the logits at ``ctx``, or an ``(n, V)`` block to
+        the rows of a vector of distinct ids; nothing changes unless every
+        updated logit is finite."""
+        rows = self._z[ctx]
         d = np.asarray(delta, dtype=np.float64)
-        if d.shape != (self.vocab_size,):
-            raise ValueError(f"logit delta must have shape ({self.vocab_size},), got {d.shape}")
-        updated = self._z[ctx] + d
-        if not np.all(np.isfinite(updated)):
-            raise ValueError(f"logit update at context {ctx} produced non-finite values")
+        if d.shape != rows.shape:
+            raise ValueError(f"logit delta must have shape {rows.shape}, got {d.shape}")
+        updated = rows + d
+        finite = np.isfinite(updated)
+        if not np.all(finite):
+            bad = ctx if finite.ndim == 1 else np.asarray(ctx)[~finite.all(axis=1)][0]
+            raise ValueError(f"logit update at context {bad} produced non-finite values")
         self._z[ctx] = updated
 
     def logits(self, ctx: ContextId) -> np.ndarray:

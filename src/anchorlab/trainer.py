@@ -6,7 +6,10 @@ per group, returning ``(n, D)`` token and context arrays), computes
 group-relative advantages, then performs ``inner_epochs`` passes in which
 every sampled token contributes one surrogate gradient. Gradients are
 averaged over all tokens in the batch (token-mean) and applied as a plain
-SGD ascent step on the logits.
+SGD ascent step on the logits. Each pass is dense: one
+:func:`~anchorlab.objectives.token_gradients` call over the ``(N, V)`` rows
+of the batch, summed per context with ``np.add.at``; the scalar
+``method_token_update`` is the oracle it is tested against, not called here.
 
 Seeding: the experiment seed feeds ``numpy.random.SeedSequence(seed)``; its
 two spawned children drive the training stream and the evaluation stream,
@@ -23,8 +26,8 @@ import numpy as np
 
 from .env import EnvConfig, ReasoningTree, generate_tree, rollout
 from .metrics import MetricRecord, evaluate
-from .objectives import MethodConfig, group_advantages, method_token_update
-from .policy import LogitTable
+from .objectives import MethodConfig, group_advantages, token_gradients
+from .policy import LogitTable, check_int
 
 
 @dataclass
@@ -40,6 +43,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("total_steps", "groups_per_step", "inner_epochs", "eval_every",
+                     "eval_samples_k", "seed"):
+            check_int(name, getattr(self, name))
+        if self.support_k is not None:
+            check_int("support_k", self.support_k)
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
         if self.groups_per_step < 1:
@@ -91,63 +99,63 @@ def sample_group(
     return TrajectoryGroup(tokens, contexts, rewards, group_advantages(rewards, cfg.adv_eps))
 
 
-def _token_batch(groups: list[TrajectoryGroup]) -> list[tuple[int, int, float]]:
-    """Flatten non-skipped groups into (context, token, advantage) triples."""
-    batch = []
-    for group in groups:
-        if group.skipped:
-            continue
-        batch += zip(
-            group.contexts.ravel().tolist(),
-            group.tokens.ravel().tolist(),
-            np.repeat(group.advantages, group.tokens.shape[1]).tolist(),
-        )
-    return batch
+class TokenBatch:
+    """Every token of the non-skipped groups, flattened in group, rollout
+    and step order: its context, token and advantage."""
+
+    __slots__ = ("ctx", "tok", "adv")
+
+    def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray):
+        self.ctx, self.tok, self.adv = ctx, tok, adv
+
+    def __len__(self) -> int:
+        return self.ctx.size
+
+
+def _token_batch(groups: list[TrajectoryGroup]) -> TokenBatch:
+    kept = [g for g in groups if not g.skipped]
+    if not kept:
+        return TokenBatch(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+    return TokenBatch(
+        np.concatenate([g.contexts.ravel() for g in kept]),
+        np.concatenate([g.tokens.ravel() for g in kept]),
+        np.concatenate([np.repeat(g.advantages, g.tokens.shape[1]) for g in kept]),
+    )
 
 
 def apply_token_batch(
     policy: LogitTable,
     pi_old: LogitTable,
     tree: ReasoningTree,
-    batch: list[tuple[int, int, float]],
+    batch: TokenBatch,
     mcfg: MethodConfig,
-    ref_dists: dict[int, np.ndarray] | None = None,
 ) -> tuple[int, int]:
     """One pass over the batch: token-mean gradient, single ascent step.
 
-    Returns (clipped count, degenerate-anchor count). Replicating the batch
-    m times leaves the applied update unchanged (sums scale by m, the mean
-    does not).
+    Every token's gradient comes from one :func:`token_gradients` call over
+    the batch; they are summed per context in batch order and the U touched
+    rows get ``lr / N`` times their sum. Returns (clipped count,
+    degenerate-anchor count). Replicating the batch m times leaves the
+    applied update unchanged (sums scale by m, the mean does not).
     """
-    if not batch:
+    if not len(batch):
         return 0, 0
-    if ref_dists is None:
-        ref_dists = {}
-    policy_dists: dict[int, np.ndarray] = {}
-    old_dists: dict[int, np.ndarray] = {}
-    grads: dict[int, np.ndarray] = {}
-    clipped = 0
-    degenerate = 0
-    for ctx, token, adv in batch:
-        if ctx not in policy_dists:
-            policy_dists[ctx] = policy.dist(ctx)
-        if ctx not in old_dists:
-            old_dists[ctx] = pi_old.dist(ctx)
-        if ctx not in ref_dists:
-            ref_dists[ctx] = tree.ref_policy.dist(ctx)
-        update = method_token_update(
-            policy_dists[ctx], old_dists[ctx], ref_dists[ctx], token, adv, mcfg
-        )
-        clipped += update.clipped
-        degenerate += update.degenerate_anchor
-        if ctx in grads:
-            grads[ctx] += update.gradient
-        else:
-            grads[ctx] = update.gradient.copy()
-    scale = mcfg.learning_rate / len(batch)
-    for ctx, g in grads.items():
-        policy.add_to_logits(ctx, scale * g)
-    return clipped, degenerate
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    ctxs = np.array(sorted(set(batch.ctx.tolist())))
+    at = np.searchsorted(ctxs, batch.ctx)
+    grads, clipped, degenerate = token_gradients(
+        policy.dist(ctxs)[at],
+        pi_old.dist(ctxs)[at],
+        tree.ref_policy.dist(ctxs)[at],
+        batch.tok,
+        batch.adv,
+        mcfg,
+    )
+    # -0.0 is the additive identity, so each row's first add is an exact copy.
+    block = np.full((ctxs.size, policy.vocab_size), -0.0)
+    np.add.at(block, at, grads)
+    policy.add_to_logits(ctxs, (mcfg.learning_rate / len(batch)) * block)
+    return int(clipped.sum()), int(degenerate.sum())
 
 
 def train_step(
@@ -156,7 +164,6 @@ def train_step(
     cfg: TrainConfig,
     rng: np.random.Generator,
     step: int = 0,
-    ref_dists: dict[int, np.ndarray] | None = None,
 ) -> StepStats:
     """One outer optimization step (mutates ``policy`` in place)."""
     t0 = time.perf_counter()
@@ -169,7 +176,7 @@ def train_step(
     clipped = 0
     degenerate = 0
     for _ in range(cfg.inner_epochs):
-        c, d = apply_token_batch(policy, pi_old, tree, batch, mcfg, ref_dists)
+        c, d = apply_token_batch(policy, pi_old, tree, batch, mcfg)
         clipped += c
         degenerate += d
 
@@ -201,13 +208,12 @@ def run_experiment(
     eval_rng = np.random.default_rng(eval_ss)
 
     policy = initial_policy(tree)
-    ref_dists: dict[int, np.ndarray] = {}
     records = [
         evaluate(policy, tree, 0, cfg.eval_samples_k, eval_rng, cfg.support_k)
     ]
     stats: list[StepStats] = []
     for step in range(1, cfg.total_steps + 1):
-        stats.append(train_step(policy, tree, cfg, train_rng, step, ref_dists))
+        stats.append(train_step(policy, tree, cfg, train_rng, step))
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             records.append(
                 evaluate(policy, tree, step, cfg.eval_samples_k, eval_rng, cfg.support_k)

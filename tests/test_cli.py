@@ -115,6 +115,33 @@ class TestTrainCommand:
         rel = "smoke/apo/2/metrics.csv"
         assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
 
+    def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
+        # Cells run numpy in pool threads; every output but the wall clock
+        # must be the serial run's, for every method.
+        methods = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
+        spec = dict(SPEC, methods=[{"method": m, "anchor_k": 2, "learning_rate": 2.0}
+                                   for m in methods])
+        spec_path = write_spec(tmp_path, spec)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["train", "--spec", str(spec_path), "--out", str(out),
+                         "--no-timestamp", "--jobs", jobs]) == 0
+            outs.append(out / "smoke")
+        serial, parallel = outs
+        assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+        for method in methods:
+            for seed in ("1", "2"):
+                a, b = serial / method / seed, parallel / method / seed
+                assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+                steps = []
+                for cell in (a, b):
+                    lines = [json.loads(l) for l in (cell / "steps.jsonl").read_text().splitlines()]
+                    for line in lines:
+                        del line["wallclock_ms"]
+                    steps.append([json.dumps(line) for line in lines])
+                assert steps[0] == steps[1] and len(steps[0]) == SPEC["train"]["total_steps"]
+
     def test_missing_spec_is_config_error(self, tmp_path):
         assert main(["train", "--spec", str(tmp_path / "none.json"), "--out",
                      str(tmp_path)]) in (2, 3)
@@ -163,6 +190,38 @@ class TestMalformedInput:
         assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith("error: config: train:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("methods", "anchor_k", 2.5),
+            ("methods", "group_size", 4.0),
+            ("methods", "anchor_k", True),
+            ("train", "total_steps", 3.5),
+            ("train", "eval_samples_k", 8.0),
+            ("train", "support_k", True),
+            ("env", "depth", 2.0),
+            ("env", "branching", 3.0),
+            ("env", "num_valid_leaves", 2.5),
+            ("env", "seed", 4.0),
+            ("seeds", None, [1.7]),
+            ("seeds", None, [True]),
+        ],
+        ids=lambda v: repr(v) if not isinstance(v, str) else v,
+    )
+    def test_non_integer_field_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                       section, key, value):
+        if section == "seeds":
+            spec = dict(SPEC, seeds=value)
+        elif section == "methods":
+            spec = dict(SPEC, methods=[{"method": "apo", key: value}])
+        else:
+            spec = dict(SPEC, **{section: dict(SPEC[section], **{key: value})})
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: config:")
         assert not out.exists()
 
 

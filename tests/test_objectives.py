@@ -20,6 +20,7 @@ from anchorlab.objectives import (
     grpo_token_update,
     kl_penalty,
     method_token_update,
+    token_gradients,
 )
 from anchorlab.policy import softmax
 
@@ -270,6 +271,39 @@ class TestMethodDispatch:
         np.testing.assert_allclose(
             cond.gradient, plain.gradient - 0.01 * kl_grad, atol=1e-12
         )
+
+
+class TestTokenGradients:
+    """The dense kernel against the scalar oracle, row by row, bit for bit."""
+
+    @pytest.mark.parametrize("v, k", [(2, 1), (3, 1), (3, 5), (8, 4), (12, 10), (40, 20)])
+    @pytest.mark.parametrize("method", ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"])
+    def test_rows_equal_scalar_kernel_bitwise(self, method, v, k):
+        rng = np.random.default_rng(100 * v + k)
+        n = 300
+        tokens = rng.integers(v, size=n)
+        z = rng.normal(0, 2.0, size=(n, v))
+        # Underflowed entries (p == 0) off the sampled token, which the KL
+        # sums skip; ratios up to e^0.4 away from 1, so tokens clip.
+        far = rng.random((n, v)) < 0.15
+        far[np.arange(n), tokens] = False
+        z[far] -= 800.0
+        P = softmax(z)
+        O = softmax(z + rng.normal(0, 0.4, size=(n, v)))
+        Q = softmax(rng.normal(0, 1.5, size=(n, v)))
+        adv = rng.choice([-1.5, -0.4, 0.0, 0.6, 2.0], size=n)
+        cfg = MethodConfig(method=method, anchor_k=k)
+        assert np.any(P == 0.0)
+
+        grads, clipped, degenerate = token_gradients(P, O, Q, tokens, adv, cfg)
+        assert grads.shape == (n, v) and clipped.shape == degenerate.shape == (n,)
+        for i in range(n):
+            update = method_token_update(P[i], O[i], Q[i], int(tokens[i]), float(adv[i]), cfg)
+            assert grads[i].tobytes() == update.gradient.tobytes(), i
+            assert clipped[i] == update.clipped and degenerate[i] == update.degenerate_anchor
+        if method != "nsr":
+            assert clipped.any() and not clipped.all()
+        assert degenerate.any() == (method == "apo" and k == 1)
 
 
 class TestPaperProperties:

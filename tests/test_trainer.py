@@ -3,10 +3,17 @@ import pytest
 
 from anchorlab.env import EnvConfig, generate_tree
 from anchorlab.gradients import grad_log_prob
-from anchorlab.objectives import MethodConfig, group_advantages
+from anchorlab.objectives import (
+    MethodConfig,
+    group_advantages,
+    method_token_update,
+    token_gradients,
+)
 from anchorlab.policy import dump_logit_table
 from anchorlab.trainer import (
+    TokenBatch,
     TrainConfig,
+    _token_batch,
     apply_token_batch,
     initial_policy,
     run_experiment,
@@ -52,19 +59,17 @@ class TestTrainStep:
             sample_group(tree, pi_old, cfg.method_config, rng2)
             for _ in range(cfg.groups_per_step)
         ]
-        batch = []
-        for g in groups:
-            if g.skipped:
-                continue
-            for ctxs, toks, adv in zip(g.contexts, g.tokens, g.advantages):
-                batch.extend(zip(ctxs.tolist(), toks.tolist(), [float(adv)] * tree.depth))
+        kept = [g for g in groups if not g.skipped]
+        ctxs = np.concatenate([g.contexts.ravel() for g in kept])
+        toks = np.concatenate([g.tokens.ravel() for g in kept])
+        advs = np.concatenate([np.repeat(g.advantages, tree.depth) for g in kept])
         grads = {}
-        for ctx, token, adv in batch:
+        for ctx, token, adv in zip(ctxs.tolist(), toks.tolist(), advs.tolist()):
             dz = adv * grad_log_prob(pi_old.dist(ctx), token)
             grads[ctx] = grads.get(ctx, 0.0) + dz
         for ctx, g in grads.items():
             expected.add_to_logits(
-                ctx, cfg.method_config.learning_rate * g / len(batch)
+                ctx, cfg.method_config.learning_rate * g / ctxs.size
             )
         for ctx in range(len(expected)):
             np.testing.assert_allclose(
@@ -143,18 +148,112 @@ class TestTokenMeanAggregation:
         pi_old = initial_policy(tree).snapshot()
         rng = np.random.default_rng(9)
         group = sample_group(tree, pi_old, mcfg, rng)
-        batch = []
-        for ctxs, toks, adv in zip(group.contexts, group.tokens, group.advantages):
-            batch.extend(zip(ctxs.tolist(), toks.tolist(), [float(adv)] * tree.depth))
+        batch = TokenBatch(
+            group.contexts.ravel(),
+            group.tokens.ravel(),
+            np.repeat(group.advantages, tree.depth),
+        )
+        assert len(batch) == group.tokens.size
+        thrice_batch = TokenBatch(*(np.tile(a, 3) for a in (batch.ctx, batch.tok, batch.adv)))
 
         once = initial_policy(tree)
         apply_token_batch(once, pi_old, tree, batch, mcfg)
         thrice = initial_policy(tree)
-        apply_token_batch(thrice, pi_old, tree, batch * 3, mcfg)
+        apply_token_batch(thrice, pi_old, tree, thrice_batch, mcfg)
         for ctx in range(len(once)):
             np.testing.assert_allclose(
                 once.logits(ctx), thrice.logits(ctx), rtol=0, atol=1e-12
             )
+
+
+METHODS = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
+
+
+def scalar_pass(policy, pi_old, tree, batch, mcfg):
+    """The per-token oracle for apply_token_batch: method_token_update per
+    token, summed per context in batch order, then lr/N."""
+    grads = {}
+    clipped = degenerate = 0
+    for ctx, token, adv in zip(batch.ctx.tolist(), batch.tok.tolist(), batch.adv.tolist()):
+        update = method_token_update(
+            policy.dist(ctx), pi_old.dist(ctx), tree.ref_policy.dist(ctx), token, adv, mcfg
+        )
+        clipped += update.clipped
+        degenerate += update.degenerate_anchor
+        if ctx in grads:
+            grads[ctx] += update.gradient
+        else:
+            grads[ctx] = update.gradient.copy()
+    scale = mcfg.learning_rate / len(batch)
+    for ctx, g in grads.items():
+        policy.add_to_logits(ctx, scale * g)
+    return clipped, degenerate
+
+
+def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
+    """Every token's dense gradient row and flags equal the scalar kernel's
+    bit for bit, sign of zero included (a last-bit difference in a gradient
+    can round away in the logits it is added to)."""
+    P, O, Q = (t.dist(batch.ctx) for t in (policy, pi_old, tree.ref_policy))
+    grads, clipped, degenerate = token_gradients(P, O, Q, batch.tok, batch.adv, mcfg)
+    for i, (token, adv) in enumerate(zip(batch.tok.tolist(), batch.adv.tolist())):
+        update = method_token_update(P[i], O[i], Q[i], token, adv, mcfg)
+        assert grads[i].tobytes() == update.gradient.tobytes()
+        assert (clipped[i], degenerate[i]) == (update.clipped, update.degenerate_anchor)
+
+
+# (env, method overrides, inner epochs, copies of the batch)
+DENSE_CASES = {
+    # One pass: every ratio is exactly 1.
+    "one-epoch": (SMALL_ENV, {}, 1, 1),
+    # Two passes at lr 5: ratios leave the trust region and tokens clip.
+    "two-epochs": (SMALL_ENV, {"learning_rate": 5.0}, 2, 1),
+    # anchor_k=1 on a peaked reference: the error token is often the Top-1.
+    "degenerate-anchor": (
+        EnvConfig(depth=3, branching=3, num_valid_leaves=2, ref_concentration=2.0, seed=2),
+        {"anchor_k": 1, "learning_rate": 2.0}, 2, 1,
+    ),
+    # 9 or 10 anchor members: numpy sums them pairwise.
+    "wide-anchor": (
+        EnvConfig(depth=2, branching=12, num_valid_leaves=5, seed=3),
+        {"anchor_k": 10, "learning_rate": 1.0}, 2, 1,
+    ),
+    # Every leaf valid: every group is skipped and the batch is empty.
+    "all-skipped": (EnvConfig(depth=2, branching=3, num_valid_leaves=9, seed=1), {}, 2, 1),
+    "replicated-3x": (SMALL_ENV, {"learning_rate": 5.0}, 2, 3),
+}
+
+
+class TestDenseMatchesScalar:
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_logits_and_counts_bitwise(self, method, case):
+        env, overrides, epochs, copies = DENSE_CASES[case]
+        tree = generate_tree(env)
+        mcfg = MethodConfig(method=method, **overrides)
+        totals = np.zeros(2, dtype=int)
+        for seed in range(3):
+            pi_old = initial_policy(tree).snapshot()
+            rng = np.random.default_rng(seed)
+            batch = _token_batch([sample_group(tree, pi_old, mcfg, rng) for _ in range(4)])
+            batch = TokenBatch(*(np.tile(a, copies) for a in (batch.ctx, batch.tok, batch.adv)))
+            dense, scalar = initial_policy(tree), initial_policy(tree)
+            for _ in range(epochs):
+                if len(batch):
+                    assert_rows_match_scalar(dense, pi_old, tree, batch, mcfg)
+                counts = apply_token_batch(dense, pi_old, tree, batch, mcfg)
+                if len(batch):
+                    assert counts == scalar_pass(scalar, pi_old, tree, batch, mcfg)
+                else:
+                    assert counts == (0, 0)
+                assert dump_logit_table(dense) == dump_logit_table(scalar)
+                totals += counts
+        if case == "all-skipped":
+            assert dump_logit_table(dense) == dump_logit_table(initial_policy(tree))
+        if case in ("two-epochs", "replicated-3x") and method != "nsr":
+            assert totals[0] > 0  # the clipped branch was exercised
+        if case == "degenerate-anchor" and method == "apo":
+            assert totals[1] > 0
 
 
 class TestRunExperiment:
