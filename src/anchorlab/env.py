@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchor import top_k
-from .policy import LogitTable, check_int, dump_logit_table, load_logit_table
+from .policy import LogitTable, check_float, check_int, dump_logit_table, load_logit_table
 
 
 @dataclass
@@ -36,6 +36,8 @@ class EnvConfig:
     def __post_init__(self) -> None:
         for name in ("depth", "branching", "num_valid_leaves", "seed"):
             check_int(name, getattr(self, name))
+        for name in ("ref_concentration", "ref_noise"):
+            check_float(name, getattr(self, name))
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.branching < 2:

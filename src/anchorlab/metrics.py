@@ -6,6 +6,12 @@ geometric mean over orders n = 1..n_max with no smoothing (any zero
 precision zeroes the score), and the standard brevity penalty against the
 closest reference length. Sequences shorter than n contribute only the
 available orders. Entropy is reported in nats.
+
+Evaluation reads the live policy in place (no copy of the table) and costs
+O(K) per call: Self-BLEU clips each sample's n-gram counts against the top-2
+counts of every n-gram over all samples, and entropy, support mass and KL
+are computed over the stacked ``(n, V)`` rows of the visited contexts, each
+row's sum bitwise the per-context sum.
 """
 
 from __future__ import annotations
@@ -17,10 +23,8 @@ from math import exp, log
 
 import numpy as np
 
-from .anchor import top_k
 from .env import ReasoningTree, rollout
-from .objectives import kl_penalty
-from .policy import LogitTable, entropy
+from .policy import LogitTable
 
 CSV_HEADER = "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K"
 
@@ -53,6 +57,22 @@ def pass_metrics(rewards_per_prompt) -> tuple[float, float]:
     return float(np.mean(all_rewards)), any_hit / len(rewards_per_prompt)
 
 
+def _segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of ``flat`` with lengths ``counts``, each
+    bitwise the 1-D ``.sum()`` of its segment.
+
+    Segments are gathered as one ``(r, m)`` block per distinct length m: a
+    zero-padded full-row sum would regroup numpy's pairwise additions and
+    differ in the last bits.
+    """
+    starts = np.cumsum(counts) - counts
+    out = np.empty(counts.size)
+    for m in set(counts.tolist()):
+        rows = np.flatnonzero(counts == m)
+        out[rows] = flat[starts[rows, None] + np.arange(m)].sum(axis=1)
+    return out
+
+
 def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
     """Mean entropy (nats) and mean max-probability over all visited steps,
     given as an array of context ids (one per step, in rollout order).
@@ -63,77 +83,96 @@ def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
     if ctxs.size == 0:
         raise ValueError("no visited contexts")
     dists = policy.dist(ctxs)
-    ents = [entropy(dist) for dist in dists]
+    # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
+    pos = dists > 0.0
+    nz = dists[pos]
+    ents = -_segment_sums(nz * np.log(nz), pos.sum(axis=1))
     return float(np.mean(ents)), float(np.mean(dists.max(axis=1)))
 
 
-def _ngram_counts(seq: tuple[int, ...], n: int) -> Counter:
-    return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
-
-
-def _bleu(hypothesis: tuple[int, ...], references: list[tuple[int, ...]], n_max: int) -> float:
-    if not hypothesis:
-        return 0.0
-    orders = range(1, min(n_max, len(hypothesis)) + 1)
-    log_precisions = []
-    for n in orders:
-        hyp_counts = _ngram_counts(hypothesis, n)
-        max_ref: Counter = Counter()
-        for ref in references:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
-        total = sum(hyp_counts.values())
-        if clipped == 0:
-            return 0.0
-        log_precisions.append(log(clipped / total))
-    precision = exp(sum(log_precisions) / len(log_precisions))
-    # Brevity penalty against the closest reference length (ties -> shorter).
-    ref_len = min((abs(len(r) - len(hypothesis)), len(r)) for r in references)[1]
-    if len(hypothesis) >= ref_len:
-        bp = 1.0
-    else:
-        bp = exp(1.0 - ref_len / len(hypothesis))
-    return bp * precision
+def _ngram_counts(seq: tuple[int, ...], n_max: int) -> Counter:
+    """Counts of every n-gram of ``seq`` for n = 1..n_max, keyed by the gram
+    itself (its length is its order)."""
+    return Counter(
+        seq[i : i + n] for n in range(1, n_max + 1) for i in range(len(seq) - n + 1)
+    )
 
 
 def self_bleu(samples, n_max: int = 4) -> float:
-    """Mean BLEU of each sample against the other K-1 samples."""
+    """Mean BLEU of each sample against the other K-1 samples.
+
+    Clipping needs only the best count of each n-gram among the other
+    samples: the second-largest count over all samples if the hypothesis
+    holds the largest, the largest otherwise. A first pass keeps those two
+    counts per n-gram, a second recounts and scores each sample, so the cost
+    is linear in K.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     seqs = [tuple(s) for s in samples]
     if len(seqs) < 2:
         raise ValueError("self-BLEU needs at least 2 samples")
+    first: dict[tuple[int, ...], int] = {}
+    second: dict[tuple[int, ...], int] = {}
+    for seq in seqs:
+        for gram, count in _ngram_counts(seq, n_max).items():
+            top = first.get(gram, 0)
+            if count > top:
+                first[gram], second[gram] = count, top
+            elif count > second.get(gram, 0):
+                second[gram] = count
+    lengths = Counter(len(s) for s in seqs)
     scores = []
-    for i, hyp in enumerate(seqs):
-        refs = seqs[:i] + seqs[i + 1 :]
-        scores.append(_bleu(hyp, refs, n_max))
+    for seq in seqs:
+        h = len(seq)
+        clipped = [0] * min(n_max, h)
+        for gram, count in _ngram_counts(seq, n_max).items():
+            best = second[gram] if count == first[gram] else first[gram]
+            clipped[len(gram) - 1] += min(count, best)
+        if not clipped or 0 in clipped:
+            scores.append(0.0)
+            continue
+        # Order n has h - n + 1 grams; clipped[n - 1] is its clipped count.
+        log_precisions = [log(c / (h - n + 1)) for n, c in enumerate(clipped, 1)]
+        precision = exp(sum(log_precisions) / len(log_precisions))
+        # Brevity penalty against the closest other length (ties -> shorter).
+        lengths[h] -= 1
+        ref_len = min((abs(r - h), r) for r, m in lengths.items() if m)[1]
+        lengths[h] += 1
+        bp = 1.0 if h >= ref_len else exp(1.0 - ref_len / h)
+        scores.append(bp * precision)
     return float(np.mean(scores))
 
 
 def diversity_score(samples, n_max: int = 4) -> float:
     """1 - Self-BLEU; 0 for identical samples, 1 for disjoint alphabets."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     return 1.0 - self_bleu(samples, n_max)
 
 
 def support_mass(policy: LogitTable, ref: LogitTable, k: int, contexts) -> float:
-    """Mean policy mass inside the reference Top-K over the given contexts."""
-    masses = []
-    for ctx in contexts:
-        members = top_k(ref.dist(ctx), k)
-        dist = policy.dist(ctx)
-        masses.append(float(dist[list(members)].sum()))
-    if not masses:
+    """Mean policy mass inside the reference Top-K over the given contexts,
+    each summed in Top-K order (ties toward the lower token index)."""
+    ctxs = np.asarray(contexts, dtype=np.intp)
+    if ctxs.size == 0:
         raise ValueError("no contexts given")
-    return float(np.mean(masses))
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    members = np.argsort(-ref.dist(ctxs), axis=1, kind="stable")[:, :k]
+    return float(np.mean(np.take_along_axis(policy.dist(ctxs), members, axis=1).sum(axis=1)))
 
 
 def kl_to_reference(policy: LogitTable, ref: LogitTable, contexts) -> float:
-    values = [kl_penalty(policy.dist(ctx), ref.dist(ctx))[0] for ctx in contexts]
-    if not values:
+    """Mean exact KL(policy || ref) over the given contexts, each as
+    :func:`~anchorlab.objectives.kl_penalty` sums it."""
+    ctxs = np.asarray(contexts, dtype=np.intp)
+    if ctxs.size == 0:
         raise ValueError("no contexts given")
-    return float(np.mean(values))
+    P, Q = policy.dist(ctxs), ref.dist(ctxs)
+    pos = P > 0.0
+    if np.any((Q <= 0.0) & pos):
+        raise ValueError("reference assigns zero mass where the policy is positive")
+    p = P[pos]
+    return float(np.mean(_segment_sums(p * np.log(p / Q[pos]), pos.sum(axis=1))))
 
 
 def evaluate(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio
 from .gradients import grad_log_prob, grad_prob
-from .policy import check_int
+from .policy import check_float, check_int
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
 
@@ -52,6 +52,9 @@ class MethodConfig:
     def __post_init__(self) -> None:
         check_int("anchor_k", self.anchor_k)
         check_int("group_size", self.group_size)
+        for name in ("clip_eps", "push_coef", "pull_coef", "kl_coef", "learning_rate",
+                     "adv_eps"):
+            check_float(name, getattr(self, name))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.clip_eps <= 0:

@@ -3,8 +3,9 @@
 A policy is a dense ``(C, V)`` logit array over the C heap-indexed contexts
 of a tree and a fixed vocabulary of size V; row ``ctx`` is context ``ctx``.
 Distributions are plain numpy arrays of length V (``(n, V)`` for a vector
-of contexts). Three instances of :class:`LogitTable` play the roles of the
-live policy, the frozen sampling policy, and the fixed reference policy.
+of contexts). Two instances of :class:`LogitTable` play the roles of the
+live policy and the fixed reference policy; the trainer keeps the sampling
+policy's rows of each batch, not a copy of the table.
 Logits are checked finite when set, so every softmax row is a valid
 distribution and hot loops do not re-check it.
 
@@ -16,6 +17,7 @@ on any platform; batched rollouts (``env.rollout``) draw the same stream.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Iterable
 
@@ -68,6 +70,15 @@ def check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_float(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is a real number (an integer counts,
+    a bool does not) and ValueError unless it is finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def sample_token(dist: np.ndarray, rng: np.random.Generator) -> VocabId:
     """Draw one token index from ``dist`` via inverse-CDF sampling.
 
@@ -92,11 +103,8 @@ class LogitTable:
     """Dense logit table: row ``ctx`` of one finite float64 ``(C, V)`` array
     holds the logits of heap context ``ctx`` (root 0, contexts 0..C-1).
     Context ids are not range-checked on access: as in numpy, a negative id
-    counts from the last row.
-
-    A snapshot is a copy whose array is read-only, so it may be shared freely
-    across concurrent readers; a live table must not be mutated during
-    shared reads.
+    counts from the last row. A table must not be mutated during shared
+    reads.
     """
 
     def __init__(self, z: np.ndarray):
@@ -141,12 +149,6 @@ class LogitTable:
     def copy(self) -> "LogitTable":
         out = object.__new__(LogitTable)  # the source array is already checked
         out._z = self._z.copy()
-        return out
-
-    def snapshot(self) -> "LogitTable":
-        """Read-only copy; later mutation of the source never leaks in."""
-        out = self.copy()
-        out._z.flags.writeable = False
         return out
 
 

@@ -1,12 +1,14 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
-Each outer step freezes the sampling policy, draws ``groups_per_step``
-groups of ``group_size`` rollouts from the tree root (one ``rollout`` call
-per group, returning ``(n, D)`` token and context arrays), computes
-group-relative advantages, then performs ``inner_epochs`` passes in which
-every sampled token contributes one surrogate gradient. Gradients are
-averaged over all tokens in the batch (token-mean) and applied as a plain
-SGD ascent step on the logits. Each pass is dense: one
+Each outer step draws ``groups_per_step`` groups of ``group_size`` rollouts
+from the tree root (one ``rollout`` call per group, returning ``(n, D)``
+token and context arrays) with the live policy, which does not change while
+they are sampled. It computes group-relative advantages, then captures the
+batch's old rows once: the sampling policy's ``(N, V)`` rows at each token's
+context, not a copy of the whole table. Then it performs ``inner_epochs``
+passes in which every sampled token contributes one surrogate gradient.
+Gradients are averaged over all tokens in the batch (token-mean) and applied
+as a plain SGD ascent step on the logits. Each pass is dense: one
 :func:`~anchorlab.objectives.token_gradients` call over the ``(N, V)`` rows
 of the batch, summed per context with ``np.add.at``; the scalar
 ``method_token_update`` is the oracle it is tested against, not called here.
@@ -91,61 +93,74 @@ class StepStats:
 
 def sample_group(
     tree: ReasoningTree,
-    frozen_policy: LogitTable,
+    policy: LogitTable,
     cfg: MethodConfig,
     rng: np.random.Generator,
 ) -> TrajectoryGroup:
-    tokens, contexts, rewards = rollout(tree, frozen_policy, cfg.group_size, rng)
+    tokens, contexts, rewards = rollout(tree, policy, cfg.group_size, rng)
     return TrajectoryGroup(tokens, contexts, rewards, group_advantages(rewards, cfg.adv_eps))
 
 
 class TokenBatch:
     """Every token of the non-skipped groups, flattened in group, rollout
-    and step order: its context, token and advantage."""
+    and step order: its context, token and advantage. On construction it
+    records the sorted distinct contexts ``ctxs``, each token's position
+    ``at`` in them, and ``old``, the ``(N, V)`` rows of the sampling policy
+    at each token's context, so later passes never read the old policy."""
 
-    __slots__ = ("ctx", "tok", "adv")
+    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "old")
 
-    def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray):
+    def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray,
+                 policy: LogitTable):
         self.ctx, self.tok, self.adv = ctx, tok, adv
+        # sorted(set()) rather than np.unique, which imports numpy.ma.
+        self.ctxs = np.array(sorted(set(ctx.tolist())), dtype=np.intp)
+        self.at = np.searchsorted(self.ctxs, ctx)
+        if ctx.size:
+            self.old = policy.dist(self.ctxs)[self.at]
+        else:
+            self.old = np.zeros((0, policy.vocab_size))
 
     def __len__(self) -> int:
         return self.ctx.size
 
 
-def _token_batch(groups: list[TrajectoryGroup]) -> TokenBatch:
+def _token_batch(groups: list[TrajectoryGroup], policy: LogitTable) -> TokenBatch:
+    """The batch of ``groups``, with old rows read from ``policy``, the
+    policy they were sampled from."""
     kept = [g for g in groups if not g.skipped]
     if not kept:
-        return TokenBatch(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+        empty = np.zeros(0, np.intp)
+        return TokenBatch(empty, empty, np.zeros(0), policy)
     return TokenBatch(
         np.concatenate([g.contexts.ravel() for g in kept]),
         np.concatenate([g.tokens.ravel() for g in kept]),
         np.concatenate([np.repeat(g.advantages, g.tokens.shape[1]) for g in kept]),
+        policy,
     )
 
 
 def apply_token_batch(
     policy: LogitTable,
-    pi_old: LogitTable,
     tree: ReasoningTree,
-    batch: TokenBatch,
     mcfg: MethodConfig,
+    batch: TokenBatch,
 ) -> tuple[int, int]:
     """One pass over the batch: token-mean gradient, single ascent step.
 
     Every token's gradient comes from one :func:`token_gradients` call over
-    the batch; they are summed per context in batch order and the U touched
-    rows get ``lr / N`` times their sum. Returns (clipped count,
-    degenerate-anchor count). Replicating the batch m times leaves the
-    applied update unchanged (sums scale by m, the mean does not).
+    the batch, with ``batch.old`` as the old rows; they are summed per
+    context in batch order and the U touched rows get ``lr / N`` times
+    their sum. Returns (clipped count, degenerate-anchor count). Replicating
+    the batch m times leaves the applied update unchanged (sums scale by m,
+    the mean does not).
     """
     if not len(batch):
         return 0, 0
-    # sorted(set()) rather than np.unique, which imports numpy.ma.
-    ctxs = np.array(sorted(set(batch.ctx.tolist())))
-    at = np.searchsorted(ctxs, batch.ctx)
+    ctxs, at = batch.ctxs, batch.at
     grads, clipped, degenerate = token_gradients(
         policy.dist(ctxs)[at],
-        pi_old.dist(ctxs)[at],
+        batch.old,
         tree.ref_policy.dist(ctxs)[at],
         batch.tok,
         batch.adv,
@@ -168,15 +183,14 @@ def train_step(
     """One outer optimization step (mutates ``policy`` in place)."""
     t0 = time.perf_counter()
     mcfg = cfg.method_config
-    pi_old = policy.snapshot()
-    groups = [sample_group(tree, pi_old, mcfg, rng) for _ in range(cfg.groups_per_step)]
+    groups = [sample_group(tree, policy, mcfg, rng) for _ in range(cfg.groups_per_step)]
     rewards = np.concatenate([g.rewards for g in groups])
-    batch = _token_batch(groups)
+    batch = _token_batch(groups, policy)
 
     clipped = 0
     degenerate = 0
     for _ in range(cfg.inner_epochs):
-        c, d = apply_token_batch(policy, pi_old, tree, batch, mcfg)
+        c, d = apply_token_batch(policy, tree, mcfg, batch)
         clipped += c
         degenerate += d
 

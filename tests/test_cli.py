@@ -225,6 +225,32 @@ class TestMalformedInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("methods", "push_coef", float("nan")),
+            ("methods", "kl_coef", float("inf")),
+            ("methods", "clip_eps", True),
+            ("methods", "adv_eps", float("nan")),
+            ("methods", "learning_rate", float("nan")),
+            ("env", "ref_noise", float("nan")),
+            ("env", "ref_concentration", float("inf")),
+        ],
+        ids=lambda v: repr(v) if not isinstance(v, str) else v,
+    )
+    def test_non_finite_or_bool_float_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                             section, key, value):
+        if section == "methods":
+            spec = dict(SPEC, methods=[{"method": "apo", key: value}])
+        else:
+            spec = dict(SPEC, env=dict(SPEC["env"], **{key: value}))
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: config:")
+        assert not out.exists()
+
+
 class TestSummarizeCommand:
     def test_summary_has_row_per_method(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path)

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorlab.anchor import top_k
 from anchorlab.env import EnvConfig, generate_tree, rollout
 from anchorlab.metrics import (
     CSV_HEADER,
@@ -19,7 +21,8 @@ from anchorlab.metrics import (
     support_mass,
     write_metrics_csv,
 )
-from anchorlab.policy import LogitTable
+from anchorlab.objectives import kl_penalty
+from anchorlab.policy import LogitTable, entropy
 
 
 def oracle_self_bleu(samples, n_max):
@@ -53,6 +56,51 @@ def oracle_self_bleu(samples, n_max):
         refs = [s for j, s in enumerate(samples) if j != i]
         scores.append(bleu_one(list(samples[i]), [list(r) for r in refs]))
     return sum(scores) / len(scores)
+
+
+def pairwise_self_bleu(samples, n_max):
+    """Self-BLEU as first written: for every hypothesis, every reference's
+    n-gram Counter is rebuilt (quadratic in K). The bitwise oracle for the
+    top-2 counting in ``self_bleu``."""
+    def ngram_counts(seq, n):
+        return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
+
+    def bleu(hypothesis, references):
+        if not hypothesis:
+            return 0.0
+        log_precisions = []
+        for n in range(1, min(n_max, len(hypothesis)) + 1):
+            hyp_counts = ngram_counts(hypothesis, n)
+            max_ref = Counter()
+            for ref in references:
+                for gram, count in ngram_counts(ref, n).items():
+                    if count > max_ref[gram]:
+                        max_ref[gram] = count
+            clipped = sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+            total = sum(hyp_counts.values())
+            if clipped == 0:
+                return 0.0
+            log_precisions.append(math.log(clipped / total))
+        precision = math.exp(sum(log_precisions) / len(log_precisions))
+        ref_len = min((abs(len(r) - len(hypothesis)), len(r)) for r in references)[1]
+        if len(hypothesis) >= ref_len:
+            bp = 1.0
+        else:
+            bp = math.exp(1.0 - ref_len / len(hypothesis))
+        return bp * precision
+
+    seqs = [tuple(s) for s in samples]
+    if len(seqs) < 2:
+        raise ValueError("self-BLEU needs at least 2 samples")
+    return float(np.mean([bleu(h, seqs[:i] + seqs[i + 1 :]) for i, h in enumerate(seqs)]))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_bleu_bitwise(samples, n_max):
+    assert bits(self_bleu(samples, n_max)) == bits(pairwise_self_bleu(samples, n_max))
 
 
 class TestPassMetrics:
@@ -150,6 +198,121 @@ class TestDiversityScore:
         shuffled = list(samples)
         rnd.shuffle(shuffled)
         assert diversity_score(shuffled) == pytest.approx(value, abs=1e-12)
+
+
+n_orders = st.integers(1, 5)
+
+
+class TestSelfBleuMatchesPairwise:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 3), max_size=7), min_size=2, max_size=11),
+        n_orders,
+    )
+    def test_variable_lengths_including_empty(self, samples, n_max):
+        assert_bleu_bitwise(samples, n_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=1, max_size=6),
+        st.data(),
+        n_orders,
+    )
+    def test_ties_for_the_largest_count(self, base, data, n_max):
+        # Copies of some samples: a hypothesis can tie another sample for
+        # the largest count of its n-grams, so the best other count is the
+        # largest, not the second-largest.
+        copies = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=4))
+        samples = data.draw(st.permutations(base + [base[i] for i in copies]))
+        assert_bleu_bitwise(samples, n_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=7), st.integers(2, 8), n_orders)
+    def test_all_identical_samples(self, seq, k, n_max):
+        samples = [seq] * k
+        assert_bleu_bitwise(samples, n_max)
+        assert self_bleu(samples, n_max) == (1.0 if seq else 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64), st.integers(1, 6), st.integers(2, 4), st.data(), n_orders)
+    def test_equal_length_up_to_64_samples(self, k, depth, branching, data, n_max):
+        token = st.integers(0, branching - 1)
+        samples = data.draw(st.lists(st.lists(token, min_size=depth, max_size=depth),
+                                     min_size=k, max_size=k))
+        assert_bleu_bitwise(samples, n_max)
+
+    def test_rollout_samples(self):
+        tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
+        tokens, _, _ = rollout(tree, tree.ref_policy, 64, np.random.default_rng(3))
+        assert_bleu_bitwise(tokens.tolist(), 4)
+
+    @pytest.mark.parametrize("samples, n_max", [([], 4), ([(1,), (2,)], 0)])
+    def test_rejects_what_it_cannot_score(self, samples, n_max):
+        with pytest.raises(ValueError):
+            self_bleu(samples, n_max)
+
+
+def loop_support_mass(policy, ref, k, ctxs):
+    return float(np.mean(
+        [float(policy.dist(c)[list(top_k(ref.dist(c), k))].sum()) for c in ctxs]
+    ))
+
+
+def loop_kl(policy, ref, ctxs):
+    return float(np.mean([kl_penalty(policy.dist(c), ref.dist(c))[0] for c in ctxs]))
+
+
+def loop_entropy_and_maxprob(policy, contexts):
+    dists = [policy.dist(c) for c in np.asarray(contexts).ravel().tolist()]
+    return float(np.mean([entropy(d) for d in dists])), float(np.mean([d.max() for d in dists]))
+
+
+@st.composite
+def policy_pairs(draw):
+    """A policy whose rows have underflowed p == 0 entries (so the count of
+    positive entries differs across rows) and a reference with integer
+    logits (exact probability ties)."""
+    v = draw(st.sampled_from([2, 8, 12]))
+    c = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(scale=draw(st.sampled_from([0.5, 3.0])), size=(c, v))
+    z[rng.random((c, v)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = -800.0
+    return LogitTable(z), LogitTable(rng.integers(-2, 3, size=(c, v)).astype(float)), rng
+
+
+class TestDenseMetricsMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(policy_pairs())
+    def test_support_mass_and_kl(self, pair):
+        policy, ref, rng = pair
+        v, c = policy.vocab_size, len(policy)
+        ctxs = sorted(set(rng.integers(0, c, size=c).tolist()))
+        for k in sorted({1, max(1, v // 2), v - 1 or 1, v, v + 1}):
+            assert bits(support_mass(policy, ref, k, ctxs)) == bits(
+                loop_support_mass(policy, ref, k, ctxs))
+        assert bits(kl_to_reference(policy, ref, ctxs)) == bits(loop_kl(policy, ref, ctxs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(policy_pairs())
+    def test_entropy_and_maxprob(self, pair):
+        policy, _, rng = pair
+        visits = rng.integers(0, len(policy), size=(5, 3))
+        got = entropy_and_maxprob(policy, visits)
+        want = loop_entropy_and_maxprob(policy, visits)
+        assert [bits(x) for x in got] == [bits(x) for x in want]
+
+    def test_rejections(self):
+        table = LogitTable(np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            support_mass(table, table, 0, [0])
+        for call in (lambda: support_mass(table, table, 2, []),
+                     lambda: kl_to_reference(table, table, []),
+                     lambda: entropy_and_maxprob(table, np.zeros((0, 3), dtype=int))):
+            with pytest.raises(ValueError):
+                call()
+        ref = LogitTable(np.array([[0.0, -800.0, 0.0, 0.0]]))  # q == 0 at token 1
+        with pytest.raises(ValueError, match="reference assigns zero mass"):
+            kl_to_reference(table, ref, [0])
 
 
 class TestSupportMass:

@@ -136,29 +136,6 @@ class TestLogitTable:
             table.add_to_logits(0, np.array([1.0, np.inf, 2.0]))
         np.testing.assert_array_equal(table.logits(0), [0.0, 0.0, 0.0])
 
-    def test_snapshot_immutability(self):
-        table = LogitTable(np.array([[0.5, -0.5], [1.0, 2.0]]))
-        frozen = table.snapshot()
-        table.add_to_logits(0, np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(frozen.logits(0), [0.5, -0.5])
-        np.testing.assert_array_equal(table.logits(0), [1.5, -0.5])
-        with pytest.raises(ValueError):
-            frozen.add_to_logits(1, np.array([0.0, 1.0]))
-        with pytest.raises((ValueError, RuntimeError)):
-            frozen.logits(0)[0] = 9.0
-        np.testing.assert_array_equal(frozen.logits(1), [1.0, 2.0])
-
-    def test_snapshot_of_empty_table(self):
-        frozen = LogitTable(np.zeros((0, 4))).snapshot()
-        assert len(frozen) == 0
-        assert frozen.vocab_size == 4
-
-    def test_snapshot_ratios_are_one(self):
-        table = LogitTable(np.array([[0.1, 0.2, 0.3, 0.4]]))
-        old = table.snapshot()
-        ratios = table.dist(0) / old.dist(0)
-        np.testing.assert_allclose(ratios, 1.0, rtol=0, atol=0)
-
     def test_defensive_copy_on_set(self):
         # The constructor copies its array, and a copy never shares rows.
         src = np.array([[1.0, 2.0]])

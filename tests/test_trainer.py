@@ -53,7 +53,7 @@ class TestTrainStep:
         assert stats.frac_clipped == 0.0
 
         expected = initial_policy(tree)
-        pi_old = expected.snapshot()
+        pi_old = expected.copy()
         rng2 = np.random.default_rng(12)
         groups = [
             sample_group(tree, pi_old, cfg.method_config, rng2)
@@ -75,6 +75,29 @@ class TestTrainStep:
             np.testing.assert_allclose(
                 policy.logits(ctx), expected.logits(ctx), atol=1e-12
             )
+
+    @pytest.mark.parametrize("method", ["grpo", "apo"])
+    def test_old_rows_captured_before_the_first_pass(self, method):
+        # Every pass after the first must see ratios against the rows the
+        # groups were sampled from, not the already updated policy: the
+        # step equals scalar passes against a frozen copy.
+        tree = generate_tree(SMALL_ENV)
+        cfg = small_cfg(method, inner_epochs=3,
+                        method_config=MethodConfig(method=method, learning_rate=5.0))
+        policy = initial_policy(tree)
+        stats = train_step(policy, tree, cfg, np.random.default_rng(11))
+
+        expected = initial_policy(tree)
+        pi_old = expected.copy()
+        rng = np.random.default_rng(11)
+        groups = [sample_group(tree, pi_old, cfg.method_config, rng)
+                  for _ in range(cfg.groups_per_step)]
+        batch = _token_batch(groups, pi_old)
+        assert batch.old.tobytes() == pi_old.dist(batch.ctx).tobytes()
+        clipped = sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[0]
+                      for _ in range(cfg.inner_epochs))
+        assert dump_logit_table(policy) == dump_logit_table(expected)
+        assert stats.frac_clipped == clipped / (len(batch) * cfg.inner_epochs) > 0
 
     def test_all_valid_leaves_means_bitwise_no_op(self):
         # Every rollout earns reward 1: all groups are zero-variance and the
@@ -145,21 +168,24 @@ class TestTokenMeanAggregation:
     def test_replicated_batch_gives_identical_update(self):
         tree = generate_tree(SMALL_ENV)
         mcfg = MethodConfig(method="apo", anchor_k=3)
-        pi_old = initial_policy(tree).snapshot()
+        pi_old = initial_policy(tree).copy()
         rng = np.random.default_rng(9)
         group = sample_group(tree, pi_old, mcfg, rng)
         batch = TokenBatch(
             group.contexts.ravel(),
             group.tokens.ravel(),
             np.repeat(group.advantages, tree.depth),
+            pi_old,
         )
         assert len(batch) == group.tokens.size
-        thrice_batch = TokenBatch(*(np.tile(a, 3) for a in (batch.ctx, batch.tok, batch.adv)))
+        thrice_batch = TokenBatch(
+            *(np.tile(a, 3) for a in (batch.ctx, batch.tok, batch.adv)), pi_old
+        )
 
         once = initial_policy(tree)
-        apply_token_batch(once, pi_old, tree, batch, mcfg)
+        apply_token_batch(once, tree, mcfg, batch)
         thrice = initial_policy(tree)
-        apply_token_batch(thrice, pi_old, tree, thrice_batch, mcfg)
+        apply_token_batch(thrice, tree, mcfg, thrice_batch)
         for ctx in range(len(once)):
             np.testing.assert_allclose(
                 once.logits(ctx), thrice.logits(ctx), rtol=0, atol=1e-12
@@ -233,15 +259,18 @@ class TestDenseMatchesScalar:
         mcfg = MethodConfig(method=method, **overrides)
         totals = np.zeros(2, dtype=int)
         for seed in range(3):
-            pi_old = initial_policy(tree).snapshot()
+            pi_old = initial_policy(tree).copy()
             rng = np.random.default_rng(seed)
-            batch = _token_batch([sample_group(tree, pi_old, mcfg, rng) for _ in range(4)])
-            batch = TokenBatch(*(np.tile(a, copies) for a in (batch.ctx, batch.tok, batch.adv)))
+            batch = _token_batch([sample_group(tree, pi_old, mcfg, rng) for _ in range(4)],
+                                 pi_old)
+            batch = TokenBatch(
+                *(np.tile(a, copies) for a in (batch.ctx, batch.tok, batch.adv)), pi_old
+            )
             dense, scalar = initial_policy(tree), initial_policy(tree)
             for _ in range(epochs):
                 if len(batch):
                     assert_rows_match_scalar(dense, pi_old, tree, batch, mcfg)
-                counts = apply_token_batch(dense, pi_old, tree, batch, mcfg)
+                counts = apply_token_batch(dense, tree, mcfg, batch)
                 if len(batch):
                     assert counts == scalar_pass(scalar, pi_old, tree, batch, mcfg)
                 else:
