@@ -91,6 +91,13 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         raise ConfigError(str(exc)) from exc
     if not seeds:
         raise ConfigError("seeds must be nonempty")
+    _unique_seeds(seeds, "seeds")
+    # The name is one directory under the output root.
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name:
+        raise ConfigError(f"name must be a nonempty string naming one directory, got {name!r}")
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     names = [m.method for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError(f"method names must be unique, got {names}")
@@ -102,12 +109,12 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}") from exc
     return ExperimentSpec(
-        name=str(name),
+        name=name,
         env=env,
         methods=methods,
         seeds=seeds,
         train=train,
-        output_dir=data.get("output_dir"),
+        output_dir=output_dir,
         env_seed_follows_cell=follows_cell,
     )
 
@@ -278,9 +285,16 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise ConfigError(f"{what}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _unique_seeds(seeds: list[int], what: str) -> list[int]:
+    # A repeated seed is one cell directory counted twice in summary.csv.
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{what} must not repeat a seed, got {seeds}")
+    return seeds
+
+
 def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
     if args.seeds:
-        return _parse_ints(args.seeds, "--seeds")
+        return _unique_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
     env_seed = os.environ.get("ANCHORLAB_SEED")
     if env_seed is not None:
         try:
@@ -316,7 +330,7 @@ def cmd_train(args) -> int:
 def cmd_summarize(args) -> int:
     spec = load_spec(args.spec)
     if args.seeds:
-        spec.seeds = _parse_ints(args.seeds, "--seeds")
+        spec.seeds = _unique_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
     out_root = Path(args.out or spec.output_dir or "results")
     path = _write_summary(spec, out_root, _timestamp(args))
     for row in _summary_rows(spec, out_root):

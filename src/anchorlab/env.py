@@ -8,7 +8,9 @@ valid leaf, plus Gaussian jitter, so it is informative but imperfect.
 
 Context ids use heap indexing: root = 0, child(ctx, token) = ctx*B + token + 1,
 so the C = (B^D - 1) / (B - 1) internal nodes are 0..C-1 in breadth-first
-order and the reference policy is one dense (C, B) logit table.
+order and the reference policy is one dense (C, B) logit table. A rollout's
+final heap context minus C is its leaf's lexicographic index, so rewards are
+looked up in the tree's sorted valid leaf ids.
 A batch of n rollouts is three arrays: ``(n, D)`` tokens, the ``(n, D)``
 contexts they were drawn from, and ``(n,)`` verified rewards.
 """
@@ -65,6 +67,9 @@ class ReasoningTree:
         self.branching = branching
         self.valid_leaves = valid_leaves
         self.ref_policy = ref_policy
+        # Lexicographic indices of the valid leaves; sorted tuples are ascending.
+        leaves = np.array(sorted(valid_leaves), dtype=np.int64).reshape(len(valid_leaves), depth)
+        self.valid_ids = leaves @ branching ** np.arange(depth - 1, -1, -1, dtype=np.int64)
 
     ROOT = 0
 
@@ -132,7 +137,10 @@ def rollout(
     """Sample ``n`` root-to-leaf rollouts: ``(tokens, contexts, rewards)``.
 
     Rollout i consumes row i of one ``rng.random((n, D))`` block, which is
-    the stream of n*D scalar :func:`~anchorlab.policy.sample_token` draws.
+    the stream of n*D scalar :func:`~anchorlab.policy.sample_token` draws;
+    so one call for G*n rollouts draws what G calls for n would. A reward
+    is 1 iff the final context minus C is one of ``tree.valid_ids``, which
+    is :func:`verify` of the row.
     """
     u = rng.random((n, tree.depth))
     ctx = np.full(n, tree.ROOT)
@@ -144,9 +152,11 @@ def rollout(
         contexts.append(ctx)
         tokens.append(tok)
         ctx = tree.child_context(ctx, tok)
-    tokens = np.stack(tokens, axis=1)
-    rewards = np.array([verify(tree, row) for row in tokens.tolist()])
-    return tokens, np.stack(contexts, axis=1), rewards
+    leaf = ctx - tree.num_contexts()
+    ids = tree.valid_ids
+    # Ids are distinct: the count of leaf in ids is 0 or 1.
+    rewards = np.searchsorted(ids, leaf, side="right") - np.searchsorted(ids, leaf)
+    return np.stack(tokens, axis=1), np.stack(contexts, axis=1), rewards
 
 
 def oracle_coverage(

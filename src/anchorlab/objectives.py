@@ -90,15 +90,15 @@ class TokenUpdate:
 def group_advantages(rewards, adv_eps: float = 1e-6) -> np.ndarray:
     """Group-relative advantages: (R - mean) / (population std + adv_eps).
 
-    A zero-variance group returns exact zeros; the trainer skips it.
+    Groups lie along the last axis, so a ``(G, n)`` array is G groups and
+    each row equals the 1-D call on it bit for bit. A zero-variance group
+    returns exact zeros; the trainer skips it.
     """
     r = np.asarray(rewards, dtype=np.float64)
-    if r.size < 2:
-        raise ValueError(f"group must contain at least 2 rewards, got {r.size}")
-    std = float(r.std())
-    if std == 0.0:
-        return np.zeros_like(r)
-    return (r - r.mean()) / (std + adv_eps)
+    if r.ndim == 0 or r.shape[-1] < 2:
+        raise ValueError(f"group must contain at least 2 rewards, got shape {r.shape}")
+    std = r.std(axis=-1, keepdims=True)
+    return np.where(std == 0.0, 0.0, (r - r.mean(axis=-1, keepdims=True)) / (std + adv_eps))
 
 
 def grpo_token_loss(

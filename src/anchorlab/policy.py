@@ -43,8 +43,13 @@ def softmax(logits: Iterable[float] | np.ndarray) -> np.ndarray:
         raise ValueError(f"logits must be a nonempty 1-D or 2-D array, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits contain non-finite values")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    return _softmax_rows(z)
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`softmax`, without its checks, for float64
+    logits already known finite (a :class:`LogitTable`'s rows)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -143,8 +148,9 @@ class LogitTable:
         return view
 
     def dist(self, ctx: ContextId | np.ndarray) -> np.ndarray:
-        """Distribution at ``ctx``, or an ``(n, V)`` stack for a vector of ids."""
-        return softmax(self._z[ctx])
+        """Distribution at ``ctx``, or an ``(n, V)`` stack for a vector of ids;
+        the rows are finite by construction, so they are not re-checked."""
+        return _softmax_rows(self._z[ctx])
 
     def copy(self) -> "LogitTable":
         out = object.__new__(LogitTable)  # the source array is already checked

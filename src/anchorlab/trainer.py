@@ -1,14 +1,18 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
-Each outer step draws ``groups_per_step`` groups of ``group_size`` rollouts
-from the tree root (one ``rollout`` call per group, returning ``(n, D)``
-token and context arrays) with the live policy, which does not change while
-they are sampled. It computes group-relative advantages, then captures the
-batch's old rows once: the sampling policy's ``(N, V)`` rows at each token's
-context, not a copy of the whole table. Then it performs ``inner_epochs``
+Each outer step draws its ``groups_per_step`` groups of ``group_size``
+rollouts from the tree root with one ``rollout`` call, which returns
+``(G*n, D)`` token and context arrays sampled with the live policy; the
+policy does not change while they are drawn. Group g is rows
+g*n..(g+1)*n-1, the rows G separate calls would draw. Group-relative
+advantages come from one call on the ``(G, n)`` rewards. Groups whose
+advantages are all zero are dropped, and the kept tokens form a
+:class:`TokenBatch`, which captures the batch's old and reference rows
+once: the sampling and reference policies' ``(N, V)`` rows at each token's
+context, not a copy of either table. Then it performs ``inner_epochs``
 passes in which every sampled token contributes one surrogate gradient.
-Gradients are averaged over all tokens in the batch (token-mean) and applied
-as a plain SGD ascent step on the logits. Each pass is dense: one
+Gradients are averaged over all tokens in the batch (token-mean) and
+applied as a plain SGD ascent step on the logits. Each pass is dense: one
 :func:`~anchorlab.objectives.token_gradients` call over the ``(N, V)`` rows
 of the batch, summed per context with ``np.add.at``; the scalar
 ``method_token_update`` is the oracle it is tested against, not called here.
@@ -67,22 +71,6 @@ class TrainConfig:
 
 
 @dataclass
-class TrajectoryGroup:
-    """One group of n rollouts: ``(n, D)`` tokens and the contexts they were
-    drawn from, ``(n,)`` rewards and group-relative advantages."""
-
-    tokens: np.ndarray
-    contexts: np.ndarray
-    rewards: np.ndarray
-    advantages: np.ndarray
-
-    @property
-    def skipped(self) -> bool:
-        # Zero-variance rewards yield all-zero advantages; no learning signal.
-        return bool(np.all(self.advantages == 0.0))
-
-
-@dataclass
 class StepStats:
     step: int
     mean_reward: float
@@ -91,53 +79,26 @@ class StepStats:
     wallclock_ms: float
 
 
-def sample_group(
-    tree: ReasoningTree,
-    policy: LogitTable,
-    cfg: MethodConfig,
-    rng: np.random.Generator,
-) -> TrajectoryGroup:
-    tokens, contexts, rewards = rollout(tree, policy, cfg.group_size, rng)
-    return TrajectoryGroup(tokens, contexts, rewards, group_advantages(rewards, cfg.adv_eps))
-
-
 class TokenBatch:
-    """Every token of the non-skipped groups, flattened in group, rollout
-    and step order: its context, token and advantage. On construction it
-    records the sorted distinct contexts ``ctxs``, each token's position
-    ``at`` in them, and ``old``, the ``(N, V)`` rows of the sampling policy
-    at each token's context, so later passes never read the old policy."""
+    """Every token of the kept groups, flattened in group, rollout and step
+    order: its context, token and advantage. On construction it records the
+    sorted distinct contexts ``ctxs``, each token's position ``at`` in them,
+    and the ``(N, V)`` rows at each token's context of the sampling policy,
+    ``old``, and of the reference, ``ref``, so later passes read neither."""
 
-    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "old")
+    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "old", "ref")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray,
-                 policy: LogitTable):
+                 policy: LogitTable, ref_policy: LogitTable):
         self.ctx, self.tok, self.adv = ctx, tok, adv
         # sorted(set()) rather than np.unique, which imports numpy.ma.
         self.ctxs = np.array(sorted(set(ctx.tolist())), dtype=np.intp)
         self.at = np.searchsorted(self.ctxs, ctx)
-        if ctx.size:
-            self.old = policy.dist(self.ctxs)[self.at]
-        else:
-            self.old = np.zeros((0, policy.vocab_size))
+        self.old = policy.dist(self.ctxs)[self.at]
+        self.ref = ref_policy.dist(self.ctxs)[self.at]
 
     def __len__(self) -> int:
         return self.ctx.size
-
-
-def _token_batch(groups: list[TrajectoryGroup], policy: LogitTable) -> TokenBatch:
-    """The batch of ``groups``, with old rows read from ``policy``, the
-    policy they were sampled from."""
-    kept = [g for g in groups if not g.skipped]
-    if not kept:
-        empty = np.zeros(0, np.intp)
-        return TokenBatch(empty, empty, np.zeros(0), policy)
-    return TokenBatch(
-        np.concatenate([g.contexts.ravel() for g in kept]),
-        np.concatenate([g.tokens.ravel() for g in kept]),
-        np.concatenate([np.repeat(g.advantages, g.tokens.shape[1]) for g in kept]),
-        policy,
-    )
 
 
 def apply_token_batch(
@@ -149,22 +110,19 @@ def apply_token_batch(
     """One pass over the batch: token-mean gradient, single ascent step.
 
     Every token's gradient comes from one :func:`token_gradients` call over
-    the batch, with ``batch.old`` as the old rows; they are summed per
-    context in batch order and the U touched rows get ``lr / N`` times
-    their sum. Returns (clipped count, degenerate-anchor count). Replicating
-    the batch m times leaves the applied update unchanged (sums scale by m,
-    the mean does not).
+    the batch, with ``batch.old`` and ``batch.ref`` as the old and
+    reference rows; they are summed per context in batch order and the U
+    touched rows get ``lr / N`` times their sum. Returns (clipped count,
+    degenerate-anchor count). Replicating the batch m times leaves the
+    applied update unchanged (sums scale by m, the mean does not). ``tree``
+    is not read, since the batch holds its reference rows; the argument
+    keeps the batch fourth, where perfbench's traced run counts its tokens.
     """
     if not len(batch):
         return 0, 0
     ctxs, at = batch.ctxs, batch.at
     grads, clipped, degenerate = token_gradients(
-        policy.dist(ctxs)[at],
-        batch.old,
-        tree.ref_policy.dist(ctxs)[at],
-        batch.tok,
-        batch.adv,
-        mcfg,
+        policy.dist(ctxs)[at], batch.old, batch.ref, batch.tok, batch.adv, mcfg
     )
     # -0.0 is the additive identity, so each row's first add is an exact copy.
     block = np.full((ctxs.size, policy.vocab_size), -0.0)
@@ -183,9 +141,18 @@ def train_step(
     """One outer optimization step (mutates ``policy`` in place)."""
     t0 = time.perf_counter()
     mcfg = cfg.method_config
-    groups = [sample_group(tree, policy, mcfg, rng) for _ in range(cfg.groups_per_step)]
-    rewards = np.concatenate([g.rewards for g in groups])
-    batch = _token_batch(groups, policy)
+    g, n = cfg.groups_per_step, mcfg.group_size
+    tokens, contexts, rewards = rollout(tree, policy, g * n, rng)
+    adv = group_advantages(rewards.reshape(g, n), mcfg.adv_eps)
+    # A zero-variance group has all-zero advantages and no learning signal.
+    kept = np.any(adv != 0.0, axis=1)
+    batch = TokenBatch(
+        contexts.reshape(g, -1)[kept].ravel(),
+        tokens.reshape(g, -1)[kept].ravel(),
+        np.repeat(adv[kept].ravel(), tree.depth),
+        policy,
+        tree.ref_policy,
+    )
 
     clipped = 0
     degenerate = 0

@@ -251,6 +251,39 @@ class TestMalformedInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, seeds",
+        [
+            (["train"], [0, 0]),
+            (["train", "--seeds", "4,4"], [1, 2]),
+            (["summarize", "--seeds", "4,5,4"], [1, 2]),
+            (["train", "--seeds", "3"], [2, 1, 2]),
+        ],
+        ids=["spec", "train-flag", "summarize-flag", "spec-under-flag"],
+    )
+    def test_duplicate_seed_exits_2_before_any_cell(self, tmp_path, capsys, argv, seeds):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, dict(SPEC, seeds=seeds))
+        assert main(argv + ["--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: config:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("name", ["a"]), ("name", ""), ("name", "a/b"), ("name", ".."), ("name", "."),
+         ("name", 5), ("output_dir", 5), ("output_dir", ["out"])],
+        ids=lambda v: repr(v) if not isinstance(v, str) else v,
+    )
+    def test_bad_name_or_output_dir_exits_2_before_any_cell(self, tmp_path, monkeypatch,
+                                                           capsys, key, value):
+        # No --out: the spec's output_dir, or ./results, is the output root.
+        monkeypatch.chdir(tmp_path)
+        spec = write_spec(tmp_path, dict(SPEC, **{key: value}))
+        assert main(["train", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().out.startswith("error: config:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 class TestSummarizeCommand:
     def test_summary_has_row_per_method(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path)

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlab.env import (
     EnvConfig,
+    ReasoningTree,
     dump_tree,
     generate_tree,
     load_tree,
@@ -370,3 +373,79 @@ class TestTreeSerialization:
         assert load_tree("D=2 B=3\n0,1\n" + TABLE_4X3).valid_leaves == {(0, 1)}
         with pytest.raises(ValueError):
             load_tree(text)
+
+
+class _LeafWalk:
+    """Stub generator whose draws walk a uniform policy through every leaf
+    once, in lexicographic order: draw (k + 0.5) / B selects token k."""
+
+    def __init__(self, branching, depth):
+        self.u = (np.array(list(itertools.product(range(branching), repeat=depth))) + 0.5
+                  ) / branching
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def assert_rewards_are_verify(tree):
+    """Rewards looked up from leaf ids equal :func:`verify`, on every leaf
+    and on sampled rollouts."""
+    b, d = tree.branching, tree.depth
+    uniform = LogitTable(np.zeros((tree.num_contexts(), b)))
+    tokens, _, rewards = rollout(tree, uniform, b**d, _LeafWalk(b, d))
+    assert tokens.tolist() == [list(leaf) for leaf in tree.all_leaves()]
+    assert rewards.tolist() == [verify(tree, leaf) for leaf in tree.all_leaves()]
+    peaked = LogitTable(3.0 * np.random.default_rng(d * b).standard_normal(
+        (tree.num_contexts(), b)))
+    tokens, _, rewards = rollout(tree, peaked, 64, np.random.default_rng(b))
+    assert rewards.tolist() == [verify(tree, row) for row in tokens]
+    assert tree.valid_ids.tolist() == sorted(tree.valid_ids.tolist())
+
+
+def shapes(max_leaves=1024):
+    return st.tuples(st.integers(1, 6), st.integers(2, 6)).filter(
+        lambda s: s[1] ** s[0] <= max_leaves)
+
+
+def tree_text(depth, branching, leaf_ids):
+    """:func:`dump_tree` text for the leaves with the given lexicographic
+    indices and a zero reference."""
+    leaves = list(itertools.product(range(branching), repeat=depth))
+    c = (branching**depth - 1) // (branching - 1)
+    lines = [f"D={depth} B={branching}"]
+    lines += [",".join(map(str, leaves[i])) for i in leaf_ids]
+    return "\n".join(lines) + "\n" + dump_logit_table(LogitTable(np.zeros((c, branching))))
+
+
+class TestRewardFromLeafIds:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes(), data=st.data())
+    def test_generated_trees(self, shape, data):
+        depth, branching = shape
+        valid = data.draw(st.integers(1, branching**depth), label="num_valid_leaves")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        assert_rewards_are_verify(generate_tree(EnvConfig(depth, branching, valid, seed=seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=shapes(), data=st.data())
+    def test_loaded_trees(self, shape, data):
+        depth, branching = shape
+        ids = data.draw(st.lists(st.integers(0, branching**depth - 1), unique=True),
+                        label="leaf ids")
+        tree = load_tree(tree_text(depth, branching, ids))
+        assert tree.valid_ids.tolist() == sorted(ids)
+        assert_rewards_are_verify(tree)
+
+    @pytest.mark.parametrize("depth, branching", [(1, 2), (3, 3), (5, 2), (2, 7)])
+    def test_every_leaf_valid(self, depth, branching):
+        every = range(branching**depth)
+        for tree in (load_tree(tree_text(depth, branching, every)),
+                     generate_tree(EnvConfig(depth, branching, branching**depth))):
+            assert tree.valid_ids.tolist() == list(every)
+            assert_rewards_are_verify(tree)
+
+    def test_no_valid_leaf(self):
+        tree = ReasoningTree(2, 3, frozenset(), LogitTable(np.zeros((4, 3))))
+        assert tree.valid_ids.shape == (0,)
+        assert_rewards_are_verify(tree)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorlab.anchor import build_anchor, grad_anchor_ratio, top_k
 from anchorlab.gradients import (
@@ -76,6 +78,54 @@ class TestGroupAdvantages:
     def test_too_small_group(self):
         with pytest.raises(ValueError):
             group_advantages([1.0])
+        with pytest.raises(ValueError):
+            group_advantages(np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            group_advantages(1.0)
+
+
+def first_written_advantages(rewards, adv_eps):
+    """The 1-D advantages as first written, one group per call."""
+    r = np.asarray(rewards, dtype=np.float64)
+    std = float(r.std())
+    if std == 0.0:
+        return np.zeros_like(r)
+    return (r - r.mean()) / (std + adv_eps)
+
+
+@st.composite
+def reward_blocks(draw):
+    """A (G, n) block: 0/1 rewards, arbitrary floats, or constant rows."""
+    g, n = draw(st.integers(1, 6)), draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(g):
+        kind = draw(st.sampled_from(["binary", "float", "constant"]))
+        if kind == "binary":
+            rows.append(rng.integers(0, 2, n))
+        elif kind == "float":
+            rows.append(rng.normal(0.0, draw(st.floats(1e-3, 1e3)), n))
+        else:
+            rows.append(np.full(n, draw(st.floats(-1e3, 1e3))))
+    return np.array(rows, dtype=np.float64)
+
+
+class TestGroupAdvantagesOfManyGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(rewards=reward_blocks(), adv_eps=st.floats(1e-12, 1.0))
+    def test_rows_bitwise_equal_one_group_calls(self, rewards, adv_eps):
+        block = group_advantages(rewards, adv_eps)
+        assert block.shape == rewards.shape and block.dtype == np.float64
+        for row, got in zip(rewards, block):
+            want = first_written_advantages(row, adv_eps)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == group_advantages(row, adv_eps).tobytes()
+
+    def test_zero_variance_rows_are_exact_positive_zeros(self):
+        rewards = np.array([[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0]])
+        block = group_advantages(rewards)
+        assert block[[0, 2]].tobytes() == np.zeros((2, 4)).tobytes()
+        assert np.all(block[1] != 0.0)
 
 
 class TestGrpoTokenLoss:

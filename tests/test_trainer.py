@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anchorlab.env import EnvConfig, generate_tree
+import anchorlab.trainer as trainer
+from anchorlab.env import EnvConfig, generate_tree, rollout, verify
 from anchorlab.gradients import grad_log_prob
 from anchorlab.objectives import (
     MethodConfig,
@@ -11,18 +12,43 @@ from anchorlab.objectives import (
 )
 from anchorlab.policy import dump_logit_table
 from anchorlab.trainer import (
+    StepStats,
     TokenBatch,
     TrainConfig,
-    _token_batch,
     apply_token_batch,
     initial_policy,
     run_experiment,
-    sample_group,
     train_step,
     write_steps_jsonl,
 )
 
 SMALL_ENV = EnvConfig(depth=3, branching=4, num_valid_leaves=4, seed=5)
+
+
+def separate_groups(tree, policy, mcfg, groups, rng):
+    """The step's groups drawn one at a time, as G separate ``rollout``
+    calls of n rows, with rewards from :func:`verify` and advantages from
+    one 1-D :func:`group_advantages` call per group."""
+    out = []
+    for _ in range(groups):
+        tokens, contexts, _ = rollout(tree, policy, mcfg.group_size, rng)
+        rewards = np.array([verify(tree, row) for row in tokens])
+        out.append((tokens, contexts, rewards, group_advantages(rewards, mcfg.adv_eps)))
+    return out
+
+
+def concat_kept(groups):
+    """Contexts, tokens and per-token advantages of the groups whose
+    advantages are not all zero, concatenated in group order."""
+    kept = [g for g in groups if not np.all(g[3] == 0.0)]
+    if not kept:
+        empty = np.zeros(0, np.int64)
+        return empty, empty, np.zeros(0)
+    return (
+        np.concatenate([g[1].ravel() for g in kept]),
+        np.concatenate([g[0].ravel() for g in kept]),
+        np.concatenate([np.repeat(g[3], g[0].shape[1]) for g in kept]),
+    )
 
 
 def small_cfg(method="grpo", **overrides):
@@ -55,14 +81,8 @@ class TestTrainStep:
         expected = initial_policy(tree)
         pi_old = expected.copy()
         rng2 = np.random.default_rng(12)
-        groups = [
-            sample_group(tree, pi_old, cfg.method_config, rng2)
-            for _ in range(cfg.groups_per_step)
-        ]
-        kept = [g for g in groups if not g.skipped]
-        ctxs = np.concatenate([g.contexts.ravel() for g in kept])
-        toks = np.concatenate([g.tokens.ravel() for g in kept])
-        advs = np.concatenate([np.repeat(g.advantages, tree.depth) for g in kept])
+        ctxs, toks, advs = concat_kept(separate_groups(
+            tree, pi_old, cfg.method_config, cfg.groups_per_step, rng2))
         grads = {}
         for ctx, token, adv in zip(ctxs.tolist(), toks.tolist(), advs.tolist()):
             dz = adv * grad_log_prob(pi_old.dist(ctx), token)
@@ -90,10 +110,10 @@ class TestTrainStep:
         expected = initial_policy(tree)
         pi_old = expected.copy()
         rng = np.random.default_rng(11)
-        groups = [sample_group(tree, pi_old, cfg.method_config, rng)
-                  for _ in range(cfg.groups_per_step)]
-        batch = _token_batch(groups, pi_old)
+        batch = TokenBatch(*concat_kept(separate_groups(
+            tree, pi_old, cfg.method_config, cfg.groups_per_step, rng)), pi_old, tree.ref_policy)
         assert batch.old.tobytes() == pi_old.dist(batch.ctx).tobytes()
+        assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
         clipped = sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[0]
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(policy) == dump_logit_table(expected)
@@ -170,16 +190,18 @@ class TestTokenMeanAggregation:
         mcfg = MethodConfig(method="apo", anchor_k=3)
         pi_old = initial_policy(tree).copy()
         rng = np.random.default_rng(9)
-        group = sample_group(tree, pi_old, mcfg, rng)
+        ((tokens, contexts, _, advantages),) = separate_groups(tree, pi_old, mcfg, 1, rng)
         batch = TokenBatch(
-            group.contexts.ravel(),
-            group.tokens.ravel(),
-            np.repeat(group.advantages, tree.depth),
+            contexts.ravel(),
+            tokens.ravel(),
+            np.repeat(advantages, tree.depth),
             pi_old,
+            tree.ref_policy,
         )
-        assert len(batch) == group.tokens.size
+        assert len(batch) == tokens.size
         thrice_batch = TokenBatch(
-            *(np.tile(a, 3) for a in (batch.ctx, batch.tok, batch.adv)), pi_old
+            *(np.tile(a, 3) for a in (batch.ctx, batch.tok, batch.adv)), pi_old,
+            tree.ref_policy,
         )
 
         once = initial_policy(tree)
@@ -261,11 +283,8 @@ class TestDenseMatchesScalar:
         for seed in range(3):
             pi_old = initial_policy(tree).copy()
             rng = np.random.default_rng(seed)
-            batch = _token_batch([sample_group(tree, pi_old, mcfg, rng) for _ in range(4)],
-                                 pi_old)
-            batch = TokenBatch(
-                *(np.tile(a, copies) for a in (batch.ctx, batch.tok, batch.adv)), pi_old
-            )
+            arrays = concat_kept(separate_groups(tree, pi_old, mcfg, 4, rng))
+            batch = TokenBatch(*(np.tile(a, copies) for a in arrays), pi_old, tree.ref_policy)
             dense, scalar = initial_policy(tree), initial_policy(tree)
             for _ in range(epochs):
                 if len(batch):
@@ -283,6 +302,106 @@ class TestDenseMatchesScalar:
             assert totals[0] > 0  # the clipped branch was exercised
         if case == "degenerate-anchor" and method == "apo":
             assert totals[1] > 0
+
+
+def separate_groups_step(policy, tree, cfg, rng, step):
+    """The step as first written: G separate rollout calls, per-group
+    advantages, skipped groups dropped, the kept ones concatenated, then
+    scalar passes against the sampling policy's frozen copy. Returns the
+    groups, the batch arrays and the step's statistics."""
+    mcfg = cfg.method_config
+    pi_old = policy.copy()
+    groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
+    ctx, tok, adv = concat_kept(groups)
+    batch = TokenBatch(ctx, tok, adv, pi_old, tree.ref_policy)
+    clipped = degenerate = 0
+    for _ in range(cfg.inner_epochs):
+        if len(batch):
+            c, d = scalar_pass(policy, pi_old, tree, batch, mcfg)
+            clipped, degenerate = clipped + c, degenerate + d
+    stats = StepStats(
+        step=step,
+        mean_reward=float(np.mean(np.concatenate([g[2] for g in groups]))),
+        frac_clipped=clipped / max(1, ctx.size * cfg.inner_epochs),
+        degenerate_anchors=degenerate,
+        wallclock_ms=0.0,
+    )
+    return groups, (ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy.dist(ctx)), stats
+
+
+def bits(a):
+    return np.asarray(a).dtype.kind, np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+# env, group count and method overrides of each one-rollout-per-step case
+STEP_CASES = {
+    "small-tree": (SMALL_ENV, 2, {"learning_rate": 5.0}),
+    # Every leaf valid: every group is skipped and the step changes nothing.
+    "all-skipped": (EnvConfig(depth=2, branching=3, num_valid_leaves=9, seed=1), 3, {}),
+    "depth-1-binary": (EnvConfig(depth=1, branching=2, num_valid_leaves=1, seed=4), 3,
+                       {"learning_rate": 2.0, "anchor_k": 1}),
+    "depth-6": (EnvConfig(depth=6, branching=3, num_valid_leaves=40, seed=6), 4,
+                {"learning_rate": 2.0, "anchor_k": 2}),
+}
+
+
+class TestOneRolloutPerStep:
+    """train_step draws all G groups with one rollout call and takes their
+    advantages as one (G, n) array; every step must equal the step written
+    out with separate groups, bit for bit, generator state included."""
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_step_equals_separate_groups(self, monkeypatch, method, case, epochs):
+        env, groups, overrides = STEP_CASES[case]
+        tree = generate_tree(env)
+        cfg = small_cfg(method, env=env, groups_per_step=groups, inner_epochs=epochs,
+                        method_config=MethodConfig(method=method, **overrides))
+        seen = {}
+
+        def spy(name, record):
+            func = getattr(trainer, name)
+
+            def wrapped(*args):
+                result = func(*args)
+                seen.setdefault(name, []).append(record(args, result))
+                return result
+            monkeypatch.setattr(trainer, name, wrapped)
+
+        spy("rollout", lambda args, result: result)
+        spy("group_advantages", lambda args, result: result)
+        spy("apply_token_batch", lambda args, result: args[3])
+
+        policy, expected = initial_policy(tree), initial_policy(tree)
+        rng, rng_old = np.random.default_rng(31), np.random.default_rng(31)
+        n = cfg.method_config.group_size
+        for step in range(1, 4):
+            seen.clear()
+            stats = train_step(policy, tree, cfg, rng, step)
+            old_groups, old_batch, old_stats = separate_groups_step(
+                expected, tree, cfg, rng_old, step)
+
+            [(tokens, contexts, rewards)] = seen["rollout"]
+            assert tokens.shape == contexts.shape == (groups * n, tree.depth)
+            assert bits(tokens) == bits(np.concatenate([g[0] for g in old_groups]))
+            assert bits(contexts) == bits(np.concatenate([g[1] for g in old_groups]))
+            assert bits(rewards) == bits(np.concatenate([g[2] for g in old_groups]))
+            [advantages] = seen["group_advantages"]
+            assert bits(advantages) == bits(np.stack([g[3] for g in old_groups]))
+            batches = seen["apply_token_batch"]
+            assert len(batches) == epochs and all(b is batches[0] for b in batches)
+            batch = batches[0]
+            for got, want in zip((batch.ctx, batch.tok, batch.adv, batch.old, batch.ref),
+                                 old_batch):
+                assert bits(got) == bits(want)
+            assert dump_logit_table(policy) == dump_logit_table(expected)
+            assert stats == StepStats(**{**vars(old_stats), "wallclock_ms": stats.wallclock_ms})
+            assert rng.bit_generator.state == rng_old.bit_generator.state
+        if case == "all-skipped":
+            assert dump_logit_table(policy) == dump_logit_table(initial_policy(tree))
+        else:
+            assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
 
 
 class TestRunExperiment:
