@@ -35,17 +35,13 @@ def top_k(ref_dist: np.ndarray, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AnchorContext:
-    """Exclusive anchor for one negative-advantage token.
-
-    ``weights`` are the importance weights ref(k)/Z_ref aligned with
-    ``anchor_set``; ``anchor_ratio`` is the policy's anchor mass divided by
-    ``z_ref_mass``.
+    """Exclusive anchor for one negative-advantage token: the reference
+    Top-K minus the error token, its reference mass ``z_ref_mass``, and
+    ``anchor_ratio``, the policy's anchor mass divided by ``z_ref_mass``.
     """
 
-    error_token: int
     anchor_set: tuple[int, ...]
     z_ref_mass: float
-    weights: np.ndarray
     anchor_ratio: float
 
 
@@ -76,15 +72,7 @@ def build_anchor(
         )
     idx = np.array(members, dtype=np.intp)
     z_ref = float(ref[idx].sum())
-    weights = ref[idx] / z_ref
-    ratio = float(pol[idx].sum()) / z_ref
-    return AnchorContext(
-        error_token=int(error_token),
-        anchor_set=members,
-        z_ref_mass=z_ref,
-        weights=weights,
-        anchor_ratio=ratio,
-    )
+    return AnchorContext(members, z_ref, float(pol[idx].sum()) / z_ref)
 
 
 def grad_anchor_ratio(policy_dist: np.ndarray, anchor: AnchorContext) -> np.ndarray:

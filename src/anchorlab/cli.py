@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -91,7 +91,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         raise ConfigError(str(exc)) from exc
     if not seeds:
         raise ConfigError("seeds must be nonempty")
-    _unique_seeds(seeds, "seeds")
+    _check_seeds(seeds, "seeds")
     # The name is one directory under the output root.
     if not isinstance(name, str) or name in ("", ".", "..") or "/" in name:
         raise ConfigError(f"name must be a nonempty string naming one directory, got {name!r}")
@@ -119,27 +119,11 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     )
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    env = asdict(spec.env)
-    if spec.env_seed_follows_cell:
-        env["seed"] = None
-    out = {
-        "name": spec.name,
-        "env": env,
-        "methods": [asdict(m) for m in spec.methods],
-        "seeds": list(spec.seeds),
-        "train": dict(spec.train),
-    }
-    if spec.output_dir is not None:
-        out["output_dir"] = spec.output_dir
-    return out
-
-
 def load_spec(path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -258,7 +242,12 @@ def _summary_rows(spec: ExperimentSpec, out_root: Path) -> list[str]:
         finals = []
         for seed in spec.seeds:
             path = out_root / spec.name / method.method / str(seed) / "metrics.csv"
-            records = read_metrics_csv(path)
+            try:
+                records = read_metrics_csv(path)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+            if not records:
+                raise ConfigError(f"{path}: no metric records")
             finals.append(records[-1])
         row = [method.method, str(len(finals))]
         for name in stat_fields:
@@ -285,28 +274,35 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise ConfigError(f"{what}: expected comma-separated integers, got {text!r}") from exc
 
 
-def _unique_seeds(seeds: list[int], what: str) -> list[int]:
+def _check_seeds(seeds: list[int], what: str) -> list[int]:
     # A repeated seed is one cell directory counted twice in summary.csv.
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{what} must not repeat a seed, got {seeds}")
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"{what} must be non-negative, got {seeds}")
     return seeds
+
+
+def _check_min(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
 def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
     if args.seeds:
-        return _unique_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
+        return _check_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
     env_seed = os.environ.get("ANCHORLAB_SEED")
     if env_seed is not None:
         try:
-            return [int(env_seed)]
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"ANCHORLAB_SEED must be an integer, got {env_seed!r}") from exc
+        return _check_seeds([seed], "ANCHORLAB_SEED")
     return spec.seeds
 
 
 def cmd_train(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_min(args.jobs, 1, "--jobs")
     spec = load_spec(args.spec)
     spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")
@@ -330,7 +326,7 @@ def cmd_train(args) -> int:
 def cmd_summarize(args) -> int:
     spec = load_spec(args.spec)
     if args.seeds:
-        spec.seeds = _unique_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
+        spec.seeds = _check_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
     out_root = Path(args.out or spec.output_dir or "results")
     path = _write_summary(spec, out_root, _timestamp(args))
     for row in _summary_rows(spec, out_root):
@@ -368,6 +364,8 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_min(args.cases, 1, "--cases")
+    _check_min(args.seed, 0, "--seed")
     worst = gradient_check_suite(args.cases, args.seed)
     failed = False
     for name in sorted(worst):
@@ -385,6 +383,8 @@ def cmd_dynamics(args) -> int:
     # cache every imported module is compiled at start-up.
     from . import dynamics as dyn
 
+    _check_min(args.steps, 0, "--steps")
+    _check_min(args.seed, 0, "--seed")
     rng = np.random.default_rng(args.seed)
     reports = []
 

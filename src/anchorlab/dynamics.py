@@ -2,10 +2,9 @@
 
 The formulas here are written out locally on purpose: tests compare them
 against the gradient kernels as two independent code paths. The bandit
-harness reuses the real trainer machinery (group advantages plus the
-method dispatch) on a single context so collapse trajectories reflect the
-actual update rule; a raw-REINFORCE flag switches to mean-centered,
-unclipped log-likelihood updates for the textbook derivation.
+harness is a depth-1 tree whose one context is the bandit, trained by
+:func:`~anchorlab.trainer.train_step` itself, so collapse trajectories come
+from the update the sweeps train with.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchor import top_k
-from .objectives import MethodConfig, group_advantages, method_token_update
-from .policy import entropy, sample_token, softmax
-
-# Approximates "probability zero" without leaving float range.
-LOGIT_FLOOR = -700.0
+from .env import ReasoningTree
+from .objectives import MethodConfig
+from .policy import LogitTable, entropy, softmax
+from .trainer import TrainConfig, initial_policy, train_step
 
 
 @dataclass
@@ -143,50 +141,33 @@ def collapse_trajectory(
     cfg: MethodConfig,
     steps: int,
     rng: np.random.Generator,
-    raw_reinforce: bool = False,
 ) -> DynamicsReport:
     """Single-context bandit: reward 1 iff the sampled token is valid.
 
-    Each step samples one group of ``cfg.group_size`` tokens from the live
-    distribution, normalizes rewards within the group, and applies the
-    method's token-mean update. Records per step: each valid token's
-    probability, the entropy, and the mass on the reference Top-K manifold.
-    With ``raw_reinforce`` the update is mean-centered log-likelihood ascent
-    with no ratio and no clipping.
+    The bandit is a depth-1 tree with reference ``logits``, so each step is
+    one :func:`~anchorlab.trainer.train_step` with one group of
+    ``cfg.group_size`` rollouts and one pass. Records per step: each valid
+    token's probability, the entropy, and the mass on the reference Top-K
+    manifold.
     """
-    z = np.maximum(np.asarray(logits, dtype=np.float64), LOGIT_FLOOR).copy()
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1 or z.size < 2:
+        raise ValueError(f"logits must be a 1-D vector of at least 2 tokens, got shape {z.shape}")
     valid = sorted(set(int(t) for t in valid_set))
-    if not valid or len(valid) > z.size:
-        raise ValueError("valid_set must be a nonempty subset of the vocabulary")
-    ref = softmax(z)
-    manifold = list(top_k(ref, cfg.anchor_k))
-    report = DynamicsReport(f"collapse_{cfg.method}" + ("_raw" if raw_reinforce else ""))
+    if not valid or valid[0] < 0 or valid[-1] >= z.size:
+        raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
+    tree = ReasoningTree(1, z.size, frozenset((t,) for t in valid), LogitTable(z[None]))
+    policy = initial_policy(tree)
+    train_cfg = TrainConfig(method_config=cfg, groups_per_step=1, inner_epochs=1)
+    manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))
+    report = DynamicsReport(f"collapse_{cfg.method}")
 
     for step in range(steps + 1):
-        dist = softmax(z)
+        dist = policy.dist(tree.ROOT)
         for t in valid:
             report.add(step, f"pi_valid_{t}", dist[t])
         report.add(step, "entropy", entropy(dist))
         report.add(step, "p_safe", float(dist[manifold].sum()))
-        if step == steps:
-            break
-
-        old = dist
-        tokens = [sample_token(old, rng) for _ in range(cfg.group_size)]
-        rewards = np.array([1.0 if t in valid else 0.0 for t in tokens])
-        if raw_reinforce:
-            advantages = rewards - rewards.mean()
-        else:
-            advantages = group_advantages(rewards, cfg.adv_eps)
-        if np.all(advantages == 0.0):
-            continue
-        grad = np.zeros_like(z)
-        for token, adv in zip(tokens, advantages):
-            if raw_reinforce:
-                dz = -old * adv
-                dz[token] += adv
-            else:
-                dz = method_token_update(old, old, ref, token, float(adv), cfg).gradient
-            grad += dz
-        z = np.maximum(z + cfg.learning_rate * grad / len(tokens), LOGIT_FLOOR)
+        if step < steps:
+            train_step(policy, tree, train_cfg, rng, step + 1)
     return report

@@ -53,6 +53,8 @@ class EnvConfig:
             raise ValueError(f"ref_concentration must be >= 0, got {self.ref_concentration}")
         if self.ref_noise < 0:
             raise ValueError(f"ref_noise must be >= 0, got {self.ref_noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class ReasoningTree:
@@ -79,12 +81,6 @@ class ReasoningTree:
     def num_contexts(self) -> int:
         b, d = self.branching, self.depth
         return (b**d - 1) // (b - 1)
-
-    def all_leaves(self):
-        """Iterate every length-D token sequence (lexicographic)."""
-        b, d = self.branching, self.depth
-        for i in range(b**d):
-            yield _leaf_from_index(i, b, d)
 
 
 def _leaf_from_index(index: int, branching: int, depth: int) -> tuple[int, ...]:

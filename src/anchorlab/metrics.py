@@ -42,21 +42,6 @@ class MetricRecord:
     eval_k: int
 
 
-def pass_metrics(rewards_per_prompt) -> tuple[float, float]:
-    """(grand mean reward, fraction of prompts with at least one success)."""
-    if not rewards_per_prompt:
-        raise ValueError("need at least one prompt")
-    all_rewards: list[float] = []
-    any_hit = 0
-    for rewards in rewards_per_prompt:
-        rewards = list(rewards)
-        if not rewards:
-            raise ValueError("each prompt needs at least one sampled reward")
-        all_rewards.extend(rewards)
-        any_hit += 1 if max(rewards) > 0 else 0
-    return float(np.mean(all_rewards)), any_hit / len(rewards_per_prompt)
-
-
 def _segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums of consecutive segments of ``flat`` with lengths ``counts``, each
     bitwise the 1-D ``.sum()`` of its segment.
@@ -196,13 +181,13 @@ def evaluate(
     if support_k is None:
         support_k = max(1, tree.branching // 2)
     tokens, contexts, rewards = rollout(tree, policy, eval_k, rng)
-    p1, pk = pass_metrics([rewards.tolist()])
     mean_ent, mean_maxp = entropy_and_maxprob(policy, contexts)
     visited = sorted(set(contexts.ravel().tolist()))  # np.unique would import numpy.ma
     return MetricRecord(
         step=step,
-        pass_at_1=p1,
-        pass_at_k=pk,
+        # float(): repr of a numpy scalar would change the CSV under numpy 2.
+        pass_at_1=float(np.mean(rewards)),
+        pass_at_k=float(rewards.max() > 0),
         mean_entropy=mean_ent,
         mean_max_prob=mean_maxp,
         diversity_score=diversity_score(tokens.tolist(), n_max),
@@ -242,10 +227,13 @@ def read_metrics_csv(path) -> list[MetricRecord]:
     with open(path, "r", encoding="ascii", newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
-    header = next(reader)
-    if ",".join(header) != CSV_HEADER:
+    header = next(reader, None)
+    if header is None or ",".join(header) != CSV_HEADER:
         raise ValueError(f"unexpected metrics header: {header}")
     for row in reader:
+        if len(row) != len(METRIC_FIELD_NAMES):
+            raise ValueError(f"metrics row has {len(row)} fields, expected "
+                             f"{len(METRIC_FIELD_NAMES)}: {row}")
         records.append(
             MetricRecord(
                 step=int(row[0]),

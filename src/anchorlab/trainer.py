@@ -56,6 +56,8 @@ class TrainConfig:
             check_int("support_k", self.support_k)
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.groups_per_step < 1:
             raise ValueError(f"groups_per_step must be >= 1, got {self.groups_per_step}")
         if self.inner_epochs < 1:

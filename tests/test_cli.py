@@ -9,7 +9,6 @@ from anchorlab.cli import (
     load_spec,
     main,
     spec_from_dict,
-    spec_to_dict,
 )
 
 SPEC = {
@@ -41,10 +40,6 @@ def write_spec(tmp_path, data=None):
 
 
 class TestSpecParsing:
-    def test_round_trip(self):
-        spec = spec_from_dict(SPEC)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
-
     def test_duplicate_methods_rejected(self):
         bad = dict(SPEC, methods=[{"method": "grpo"}, {"method": "grpo"}])
         with pytest.raises(ConfigError):
@@ -63,6 +58,16 @@ class TestSpecParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_spec(path)
+
+    def test_non_utf8_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError):
+            load_spec(path)
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: config: {path}:")
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -167,18 +172,42 @@ class TestMalformedInput:
             (["coverage", "--depth", "0"], {}),
             (["train", "--jobs", "0"], {}),
             (["train", "--jobs", "-3"], {}),
+            (["train", "--seeds=-2"], {}),
+            (["train"], {"ANCHORLAB_SEED": "-1"}),
+            (["gradcheck", "--seed", "-1"], {}),
+            (["dynamics", "--seed", "-1", "--out", "out"], {}),
+            (["coverage", "--seed", "-1"], {}),
+            (["gradcheck", "--cases", "0"], {}),
+            (["gradcheck", "--cases", "-3"], {}),
+            (["dynamics", "--steps", "-2", "--out", "out"], {}),
         ],
         ids=["train-seeds", "summarize-seeds", "env-seed", "k-values-range", "k-values-text",
-             "coverage-depth", "jobs-0", "jobs-negative"],
+             "coverage-depth", "jobs-0", "jobs-negative", "train-seeds-negative",
+             "env-seed-negative", "gradcheck-seed-negative", "dynamics-seed-negative",
+             "coverage-seed-negative", "gradcheck-cases-0", "gradcheck-cases-negative",
+             "dynamics-steps-negative"],
     )
     def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, env):
+        monkeypatch.chdir(tmp_path)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        if argv[0] != "coverage":
+        if argv[0] in ("train", "summarize"):
             argv = argv + ["--spec", str(write_spec(tmp_path)), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().out.startswith("error: config:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("seeds", [-1]), ("seeds", [2, -5]), ("env", dict(SPEC["env"], seed=-3))],
+        ids=["seeds", "seeds-second", "env-seed"],
+    )
+    def test_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys, section, value):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, dict(SPEC, **{section: value}))
+        assert main(["train", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: config:")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -298,6 +327,27 @@ class TestSummarizeCommand:
         assert "pass_at_1_mean" in header and "kl_to_ref_std" in header
         assert len(lines) == 3
         assert lines[1].startswith("grpo,2") and lines[2].startswith("apo,2")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "step,pass1\n0,0.5\n",
+            "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K\n0,0.5,1.0\n",
+            "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K\n",
+        ],
+        ids=["wrong-header", "short-row", "no-records"],
+    )
+    def test_malformed_metrics_csv_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        spec_path = write_spec(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(spec_path), "--out", str(out),
+                     "--no-timestamp"]) == 0
+        bad = out / "smoke" / "apo" / "2" / "metrics.csv"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["summarize", "--spec", str(spec_path), "--out", str(out),
+                     "--no-timestamp"]) == 2
+        assert capsys.readouterr().out.startswith(f"error: config: {bad}:")
 
 
 class TestCoverageCommand:

@@ -9,9 +9,43 @@ from anchorlab.dynamics import (
     vanishing_recovery_sweep,
     write_reports_csv,
 )
+from anchorlab.anchor import top_k
 from anchorlab.gradients import grad_prob, grad_support_mass
-from anchorlab.objectives import MethodConfig
-from anchorlab.policy import softmax
+from anchorlab.objectives import METHODS, MethodConfig, group_advantages, method_token_update
+from anchorlab.policy import entropy, sample_token, softmax
+
+
+def scalar_bandit(logits, valid_set, cfg, steps, rng):
+    """The bandit written out token by token, as the records of
+    :func:`collapse_trajectory`: one group of scalar ``sample_token`` draws
+    per step, 1-D group advantages, and each token's ``method_token_update``
+    gradient summed in draw order and applied as ``z + lr * grad / n``."""
+    z = np.array(logits, dtype=np.float64)
+    valid = sorted(valid_set)
+    ref = softmax(z)
+    manifold = list(top_k(ref, cfg.anchor_k))
+    records = []
+    for step in range(steps + 1):
+        dist = softmax(z)
+        records += [(step, f"pi_valid_{t}", float(dist[t])) for t in valid]
+        records += [(step, "entropy", entropy(dist)),
+                    (step, "p_safe", float(dist[manifold].sum()))]
+        if step == steps:
+            break
+        tokens = [sample_token(dist, rng) for _ in range(cfg.group_size)]
+        rewards = np.array([1.0 if t in valid else 0.0 for t in tokens])
+        advantages = group_advantages(rewards, cfg.adv_eps)
+        if np.all(advantages == 0.0):
+            continue
+        grad = np.zeros_like(z)
+        for token, adv in zip(tokens, advantages):
+            grad += method_token_update(dist, dist, ref, token, float(adv), cfg).gradient
+        z = z + cfg.learning_rate * grad / len(tokens)
+    return records
+
+
+def record_bits(records):
+    return [(s, q, np.float64(v).tobytes()) for s, q, v in records]
 
 
 class TestPassiveSuppression:
@@ -150,18 +184,44 @@ class TestCollapseTrajectory:
                 shrunk += 1
         assert shrunk > 10
 
-    def test_raw_reinforce_mode_runs(self):
-        cfg = MethodConfig(method="grpo")
-        report = collapse_trajectory(
-            np.zeros(4), {1}, cfg, 50, np.random.default_rng(5), raw_reinforce=True
-        )
-        series = dict(report.series("pi_valid_1"))
-        assert series[50] > 0
-
     def test_invalid_set_rejected(self):
         cfg = MethodConfig(method="grpo")
         with pytest.raises(ValueError):
             collapse_trajectory(np.zeros(4), set(), cfg, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("valid", [{9}, {4}, {-1}, {0, 4}])
+    def test_token_outside_vocabulary_rejected(self, valid):
+        # No rollout can draw token 9 of V=4: the bandit could not be solved.
+        with pytest.raises(ValueError, match="valid_set"):
+            collapse_trajectory(np.zeros(4), valid, MethodConfig(), 10,
+                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("logits", [np.zeros(1), np.zeros((2, 4)), [0.0, float("-inf")]])
+    def test_logits_not_a_bandit_rejected(self, logits):
+        with pytest.raises(ValueError):
+            collapse_trajectory(logits, {0}, MethodConfig(), 10, np.random.default_rng(0))
+
+    # The default learning rate 0.5 and group of 8 make the trainer's
+    # (lr / n) * grad and the oracle's lr * grad / n the same exact scaling.
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "logits, valid, anchor_k",
+        [
+            (np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0]), {0, 1}, 4),
+            (np.log(np.array([0.45, 0.45, 0.05, 0.05])), {0, 1}, 2),
+            (np.zeros(4), {2}, 2),
+        ],
+        ids=["cli", "two-strong", "uniform"],
+    )
+    def test_matches_scalar_oracle_bitwise(self, method, logits, valid, anchor_k):
+        cfg = MethodConfig(method=method, anchor_k=anchor_k)
+        for seed in (0, 1, 2):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            report = collapse_trajectory(logits, valid, cfg, 150, rng)
+            expected = scalar_bandit(logits, valid, cfg, 150, oracle_rng)
+            assert report.scenario == f"collapse_{method}"
+            assert record_bits(report.records) == record_bits(expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestReportPlumbing:

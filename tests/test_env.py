@@ -19,6 +19,11 @@ from anchorlab.env import (
 from anchorlab.policy import LogitTable, dump_logit_table, sample_token
 
 
+def all_leaves(tree):
+    """Every length-D token sequence, in lexicographic order."""
+    return itertools.product(range(tree.branching), repeat=tree.depth)
+
+
 def leaf_probability(tree, policy, leaf):
     """Enumeration oracle: exact probability of one root-to-leaf path."""
     prob = 1.0
@@ -124,11 +129,11 @@ class TestVerify:
     def test_members_and_non_members(self, tree):
         for leaf in tree.valid_leaves:
             assert verify(tree, leaf) == 1
-        invalid = next(l for l in tree.all_leaves() if l not in tree.valid_leaves)
+        invalid = next(l for l in all_leaves(tree) if l not in tree.valid_leaves)
         assert verify(tree, invalid) == 0
 
     def test_exhaustive_count(self, tree):
-        total = sum(verify(tree, leaf) for leaf in tree.all_leaves())
+        total = sum(verify(tree, leaf) for leaf in all_leaves(tree))
         assert total == 3
 
     def test_wrong_length_rejected(self, tree):
@@ -245,7 +250,7 @@ class TestRollout:
         # Exhaustive consistency for B^D = 81 <= 4096.
         tree = generate_tree(EnvConfig(depth=4, branching=3, num_valid_leaves=5, seed=17))
         total = sum(
-            leaf_probability(tree, tree.ref_policy, leaf) for leaf in tree.all_leaves()
+            leaf_probability(tree, tree.ref_policy, leaf) for leaf in all_leaves(tree)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -394,8 +399,8 @@ def assert_rewards_are_verify(tree):
     b, d = tree.branching, tree.depth
     uniform = LogitTable(np.zeros((tree.num_contexts(), b)))
     tokens, _, rewards = rollout(tree, uniform, b**d, _LeafWalk(b, d))
-    assert tokens.tolist() == [list(leaf) for leaf in tree.all_leaves()]
-    assert rewards.tolist() == [verify(tree, leaf) for leaf in tree.all_leaves()]
+    assert tokens.tolist() == [list(leaf) for leaf in all_leaves(tree)]
+    assert rewards.tolist() == [verify(tree, leaf) for leaf in all_leaves(tree)]
     peaked = LogitTable(3.0 * np.random.default_rng(d * b).standard_normal(
         (tree.num_contexts(), b)))
     tokens, _, rewards = rollout(tree, peaked, 64, np.random.default_rng(b))

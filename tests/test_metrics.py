@@ -15,7 +15,6 @@ from anchorlab.metrics import (
     entropy_and_maxprob,
     evaluate,
     kl_to_reference,
-    pass_metrics,
     read_metrics_csv,
     self_bleu,
     support_mass,
@@ -103,32 +102,55 @@ def assert_bleu_bitwise(samples, n_max):
     assert bits(self_bleu(samples, n_max)) == bits(pairwise_self_bleu(samples, n_max))
 
 
+class _Draws:
+    """Stub generator whose ``random`` returns fixed uniform draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
 class TestPassMetrics:
+    """``evaluate`` reports pass@1 as the mean reward of its K rollouts and
+    pass@K as 1.0 iff one of them succeeds, both as Python floats (so the
+    CSV holds ``repr`` of a float under numpy 2)."""
+
+    def tree(self, depth, branching, seed):
+        return generate_tree(EnvConfig(depth=depth, branching=branching, num_valid_leaves=1,
+                                       ref_concentration=0.0, ref_noise=0.0, seed=seed))
+
     def test_single_prompt(self):
-        assert pass_metrics([[1, 0, 0, 0]]) == (0.25, 1.0)
+        # One draw per token of a uniform bandit: exactly one of 4 succeeds.
+        tree = self.tree(1, 4, 0)
+        u = (np.arange(4)[:, None] + 0.5) / 4
+        rec = evaluate(tree.ref_policy, tree, 0, 4, _Draws(u))
+        assert (rec.pass_at_1, rec.pass_at_k) == (0.25, 1.0)
+        assert type(rec.pass_at_1) is float and type(rec.pass_at_k) is float
 
     def test_all_zero(self):
-        assert pass_metrics([[0, 0], [0, 0]]) == (0.0, 0.0)
-
-    def test_two_prompts_split(self):
-        p1, pk = pass_metrics([[1, 1], [0, 0]])
-        assert p1 == 0.5 and pk == 0.5
+        # A one-hot policy onto an invalid leaf never succeeds.
+        tree = self.tree(2, 3, 1)
+        (leaf,) = tree.valid_leaves
+        z = np.full((tree.num_contexts(), 3), -300.0)
+        z[:, (leaf[0] + 1) % 3] = 300.0
+        rec = evaluate(LogitTable(z), tree, 0, 8, np.random.default_rng(0))
+        assert (rec.pass_at_1, rec.pass_at_k) == (0.0, 0.0)
+        assert type(rec.pass_at_k) is float
 
     def test_pass_k_dominates_pass_1(self):
-        # With a common K per prompt the grand mean never exceeds the
-        # fraction of prompts with at least one hit.
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            k = int(rng.integers(1, 9))
-            rewards = [
-                list(rng.integers(0, 2, size=k)) for _ in range(int(rng.integers(1, 6)))
-            ]
-            p1, pk = pass_metrics(rewards)
-            assert pk >= p1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pass_metrics([])
+        for seed in range(30):
+            tree = self.tree(int(rng.integers(1, 4)), int(rng.integers(2, 5)), seed)
+            policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), tree.branching)))
+            k = int(rng.integers(2, 9))
+            rec = evaluate(policy, tree, 0, k, np.random.default_rng(seed))
+            rewards = rollout(tree, policy, k, np.random.default_rng(seed))[2]
+            assert rec.pass_at_1 == float(np.mean(rewards))
+            assert rec.pass_at_k == (1.0 if rewards.any() else 0.0)
+            assert rec.pass_at_k >= rec.pass_at_1
 
 
 class TestEntropyAndMaxProb:
