@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,14 +64,9 @@ class ExperimentSpec:
     env_seed_follows_cell: bool = False
 
 
-_TRAIN_KEYS = (
-    "total_steps",
-    "groups_per_step",
-    "inner_epochs",
-    "eval_every",
-    "eval_samples_k",
-    "support_k",
-)
+# The spec's train section sets every TrainConfig field but the ones each
+# cell fills in itself.
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"method_config", "env", "seed"}
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
@@ -101,7 +96,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     names = [m.method for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError(f"method names must be unique, got {names}")
-    unknown = set(train) - set(_TRAIN_KEYS)
+    unknown = set(train) - _TRAIN_KEYS
     if unknown:
         raise ConfigError(f"unknown train keys: {sorted(unknown)}")
     try:
@@ -257,8 +252,8 @@ def _summary_rows(spec: ExperimentSpec, out_root: Path) -> list[str]:
     return rows
 
 
-def _write_summary(spec: ExperimentSpec, out_root: Path, timestamp: str | None) -> Path:
-    rows = _summary_rows(spec, out_root)
+def _write_summary(spec: ExperimentSpec, out_root: Path, rows: list[str],
+                   timestamp: str | None) -> Path:
     path = out_root / spec.name / "summary.csv"
     with open(path, "w", encoding="ascii", newline="") as fh:
         if timestamp is not None:
@@ -318,19 +313,18 @@ def cmd_train(args) -> int:
     else:
         for m, s in cells:
             _run_cell(spec, m, s, out_root, timestamp)
-    summary = _write_summary(spec, out_root, timestamp)
+    summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)
     print(f"wrote {len(cells)} cells under {out_root / spec.name}; summary: {summary}")
     return 0
 
 
 def cmd_summarize(args) -> int:
     spec = load_spec(args.spec)
-    if args.seeds:
-        spec.seeds = _check_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
+    spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")
-    path = _write_summary(spec, out_root, _timestamp(args))
-    for row in _summary_rows(spec, out_root):
-        print(row)
+    rows = _summary_rows(spec, out_root)
+    path = _write_summary(spec, out_root, rows, _timestamp(args))
+    print("\n".join(rows))
     print(f"summary: {path}")
     return 0
 
@@ -344,22 +338,21 @@ def cmd_coverage(args) -> int:
                             args.concentration, args.noise, args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    ks = sorted(_parse_ints(args.k_values, "--k-values"))
+    ks = _parse_ints(args.k_values, "--k-values")
     tree = generate_tree(env)
     try:
         table = oracle_coverage(tree, tree.ref_policy, ks)
     except ValueError as exc:
         raise ConfigError(f"--k-values: {exc}") from exc
-    print("K,recall,loss_rate")
-    lines = ["K,recall,loss_rate"]
-    for k in ks:
-        line = f"{k},{table[k]!r},{1.0 - table[k]!r}"
-        print(line)
-        lines.append(line)
+    # One row per distinct K, ascending: the keys of the table.
+    text = "K,recall,loss_rate\n" + "".join(
+        f"{k},{r!r},{1.0 - r!r}\n" for k, r in table.items()
+    )
+    print(text, end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "coverage.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        (out / "coverage.csv").write_text(text, encoding="ascii")
     return 0
 
 

@@ -44,6 +44,14 @@ class EnvConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.branching < 2:
             raise ValueError(f"branching must be >= 2, got {self.branching}")
+        # Heap context ids and leaf ids are int64. With B >= 2 no tree of
+        # depth 63 fits, and a smaller depth keeps the power below cheap.
+        b, d = self.branching, self.depth
+        if d >= 63 or (b ** (d + 1) - 1) // (b - 1) > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"a tree of depth {d} and branching {b} has more than 2**63 - 1 "
+                "nodes, the most that int64 node ids can number"
+            )
         if not 1 <= self.num_valid_leaves <= self.branching**self.depth:
             raise ValueError(
                 f"num_valid_leaves must be in [1, {self.branching**self.depth}], "

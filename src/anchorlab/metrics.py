@@ -1,17 +1,16 @@
 """Evaluation metrics: pass rates, distributional health, diversity, coverage.
 
-Diversity Score is 1 - Self-BLEU. Self-BLEU scores each sample against the
-other K-1 as references using modified (clipped) n-gram precision, a
-geometric mean over orders n = 1..n_max with no smoothing (any zero
-precision zeroes the score), and the standard brevity penalty against the
-closest reference length. Sequences shorter than n contribute only the
+Diversity Score is 1 - Self-BLEU of orders 1-4. Self-BLEU scores each
+sample against the other K-1 as references using modified (clipped) n-gram
+precision, a geometric mean over orders n = 1..n_max with no smoothing
+(any zero precision zeroes the score), and the standard brevity penalty
+against the closest reference length. Sequences shorter than n contribute only the
 available orders. Entropy is reported in nats.
 
 Evaluation reads the live policy in place (no copy of the table) and costs
 O(K) per call: Self-BLEU clips each sample's n-gram counts against the top-2
 counts of every n-gram over all samples, and entropy, support mass and KL
-are computed over the stacked ``(n, V)`` rows of the visited contexts, each
-row's sum bitwise the per-context sum.
+are computed over the stacked ``(n, V)`` rows of the visited contexts.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from math import exp, log
 import numpy as np
 
 from .env import ReasoningTree, rollout
-from .policy import LogitTable
+from .policy import LogitTable, segment_sums
 
 CSV_HEADER = "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K"
 
@@ -42,22 +41,6 @@ class MetricRecord:
     eval_k: int
 
 
-def _segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments of ``flat`` with lengths ``counts``, each
-    bitwise the 1-D ``.sum()`` of its segment.
-
-    Segments are gathered as one ``(r, m)`` block per distinct length m: a
-    zero-padded full-row sum would regroup numpy's pairwise additions and
-    differ in the last bits.
-    """
-    starts = np.cumsum(counts) - counts
-    out = np.empty(counts.size)
-    for m in set(counts.tolist()):
-        rows = np.flatnonzero(counts == m)
-        out[rows] = flat[starts[rows, None] + np.arange(m)].sum(axis=1)
-    return out
-
-
 def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
     """Mean entropy (nats) and mean max-probability over all visited steps,
     given as an array of context ids (one per step, in rollout order).
@@ -71,7 +54,7 @@ def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
     # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
     pos = dists > 0.0
     nz = dists[pos]
-    ents = -_segment_sums(nz * np.log(nz), pos.sum(axis=1))
+    ents = -segment_sums(nz * np.log(nz), pos.sum(axis=1))
     return float(np.mean(ents)), float(np.mean(dists.max(axis=1)))
 
 
@@ -129,9 +112,10 @@ def self_bleu(samples, n_max: int = 4) -> float:
     return float(np.mean(scores))
 
 
-def diversity_score(samples, n_max: int = 4) -> float:
-    """1 - Self-BLEU; 0 for identical samples, 1 for disjoint alphabets."""
-    return 1.0 - self_bleu(samples, n_max)
+def diversity_score(samples) -> float:
+    """1 - Self-BLEU of orders 1-4; 0 for identical samples, 1 for disjoint
+    alphabets."""
+    return 1.0 - self_bleu(samples)
 
 
 def support_mass(policy: LogitTable, ref: LogitTable, k: int, contexts) -> float:
@@ -157,7 +141,7 @@ def kl_to_reference(policy: LogitTable, ref: LogitTable, contexts) -> float:
     if np.any((Q <= 0.0) & pos):
         raise ValueError("reference assigns zero mass where the policy is positive")
     p = P[pos]
-    return float(np.mean(_segment_sums(p * np.log(p / Q[pos]), pos.sum(axis=1))))
+    return float(np.mean(segment_sums(p * np.log(p / Q[pos]), pos.sum(axis=1))))
 
 
 def evaluate(
@@ -167,7 +151,6 @@ def evaluate(
     eval_k: int,
     rng: np.random.Generator,
     support_k: int | None = None,
-    n_max: int = 4,
 ) -> MetricRecord:
     """Roll out ``eval_k`` samples from the root and summarize them.
 
@@ -190,25 +173,11 @@ def evaluate(
         pass_at_k=float(rewards.max() > 0),
         mean_entropy=mean_ent,
         mean_max_prob=mean_maxp,
-        diversity_score=diversity_score(tokens.tolist(), n_max),
+        diversity_score=diversity_score(tokens.tolist()),
         support_mass=support_mass(policy, tree.ref_policy, support_k, visited),
         kl_to_ref=kl_to_reference(policy, tree.ref_policy, visited),
         eval_k=eval_k,
     )
-
-
-def record_to_row(record: MetricRecord) -> list[str]:
-    return [
-        str(record.step),
-        repr(record.pass_at_1),
-        repr(record.pass_at_k),
-        repr(record.mean_entropy),
-        repr(record.mean_max_prob),
-        repr(record.diversity_score),
-        repr(record.support_mass),
-        repr(record.kl_to_ref),
-        str(record.eval_k),
-    ]
 
 
 def write_metrics_csv(records, path, timestamp: str | None = None) -> None:
@@ -219,7 +188,7 @@ def write_metrics_csv(records, path, timestamp: str | None = None) -> None:
             fh.write(f"# generated {timestamp}\n")
         fh.write(CSV_HEADER + "\n")
         for rec in records:
-            fh.write(",".join(record_to_row(rec)) + "\n")
+            fh.write(",".join(map(repr, vars(rec).values())) + "\n")
 
 
 def read_metrics_csv(path) -> list[MetricRecord]:
@@ -234,19 +203,7 @@ def read_metrics_csv(path) -> list[MetricRecord]:
         if len(row) != len(METRIC_FIELD_NAMES):
             raise ValueError(f"metrics row has {len(row)} fields, expected "
                              f"{len(METRIC_FIELD_NAMES)}: {row}")
-        records.append(
-            MetricRecord(
-                step=int(row[0]),
-                pass_at_1=float(row[1]),
-                pass_at_k=float(row[2]),
-                mean_entropy=float(row[3]),
-                mean_max_prob=float(row[4]),
-                diversity_score=float(row[5]),
-                support_mass=float(row[6]),
-                kl_to_ref=float(row[7]),
-                eval_k=int(row[8]),
-            )
-        )
+        records.append(MetricRecord(int(row[0]), *map(float, row[1:-1]), int(row[-1])))
     return records
 
 

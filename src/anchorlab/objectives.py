@@ -30,7 +30,7 @@ import numpy as np
 
 from .anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio
 from .gradients import grad_log_prob, grad_prob
-from .policy import check_float, check_int
+from .policy import check_float, check_int, segment_sums
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
 
@@ -247,9 +247,8 @@ def method_token_update(
 
 # ---------------------------------------------------------------------------
 # Dense kernel: every token of a batch at once. Each expression is evaluated
-# in the scalar kernels' order, and every sum over a subset of a row is a sum
-# of the compressed subset in the scalar order (numpy sums 8 or more terms
-# pairwise, so a masked full-row sum would differ in the last bits).
+# in the scalar kernels' order, and every sum over part of a row is a
+# :func:`~anchorlab.policy.segment_sums` call.
 
 
 def _clipped_surrogate_grads(
@@ -267,10 +266,7 @@ def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """:func:`kl_penalty` gradient per row."""
     pos = P > 0.0
     log_ratio = np.log(np.where(pos, P / Q, 1.0))
-    terms = P * log_ratio
-    kl = terms.sum(axis=1)
-    for i in np.flatnonzero(~pos.all(axis=1)):
-        kl[i] = terms[i][pos[i]].sum()  # the scalar kernel sums positive entries only
+    kl = segment_sums((P * log_ratio)[pos], pos.sum(axis=1))
     return P * (log_ratio - kl[:, None])
 
 
@@ -280,27 +276,20 @@ def _exclusive_anchors(P: np.ndarray, Q: np.ndarray, tokens: np.ndarray, k: int)
     Returns (member mask, z_ref, policy anchor mass, P_safe, empty). Rows
     whose anchor set is empty get z_ref 1 and zero masses.
     """
-    n, v = P.shape
-    k = min(k, v)
-    rows = np.arange(n)
     top = np.argsort(-Q, axis=1, kind="stable")[:, :k]
-    hit = top == tokens[:, None]
-    in_top = hit.any(axis=1)
-    member = np.zeros((n, v), dtype=bool)
-    member[rows[:, None], top] = True
-    member[rows, tokens] = False
-    z_ref, mass, p_safe = np.ones(n), np.zeros(n), np.zeros(n)
-    # Rows with the error token inside the Top-K have k-1 members, the others k.
-    for sel, m in ((in_top, k - 1), (~in_top, k)):
-        if m == 0 or not sel.any():
-            continue
-        r = np.flatnonzero(sel)[:, None]
-        ranked = top[sel][~hit[sel]].reshape(-1, m)  # Top-K order
-        z_ref[sel] = Q[r, ranked].sum(axis=1)
-        mass[sel] = P[r, ranked].sum(axis=1)
-        ascending = np.nonzero(member[sel])[1].reshape(-1, m)  # grad_support_mass order
-        p_safe[sel] = P[r, ascending].sum(axis=1)
-    return member, z_ref, mass, p_safe, in_top & (k == 1)
+    keep = top != tokens[:, None]
+    counts = keep.sum(axis=1)
+    rows = np.nonzero(keep)[0]
+    ranked = top[keep]  # Top-K order
+    member = np.zeros(P.shape, dtype=bool)
+    member[rows, ranked] = True
+    # P[member] is in ascending token order, as grad_support_mass sums it.
+    z_ref, mass, p_safe = segment_sums(
+        np.stack((Q[rows, ranked], P[rows, ranked], P[member])), counts
+    )
+    empty = counts == 0
+    z_ref[empty] = 1.0
+    return member, z_ref, mass, p_safe, empty
 
 
 def token_gradients(
@@ -344,13 +333,14 @@ def token_gradients(
     # apo: the rectified ratio on negative advantages, gated by the window.
     member, z_ref, mass, p_safe, empty = _exclusive_anchors(P, Q, tokens, cfg.anchor_k)
     neg = adv < 0.0
-    push_only = cfg.push_coef * ratio
-    rectified = np.where(empty, push_only, push_only - cfg.pull_coef * (mass / z_ref))
+    # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms
+    # are +0.0 and leave the push-only update bit for bit.
+    rectified = cfg.push_coef * ratio - cfg.pull_coef * (mass / z_ref)
     eps = cfg.clip_eps
     outside = ~(((1.0 - eps) <= rectified) & (rectified <= (1.0 + eps)))
     rect = (a * cfg.push_coef) * push
     gsm = np.where(member, P * (1.0 - p_safe[:, None]), -P * p_safe[:, None])
-    rect = np.where(empty[:, None], rect, rect - (a * cfg.pull_coef) * (gsm / z_ref[:, None]))
+    rect = rect - (a * cfg.pull_coef) * (gsm / z_ref[:, None])
     rect = np.where(outside[:, None], 0.0, rect)
     return (
         np.where(neg[:, None], rect, grads),

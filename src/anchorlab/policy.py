@@ -53,6 +53,30 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of the last axis of ``flat``, with
+    lengths ``counts``; each is bitwise the 1-D ``.sum()`` of its segment.
+
+    This is the lab's one rule for a sum over part of a probability row:
+    the row's subset compressed in the order the scalar kernel takes it,
+    then summed. numpy sums 8 or more terms pairwise, so a masked or
+    zero-padded full-row sum would differ in the last bits; segments of
+    one length m are summed as rows of an ``(r, m)`` block instead. Leading
+    axes of ``flat`` are kept, so sums that share ``counts`` take one call.
+    """
+    lead = flat.shape[:-1]
+    if counts.size and (counts == counts[0]).all():
+        return flat.reshape(*lead, counts.size, counts[0]).sum(axis=-1)
+    starts = np.cumsum(counts) - counts
+    out = np.empty((*lead, counts.size))
+    for m in set(counts.tolist()):
+        rows = np.flatnonzero(counts == m)
+        # take() lays the block out C-contiguous; flat[..., idx] with a
+        # leading axis would not, and numpy would sum it in another order.
+        out[..., rows] = np.take(flat, starts[rows, None] + np.arange(m), axis=-1).sum(axis=-1)
+    return out
+
+
 def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:
     """Validate a probability vector: nonnegative, sums to 1 within atol."""
     p = np.asarray(probs, dtype=np.float64)

@@ -205,19 +205,7 @@ def run_experiment(
 
 
 def write_steps_jsonl(stats, path) -> None:
-    """One JSON object per step: step, mean_reward, frac_clipped,
-    degenerate_anchors, wallclock_ms."""
+    """One JSON object per step, with the :class:`StepStats` fields in order."""
     with open(path, "w", encoding="ascii") as fh:
         for s in stats:
-            fh.write(
-                json.dumps(
-                    {
-                        "step": s.step,
-                        "mean_reward": s.mean_reward,
-                        "frac_clipped": s.frac_clipped,
-                        "degenerate_anchors": s.degenerate_anchors,
-                        "wallclock_ms": s.wallclock_ms,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(vars(s)) + "\n")

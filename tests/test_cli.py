@@ -10,6 +10,7 @@ from anchorlab.cli import (
     main,
     spec_from_dict,
 )
+from anchorlab.metrics import read_metrics_csv
 
 SPEC = {
     "name": "smoke",
@@ -50,8 +51,11 @@ class TestSpecParsing:
             spec_from_dict(dict(SPEC, seeds=[]))
 
     def test_unknown_train_key_rejected(self):
-        with pytest.raises(ConfigError):
-            spec_from_dict(dict(SPEC, train={"total_steps": 1, "bogus": 2}))
+        # Each cell sets seed, env and method_config itself, so the train
+        # section may not.
+        for key in ("bogus", "seed", "env", "method_config"):
+            with pytest.raises(ConfigError, match="unknown train keys"):
+                spec_from_dict(dict(SPEC, train={"total_steps": 1, key: 2}))
 
     def test_bad_json_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -180,12 +184,13 @@ class TestMalformedInput:
             (["gradcheck", "--cases", "0"], {}),
             (["gradcheck", "--cases", "-3"], {}),
             (["dynamics", "--steps", "-2", "--out", "out"], {}),
+            (["coverage", "--depth", "30"], {}),
         ],
         ids=["train-seeds", "summarize-seeds", "env-seed", "k-values-range", "k-values-text",
              "coverage-depth", "jobs-0", "jobs-negative", "train-seeds-negative",
              "env-seed-negative", "gradcheck-seed-negative", "dynamics-seed-negative",
              "coverage-seed-negative", "gradcheck-cases-0", "gradcheck-cases-negative",
-             "dynamics-steps-negative"],
+             "dynamics-steps-negative", "coverage-ids-overflow-int64"],
     )
     def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, env):
         monkeypatch.chdir(tmp_path)
@@ -207,6 +212,14 @@ class TestMalformedInput:
         spec = write_spec(tmp_path, dict(SPEC, **{section: value}))
         assert main(["train", "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith("error: config:")
+        assert not out.exists()
+
+    def test_tree_ids_overflowing_int64_exit_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, dict(SPEC, env=dict(SPEC["env"], depth=30, branching=8)))
+        assert main(["train", "--spec", str(spec), "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("error: config:") and "int64" in printed
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -349,6 +362,36 @@ class TestSummarizeCommand:
                      "--no-timestamp"]) == 2
         assert capsys.readouterr().out.startswith(f"error: config: {bad}:")
 
+    def test_env_var_seed_selects_the_cells_train_wrote(self, tmp_path, monkeypatch, capsys):
+        spec_path = write_spec(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setenv("ANCHORLAB_SEED", "9")
+        argv = ["--spec", str(spec_path), "--out", str(out), "--no-timestamp"]
+        assert main(["train"] + argv) == 0
+        summary = (out / "smoke" / "summary.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["summarize"] + argv) == 0
+        assert (out / "smoke" / "summary.csv").read_bytes() == summary
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-1] == summary.decode().splitlines()
+        assert [row.split(",")[:2] for row in printed[1:3]] == [["grpo", "1"], ["apo", "1"]]
+        # The flag wins over the variable.
+        assert main(["summarize", "--seeds", "1,2"] + argv) == 3
+
+    def test_reads_each_metrics_csv_once(self, tmp_path, monkeypatch):
+        spec_path = write_spec(tmp_path)
+        argv = ["--spec", str(spec_path), "--out", str(tmp_path / "out"), "--no-timestamp"]
+        assert main(["train"] + argv) == 0
+        read = []
+
+        def counted(path):
+            read.append(path)
+            return read_metrics_csv(path)
+
+        monkeypatch.setattr("anchorlab.cli.read_metrics_csv", counted)
+        assert main(["summarize"] + argv) == 0
+        assert len(read) == len(set(read)) == len(SPEC["methods"]) * len(SPEC["seeds"])
+
 
 class TestCoverageCommand:
     def test_monotone_recall_and_top_v_row(self, tmp_path, capsys):
@@ -361,6 +404,12 @@ class TestCoverageCommand:
         recalls = [float(l.split(",")[1]) for l in lines[1:]]
         assert recalls == sorted(recalls)
         assert recalls[-1] == 1.0
+
+    def test_one_row_per_distinct_k(self, tmp_path, capsys):
+        assert main(["coverage", "--k-values", "4,4,1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "coverage.csv").read_text().splitlines()
+        assert [l.split(",")[0] for l in lines] == ["K", "1", "4"]
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 class TestGradcheckCommand:

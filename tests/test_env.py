@@ -120,6 +120,19 @@ class TestGenerateTree:
         with pytest.raises(ValueError):
             EnvConfig(depth=0, branching=2, num_valid_leaves=1)
 
+    @pytest.mark.parametrize(
+        "depth, branching", [(62, 2), (20, 8), (1, 2**63 - 2)]
+    )
+    def test_largest_trees_with_int64_node_ids(self, depth, branching):
+        # (B^(D+1) - 1) / (B - 1) nodes fit int64; with one more level, or
+        # one more branch, they do not (depth 1 and B = 2^63 - 1 is 2^63).
+        nodes = (branching ** (depth + 1) - 1) // (branching - 1)
+        assert nodes <= 2**63 - 1
+        EnvConfig(depth=depth, branching=branching, num_valid_leaves=1)
+        for d, b in ((depth + 1, branching), (depth, branching + 1)):
+            with pytest.raises(ValueError, match="int64"):
+                EnvConfig(depth=d, branching=b, num_valid_leaves=1)
+
 
 class TestVerify:
     @pytest.fixture()

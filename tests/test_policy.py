@@ -12,6 +12,7 @@ from anchorlab.policy import (
     entropy,
     load_logit_table,
     sample_token,
+    segment_sums,
     softmax,
 )
 
@@ -192,6 +193,30 @@ class TestSerialization:
         assert load_logit_table("V=2\nctx=0 z=0.0,1.0\n").vocab_size == 2
         with pytest.raises(ValueError, match="expected"):
             load_logit_table("\n".join(["V=2"] + rows) + "\n")
+
+
+class TestSegmentSums:
+    """Every output is bitwise the 1-D ``.sum()`` of its segment."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[0, 3, 9, 0, 12, 1, 7, 30, 9, 3], [9] * 6, [4] * 5, [0] * 4, [], [130, 5, 0]],
+        ids=["mixed", "all-9", "all-4", "all-empty", "none", "long"],
+    )
+    def test_each_sum_is_the_1d_sum_of_its_segment(self, counts):
+        counts = np.array(counts, dtype=np.intp)
+        rng = np.random.default_rng(counts.size)
+        # Three stacked rows share the counts, as in the dense anchor sums.
+        flat = rng.random((3, counts.sum())) * 10.0 ** rng.integers(-8, 8, (3, counts.sum()))
+        ends = np.cumsum(counts)
+        got = segment_sums(flat, counts)
+        assert got.shape == (3, counts.size)
+        for row in range(3):
+            one = segment_sums(flat[row].copy(), counts)
+            for i, (start, end) in enumerate(zip(ends - counts, ends)):
+                want = flat[row, start:end].copy().sum()
+                assert got[row, i].tobytes() == want.tobytes()
+                assert one[i].tobytes() == want.tobytes()
 
 
 def test_entropy_reference_values():
