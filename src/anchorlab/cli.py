@@ -57,7 +57,9 @@ class ExperimentSpec:
     env: EnvConfig
     methods: list[MethodConfig]
     seeds: list[int]
-    train: dict
+    # Every TrainConfig value but the ones each cell fills in: method_config,
+    # seed and, when env_seed_follows_cell, env.seed.
+    train: TrainConfig
     output_dir: str | None = None
     # env.seed == null in the JSON: each cell generates its own tree from
     # the cell's training seed instead of sharing one fixed tree.
@@ -84,6 +86,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         train = dict(data.get("train", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not methods:
+        raise ConfigError("methods must be nonempty")
     if not seeds:
         raise ConfigError("seeds must be nonempty")
     _check_seeds(seeds, "seeds")
@@ -100,7 +104,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if unknown:
         raise ConfigError(f"unknown train keys: {sorted(unknown)}")
     try:
-        TrainConfig(env=env, **train)
+        train = TrainConfig(env=env, **train)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}") from exc
     return ExperimentSpec(
@@ -210,16 +214,8 @@ def gradient_check_suite(n_cases: int = 1000, seed: int = 0) -> dict[str, float]
 
 def _run_cell(spec: ExperimentSpec, method: MethodConfig, seed: int, out_root: Path,
               timestamp: str | None) -> Path:
-    env = spec.env
-    if spec.env_seed_follows_cell:
-        env = replace(env, seed=seed)
-    cfg = TrainConfig(
-        method_config=method,
-        env=env,
-        seed=seed,
-        **spec.train,
-    )
-    records, stats = run_experiment(cfg)
+    env = replace(spec.env, seed=seed) if spec.env_seed_follows_cell else spec.env
+    records, stats = run_experiment(replace(spec.train, method_config=method, env=env, seed=seed))
     cell_dir = out_root / spec.name / method.method / str(seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(records, cell_dir / "metrics.csv", timestamp)
@@ -463,6 +459,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: config: {exc}")
+        return 2
+    except MemoryError as exc:
+        # A tree whose node ids fit int64 may still be too large to build:
+        # its (C, B) reference table is the lab's largest allocation.
+        print(f"error: config: the tree does not fit in memory: {exc}")
         return 2
     except OSError as exc:
         print(f"error: io: {exc}")

@@ -36,14 +36,11 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("depth", "branching", "num_valid_leaves", "seed"):
-            check_int(name, getattr(self, name))
+        for name, low in (("depth", 1), ("branching", 2), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        check_int("num_valid_leaves", self.num_valid_leaves)
         for name in ("ref_concentration", "ref_noise"):
             check_float(name, getattr(self, name))
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.branching < 2:
-            raise ValueError(f"branching must be >= 2, got {self.branching}")
         # Heap context ids and leaf ids are int64. With B >= 2 no tree of
         # depth 63 fits, and a smaller depth keeps the power below cheap.
         b, d = self.branching, self.depth
@@ -57,12 +54,6 @@ class EnvConfig:
                 f"num_valid_leaves must be in [1, {self.branching**self.depth}], "
                 f"got {self.num_valid_leaves}"
             )
-        if self.ref_concentration < 0:
-            raise ValueError(f"ref_concentration must be >= 0, got {self.ref_concentration}")
-        if self.ref_noise < 0:
-            raise ValueError(f"ref_noise must be >= 0, got {self.ref_noise}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class ReasoningTree:

@@ -50,29 +50,14 @@ class MethodConfig:
     adv_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        check_int("anchor_k", self.anchor_k)
-        check_int("group_size", self.group_size)
-        for name in ("clip_eps", "push_coef", "pull_coef", "kl_coef", "learning_rate",
-                     "adv_eps"):
-            check_float(name, getattr(self, name))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.clip_eps <= 0:
-            raise ValueError(f"clip_eps must be > 0, got {self.clip_eps}")
-        if self.push_coef <= 0:
-            raise ValueError(f"push_coef must be > 0, got {self.push_coef}")
-        if self.pull_coef < 0:
-            raise ValueError(f"pull_coef must be >= 0, got {self.pull_coef}")
-        if self.anchor_k < 1:
-            raise ValueError(f"anchor_k must be >= 1, got {self.anchor_k}")
-        if self.kl_coef < 0:
-            raise ValueError(f"kl_coef must be >= 0, got {self.kl_coef}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.group_size < 2:
-            raise ValueError(f"group_size must be >= 2, got {self.group_size}")
-        if self.adv_eps <= 0:
-            raise ValueError(f"adv_eps must be > 0, got {self.adv_eps}")
+        for name in ("clip_eps", "push_coef", "learning_rate", "adv_eps"):
+            check_float(name, getattr(self, name), positive=True)
+        for name in ("pull_coef", "kl_coef"):
+            check_float(name, getattr(self, name))
+        for name, low in (("anchor_k", 1), ("group_size", 2)):
+            check_int(name, getattr(self, name), low)
 
 
 @dataclass

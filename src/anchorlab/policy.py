@@ -92,20 +92,25 @@ def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:
     return p
 
 
-def check_int(name: str, value) -> None:
-    """Raise TypeError unless ``value`` is an integer; a bool, or a float
-    such as 4.0, is not."""
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Raise TypeError unless ``value`` is an integer (a bool, or a float
+    such as 4.0, is not) and ValueError if it is below ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def check_float(name: str, value) -> None:
+def check_float(name: str, value, positive: bool = False) -> None:
     """Raise TypeError unless ``value`` is a real number (an integer counts,
-    a bool does not) and ValueError unless it is finite."""
+    a bool does not) and ValueError unless it is finite and ``>= 0``, or
+    ``> 0`` when ``positive``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be {'>' if positive else '>='} 0, got {value}")
 
 
 def sample_token(dist: np.ndarray, rng: np.random.Generator) -> VocabId:

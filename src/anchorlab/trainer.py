@@ -49,27 +49,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("total_steps", "groups_per_step", "inner_epochs", "eval_every",
-                     "eval_samples_k", "seed"):
-            check_int(name, getattr(self, name))
+        for name, low in (("total_steps", 0), ("groups_per_step", 1), ("inner_epochs", 1),
+                          ("eval_every", 1), ("eval_samples_k", 2), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
         if self.support_k is not None:
             check_int("support_k", self.support_k)
-        if self.total_steps < 0:
-            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.groups_per_step < 1:
-            raise ValueError(f"groups_per_step must be >= 1, got {self.groups_per_step}")
-        if self.inner_epochs < 1:
-            raise ValueError(f"inner_epochs must be >= 1, got {self.inner_epochs}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.eval_samples_k < 2:
-            raise ValueError(f"eval_samples_k must be >= 2, got {self.eval_samples_k}")
-        if self.support_k is not None and not 1 <= self.support_k <= self.env.branching:
-            raise ValueError(
-                f"support_k must be in [1, {self.env.branching}], got {self.support_k}"
-            )
+            if not 1 <= self.support_k <= self.env.branching:
+                raise ValueError(
+                    f"support_k must be in [1, {self.env.branching}], got {self.support_k}"
+                )
 
 
 @dataclass

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import anchorlab.cli as cli
 from anchorlab.cli import (
     ConfigError,
     gradient_check_suite,
@@ -10,7 +13,12 @@ from anchorlab.cli import (
     main,
     spec_from_dict,
 )
+from anchorlab.env import EnvConfig
 from anchorlab.metrics import read_metrics_csv
+from anchorlab.objectives import MethodConfig
+from anchorlab.trainer import TrainConfig
+
+SHIPPED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "collapse.json"
 
 SPEC = {
     "name": "smoke",
@@ -72,6 +80,32 @@ class TestSpecParsing:
         assert main(["train", "--spec", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith(f"error: config: {path}:")
         assert not out.exists()
+
+
+def test_shipped_spec_resolves_to_the_cells_it_trains(tmp_path, monkeypatch):
+    # Each cell trains the JSON train values with its method and seed; the
+    # spec's env seed is null, so each cell's tree has the cell's seed.
+    data = json.loads(SHIPPED_SPEC.read_text())
+    assert data["env"]["seed"] is None
+    expected = [
+        TrainConfig(method_config=MethodConfig(**m), env=EnvConfig(**dict(data["env"], seed=s)),
+                    seed=s, **data["train"])
+        for m in data["methods"] for s in data["seeds"]
+    ]
+    built = []
+    run = cli.run_experiment
+
+    def record(cfg):
+        built.append(cfg)
+        return run(dataclasses.replace(cfg, total_steps=0))
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert main(["train", "--spec", str(SHIPPED_SPEC), "--out", str(tmp_path),
+                 "--no-timestamp"]) == 0
+    assert len(built) == len(expected) == 10
+    for got, want in zip(built, expected):
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestTrainCommand:
@@ -212,6 +246,32 @@ class TestMalformedInput:
         spec = write_spec(tmp_path, dict(SPEC, **{section: value}))
         assert main(["train", "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith("error: config:")
+        assert not out.exists()
+
+    def test_empty_methods_exits_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, dict(SPEC, methods=[]))
+        assert main(["train", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == "error: config: methods must be nonempty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["coverage", "train"])
+    def test_tree_too_large_for_memory_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                               command):
+        # Node ids fit int64, but the (C, B) reference table is 281 TiB,
+        # more than a 128 TiB user address space: the allocation fails at
+        # once without touching memory.
+        out = tmp_path / "out"
+        if command == "coverage":
+            argv = ["coverage", "--depth", "30", "--branching", "3", "--out", str(out)]
+        else:
+            env = dict(SPEC["env"], depth=30, branching=3)
+            argv = ["train", "--spec", str(write_spec(tmp_path, dict(SPEC, env=env))),
+                    "--out", str(out)]
+        assert main(argv) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("error: config: the tree does not fit in memory")
+        assert printed.count("\n") == 1
         assert not out.exists()
 
     def test_tree_ids_overflowing_int64_exit_2_before_any_cell(self, tmp_path, capsys):
