@@ -19,15 +19,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from . import trainer
 from .anchor import build_anchor, grad_anchor_ratio
-from .env import EnvConfig, generate_tree, oracle_coverage
+from .env import EnvConfig, ReasoningTree, generate_tree, oracle_coverage
 from .gradients import (
     finite_diff,
     grad_log_prob,
@@ -61,8 +62,8 @@ class ExperimentSpec:
     # seed and, when env_seed_follows_cell, env.seed.
     train: TrainConfig
     output_dir: str | None = None
-    # env.seed == null in the JSON: each cell generates its own tree from
-    # the cell's training seed instead of sharing one fixed tree.
+    # env.seed == null in the JSON: the cells of each seed share a tree
+    # generated from that seed instead of all sharing one fixed tree.
     env_seed_follows_cell: bool = False
 
 
@@ -79,11 +80,18 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         if follows_cell:
             env_data["seed"] = 0
         env = EnvConfig(**env_data)
-        methods = [MethodConfig(**m) for m in data["methods"]]
+        methods = []
+        for i, m in enumerate(data["methods"]):
+            try:
+                methods.append(MethodConfig(**m))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"methods[{i}]: {exc}") from exc
         seeds = list(data["seeds"])
         for s in seeds:
             check_int("seeds", s)
         train = dict(data.get("train", {}))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if not methods:
@@ -212,10 +220,19 @@ def gradient_check_suite(n_cases: int = 1000, seed: int = 0) -> dict[str, float]
 # subcommands
 
 
-def _run_cell(spec: ExperimentSpec, method: MethodConfig, seed: int, out_root: Path,
-              timestamp: str | None) -> Path:
-    env = replace(spec.env, seed=seed) if spec.env_seed_follows_cell else spec.env
-    records, stats = run_experiment(replace(spec.train, method_config=method, env=env, seed=seed))
+def _cell_env(spec: ExperimentSpec, seed: int) -> EnvConfig:
+    return replace(spec.env, seed=seed) if spec.env_seed_follows_cell else spec.env
+
+
+def _seed_tree(spec: ExperimentSpec, seed: int) -> ReasoningTree:
+    # Looked up on trainer: perfbench's env.generate_tree span wraps that attribute.
+    return trainer.generate_tree(_cell_env(spec, seed))
+
+
+def _run_cell(spec: ExperimentSpec, method: MethodConfig, seed: int, tree: ReasoningTree,
+              out_root: Path, timestamp: str | None) -> Path:
+    cfg = replace(spec.train, method_config=method, env=_cell_env(spec, seed), seed=seed)
+    records, stats = run_experiment(cfg, tree)
     cell_dir = out_root / spec.name / method.method / str(seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(records, cell_dir / "metrics.csv", timestamp)
@@ -298,19 +315,33 @@ def cmd_train(args) -> int:
     spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")
     timestamp = _timestamp(args)
-    cells = [(m, s) for m in spec.methods for s in spec.seeds]
+    # Cells run seed by seed, and the cells of all seeds that share an env
+    # share its tree: training only reads it (initial_policy copies the
+    # reference), so pool threads may too.
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, spec, m, s, out_root, timestamp) for m, s in cells
-            ]
-            for fut in futures:
-                fut.result()
+            groups = []
+            for i, seed in enumerate(spec.seeds):
+                if i == 0 or spec.env_seed_follows_cell:
+                    # About --jobs trees at once, as when each pool thread built its own.
+                    if i >= args.jobs:
+                        wait(groups[i - args.jobs])
+                    tree = _seed_tree(spec, seed)
+                groups.append([pool.submit(_run_cell, spec, m, seed, tree, out_root, timestamp)
+                               for m in spec.methods])
+            for group in groups:
+                for fut in group:
+                    fut.result()
     else:
-        for m, s in cells:
-            _run_cell(spec, m, s, out_root, timestamp)
+        for i, seed in enumerate(spec.seeds):
+            if i == 0 or spec.env_seed_follows_cell:
+                tree = None  # free the last seed's tree before building the next
+                tree = _seed_tree(spec, seed)
+            for m in spec.methods:
+                _run_cell(spec, m, seed, tree, out_root, timestamp)
     summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)
-    print(f"wrote {len(cells)} cells under {out_root / spec.name}; summary: {summary}")
+    cells = len(spec.methods) * len(spec.seeds)
+    print(f"wrote {cells} cells under {out_root / spec.name}; summary: {summary}")
     return 0
 
 

@@ -3,9 +3,11 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anchorlab.cli as cli
+import anchorlab.trainer as trainer
 from anchorlab.cli import (
     ConfigError,
     gradient_check_suite,
@@ -48,6 +50,14 @@ def write_spec(tmp_path, data=None):
     return path
 
 
+def assert_same_tree(got, want):
+    # Bitwise: valid leaf ids and every reference logit.
+    assert got.valid_ids.tobytes() == want.valid_ids.tobytes()
+    rows = np.arange(len(want.ref_policy))
+    assert len(got.ref_policy) == rows.size
+    assert got.ref_policy.logits(rows).tobytes() == want.ref_policy.logits(rows).tobytes()
+
+
 class TestSpecParsing:
     def test_duplicate_methods_rejected(self):
         bad = dict(SPEC, methods=[{"method": "grpo"}, {"method": "grpo"}])
@@ -87,25 +97,28 @@ def test_shipped_spec_resolves_to_the_cells_it_trains(tmp_path, monkeypatch):
     # spec's env seed is null, so each cell's tree has the cell's seed.
     data = json.loads(SHIPPED_SPEC.read_text())
     assert data["env"]["seed"] is None
-    expected = [
-        TrainConfig(method_config=MethodConfig(**m), env=EnvConfig(**dict(data["env"], seed=s)),
-                    seed=s, **data["train"])
+    expected = {
+        (m["method"], s): TrainConfig(method_config=MethodConfig(**m),
+                                      env=EnvConfig(**dict(data["env"], seed=s)),
+                                      seed=s, **data["train"])
         for m in data["methods"] for s in data["seeds"]
-    ]
+    }
     built = []
     run = cli.run_experiment
 
-    def record(cfg):
+    def record(cfg, tree):
         built.append(cfg)
-        return run(dataclasses.replace(cfg, total_steps=0))
+        return run(dataclasses.replace(cfg, total_steps=0), tree)
 
     monkeypatch.setattr(cli, "run_experiment", record)
     assert main(["train", "--spec", str(SHIPPED_SPEC), "--out", str(tmp_path),
                  "--no-timestamp"]) == 0
-    assert len(built) == len(expected) == 10
-    for got, want in zip(built, expected):
+    got = {(cfg.method_config.method, cfg.seed): cfg for cfg in built}
+    assert len(built) == len(got) == len(expected) == 10
+    assert got.keys() == expected.keys()
+    for key, want in expected.items():
         for f in dataclasses.fields(TrainConfig):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert getattr(got[key], f.name) == getattr(want, f.name), (key, f.name)
 
 
 class TestTrainCommand:
@@ -185,6 +198,55 @@ class TestTrainCommand:
                     steps.append([json.dumps(line) for line in lines])
                 assert steps[0] == steps[1] and len(steps[0]) == SPEC["train"]["total_steps"]
 
+    @pytest.mark.parametrize("env_seed, trees", [(4, 1), (None, 2)], ids=["fixed", "null"])
+    def test_sweep_builds_one_tree_per_env_seed(self, tmp_path, monkeypatch, env_seed, trees):
+        # 2 methods x 2 seeds: a fixed env seed is one tree for the whole
+        # sweep; a null one is one tree per cell seed, shared by its methods.
+        generate = trainer.generate_tree
+        built = []
+
+        def counted(env):
+            built.append(env)
+            return generate(env)
+
+        cells = {}
+        run = cli.run_experiment
+
+        def record(cfg, tree=None):
+            cells[cfg.method_config.method, cfg.seed] = (cfg.env, tree)
+            return run(cfg, tree)
+
+        monkeypatch.setattr(trainer, "generate_tree", counted)
+        monkeypatch.setattr(cli, "run_experiment", record)
+        spec = write_spec(tmp_path, dict(SPEC, env=dict(SPEC["env"], seed=env_seed)))
+        assert main(["train", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                     "--no-timestamp"]) == 0
+        assert len(built) == trees
+        assert sorted(cells) == [(m, s) for m in ("apo", "grpo") for s in SPEC["seeds"]]
+        for (_, seed), (env, tree) in cells.items():
+            assert env == EnvConfig(**dict(SPEC["env"], seed=seed if env_seed is None
+                                           else env_seed))
+            assert tree is not None
+            assert_same_tree(tree, generate(env))
+
+    def test_jobs_2_sweep_leaves_the_shared_tree_as_generated(self, tmp_path, monkeypatch):
+        # Pool threads read one tree; no cell may write to it.
+        generate = trainer.generate_tree
+        trees = []
+
+        def kept(env):
+            trees.append(generate(env))
+            return trees[-1]
+
+        monkeypatch.setattr(trainer, "generate_tree", kept)
+        methods = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
+        spec = dict(SPEC, methods=[{"method": m, "anchor_k": 2, "learning_rate": 2.0}
+                                   for m in methods])
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)), "--out",
+                     str(tmp_path / "out"), "--no-timestamp", "--jobs", "2"]) == 0
+        (tree,) = trees
+        assert_same_tree(tree, generate(EnvConfig(**SPEC["env"])))
+
     def test_missing_spec_is_config_error(self, tmp_path):
         assert main(["train", "--spec", str(tmp_path / "none.json"), "--out",
                      str(tmp_path)]) in (2, 3)
@@ -253,6 +315,17 @@ class TestMalformedInput:
         spec = write_spec(tmp_path, dict(SPEC, methods=[]))
         assert main(["train", "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().out == "error: config: methods must be nonempty\n"
+        assert not out.exists()
+
+    def test_bad_methods_entry_is_named_by_index(self, tmp_path, capsys):
+        data = json.loads(SHIPPED_SPEC.read_text())
+        data["methods"][1]["anchor_k"] = 0
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, data)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            "error: config: methods[1]: anchor_k must be >= 1, got 0\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["coverage", "train"])

@@ -36,18 +36,21 @@ def test_every_span_target_resolves():
     assert missing == KNOWN_ABSENT
 
 
-def test_traced_train_reports_the_evaluation_and_update_spans(tmp_path):
+SPEC = {
+    "name": "traced",
+    "env": {"depth": 2, "branching": 3, "num_valid_leaves": 2, "seed": 4},
+    "methods": [{"method": "apo", "anchor_k": 2}],
+    "seeds": [1],
+    "train": {"total_steps": 4, "groups_per_step": 2, "inner_epochs": 2,
+              "eval_every": 2, "eval_samples_k": 8},
+}
+
+
+def traced_train(tmp_path, spec):
+    """Per-layer metrics of a traced serial ``train`` of ``spec``, and the tracer."""
     from anchorlab.cli import main
 
     spans = load_spans()
-    spec = {
-        "name": "traced",
-        "env": {"depth": 2, "branching": 3, "num_valid_leaves": 2, "seed": 4},
-        "methods": [{"method": "apo", "anchor_k": 2}],
-        "seeds": [1],
-        "train": {"total_steps": 4, "groups_per_step": 2, "inner_epochs": 2,
-                  "eval_every": 2, "eval_samples_k": 8},
-    }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     tracer = spans.Tracer()
@@ -58,11 +61,24 @@ def test_traced_train_reports_the_evaluation_and_update_spans(tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
-    layers = spans.layer_metrics(tracer, jobs=1)
+    return spans.layer_metrics(tracer, jobs=1), tracer
+
+
+def test_traced_train_reports_the_evaluation_and_update_spans(tmp_path):
+    layers, tracer = traced_train(tmp_path, SPEC)
     assert layers["env.rollout.eval.calls"] == 3
-    assert layers["env.rollout.train.calls"] == spec["train"]["total_steps"]
+    assert layers["env.rollout.train.calls"] == SPEC["train"]["total_steps"]
     assert layers["metrics.self_bleu.s"] > 0
     assert layers["trainer.apply_token_batch.calls"] > 0
     assert layers["trainer.tokens"] > 0
     assert sorted(tracer.absent) == ["objectives.method_token_update", "policy.snapshot",
                                      "trainer.sample_group"]
+
+
+def test_traced_train_counts_one_tree_build_per_env(tmp_path):
+    # Both cells train on the spec's one env, so the sweep builds its tree
+    # once, through the trainer.generate_tree attribute the span wraps.
+    spec = dict(SPEC, methods=[{"method": "grpo"}, {"method": "apo", "anchor_k": 2}])
+    layers, _ = traced_train(tmp_path, spec)
+    assert layers["env.generate_tree.calls"] == 1
+    assert layers["env.generate_tree.s"] > 0
