@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,8 +86,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"methods[{i}]: {exc}") from exc
         seeds = list(data["seeds"])
-        for s in seeds:
-            check_int("seeds", s)
         train = dict(data.get("train", {}))
     except ConfigError:
         raise
@@ -282,18 +279,21 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise ConfigError(f"{what}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """:func:`~anchorlab.policy.check_int` for a flag or a seed."""
+    try:
+        check_int(name, value, low)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _check_seeds(seeds: list[int], what: str) -> list[int]:
+    for seed in seeds:
+        _check_int(what, seed, 0)
     # A repeated seed is one cell directory counted twice in summary.csv.
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{what} must not repeat a seed, got {seeds}")
-    if any(s < 0 for s in seeds):
-        raise ConfigError(f"{what} must be non-negative, got {seeds}")
     return seeds
-
-
-def _check_min(value: int, low: int, flag: str) -> None:
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
 def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
@@ -310,35 +310,20 @@ def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    _check_min(args.jobs, 1, "--jobs")
+    _check_int("--jobs", args.jobs, 1)
     spec = load_spec(args.spec)
     spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")
     timestamp = _timestamp(args)
-    # Cells run seed by seed, and the cells of all seeds that share an env
-    # share its tree: training only reads it (initial_policy copies the
-    # reference), so pool threads may too.
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            groups = []
-            for i, seed in enumerate(spec.seeds):
-                if i == 0 or spec.env_seed_follows_cell:
-                    # About --jobs trees at once, as when each pool thread built its own.
-                    if i >= args.jobs:
-                        wait(groups[i - args.jobs])
-                    tree = _seed_tree(spec, seed)
-                groups.append([pool.submit(_run_cell, spec, m, seed, tree, out_root, timestamp)
-                               for m in spec.methods])
-            for group in groups:
-                for fut in group:
-                    fut.result()
-    else:
-        for i, seed in enumerate(spec.seeds):
-            if i == 0 or spec.env_seed_follows_cell:
-                tree = None  # free the last seed's tree before building the next
-                tree = _seed_tree(spec, seed)
-            for m in spec.methods:
-                _run_cell(spec, m, seed, tree, out_root, timestamp)
+    # Cells run one at a time, seed by seed, and the cells of all seeds that
+    # share an env share its tree: training only reads it (initial_policy
+    # copies the reference).
+    for i, seed in enumerate(spec.seeds):
+        if i == 0 or spec.env_seed_follows_cell:
+            tree = None  # free the last seed's tree before building the next
+            tree = _seed_tree(spec, seed)
+        for m in spec.methods:
+            _run_cell(spec, m, seed, tree, out_root, timestamp)
     summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)
     cells = len(spec.methods) * len(spec.seeds)
     print(f"wrote {cells} cells under {out_root / spec.name}; summary: {summary}")
@@ -384,8 +369,8 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _check_min(args.cases, 1, "--cases")
-    _check_min(args.seed, 0, "--seed")
+    _check_int("--cases", args.cases, 1)
+    _check_int("--seed", args.seed, 0)
     worst = gradient_check_suite(args.cases, args.seed)
     failed = False
     for name in sorted(worst):
@@ -403,8 +388,8 @@ def cmd_dynamics(args) -> int:
     # cache every imported module is compiled at start-up.
     from . import dynamics as dyn
 
-    _check_min(args.steps, 0, "--steps")
-    _check_min(args.seed, 0, "--seed")
+    _check_int("--steps", args.steps, 0)
+    _check_int("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     reports = []
 
@@ -448,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--seeds", default=None, help="comma-separated seed list")
     p_train.add_argument("--no-timestamp", action="store_true")
-    p_train.add_argument("--jobs", type=int, default=1)
+    p_train.add_argument(
+        "--jobs", type=int, default=1,
+        help="kept for compatibility: must be >= 1; cells always run one at a time")
     p_train.set_defaults(func=cmd_train)
 
     p_sum = sub.add_parser("summarize", help="aggregate metrics.csv files")

@@ -7,10 +7,19 @@ precision, a geometric mean over orders n = 1..n_max with no smoothing
 against the closest reference length. Sequences shorter than n contribute only the
 available orders. Entropy is reported in nats.
 
-Evaluation reads the live policy in place (no copy of the table) and costs
-O(K) per call: Self-BLEU clips each sample's n-gram counts against the top-2
-counts of every n-gram over all samples, and entropy, support mass and KL
-are computed over the stacked ``(n, V)`` rows of the visited contexts.
+Self-BLEU is counted with integer array operations over all K samples at
+once. Each n-gram gets a dense id, one order at a time: order 1 ranks the
+tokens, order n ranks the pair (order n-1 id, next token), so ids stay below
+the token count whatever the token values. One sort of ``id * K + sample``
+gives every (n-gram, sample) count; each sample's count is clipped by the
+best count held by another sample, and the clipped counts are summed per
+sample and order. Only the per-sample logs, geometric mean and brevity
+penalty are floating point, evaluated in Python as the pairwise definition
+does, so scores are bitwise those of the pairwise loops.
+
+Evaluation reads the live policy in place (no copy of the table), and
+entropy, support mass and KL are computed over the stacked ``(n, V)`` rows
+of the visited contexts.
 """
 
 from __future__ import annotations
@@ -58,57 +67,125 @@ def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
     return float(np.mean(ents)), float(np.mean(dists.max(axis=1)))
 
 
-def _ngram_counts(seq: tuple[int, ...], n_max: int) -> Counter:
-    """Counts of every n-gram of ``seq`` for n = 1..n_max, keyed by the gram
-    itself (its length is its order)."""
-    return Counter(
-        seq[i : i + n] for n in range(1, n_max + 1) for i in range(len(seq) - n + 1)
-    )
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each key among the distinct keys, from 0, and their number.
+    ``keys`` must be nonempty."""
+    order = keys.argsort()
+    ordered = keys[order]
+    step = np.zeros(keys.size, dtype=np.int64)
+    (ordered[1:] != ordered[:-1]).cumsum(out=step[1:])
+    ranks = np.empty_like(step)
+    ranks[order] = step
+    return ranks, int(step[-1]) + 1
+
+
+def _run_edges(keys: np.ndarray) -> np.ndarray:
+    """Edges of the runs of equal values in a nonempty sorted array: run j
+    is ``keys[edges[j]:edges[j + 1]]``."""
+    new = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    return new.nonzero()[0]
+
+
+def _clipped_counts(tokens: np.ndarray, lengths: np.ndarray, n_max: int) -> np.ndarray:
+    """``(K, n_max)`` integer array: entry ``[k, n - 1]`` sums, over the
+    distinct n-grams of sample k, min(its count, the largest count of that
+    n-gram in any other sample). ``tokens`` holds the K samples back to
+    back, ``lengths`` their lengths; at least one token is given."""
+    k = lengths.size
+    sample = np.arange(k).repeat(lengths)
+    # Tokens from each position to the end of its sample, itself included.
+    left = lengths.cumsum().repeat(lengths) - np.arange(tokens.size)
+    tok, n_tok = _dense_ranks(tokens)
+    pos, gram, n_gram = np.arange(tokens.size), tok, n_tok
+    # Order n's id at position i is the dense rank of (order n-1 id at i,
+    # token at i+n-1): ids stay below the token count, so no key overflows.
+    # Ids of order n are shifted past those of lower orders.
+    grams, positions, bounds = [], [], []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            keep = left >= n
+            pos, left, gram = pos[keep], left[keep], gram[keep]
+            if pos.size == 0:
+                break
+            gram, n_gram = _dense_ranks(gram * n_tok + tok[pos + n - 1])
+        offset = bounds[-1] if bounds else 0
+        grams.append(gram + offset)
+        positions.append(pos)
+        bounds.append(offset + n_gram)
+    # One run per (gram, sample) pair; its length is the sample's count.
+    keys = np.concatenate(grams) * k + sample[np.concatenate(positions)]
+    keys.sort()
+    edges = _run_edges(keys)
+    counts = edges[1:] - edges[:-1]
+    run_gram, run_sample = np.divmod(keys[edges[:-1]], k)
+    # Per gram: the largest count, how many samples hold it, and the largest
+    # count below it. The best count in another sample is the largest one
+    # unless this sample alone holds it.
+    gram_edges = _run_edges(run_gram)
+    gram_starts, runs = gram_edges[:-1], gram_edges[1:] - gram_edges[:-1]
+    largest = np.maximum.reduceat(counts, gram_starts).repeat(runs)
+    top = counts == largest
+    holders = np.add.reduceat(top, gram_starts, dtype=np.intp).repeat(runs)
+    below = np.maximum.reduceat(np.where(top, 0, counts), gram_starts).repeat(runs)
+    best = np.where(top & (holders == 1), below, largest)
+    cell = run_sample * n_max + np.searchsorted(bounds, run_gram, side="right")
+    clipped = np.bincount(cell, np.minimum(counts, best), minlength=k * n_max)
+    # Exact: the sums are integers far below 2**53.
+    return clipped.astype(np.int64).reshape(k, n_max)
+
+
+def _bleu(h: int, clipped: list[int], ref_len: int) -> float:
+    """BLEU of one sample of length ``h`` from its clipped counts of orders
+    1..len(clipped): no smoothing, so a zero count scores 0."""
+    if not clipped or 0 in clipped:
+        return 0.0
+    # Order n has h - n + 1 grams; clipped[n - 1] is its clipped count.
+    log_precisions = [log(c / (h - n + 1)) for n, c in enumerate(clipped, 1)]
+    precision = exp(sum(log_precisions) / len(log_precisions))
+    bp = 1.0 if h >= ref_len else exp(1.0 - ref_len / h)
+    return bp * precision
 
 
 def self_bleu(samples, n_max: int = 4) -> float:
     """Mean BLEU of each sample against the other K-1 samples.
 
-    Clipping needs only the best count of each n-gram among the other
-    samples: the second-largest count over all samples if the hypothesis
-    holds the largest, the largest otherwise. A first pass keeps those two
-    counts per n-gram, a second recounts and scores each sample, so the cost
-    is linear in K.
+    ``samples`` is a ``(K, D)`` integer array or K sequences of integers of
+    any lengths. Clipping needs only the best count of each n-gram among the
+    other samples, which :func:`_clipped_counts` finds with sorts over all
+    samples at once, so the cost is about linear in K. The scores are then
+    computed per sample in Python floats.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seqs = [tuple(s) for s in samples]
-    if len(seqs) < 2:
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        tokens = samples.ravel()
+        lengths = np.full(len(samples), samples.shape[1])
+    else:
+        seqs = [list(s) for s in samples]
+        tokens = np.array([t for s in seqs for t in s], dtype=np.int64)
+        lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if lengths.size < 2:
         raise ValueError("self-BLEU needs at least 2 samples")
-    first: dict[tuple[int, ...], int] = {}
-    second: dict[tuple[int, ...], int] = {}
-    for seq in seqs:
-        for gram, count in _ngram_counts(seq, n_max).items():
-            top = first.get(gram, 0)
-            if count > top:
-                first[gram], second[gram] = count, top
-            elif count > second.get(gram, 0):
-                second[gram] = count
-    lengths = Counter(len(s) for s in seqs)
+    if tokens.size == 0:
+        return 0.0  # every sample is empty and scores 0
+    rows = _clipped_counts(tokens, lengths, n_max).tolist()
+    hyp_lengths = lengths.tolist()
+    # Brevity penalty against the closest other length (ties -> shorter).
+    others = Counter(hyp_lengths)
+    ref_lens = {}
+    for h in others:
+        others[h] -= 1
+        ref_lens[h] = min((abs(r - h), r) for r, m in others.items() if m)[1]
+        others[h] += 1
+    # Samples with one length and one row of clipped counts score the same.
+    memo: dict[tuple[int, ...], float] = {}
     scores = []
-    for seq in seqs:
-        h = len(seq)
-        clipped = [0] * min(n_max, h)
-        for gram, count in _ngram_counts(seq, n_max).items():
-            best = second[gram] if count == first[gram] else first[gram]
-            clipped[len(gram) - 1] += min(count, best)
-        if not clipped or 0 in clipped:
-            scores.append(0.0)
-            continue
-        # Order n has h - n + 1 grams; clipped[n - 1] is its clipped count.
-        log_precisions = [log(c / (h - n + 1)) for n, c in enumerate(clipped, 1)]
-        precision = exp(sum(log_precisions) / len(log_precisions))
-        # Brevity penalty against the closest other length (ties -> shorter).
-        lengths[h] -= 1
-        ref_len = min((abs(r - h), r) for r, m in lengths.items() if m)[1]
-        lengths[h] += 1
-        bp = 1.0 if h >= ref_len else exp(1.0 - ref_len / h)
-        scores.append(bp * precision)
+    for h, row in zip(hyp_lengths, rows):
+        key = (h, *row)
+        if key not in memo:
+            memo[key] = _bleu(h, row[: min(n_max, h)], ref_lens[h])
+        scores.append(memo[key])
     return float(np.mean(scores))
 
 
@@ -173,7 +250,7 @@ def evaluate(
         pass_at_k=float(rewards.max() > 0),
         mean_entropy=mean_ent,
         mean_max_prob=mean_maxp,
-        diversity_score=diversity_score(tokens.tolist()),
+        diversity_score=diversity_score(tokens),
         support_mass=support_mass(policy, tree.ref_policy, support_k, visited),
         kl_to_ref=kl_to_reference(policy, tree.ref_policy, visited),
         eval_k=eval_k,

@@ -172,8 +172,8 @@ class TestTrainCommand:
         assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
 
     def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
-        # Cells run numpy in pool threads; every output but the wall clock
-        # must be the serial run's, for every method.
+        # --jobs is kept for compatibility only; every output but the wall
+        # clock must be the --jobs 1 run's, for every method.
         methods = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
         spec = dict(SPEC, methods=[{"method": m, "anchor_k": 2, "learning_rate": 2.0}
                                    for m in methods])
@@ -230,7 +230,7 @@ class TestTrainCommand:
             assert_same_tree(tree, generate(env))
 
     def test_jobs_2_sweep_leaves_the_shared_tree_as_generated(self, tmp_path, monkeypatch):
-        # Pool threads read one tree; no cell may write to it.
+        # Every cell of the sweep reads one tree; no cell may write to it.
         generate = trainer.generate_tree
         trees = []
 
@@ -296,6 +296,29 @@ class TestMalformedInput:
             argv = argv + ["--spec", str(write_spec(tmp_path)), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().out.startswith("error: config:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["train", "--seeds=-2"], {}, "--seeds must be >= 0, got -2"),
+            (["train", "--seeds", "3,-2"], {}, "--seeds must be >= 0, got -2"),
+            (["train"], {"ANCHORLAB_SEED": "-1"}, "ANCHORLAB_SEED must be >= 0, got -1"),
+            (["train", "--jobs", "0"], {}, "--jobs must be >= 1, got 0"),
+            (["gradcheck", "--cases", "0"], {}, "--cases must be >= 1, got 0"),
+            (["dynamics", "--steps", "-2", "--out", "out"], {}, "--steps must be >= 0, got -2"),
+        ],
+        ids=["seeds", "seeds-second", "env-seed", "jobs", "cases", "steps"],
+    )
+    def test_bound_message_is_check_ints(self, tmp_path, monkeypatch, capsys, argv, env,
+                                         message):
+        monkeypatch.chdir(tmp_path)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        if argv[0] == "train":
+            argv = argv + ["--spec", str(write_spec(tmp_path)), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"error: config: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

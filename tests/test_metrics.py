@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +279,54 @@ class TestSelfBleuMatchesPairwise:
             self_bleu(samples, n_max)
 
 
+class TestSelfBleuEdges:
+    """Cases the dense n-gram ids must get right, each bitwise against
+    ``pairwise_self_bleu``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from([-(2**62), -(2**62) + 1, -1, 0, 2**62 - 1, 2**62]),
+                          max_size=9), min_size=2, max_size=8),
+        st.integers(1, 8),
+    )
+    def test_tokens_near_2_62(self, samples, n_max):
+        # A base-V code of an 8-gram of such tokens would overflow int64.
+        assert_bleu_bitwise(samples, n_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=7), st.lists(st.integers(0, 3), max_size=7),
+           n_orders)
+    def test_two_samples(self, a, b, n_max):
+        assert_bleu_bitwise([a, b], n_max)
+
+    @pytest.mark.parametrize("seq", [[], [5], [1, 1, 1, 1, 1, 1], [3, 1, 4, 1, 5, 9, 2, 6]])
+    @pytest.mark.parametrize("k", [2, 3, 64])
+    def test_identical_samples(self, seq, k):
+        for n_max in (1, 4, 8):
+            assert_bleu_bitwise([seq] * k, n_max)
+
+    @pytest.mark.parametrize("samples", [
+        [[], []],
+        [[], [1]],
+        [[], [], [2, 2, 2]],
+        [[1, 2, 3, 4], [], [1, 2], [1, 2, 3], [4]],
+        [[7], [7, 7], [], [7, 7, 7, 7, 7], [7, 7]],
+    ])
+    def test_mixed_lengths_with_empty_samples(self, samples):
+        for n_max in range(1, 7):
+            assert_bleu_bitwise(samples, n_max)
+
+    @pytest.mark.parametrize("depth, branching, k", [(4, 8, 64), (6, 8, 64), (3, 2, 2)])
+    def test_rollout_array_scores_as_its_list(self, depth, branching, k):
+        tree = generate_tree(EnvConfig(depth=depth, branching=branching,
+                                       num_valid_leaves=2, seed=1))
+        tokens, _, _ = rollout(tree, tree.ref_policy, k, np.random.default_rng(5))
+        for n_max in (1, 4, 8):
+            got = self_bleu(tokens, n_max)
+            assert bits(got) == bits(self_bleu(tokens.tolist(), n_max))
+            assert bits(got) == bits(pairwise_self_bleu(tokens.tolist(), n_max))
+
+
 def loop_support_mass(policy, ref, k, ctxs):
     return float(np.mean(
         [float(policy.dist(c)[list(top_k(ref.dist(c), k))].sum()) for c in ctxs]
@@ -377,6 +430,57 @@ class TestEvaluate:
         a = evaluate(tree.ref_policy.copy(), tree, 0, 16, np.random.default_rng(5))
         b = evaluate(tree.ref_policy.copy(), tree, 0, 16, np.random.default_rng(5))
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("support_k", [None, 1])
+    def test_record_matches_loop_oracles_bitwise(self, seed, support_k):
+        # The oracles read the same rollout: same policy, same eval stream.
+        rng = np.random.default_rng(seed)
+        depth, branching = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        tree = generate_tree(EnvConfig(depth=depth, branching=branching, num_valid_leaves=1,
+                                       seed=seed))
+        policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), branching)))
+        k = int(rng.integers(2, 65))
+        record = evaluate(policy, tree, 3, k, np.random.default_rng(seed), support_k)
+        tokens, contexts, rewards = rollout(tree, policy, k, np.random.default_rng(seed))
+        visited = sorted(set(contexts.ravel().tolist()))
+        top = max(1, branching // 2) if support_k is None else support_k
+        ent, maxp = loop_entropy_and_maxprob(policy, contexts)
+        want = MetricRecord(
+            step=3,
+            pass_at_1=float(np.mean(rewards)),
+            pass_at_k=float(rewards.max() > 0),
+            mean_entropy=ent,
+            mean_max_prob=maxp,
+            diversity_score=1.0 - pairwise_self_bleu(tokens.tolist(), 4),
+            support_mass=loop_support_mass(policy, tree.ref_policy, top, visited),
+            kl_to_ref=loop_kl(policy, tree.ref_policy, visited),
+            eval_k=k,
+        )
+        for name, value in vars(want).items():
+            assert bits(getattr(record, name)) == bits(value), name
+
+    def test_train_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma, which costs start-up time and peak
+        # memory; nothing a train run calls may pull it in.
+        spec = {"name": "ma", "seeds": [0],
+                "env": {"depth": 3, "branching": 4, "num_valid_leaves": 2},
+                "methods": [{"method": "grpo"}, {"method": "apo", "anchor_k": 2}],
+                "train": {"total_steps": 2, "eval_every": 1, "eval_samples_k": 8}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = ("import sys\n"
+                "from anchorlab.cli import main\n"
+                f"assert main(['train', '--spec', {str(path)!r}, '--out', {str(tmp_path)!r},"
+                " '--no-timestamp']) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestMetricsCsv:
