@@ -178,14 +178,7 @@ def self_bleu(samples, n_max: int = 4) -> float:
         others[h] -= 1
         ref_lens[h] = min((abs(r - h), r) for r, m in others.items() if m)[1]
         others[h] += 1
-    # Samples with one length and one row of clipped counts score the same.
-    memo: dict[tuple[int, ...], float] = {}
-    scores = []
-    for h, row in zip(hyp_lengths, rows):
-        key = (h, *row)
-        if key not in memo:
-            memo[key] = _bleu(h, row[: min(n_max, h)], ref_lens[h])
-        scores.append(memo[key])
+    scores = [_bleu(h, row[: min(n_max, h)], ref_lens[h]) for h, row in zip(hyp_lengths, rows)]
     return float(np.mean(scores))
 
 
