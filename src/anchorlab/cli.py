@@ -16,6 +16,7 @@ seed list for smoke tests; an explicit ``--seeds`` flag wins over both.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from .gradients import (
 )
 from .metrics import (
     METRIC_FIELD_NAMES,
+    atomic_open,
     read_metrics_csv,
     write_metrics_csv,
 )
@@ -232,8 +234,9 @@ def _run_cell(spec: ExperimentSpec, method: MethodConfig, seed: int, tree: Reaso
     records, stats = run_experiment(cfg, tree)
     cell_dir = out_root / spec.name / method.method / str(seed)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(records, cell_dir / "metrics.csv", timestamp)
+    # metrics.csv last: summarize reads it, so it marks a finished cell.
     write_steps_jsonl(stats, cell_dir / "steps.jsonl")
+    write_metrics_csv(records, cell_dir / "metrics.csv", timestamp)
     return cell_dir
 
 
@@ -265,7 +268,7 @@ def _summary_rows(spec: ExperimentSpec, out_root: Path) -> list[str]:
 def _write_summary(spec: ExperimentSpec, out_root: Path, rows: list[str],
                    timestamp: str | None) -> Path:
     path = out_root / spec.name / "summary.csv"
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with atomic_open(path) as fh:
         if timestamp is not None:
             fh.write(f"# generated {timestamp}\n")
         fh.write("\n".join(rows) + "\n")
@@ -317,13 +320,19 @@ def cmd_train(args) -> int:
     timestamp = _timestamp(args)
     # Cells run one at a time, seed by seed, and the cells of all seeds that
     # share an env share its tree: training only reads it (initial_policy
-    # copies the reference).
-    for i, seed in enumerate(spec.seeds):
-        if i == 0 or spec.env_seed_follows_cell:
-            tree = None  # free the last seed's tree before building the next
-            tree = _seed_tree(spec, seed)
-        for m in spec.methods:
-            _run_cell(spec, m, seed, tree, out_root, timestamp)
+    # copies the reference). What is alive now (modules, the spec) outlives
+    # the sweep, so the collector is told not to rescan it during the cells;
+    # unfreezing afterwards lets a process that calls main() again free it.
+    gc.freeze()
+    try:
+        for i, seed in enumerate(spec.seeds):
+            if i == 0 or spec.env_seed_follows_cell:
+                tree = None  # free the last seed's tree before building the next
+                tree = _seed_tree(spec, seed)
+            for m in spec.methods:
+                _run_cell(spec, m, seed, tree, out_root, timestamp)
+    finally:
+        gc.unfreeze()
     summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)
     cells = len(spec.methods) * len(spec.seeds)
     print(f"wrote {cells} cells under {out_root / spec.name}; summary: {summary}")

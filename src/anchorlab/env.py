@@ -11,8 +11,11 @@ so the C = (B^D - 1) / (B - 1) internal nodes are 0..C-1 in breadth-first
 order and the reference policy is one dense (C, B) logit table. A rollout's
 final heap context minus C is its leaf's lexicographic index, so rewards are
 looked up in the tree's sorted valid leaf ids.
-A batch of n rollouts is three arrays: ``(n, D)`` tokens, the ``(n, D)``
-contexts they were drawn from, and ``(n,)`` verified rewards.
+A batch of n rollouts is four arrays: ``(n, D)`` tokens, the ``(n, D)``
+contexts they were drawn from, ``(n,)`` verified rewards, and the
+``(n, D, V)`` policy rows the tokens were sampled from. The trainer's old
+rows and first pass, and an evaluation's entropy and max-prob, read those
+rows instead of taking the softmax again.
 """
 
 from __future__ import annotations
@@ -128,30 +131,37 @@ def verify(tree: ReasoningTree, tokens) -> int:
 
 def rollout(
     tree: ReasoningTree, policy: LogitTable, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample ``n`` root-to-leaf rollouts: ``(tokens, contexts, rewards)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample ``n`` root-to-leaf rollouts: ``(tokens, contexts, rewards, rows)``.
 
     Rollout i consumes row i of one ``rng.random((n, D))`` block, which is
     the stream of n*D scalar :func:`~anchorlab.policy.sample_token` draws;
     so one call for G*n rollouts draws what G calls for n would. A reward
     is 1 iff the final context minus C is one of ``tree.valid_ids``, which
-    is :func:`verify` of the row.
+    is :func:`verify` of the row. ``rows`` is the ``(n, D, V)`` stack of
+    the distributions each token was drawn from, bitwise
+    ``policy.dist(contexts)``, so callers that need the policy at the
+    visited contexts read it here instead of taking the softmax again.
     """
-    u = rng.random((n, tree.depth))
-    ctx = np.full(n, tree.ROOT)
-    tokens, contexts = [], []
-    for step in range(tree.depth):
-        cdf = np.cumsum(policy.dist(ctx), axis=1)
+    d, v = tree.depth, policy.vocab_size
+    u = rng.random((n, d))
+    tokens = np.empty((n, d), dtype=np.int64)
+    contexts = np.empty((n, d), dtype=np.int64)
+    rows = np.empty((n, d, v))
+    ctx = np.full(n, tree.ROOT, dtype=np.int64)
+    for step in range(d):
+        dist = policy.dist(ctx)
+        rows[:, step] = dist
         # searchsorted(side="right") per row, clamped as in sample_token.
-        tok = np.minimum((cdf <= u[:, step, None]).sum(axis=1), policy.vocab_size - 1)
-        contexts.append(ctx)
-        tokens.append(tok)
+        tok = np.minimum((np.cumsum(dist, axis=1) <= u[:, step, None]).sum(axis=1), v - 1)
+        contexts[:, step] = ctx
+        tokens[:, step] = tok
         ctx = tree.child_context(ctx, tok)
     leaf = ctx - tree.num_contexts()
     ids = tree.valid_ids
     # Ids are distinct: the count of leaf in ids is 0 or 1.
     rewards = np.searchsorted(ids, leaf, side="right") - np.searchsorted(ids, leaf)
-    return np.stack(tokens, axis=1), np.stack(contexts, axis=1), rewards
+    return tokens, contexts, rewards, rows
 
 
 def oracle_coverage(

@@ -17,17 +17,22 @@ sample and order. Only the per-sample logs, geometric mean and brevity
 penalty are floating point, evaluated in Python as the pairwise definition
 does, so scores are bitwise those of the pairwise loops.
 
-Evaluation reads the live policy in place (no copy of the table), and
-entropy, support mass and KL are computed over the stacked ``(n, V)`` rows
-of the visited contexts.
+Evaluation reads the live policy in place (no copy of the table). Entropy
+and max-prob come from the ``(K, D, V)`` rows its rollout sampled from,
+one per visited step, with no second softmax; support mass and KL come
+from one policy softmax and one reference softmax over the distinct
+visited contexts.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import exp, log
+from pathlib import Path
 
 import numpy as np
 
@@ -50,16 +55,16 @@ class MetricRecord:
     eval_k: int
 
 
-def entropy_and_maxprob(policy: LogitTable, contexts) -> tuple[float, float]:
+def entropy_and_maxprob(dists: np.ndarray) -> tuple[float, float]:
     """Mean entropy (nats) and mean max-probability over all visited steps,
-    given as an array of context ids (one per step, in rollout order).
+    given as the ``(..., V)`` policy rows at the visited contexts, one per
+    step (a rollout's rows).
 
     A context visited by several rollouts counts once per visit.
     """
-    ctxs = np.asarray(contexts).ravel()
-    if ctxs.size == 0:
+    dists = dists.reshape(-1, dists.shape[-1])
+    if not len(dists):
         raise ValueError("no visited contexts")
-    dists = policy.dist(ctxs)
     # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
     pos = dists > 0.0
     nz = dists[pos]
@@ -188,25 +193,24 @@ def diversity_score(samples) -> float:
     return 1.0 - self_bleu(samples)
 
 
-def support_mass(policy: LogitTable, ref: LogitTable, k: int, contexts) -> float:
-    """Mean policy mass inside the reference Top-K over the given contexts,
-    each summed in Top-K order (ties toward the lower token index)."""
-    ctxs = np.asarray(contexts, dtype=np.intp)
-    if ctxs.size == 0:
+def support_mass(P: np.ndarray, Q: np.ndarray, k: int) -> float:
+    """Mean policy mass inside the reference Top-K over the ``(n, V)``
+    policy and reference rows ``P`` and ``Q`` of n contexts, each summed in
+    Top-K order (ties toward the lower token index)."""
+    if not len(P):
         raise ValueError("no contexts given")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    members = np.argsort(-ref.dist(ctxs), axis=1, kind="stable")[:, :k]
-    return float(np.mean(np.take_along_axis(policy.dist(ctxs), members, axis=1).sum(axis=1)))
+    members = np.argsort(-Q, axis=1, kind="stable")[:, :k]
+    return float(np.mean(np.take_along_axis(P, members, axis=1).sum(axis=1)))
 
 
-def kl_to_reference(policy: LogitTable, ref: LogitTable, contexts) -> float:
-    """Mean exact KL(policy || ref) over the given contexts, each as
+def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> float:
+    """Mean exact KL(policy || ref) over the ``(n, V)`` policy and
+    reference rows of n contexts, each as
     :func:`~anchorlab.objectives.kl_penalty` sums it."""
-    ctxs = np.asarray(contexts, dtype=np.intp)
-    if ctxs.size == 0:
+    if not len(P):
         raise ValueError("no contexts given")
-    P, Q = policy.dist(ctxs), ref.dist(ctxs)
     pos = P > 0.0
     if np.any((Q <= 0.0) & pos):
         raise ValueError("reference assigns zero mass where the policy is positive")
@@ -233,9 +237,11 @@ def evaluate(
         raise ValueError(f"eval_k must be >= 2 (diversity needs it), got {eval_k}")
     if support_k is None:
         support_k = max(1, tree.branching // 2)
-    tokens, contexts, rewards = rollout(tree, policy, eval_k, rng)
-    mean_ent, mean_maxp = entropy_and_maxprob(policy, contexts)
-    visited = sorted(set(contexts.ravel().tolist()))  # np.unique would import numpy.ma
+    tokens, contexts, rewards, rows = rollout(tree, policy, eval_k, rng)
+    mean_ent, mean_maxp = entropy_and_maxprob(rows)
+    # np.unique would import numpy.ma.
+    visited = np.array(sorted(set(contexts.ravel().tolist())), dtype=np.intp)
+    P, Q = policy.dist(visited), tree.ref_policy.dist(visited)
     return MetricRecord(
         step=step,
         # float(): repr of a numpy scalar would change the CSV under numpy 2.
@@ -244,16 +250,34 @@ def evaluate(
         mean_entropy=mean_ent,
         mean_max_prob=mean_maxp,
         diversity_score=diversity_score(tokens),
-        support_mass=support_mass(policy, tree.ref_policy, support_k, visited),
-        kl_to_ref=kl_to_reference(policy, tree.ref_policy, visited),
+        support_mass=support_mass(P, Q, support_k),
+        kl_to_ref=kl_to_reference(P, Q),
         eval_k=eval_k,
     )
 
 
+@contextmanager
+def atomic_open(path):
+    """Open ``path`` for ASCII text output through a sibling temp file that
+    replaces ``path`` only when the block completes: a write that raises
+    leaves neither a partial file nor the temp file, and an earlier file at
+    ``path`` stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_metrics_csv(records, path, timestamp: str | None = None) -> None:
-    """Write the fixed-header CSV; pass a timestamp string to prepend it
-    as a comment line (suppressed for byte-identical reruns)."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    """Write the fixed-header CSV, replacing ``path`` whole
+    (:func:`atomic_open`); pass a timestamp string to prepend it as a
+    comment line (suppressed for byte-identical reruns)."""
+    with atomic_open(path) as fh:
         if timestamp is not None:
             fh.write(f"# generated {timestamp}\n")
         fh.write(CSV_HEADER + "\n")

@@ -82,8 +82,11 @@ def group_advantages(rewards, adv_eps: float = 1e-6) -> np.ndarray:
     r = np.asarray(rewards, dtype=np.float64)
     if r.ndim == 0 or r.shape[-1] < 2:
         raise ValueError(f"group must contain at least 2 rewards, got shape {r.shape}")
-    std = r.std(axis=-1, keepdims=True)
-    return np.where(std == 0.0, 0.0, (r - r.mean(axis=-1, keepdims=True)) / (std + adv_eps))
+    # r.std() and r.mean() in numpy's own arithmetic, with the mean taken once.
+    n = r.shape[-1]
+    dev = r - r.sum(axis=-1, keepdims=True) / n
+    std = np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / n)
+    return np.where(std == 0.0, 0.0, dev / (std + adv_eps))
 
 
 def grpo_token_loss(
@@ -255,26 +258,25 @@ def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return P * (log_ratio - kl[:, None])
 
 
-def _exclusive_anchors(P: np.ndarray, Q: np.ndarray, tokens: np.ndarray, k: int):
-    """:func:`~anchorlab.anchor.build_anchor` per row.
+def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: int):
+    """The reference half of :func:`~anchorlab.anchor.build_anchor` per row.
 
-    Returns (member mask, z_ref, policy anchor mass, P_safe, empty). Rows
-    whose anchor set is empty get z_ref 1 and zero masses.
+    It reads only the reference rows ``Q`` and the tokens, so a train step
+    builds it once for all its passes. Returns ``(owner, ranked, counts,
+    member, z_terms, empty)``: ``ranked`` lists every row's anchor members
+    in Top-K order, row after row, ``owner`` the row of each and
+    ``z_terms`` its reference probability, the terms of Z_ref; ``counts``
+    is each row's member count, ``member`` the ``(N, V)`` member mask and
+    ``empty`` marks rows with no member.
     """
     top = np.argsort(-Q, axis=1, kind="stable")[:, :k]
     keep = top != tokens[:, None]
     counts = keep.sum(axis=1)
-    rows = np.nonzero(keep)[0]
-    ranked = top[keep]  # Top-K order
-    member = np.zeros(P.shape, dtype=bool)
-    member[rows, ranked] = True
-    # P[member] is in ascending token order, as grad_support_mass sums it.
-    z_ref, mass, p_safe = segment_sums(
-        np.stack((Q[rows, ranked], P[rows, ranked], P[member])), counts
-    )
-    empty = counts == 0
-    z_ref[empty] = 1.0
-    return member, z_ref, mass, p_safe, empty
+    owner = np.nonzero(keep)[0]
+    ranked = top[keep]
+    member = np.zeros(Q.shape, dtype=bool)
+    member[owner, ranked] = True
+    return owner, ranked, counts, member, Q[owner, ranked], counts == 0
 
 
 def token_gradients(
@@ -284,14 +286,16 @@ def token_gradients(
     tokens: np.ndarray,
     adv: np.ndarray,
     cfg: MethodConfig,
+    anchors: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascent gradients of N tokens at once: row i is
     ``method_token_update(P[i], O[i], Q[i], tokens[i], adv[i], cfg)``.
 
     ``P``, ``O`` and ``Q`` are the ``(N, V)`` policy, old and reference rows
-    at each token's context. Returns ``(N, V)`` gradients and ``(N,)``
-    boolean clipped and degenerate-anchor flags, all bitwise equal to the
-    scalar kernel's.
+    at each token's context. For apo, ``anchors`` is
+    ``anchor_reference(Q, tokens, cfg.anchor_k)``, built here when not
+    given. Returns ``(N, V)`` gradients and ``(N,)`` boolean clipped and
+    degenerate-anchor flags, all bitwise equal to the scalar kernel's.
     """
     rows = np.arange(tokens.size)
     p_t, o_t = P[rows, tokens], O[rows, tokens]
@@ -316,7 +320,15 @@ def token_gradients(
         return np.where(a < 0.0, with_kl, grads), clipped, none
 
     # apo: the rectified ratio on negative advantages, gated by the window.
-    member, z_ref, mass, p_safe, empty = _exclusive_anchors(P, Q, tokens, cfg.anchor_k)
+    if anchors is None:
+        anchors = anchor_reference(Q, tokens, cfg.anchor_k)
+    owner, ranked, counts, member, z_terms, empty = anchors
+    # Z_ref is summed with the policy's sums, in one call. P[member] is in
+    # ascending token order, as grad_support_mass sums it.
+    z_ref, mass, p_safe = segment_sums(
+        np.stack((z_terms, P[owner, ranked], P[member])), counts
+    )
+    z_ref[empty] = 1.0
     neg = adv < 0.0
     # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms
     # are +0.0 and leave the push-only update bit for bit.

@@ -16,9 +16,9 @@ from anchorlab.cli import (
     spec_from_dict,
 )
 from anchorlab.env import EnvConfig
-from anchorlab.metrics import read_metrics_csv
+from anchorlab.metrics import MetricRecord, read_metrics_csv
 from anchorlab.objectives import MethodConfig
-from anchorlab.trainer import TrainConfig
+from anchorlab.trainer import StepStats, TrainConfig
 
 SHIPPED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "collapse.json"
 
@@ -160,17 +160,6 @@ class TestTrainCommand:
         ]) == 0
         assert (out / "smoke" / "apo" / "9").is_dir()
 
-    def test_jobs_flag_matches_serial_output(self, tmp_path):
-        spec_path = write_spec(tmp_path)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main(["train", "--spec", str(spec_path), "--out", str(serial),
-                     "--no-timestamp"]) == 0
-        assert main(["train", "--spec", str(spec_path), "--out", str(parallel),
-                     "--no-timestamp", "--jobs", "4"]) == 0
-        rel = "smoke/apo/2/metrics.csv"
-        assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
-
     def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
         # --jobs is kept for compatibility only; every output but the wall
         # clock must be the --jobs 1 run's, for every method.
@@ -194,7 +183,8 @@ class TestTrainCommand:
                 for cell in (a, b):
                     lines = [json.loads(l) for l in (cell / "steps.jsonl").read_text().splitlines()]
                     for line in lines:
-                        del line["wallclock_ms"]
+                        for key in ("wallclock_ms", "rollout_ms", "update_ms", "eval_ms"):
+                            del line[key]
                     steps.append([json.dumps(line) for line in lines])
                 assert steps[0] == steps[1] and len(steps[0]) == SPEC["train"]["total_steps"]
 
@@ -464,6 +454,44 @@ class TestMalformedInput:
         assert main(["train", "--spec", str(spec)]) == 2
         assert capsys.readouterr().out.startswith("error: config:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("earlier", [True, False])
+    @pytest.mark.parametrize("name", ["metrics.csv", "steps.jsonl", "summary.csv"])
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, name, earlier):
+        # Each writer raises after its first line: a record that is not a
+        # dataclass, or a summary row that is not a string.
+        spec = load_spec(write_spec(tmp_path))
+        path = tmp_path / spec.name / name
+        path.parent.mkdir()
+        if earlier:
+            path.write_text("earlier\n")
+        with pytest.raises(TypeError):
+            if name == "metrics.csv":
+                record = MetricRecord(0, 0.25, 1.0, 1.5, 0.5, 0.75, 0.6, 0.01, 16)
+                cli.write_metrics_csv([record, object()], path, "t")
+            elif name == "steps.jsonl":
+                stats = StepStats(1, 0.5, 0.0, 0, 1.0, 0.5, 0.25)
+                cli.write_steps_jsonl([stats, object()], path)
+            else:
+                cli._write_summary(spec, tmp_path, ["method,seeds", 1], "t")
+        assert os.listdir(path.parent) == ([name] if earlier else [])
+        if earlier:
+            assert path.read_text() == "earlier\n"
+
+    def test_cell_whose_steps_write_failed_has_no_metrics_csv(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # metrics.csv, which summarize reads, is written last in each cell.
+        def fail(stats, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_steps_jsonl", fail)
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path)), "--out", str(out),
+                     "--no-timestamp"]) == 3
+        assert "error: io: disk full" in capsys.readouterr().out
+        assert not list(out.rglob("metrics.csv"))
 
 
 class TestSummarizeCommand:

@@ -186,13 +186,13 @@ class TestRollout:
             z[ctx] = -200.0
             z[ctx, t] = 200.0
             ctx = tree.child_context(ctx, t)
-        tokens, _, rewards = rollout(tree, LogitTable(z), 5, np.random.default_rng(0))
+        tokens, _, rewards, _ = rollout(tree, LogitTable(z), 5, np.random.default_rng(0))
         assert tokens.tolist() == [list(leaf)] * 5
         assert rewards.tolist() == [1] * 5
 
     def test_reward_matches_verify_and_contexts_follow_path(self):
         tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=4, seed=5))
-        tokens, contexts, rewards = rollout(tree, tree.ref_policy, 50, np.random.default_rng(8))
+        tokens, contexts, rewards, _ = rollout(tree, tree.ref_policy, 50, np.random.default_rng(8))
         assert tokens.shape == contexts.shape == (50, 3)
         assert rewards.shape == (50,)
         for toks, ctxs, reward in zip(tokens, contexts, rewards):
@@ -228,9 +228,13 @@ class TestRollout:
             policy = LogitTable(8.0 * noise)
         rng_a = np.random.default_rng(seed + 100)
         rng_b = np.random.default_rng(seed + 100)
-        tokens, contexts, rewards = rollout(tree, policy, 37, rng_a)
+        tokens, contexts, rewards, rows = rollout(tree, policy, 37, rng_a)
         want_tokens, want_contexts = scalar_rollouts(tree, policy, 37, rng_b)
         assert tokens.shape == contexts.shape == (37, depth)
+        # The rows the tokens were drawn from, which the trainer and the
+        # metrics read in place of a second softmax.
+        assert rows.shape == (37, depth, b)
+        assert rows.tobytes() == policy.dist(contexts).tobytes()
         assert tokens.tolist() == want_tokens
         assert contexts.tolist() == want_contexts
         assert rewards.tolist() == [verify(tree, t) for t in want_tokens]
@@ -244,7 +248,7 @@ class TestRollout:
             EnvConfig(depth=3, branching=4, num_valid_leaves=2,
                       ref_concentration=0.0, ref_noise=noise, seed=4)
         )
-        tokens, contexts, _ = rollout(tree, tree.ref_policy, 6, _AllOnes())
+        tokens, contexts, _, _ = rollout(tree, tree.ref_policy, 6, _AllOnes())
         assert tokens.tolist() == [[3, 3, 3]] * 6
         assert sample_token(tree.ref_policy.dist(tree.ROOT), _AllOnes()) == 3
         assert contexts.tolist() == [[0, 4, 20]] * 6
@@ -411,12 +415,12 @@ def assert_rewards_are_verify(tree):
     and on sampled rollouts."""
     b, d = tree.branching, tree.depth
     uniform = LogitTable(np.zeros((tree.num_contexts(), b)))
-    tokens, _, rewards = rollout(tree, uniform, b**d, _LeafWalk(b, d))
+    tokens, _, rewards, _ = rollout(tree, uniform, b**d, _LeafWalk(b, d))
     assert tokens.tolist() == [list(leaf) for leaf in all_leaves(tree)]
     assert rewards.tolist() == [verify(tree, leaf) for leaf in all_leaves(tree)]
     peaked = LogitTable(3.0 * np.random.default_rng(d * b).standard_normal(
         (tree.num_contexts(), b)))
-    tokens, _, rewards = rollout(tree, peaked, 64, np.random.default_rng(b))
+    tokens, _, rewards, _ = rollout(tree, peaked, 64, np.random.default_rng(b))
     assert rewards.tolist() == [verify(tree, row) for row in tokens]
     assert tree.valid_ids.tolist() == sorted(tree.valid_ids.tolist())
 

@@ -166,17 +166,17 @@ class TestEntropyAndMaxProb:
         return LogitTable(z)
 
     def test_uniform_context(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy(), np.array([[0]]))
+        ent, maxp = entropy_and_maxprob(self.make_policy().dist(np.array([[0]])))
         assert ent == pytest.approx(math.log(8), abs=1e-12)
         assert maxp == pytest.approx(0.125, abs=1e-12)
 
     def test_one_hot_context(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy(), np.array([[1]]))
+        ent, maxp = entropy_and_maxprob(self.make_policy().dist(np.array([[1]])))
         assert ent == pytest.approx(0.0, abs=1e-12)
         assert maxp == pytest.approx(1.0, abs=1e-12)
 
     def test_even_mixture_is_midpoint(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy(), np.array([[0, 1]]))
+        ent, maxp = entropy_and_maxprob(self.make_policy().dist(np.array([[0, 1]])))
         assert ent == pytest.approx(math.log(8) / 2, abs=1e-12)
         assert maxp == pytest.approx((0.125 + 1.0) / 2, abs=1e-12)
 
@@ -271,7 +271,7 @@ class TestSelfBleuMatchesPairwise:
 
     def test_rollout_samples(self):
         tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
-        tokens, _, _ = rollout(tree, tree.ref_policy, 64, np.random.default_rng(3))
+        tokens, _, _, _ = rollout(tree, tree.ref_policy, 64, np.random.default_rng(3))
         assert_bleu_bitwise(tokens.tolist(), 4)
         # ``evaluate`` passes the (K, D) array itself.
         assert bits(self_bleu(tokens, 4)) == bits(self_bleu(tokens.tolist(), 4))
@@ -327,55 +327,56 @@ class TestDenseMetricsMatchLoops:
         policy, ref, rng = pair
         v, c = policy.vocab_size, len(policy)
         ctxs = sorted(set(rng.integers(0, c, size=c).tolist()))
+        P, Q = policy.dist(ctxs), ref.dist(ctxs)
         for k in sorted({1, max(1, v // 2), v - 1 or 1, v, v + 1}):
-            assert bits(support_mass(policy, ref, k, ctxs)) == bits(
-                loop_support_mass(policy, ref, k, ctxs))
-        assert bits(kl_to_reference(policy, ref, ctxs)) == bits(loop_kl(policy, ref, ctxs))
+            assert bits(support_mass(P, Q, k)) == bits(loop_support_mass(policy, ref, k, ctxs))
+        assert bits(kl_to_reference(P, Q)) == bits(loop_kl(policy, ref, ctxs))
 
     @settings(max_examples=200, deadline=None)
     @given(policy_pairs())
     def test_entropy_and_maxprob(self, pair):
         policy, _, rng = pair
         visits = rng.integers(0, len(policy), size=(5, 3))
-        got = entropy_and_maxprob(policy, visits)
+        got = entropy_and_maxprob(policy.dist(visits))
         want = loop_entropy_and_maxprob(policy, visits)
         assert [bits(x) for x in got] == [bits(x) for x in want]
 
     def test_rejections(self):
-        table = LogitTable(np.zeros((2, 4)))
+        rows = LogitTable(np.zeros((2, 4))).dist([0, 1])
         with pytest.raises(ValueError):
-            support_mass(table, table, 0, [0])
-        for call in (lambda: support_mass(table, table, 2, []),
-                     lambda: kl_to_reference(table, table, []),
-                     lambda: entropy_and_maxprob(table, np.zeros((0, 3), dtype=int))):
+            support_mass(rows, rows, 0)
+        for call in (lambda: support_mass(rows[:0], rows[:0], 2),
+                     lambda: kl_to_reference(rows[:0], rows[:0]),
+                     lambda: entropy_and_maxprob(np.zeros((0, 3, 4)))):
             with pytest.raises(ValueError):
                 call()
-        ref = LogitTable(np.array([[0.0, -800.0, 0.0, 0.0]]))  # q == 0 at token 1
+        ref = LogitTable(np.array([[0.0, -800.0, 0.0, 0.0]])).dist([0])  # q == 0 at token 1
         with pytest.raises(ValueError, match="reference assigns zero mass"):
-            kl_to_reference(table, ref, [0])
+            kl_to_reference(rows[:1], ref)
 
 
 class TestSupportMass:
     def test_uniform_matches_k_over_v(self):
-        policy = LogitTable(np.zeros((1, 8)))
-        assert support_mass(policy, policy, 2, [0]) == pytest.approx(0.25, abs=1e-12)
-        assert support_mass(policy, policy, 8, [0]) == pytest.approx(1.0, abs=1e-12)
+        rows = LogitTable(np.zeros((1, 8))).dist([0])
+        assert support_mass(rows, rows, 2) == pytest.approx(0.25, abs=1e-12)
+        assert support_mass(rows, rows, 8) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_hot_on_manifold_member(self):
         ref = LogitTable(np.array([[2.0, 1.0, 0.0, -1.0]]))
         z = np.full((1, 4), -300.0)
         z[0, 1] = 300.0
         policy = LogitTable(z)
-        assert support_mass(policy, ref, 2, [0]) == pytest.approx(1.0, abs=1e-12)
+        assert support_mass(policy.dist([0]), ref.dist([0]), 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKlToReference:
     def test_zero_iff_equal(self):
         ref = LogitTable(np.array([[0.5, 0.2, -0.3, 0.0], [1.0, 0.0, 0.0, -1.0]]))
-        assert kl_to_reference(ref, ref, [0, 1]) == pytest.approx(0.0, abs=1e-12)
+        Q = ref.dist([0, 1])
+        assert kl_to_reference(Q, Q) == pytest.approx(0.0, abs=1e-12)
         moved = ref.copy()
         moved.add_to_logits(0, np.array([0.5, 0.0, 0.0, 0.0]))
-        assert kl_to_reference(moved, ref, [0, 1]) > 1e-9
+        assert kl_to_reference(moved.dist([0, 1]), Q) > 1e-9
 
 
 class TestEvaluate:
@@ -407,7 +408,7 @@ class TestEvaluate:
         policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), branching)))
         k = int(rng.integers(2, 65))
         record = evaluate(policy, tree, 3, k, np.random.default_rng(seed), support_k)
-        tokens, contexts, rewards = rollout(tree, policy, k, np.random.default_rng(seed))
+        tokens, contexts, rewards, _ = rollout(tree, policy, k, np.random.default_rng(seed))
         visited = sorted(set(contexts.ravel().tolist()))
         top = max(1, branching // 2) if support_k is None else support_k
         ent, maxp = loop_entropy_and_maxprob(policy, contexts)

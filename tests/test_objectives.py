@@ -121,6 +121,21 @@ class TestGroupAdvantagesOfManyGroups:
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == group_advantages(row, adv_eps).tobytes()
 
+    def test_20000_groups_bitwise_equal_numpy_std_and_mean(self):
+        # The mean is taken once; the result must still be the one
+        # r.std() and r.mean() give, bit for bit.
+        rng = np.random.default_rng(20000)
+        checked = 0
+        for n in (2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 129, 300):
+            for rewards in (rng.integers(0, 2, (800, n)).astype(np.float64),
+                            rng.normal(rng.normal(0, 100), 10.0 ** rng.uniform(-3, 3), (800, n))):
+                std = rewards.std(axis=-1, keepdims=True)
+                want = np.where(std == 0.0, 0.0,
+                                (rewards - rewards.mean(axis=-1, keepdims=True)) / (std + 1e-6))
+                assert group_advantages(rewards, 1e-6).tobytes() == want.tobytes()
+                checked += len(rewards)
+        assert checked >= 20000
+
     def test_zero_variance_rows_are_exact_positive_zeros(self):
         rewards = np.array([[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0]])
         block = group_advantages(rewards)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import anchorlab.objectives as objectives
 import anchorlab.trainer as trainer
 from anchorlab.env import EnvConfig, generate_tree, rollout, verify
 from anchorlab.gradients import grad_log_prob
@@ -31,7 +32,7 @@ def separate_groups(tree, policy, mcfg, groups, rng):
     one 1-D :func:`group_advantages` call per group."""
     out = []
     for _ in range(groups):
-        tokens, contexts, _ = rollout(tree, policy, mcfg.group_size, rng)
+        tokens, contexts, _, _ = rollout(tree, policy, mcfg.group_size, rng)
         rewards = np.array([verify(tree, row) for row in tokens])
         out.append((tokens, contexts, rewards, group_advantages(rewards, mcfg.adv_eps)))
     return out
@@ -110,14 +111,37 @@ class TestTrainStep:
         expected = initial_policy(tree)
         pi_old = expected.copy()
         rng = np.random.default_rng(11)
-        batch = TokenBatch(*concat_kept(separate_groups(
-            tree, pi_old, cfg.method_config, cfg.groups_per_step, rng)), pi_old, tree.ref_policy)
-        assert batch.old.tobytes() == pi_old.dist(batch.ctx).tobytes()
+        ctx, tok, adv = concat_kept(separate_groups(
+            tree, pi_old, cfg.method_config, cfg.groups_per_step, rng))
+        batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, cfg.method_config)
         assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
         clipped = sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[0]
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(policy) == dump_logit_table(expected)
         assert stats.frac_clipped == clipped / (len(batch) * cfg.inner_epochs) > 0
+
+    @pytest.mark.parametrize("method, builds", [("grpo", 0), ("apo", 1)])
+    def test_anchor_reference_built_once_per_step(self, monkeypatch, method, builds):
+        # An anchor's reference half reads only the reference rows and the
+        # tokens, which are fixed for the step: apo builds it once for all
+        # three passes, the other methods never. Both names are spied, so a
+        # build inside token_gradients counts too.
+        tree = generate_tree(SMALL_ENV)
+        cfg = small_cfg(method, inner_epochs=3,
+                        method_config=MethodConfig(method=method, learning_rate=5.0))
+        calls = []
+        for module in (trainer, objectives):
+            def counted(*args, build=module.anchor_reference):
+                calls.append(args)
+                return build(*args)
+            monkeypatch.setattr(module, "anchor_reference", counted)
+        policy = initial_policy(tree)
+        rng = np.random.default_rng(11)
+        for step in range(1, 5):
+            calls.clear()
+            train_step(policy, tree, cfg, rng, step)
+            assert len(calls) == builds
+        assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
 
     def test_all_valid_leaves_means_bitwise_no_op(self):
         # Every rollout earns reward 1: all groups are zero-variance and the
@@ -195,13 +219,15 @@ class TestTokenMeanAggregation:
             contexts.ravel(),
             tokens.ravel(),
             np.repeat(advantages, tree.depth),
-            pi_old,
+            pi_old.dist(contexts.ravel()),
             tree.ref_policy,
+            mcfg,
         )
         assert len(batch) == tokens.size
         thrice_batch = TokenBatch(
-            *(np.tile(a, 3) for a in (batch.ctx, batch.tok, batch.adv)), pi_old,
-            tree.ref_policy,
+            *(np.tile(a, (3,) + (1,) * (a.ndim - 1))
+              for a in (batch.ctx, batch.tok, batch.adv, batch.old)),
+            tree.ref_policy, mcfg,
         )
 
         once = initial_policy(tree)
@@ -283,8 +309,9 @@ class TestDenseMatchesScalar:
         for seed in range(3):
             pi_old = initial_policy(tree).copy()
             rng = np.random.default_rng(seed)
-            arrays = concat_kept(separate_groups(tree, pi_old, mcfg, 4, rng))
-            batch = TokenBatch(*(np.tile(a, copies) for a in arrays), pi_old, tree.ref_policy)
+            ctx, tok, adv = (np.tile(a, copies)
+                             for a in concat_kept(separate_groups(tree, pi_old, mcfg, 4, rng)))
+            batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
             dense, scalar = initial_policy(tree), initial_policy(tree)
             for _ in range(epochs):
                 if len(batch):
@@ -313,7 +340,7 @@ def separate_groups_step(policy, tree, cfg, rng, step):
     pi_old = policy.copy()
     groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
     ctx, tok, adv = concat_kept(groups)
-    batch = TokenBatch(ctx, tok, adv, pi_old, tree.ref_policy)
+    batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
     clipped = degenerate = 0
     for _ in range(cfg.inner_epochs):
         if len(batch):
@@ -325,12 +352,21 @@ def separate_groups_step(policy, tree, cfg, rng, step):
         frac_clipped=clipped / max(1, ctx.size * cfg.inner_epochs),
         degenerate_anchors=degenerate,
         wallclock_ms=0.0,
+        rollout_ms=0.0,
+        update_ms=0.0,
     )
     return groups, (ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy.dist(ctx)), stats
 
 
 def bits(a):
     return np.asarray(a).dtype.kind, np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+TIMINGS = ("wallclock_ms", "rollout_ms", "update_ms", "eval_ms")
+
+
+def untimed(stats):
+    return {k: v for k, v in vars(stats).items() if k not in TIMINGS}
 
 
 # env, group count and method overrides of each one-rollout-per-step case
@@ -378,12 +414,14 @@ class TestOneRolloutPerStep:
         n = cfg.method_config.group_size
         for step in range(1, 4):
             seen.clear()
+            sampled_from = policy.copy()
             stats = train_step(policy, tree, cfg, rng, step)
             old_groups, old_batch, old_stats = separate_groups_step(
                 expected, tree, cfg, rng_old, step)
 
-            [(tokens, contexts, rewards)] = seen["rollout"]
+            [(tokens, contexts, rewards, rows)] = seen["rollout"]
             assert tokens.shape == contexts.shape == (groups * n, tree.depth)
+            assert bits(rows) == bits(sampled_from.dist(contexts))
             assert bits(tokens) == bits(np.concatenate([g[0] for g in old_groups]))
             assert bits(contexts) == bits(np.concatenate([g[1] for g in old_groups]))
             assert bits(rewards) == bits(np.concatenate([g[2] for g in old_groups]))
@@ -396,7 +434,7 @@ class TestOneRolloutPerStep:
                                  old_batch):
                 assert bits(got) == bits(want)
             assert dump_logit_table(policy) == dump_logit_table(expected)
-            assert stats == StepStats(**{**vars(old_stats), "wallclock_ms": stats.wallclock_ms})
+            assert untimed(stats) == untimed(old_stats)
             assert rng.bit_generator.state == rng_old.bit_generator.state
         if case == "all-skipped":
             assert dump_logit_table(policy) == dump_logit_table(initial_policy(tree))
@@ -439,5 +477,10 @@ class TestRunExperiment:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert [l["step"] for l in lines] == [1, 2]
         assert set(lines[0]) == {
-            "step", "mean_reward", "frac_clipped", "degenerate_anchors", "wallclock_ms"
+            "step", "mean_reward", "frac_clipped", "degenerate_anchors", "wallclock_ms",
+            "rollout_ms", "update_ms", "eval_ms",
         }
+        for line in lines:
+            assert line["rollout_ms"] + line["update_ms"] <= line["wallclock_ms"]
+        # eval_every=2: step 2 is evaluated, step 1 is not.
+        assert lines[0]["eval_ms"] == 0.0 < lines[1]["eval_ms"]
