@@ -85,27 +85,20 @@ class ReasoningTree:
         return (b**d - 1) // (b - 1)
 
 
-def _leaf_from_index(index: int, branching: int, depth: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(depth):
-        index, token = divmod(index, branching)
-        digits.append(token)
-    return tuple(reversed(digits))
-
-
 def generate_tree(cfg: EnvConfig) -> ReasoningTree:
     """Build a seeded tree: uniform choice of valid leaves, then reference
     logits = concentration * [child reaches a valid leaf] + noise * N(0, 1)."""
     rng = np.random.default_rng(cfg.seed)
     b, d = cfg.branching, cfg.depth
-    leaf_ids = rng.choice(b**d, size=cfg.num_valid_leaves, replace=False)
-    valid = frozenset(_leaf_from_index(int(i), b, d) for i in sorted(leaf_ids))
+    leaf_ids = np.sort(rng.choice(b**d, size=cfg.num_valid_leaves, replace=False))
+    # The base-B digits of each leaf id, most significant first: its tokens.
+    leaves = leaf_ids[:, None] // b ** np.arange(d - 1, -1, -1, dtype=np.int64) % b
+    valid = frozenset(map(tuple, leaves.tolist()))
 
     # Row ctx of the reference is context ctx; rows 0..C-1 are the internal
     # nodes in breadth-first order, so one (C, B) draw fixes the rng stream.
     c = (b**d - 1) // (b - 1)
     bonus = np.zeros((c, b), dtype=bool)
-    leaves = np.array(sorted(valid))
     ctx = np.zeros(len(leaves), dtype=np.int64)
     for step in range(d):
         bonus[ctx, leaves[:, step]] = True
@@ -152,8 +145,11 @@ def rollout(
     for step in range(d):
         dist = policy.dist(ctx)
         rows[:, step] = dist
-        # searchsorted(side="right") per row, clamped as in sample_token.
-        tok = np.minimum((np.cumsum(dist, axis=1) <= u[:, step, None]).sum(axis=1), v - 1)
+        # searchsorted(side="right") per row, clamped to V - 1 as in
+        # sample_token. A cumsum of non-negative terms never decreases, so
+        # counting over its first V - 1 entries is that clamp: the count
+        # over all V is at most one more, and only when every entry counts.
+        tok = (np.cumsum(dist[:, :-1], axis=1) <= u[:, step, None]).sum(axis=1)
         contexts[:, step] = ctx
         tokens[:, step] = tok
         ctx = tree.child_context(ctx, tok)

@@ -2,9 +2,13 @@
 
 Five methods share two entry points. :func:`token_gradients` is the
 trainer's path: it computes the ascent gradient of every token of a batch
-at once, as ``(N, V)`` arrays. :func:`method_token_update` is the scalar
-oracle for one token, which also returns the surrogate value; the dense
-kernel reproduces its gradients and flags bit for bit.
+at once, as ``(N, V)`` arrays. It reads the live policy rows, and takes
+what depends only on the step's batch ready-made: each token's flat index
+and old probability, the reference rows, and for apo the anchors' gather
+tables from :func:`anchor_reference`, which the trainer builds once per
+step. :func:`method_token_update` is the scalar oracle for one token,
+which also returns the surrogate value; the dense kernel reproduces its
+gradients and flags bit for bit.
 
 * ``grpo``                -- clipped ratio surrogate only.
 * ``grpo_kl``             -- clipped surrogate minus a KL penalty to the
@@ -33,6 +37,9 @@ from .gradients import grad_log_prob, grad_prob
 from .policy import check_float, check_int, segment_sums
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
+# The methods whose steps read the reference rows: the KL penalty in every
+# pass, apo once per step to build its anchors. grpo and nsr never do.
+REFERENCE_METHODS = ("grpo_kl", "grpo_kl_error_only", "apo")
 
 
 @dataclass
@@ -235,8 +242,9 @@ def method_token_update(
 
 # ---------------------------------------------------------------------------
 # Dense kernel: every token of a batch at once. Each expression is evaluated
-# in the scalar kernels' order, and every sum over part of a row is a
-# :func:`~anchorlab.policy.segment_sums` call.
+# in the scalar kernels' order. A sum over part of a row is a
+# :func:`~anchorlab.policy.segment_sums` call, or for the anchor a sum over
+# fixed-width gather tables that :func:`anchor_reference` builds per step.
 
 
 def _clipped_surrogate_grads(
@@ -259,31 +267,55 @@ def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: int):
-    """The reference half of :func:`~anchorlab.anchor.build_anchor` per row.
+    """The reference half of :func:`~anchorlab.anchor.build_anchor` per row,
+    laid out as gather tables for the passes of a step.
 
     It reads only the reference rows ``Q`` and the tokens, so a train step
-    builds it once for all its passes. Returns ``(owner, ranked, counts,
-    member, z_terms, empty)``: ``ranked`` lists every row's anchor members
-    in Top-K order, row after row, ``owner`` the row of each and
-    ``z_terms`` its reference probability, the terms of Z_ref; ``counts``
-    is each row's member count, ``member`` the ``(N, V)`` member mask and
-    ``empty`` marks rows with no member.
+    builds it once for all its passes. Every anchor is the Top-K minus the
+    row's token, so a row has m = min(k, V) members, or m - 1 when its
+    token is in the Top-K. Returns ``(member, z_ref, empty, groups,
+    order)``: ``member`` is the ``(N, V)`` member mask, ``z_ref`` each
+    row's Z_ref (1.0 for an empty anchor) and ``empty`` marks rows with no
+    member. ``groups`` holds two tables, for the rows of m members and for
+    those of m - 1, in batch order. Each is an ``(r, 2, width)`` array of
+    flat indices into the ``(N, V)`` rows (r may be 0) that lists each of
+    its rows' members twice: in Top-K order, as ``build_anchor`` sums the
+    anchor mass and Z_ref, and in ascending token order, as
+    ``grad_support_mass`` sums P_safe. So ``P.take(idx).sum(axis=-1)`` is
+    bitwise the scalar kernel's sums, and row i's are row ``order[i]`` of
+    the two groups' sums concatenated. Short rows are not zero-padded to
+    the full width: numpy sums 8 or more terms pairwise, so 7 or 15
+    members and a trailing +0.0 would be summed in another order.
     """
-    top = np.argsort(-Q, axis=1, kind="stable")[:, :k]
-    keep = top != tokens[:, None]
-    counts = keep.sum(axis=1)
-    owner = np.nonzero(keep)[0]
-    ranked = top[keep]
-    member = np.zeros(Q.shape, dtype=bool)
-    member[owner, ranked] = True
-    return owner, ranked, counts, member, Q[owner, ranked], counts == 0
+    n, v = Q.shape
+    base = np.arange(0, n * v, v)
+    top = np.argsort(-Q, axis=1, kind="stable")[:, :k] + base[:, None]
+    keep = top != (base + tokens)[:, None]
+    full = keep.all(axis=1)
+    member = np.zeros(n * v, dtype=bool)
+    member[top[keep]] = True
+    m = top.shape[1]
+    full_rows, short_rows = np.flatnonzero(full), np.flatnonzero(~full)
+    z_ref = np.ones(n)
+    groups = []
+    for rows, ranked, width in ((full_rows, top[full], m),
+                                (short_rows, top[keep & ~full[:, None]], m - 1)):
+        ranked = ranked.reshape(rows.size, width)
+        if width:
+            z_ref[rows] = Q.take(ranked).sum(axis=-1)
+        idx = np.concatenate((ranked, np.sort(ranked, axis=1)), axis=1)
+        groups.append(idx.reshape(rows.size, 2, width))
+    order = np.empty(n, dtype=np.intp)
+    order[np.concatenate((full_rows, short_rows))] = np.arange(n)
+    # Only a Top-1 anchor can be empty, when the token is the Top-1.
+    return member.reshape(n, v), z_ref, ~full & (m == 1), tuple(groups), order
 
 
 def token_gradients(
     P: np.ndarray,
-    O: np.ndarray,
-    Q: np.ndarray,
-    tokens: np.ndarray,
+    o_t: np.ndarray,
+    Q: np.ndarray | None,
+    flat: np.ndarray,
     adv: np.ndarray,
     cfg: MethodConfig,
     anchors: tuple | None = None,
@@ -291,18 +323,21 @@ def token_gradients(
     """Ascent gradients of N tokens at once: row i is
     ``method_token_update(P[i], O[i], Q[i], tokens[i], adv[i], cfg)``.
 
-    ``P``, ``O`` and ``Q`` are the ``(N, V)`` policy, old and reference rows
-    at each token's context. For apo, ``anchors`` is
-    ``anchor_reference(Q, tokens, cfg.anchor_k)``, built here when not
-    given. Returns ``(N, V)`` gradients and ``(N,)`` boolean clipped and
-    degenerate-anchor flags, all bitwise equal to the scalar kernel's.
+    ``P`` is the ``(N, V)`` policy rows at each token's context. The rest
+    depends only on the step's batch: ``flat`` is each token's flat index
+    ``i * V + tokens[i]`` into the rows, ``o_t`` the old probability of
+    each token, ``O.take(flat)``, ``Q`` the reference rows, read only by
+    ``grpo_kl`` and ``grpo_kl_error_only`` (None will do for the others),
+    and for apo ``anchors`` is ``anchor_reference(Q, tokens,
+    cfg.anchor_k)``. Returns ``(N, V)`` gradients and ``(N,)`` boolean
+    clipped and degenerate-anchor flags, all bitwise equal to the scalar
+    kernel's.
     """
-    rows = np.arange(tokens.size)
-    p_t, o_t = P[rows, tokens], O[rows, tokens]
+    p_t = P.take(flat)
     a = adv[:, None]
     dz = -P  # grad_log_prob
-    dz[rows, tokens] += 1.0
-    none = np.zeros(tokens.size, dtype=bool)
+    dz.reshape(-1)[flat] += 1.0
+    none = np.zeros(flat.size, dtype=bool)
     if cfg.method == "nsr":
         return np.where(a >= 0.0, 0.0, a * dz), none, none
     push = dz  # _push_gradient, in place
@@ -320,15 +355,9 @@ def token_gradients(
         return np.where(a < 0.0, with_kl, grads), clipped, none
 
     # apo: the rectified ratio on negative advantages, gated by the window.
-    if anchors is None:
-        anchors = anchor_reference(Q, tokens, cfg.anchor_k)
-    owner, ranked, counts, member, z_terms, empty = anchors
-    # Z_ref is summed with the policy's sums, in one call. P[member] is in
-    # ascending token order, as grad_support_mass sums it.
-    z_ref, mass, p_safe = segment_sums(
-        np.stack((z_terms, P[owner, ranked], P[member])), counts
-    )
-    z_ref[empty] = 1.0
+    member, z_ref, empty, groups, order = anchors
+    sums = np.concatenate([P.take(idx).sum(axis=-1) for idx in groups])
+    mass, p_safe = sums.take(order, axis=0).T
     neg = adv < 0.0
     # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms
     # are +0.0 and leave the push-only update bit for bit.
@@ -336,7 +365,8 @@ def token_gradients(
     eps = cfg.clip_eps
     outside = ~(((1.0 - eps) <= rectified) & (rectified <= (1.0 + eps)))
     rect = (a * cfg.push_coef) * push
-    gsm = np.where(member, P * (1.0 - p_safe[:, None]), -P * p_safe[:, None])
+    # grad_support_mass: P * (1 - P_safe) on members, -P * P_safe elsewhere.
+    gsm = P * np.where(member, (1.0 - p_safe)[:, None], -p_safe[:, None])
     rect = rect - (a * cfg.pull_coef) * (gsm / z_ref[:, None])
     rect = np.where(outside[:, None], 0.0, rect)
     return (

@@ -7,17 +7,21 @@ rollouts from the tree root with one ``rollout`` call, which returns
 change while they are drawn. Group g is rows g*n..(g+1)*n-1, the rows G
 separate calls would draw. Group-relative advantages come from one call on
 the ``(G, n)`` rewards. Groups whose advantages are all zero are dropped,
-and the kept tokens form a :class:`TokenBatch`. Its old rows are the kept
-groups' rollout rows, not a second softmax. It takes the reference rows at
-each token's context once, and for apo the reference half of every
-token's anchor (Top-K order, members, Z_ref terms) once, so the passes
-read them instead of rebuilding them; no table is copied. Then the step
-performs ``inner_epochs`` passes in which every sampled token contributes
-one surrogate gradient. The first pass reads the old rows as the live
-policy's, since the policy has not changed since the rollout; only later
-passes take the policy's softmax. Gradients are averaged over all tokens
-in the batch (token-mean) and applied as a plain SGD ascent step on the
-logits. Each pass is dense: one
+and the kept tokens form a :class:`TokenBatch`, the step's plan: it holds
+everything the passes need that depends only on the batch, so a pass only
+gathers the live rows and combines them. Its old rows are the kept
+groups' rollout rows, not a second softmax; with them come each token's
+flat index into the ``(N, V)`` rows and its old probability. The
+reference rows at each token's context are taken once, and only for the
+methods that read them (the KL methods and apo). For apo the reference
+half of every token's anchor is built once, as fixed-width gather tables
+(:func:`~anchorlab.objectives.anchor_reference`); no table is copied.
+Then the step performs ``inner_epochs`` passes in which every sampled
+token contributes one surrogate gradient. The first pass reads the old
+rows as the live policy's, since the policy has not changed since the
+rollout; only later passes take the policy's softmax. Gradients are
+averaged over all tokens in the batch (token-mean) and applied as a plain
+SGD ascent step on the logits. Each pass is dense: one
 :func:`~anchorlab.objectives.token_gradients` call over the ``(N, V)`` rows
 of the batch, summed per context with ``np.add.at``; the scalar
 ``method_token_update`` is the oracle it is tested against, not called here.
@@ -43,7 +47,13 @@ import numpy as np
 
 from .env import EnvConfig, ReasoningTree, generate_tree, rollout
 from .metrics import MetricRecord, atomic_open, evaluate
-from .objectives import MethodConfig, anchor_reference, group_advantages, token_gradients
+from .objectives import (
+    REFERENCE_METHODS,
+    MethodConfig,
+    anchor_reference,
+    group_advantages,
+    token_gradients,
+)
 from .policy import LogitTable, check_int
 
 
@@ -93,13 +103,17 @@ class TokenBatch:
     """Every token of the kept groups, flattened in group, rollout and step
     order: its context, token and advantage, and ``old``, the ``(N, V)``
     sampling-policy rows the rollout drew each token from. On construction
-    it records the sorted distinct contexts ``ctxs``, each token's position
-    ``at`` in them, the reference rows at each token's context, ``ref``,
-    and for apo the reference half of every token's anchor, ``anchors``
-    (:func:`~anchorlab.objectives.anchor_reference`; None for the other
-    methods), so the passes of a step build none of them again."""
+    it records everything a pass needs that depends only on the batch: the
+    sorted distinct contexts ``ctxs`` and each token's position ``at`` in
+    them, each token's flat index ``flat`` into the ``(N, V)`` rows and
+    its old probability ``old_tok``, the reference rows ``ref`` at each
+    token's context for the methods that read them (None for grpo and
+    nsr), and for apo the gather tables of every token's anchor,
+    ``anchors`` (:func:`~anchorlab.objectives.anchor_reference`; None for
+    the other methods). So a pass only gathers the live rows and combines
+    them."""
 
-    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "old", "ref", "anchors")
+    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "old", "flat", "old_tok", "ref", "anchors")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
                  ref_policy: LogitTable, mcfg: MethodConfig):
@@ -107,7 +121,10 @@ class TokenBatch:
         # sorted(set()) rather than np.unique, which imports numpy.ma.
         self.ctxs = np.array(sorted(set(ctx.tolist())), dtype=np.intp)
         self.at = np.searchsorted(self.ctxs, ctx)
-        self.ref = ref_policy.dist(self.ctxs)[self.at]
+        self.flat = np.arange(tok.size) * old.shape[1] + tok
+        self.old_tok = old.take(self.flat)
+        self.ref = (ref_policy.dist(self.ctxs)[self.at]
+                    if mcfg.method in REFERENCE_METHODS else None)
         self.anchors = (anchor_reference(self.ref, tok, mcfg.anchor_k)
                         if mcfg.method == "apo" else None)
 
@@ -125,8 +142,8 @@ def apply_token_batch(
     """One pass over the batch: token-mean gradient, single ascent step.
 
     Every token's gradient comes from one :func:`token_gradients` call over
-    the batch, with ``batch.old``, ``batch.ref`` and ``batch.anchors`` as
-    the old rows, reference rows and anchors; they are summed per context
+    the batch, with the batch's flat token ids, old token probabilities,
+    reference rows and anchor tables; the gradients are summed per context
     in batch order and the U touched rows get ``lr / N`` times their sum.
     ``live`` is the policy's rows at the batch's tokens when the caller
     already holds them (``batch.old`` while the policy is still the one
@@ -142,7 +159,7 @@ def apply_token_batch(
     if live is None:
         live = policy.dist(ctxs)[at]
     grads, clipped, degenerate = token_gradients(
-        live, batch.old, batch.ref, batch.tok, batch.adv, mcfg, batch.anchors
+        live, batch.old_tok, batch.ref, batch.flat, batch.adv, mcfg, batch.anchors
     )
     # -0.0 is the additive identity, so each row's first add is an exact copy.
     block = np.full((ctxs.size, policy.vocab_size), -0.0)

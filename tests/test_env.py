@@ -24,6 +24,10 @@ def all_leaves(tree):
     return itertools.product(range(tree.branching), repeat=tree.depth)
 
 
+def bits(a):
+    return np.asarray(a).dtype.kind, np.asarray(a).shape, np.asarray(a).tobytes()
+
+
 def leaf_probability(tree, policy, leaf):
     """Enumeration oracle: exact probability of one root-to-leaf path."""
     prob = 1.0
@@ -113,6 +117,44 @@ class TestGenerateTree:
             # 0.0 + -0.0 is +0.0: no -0.0 may survive into the reference.
             assert np.signbit(noise_terms).any()
             assert "-0.0" not in dump_logit_table(tree.ref_policy)
+
+    @pytest.mark.parametrize("cfg", [
+        EnvConfig(depth=1, branching=5, num_valid_leaves=3, seed=2),
+        EnvConfig(depth=5, branching=2, num_valid_leaves=7, seed=4),
+        EnvConfig(depth=3, branching=3, num_valid_leaves=27, seed=1),  # every leaf valid
+        # The benchmark's deep_sweep tree: 37,449 contexts, 512 valid leaves.
+        EnvConfig(depth=6, branching=8, num_valid_leaves=512, ref_concentration=1.5,
+                  ref_noise=0.75, seed=0),
+    ], ids=["depth-1", "B-2", "all-valid", "deep-sweep"])
+    def test_equals_per_leaf_decoding_loop(self, cfg):
+        # Oracle: the tree as first written, each sorted leaf id decoded into
+        # its tokens with divmod, one leaf at a time.
+        rng = np.random.default_rng(cfg.seed)
+        b, d = cfg.branching, cfg.depth
+        ids = sorted(rng.choice(b**d, size=cfg.num_valid_leaves, replace=False).tolist())
+        leaves = []
+        for index in ids:
+            digits = []
+            for _ in range(d):
+                index, token = divmod(index, b)
+                digits.append(token)
+            leaves.append(tuple(reversed(digits)))
+        c = (b**d - 1) // (b - 1)
+        bonus = np.zeros((c, b), dtype=bool)
+        ctx = np.zeros(len(leaves), dtype=np.int64)
+        for step in range(d):
+            tokens = np.array([leaf[step] for leaf in leaves])
+            bonus[ctx, tokens] = True
+            ctx = ctx * b + tokens + 1
+        z = np.zeros((c, b))
+        z[bonus] += cfg.ref_concentration
+        z += cfg.ref_noise * rng.standard_normal((c, b))
+
+        tree = generate_tree(cfg)
+        assert tree.valid_leaves == frozenset(leaves)
+        assert bits(tree.valid_ids) == bits(np.array(ids, dtype=np.int64))
+        got = np.array([tree.ref_policy.logits(i) for i in range(c)])
+        assert bits(got) == bits(z)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

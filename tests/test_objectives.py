@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorlab.anchor import build_anchor, grad_anchor_ratio, top_k
+from anchorlab.anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio, top_k
 from anchorlab.gradients import (
     finite_diff,
     grad_log_prob,
@@ -15,6 +15,7 @@ from anchorlab.gradients import (
 )
 from anchorlab.objectives import (
     MethodConfig,
+    anchor_reference,
     apo_rectified_ratio,
     apo_token_update,
     group_advantages,
@@ -341,7 +342,10 @@ class TestMethodDispatch:
 class TestTokenGradients:
     """The dense kernel against the scalar oracle, row by row, bit for bit."""
 
-    @pytest.mark.parametrize("v, k", [(2, 1), (3, 1), (3, 5), (8, 4), (12, 10), (40, 20)])
+    # (8, 8) and (40, 16) give anchors of 7 and 15 members, which numpy
+    # would sum in another order with a trailing zero.
+    @pytest.mark.parametrize(
+        "v, k", [(2, 1), (3, 1), (3, 5), (8, 4), (8, 8), (12, 10), (40, 16), (40, 20)])
     @pytest.mark.parametrize("method", ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"])
     def test_rows_equal_scalar_kernel_bitwise(self, method, v, k):
         rng = np.random.default_rng(100 * v + k)
@@ -360,7 +364,9 @@ class TestTokenGradients:
         cfg = MethodConfig(method=method, anchor_k=k)
         assert np.any(P == 0.0)
 
-        grads, clipped, degenerate = token_gradients(P, O, Q, tokens, adv, cfg)
+        flat = np.arange(n) * v + tokens
+        anchors = anchor_reference(Q, tokens, k) if method == "apo" else None
+        grads, clipped, degenerate = token_gradients(P, O.take(flat), Q, flat, adv, cfg, anchors)
         assert grads.shape == (n, v) and clipped.shape == degenerate.shape == (n,)
         for i in range(n):
             update = method_token_update(P[i], O[i], Q[i], int(tokens[i]), float(adv[i]), cfg)
@@ -369,6 +375,59 @@ class TestTokenGradients:
         if method != "nsr":
             assert clipped.any() and not clipped.all()
         assert degenerate.any() == (method == "apo" and k == 1)
+
+
+class TestAnchorReference:
+    """The per-step anchor tables against the scalar build_anchor, row by
+    row: the member set, Z_ref and the empty flag, and the anchor mass and
+    P_safe that a pass sums from the gather tables."""
+
+    @pytest.mark.parametrize("tokens_at", ["mixed", "inside", "outside"])
+    @pytest.mark.parametrize("v", [2, 3, 8, 12, 40])
+    def test_rows_equal_build_anchor(self, v, tokens_at):
+        rng = np.random.default_rng(7 * v + len(tokens_at))
+        n = 120
+        # Logits rounded to 0.5 make exact probability ties in the Top-K of
+        # every other row.
+        zq = rng.normal(0, 1.5, size=(n, v))
+        zq[::2] = np.round(zq[::2] * 2) / 2
+        Q = softmax(zq)
+        z = rng.normal(0, 2.0, size=(n, v))
+        z[rng.random((n, v)) < 0.1] -= 800.0  # underflowed entries
+        P = softmax(z)
+        for k in sorted({1, 2, 7, 8, 9, 16, 17, v, v + 3}):
+            m = min(k, v)
+            if tokens_at == "outside" and m == v:
+                continue  # every token is in a Top-K of the whole vocabulary
+            ranked = np.argsort(-Q, axis=1, kind="stable")
+            low, high = {"mixed": (0, v), "inside": (0, m), "outside": (m, v)}[tokens_at]
+            pick = rng.integers(low, high, size=n)
+            tokens = ranked[np.arange(n), pick]
+            member, z_ref, empty, groups, order = anchor_reference(Q, tokens, k)
+
+            # Each row is one row of a group, whose width is its member count.
+            assert sorted(order.tolist()) == list(range(n))
+            widths = np.concatenate([np.full(len(idx), idx.shape[2]) for idx in groups])[order]
+            mass, p_safe = np.concatenate([P.take(idx).sum(axis=-1) for idx in groups])[order].T
+            assert [idx.shape[2] for idx in groups] == [m, m - 1]
+            assert np.all(widths == np.where(pick < m, m - 1, m))
+
+            for i in range(n):
+                tok = int(tokens[i])
+                try:
+                    anchor = build_anchor(Q[i], P[i], tok, k)
+                except DegenerateAnchorError:
+                    assert empty[i] and not member[i].any()
+                    assert z_ref[i] == 1.0 and mass[i] == p_safe[i] == 0.0
+                    continue
+                assert not empty[i]
+                assert set(np.flatnonzero(member[i]).tolist()) == set(anchor.anchor_set)
+                assert z_ref[i].tobytes() == np.float64(anchor.z_ref_mass).tobytes()
+                assert (mass[i] / z_ref[i]).tobytes() == np.float64(anchor.anchor_ratio).tobytes()
+                # grad_support_mass sums P_safe in ascending token order.
+                want = P[i][np.array(sorted(anchor.anchor_set))].sum()
+                assert p_safe[i].tobytes() == want.tobytes()
+            assert empty.any() == (k == 1 and tokens_at != "outside")
 
 
 class TestPaperProperties:

@@ -114,33 +114,53 @@ class TestTrainStep:
         ctx, tok, adv = concat_kept(separate_groups(
             tree, pi_old, cfg.method_config, cfg.groups_per_step, rng))
         batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, cfg.method_config)
-        assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
+        if method == "apo":
+            assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
+        else:
+            assert batch.ref is None  # grpo never reads the reference
         clipped = sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[0]
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(policy) == dump_logit_table(expected)
         assert stats.frac_clipped == clipped / (len(batch) * cfg.inner_epochs) > 0
 
-    @pytest.mark.parametrize("method, builds", [("grpo", 0), ("apo", 1)])
+    @pytest.mark.parametrize("method, builds", [
+        ("grpo", 0), ("apo", 1), ("nsr", 0), ("grpo_kl", 0), ("grpo_kl_error_only", 0)])
     def test_anchor_reference_built_once_per_step(self, monkeypatch, method, builds):
         # An anchor's reference half reads only the reference rows and the
         # tokens, which are fixed for the step: apo builds it once for all
         # three passes, the other methods never. Both names are spied, so a
-        # build inside token_gradients counts too.
+        # build inside token_gradients counts too. apo's passes sum their
+        # anchors from its gather tables, never with segment_sums, and the
+        # reference softmax is taken once per step, only by the methods
+        # that read it.
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg(method, inner_epochs=3,
                         method_config=MethodConfig(method=method, learning_rate=5.0))
-        calls = []
+        calls = {"anchor_reference": [], "segment_sums": [], "ref_dist": []}
+
+        def spy(owner, name, key):
+            def counted(*args, call=getattr(owner, name)):
+                calls[key].append(args)
+                return call(*args)
+            monkeypatch.setattr(owner, name, counted)
+
         for module in (trainer, objectives):
-            def counted(*args, build=module.anchor_reference):
-                calls.append(args)
-                return build(*args)
-            monkeypatch.setattr(module, "anchor_reference", counted)
+            spy(module, "anchor_reference", "anchor_reference")
+        spy(objectives, "segment_sums", "segment_sums")
         policy = initial_policy(tree)
+        spy(tree.ref_policy, "dist", "ref_dist")
         rng = np.random.default_rng(11)
+        reads_reference = method not in ("grpo", "nsr")
+        sums = 0
         for step in range(1, 5):
-            calls.clear()
+            for key in calls:
+                calls[key].clear()
             train_step(policy, tree, cfg, rng, step)
-            assert len(calls) == builds
+            assert len(calls["anchor_reference"]) == builds
+            assert len(calls["ref_dist"]) == int(reads_reference)
+            sums += len(calls["segment_sums"])
+        # The spy does see the KL methods' sums, so the zeros are not vacuous.
+        assert (sums > 0) == (method in ("grpo_kl", "grpo_kl_error_only"))
         assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
 
     def test_all_valid_leaves_means_bitwise_no_op(self):
@@ -269,7 +289,8 @@ def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
     bit for bit, sign of zero included (a last-bit difference in a gradient
     can round away in the logits it is added to)."""
     P, O, Q = (t.dist(batch.ctx) for t in (policy, pi_old, tree.ref_policy))
-    grads, clipped, degenerate = token_gradients(P, O, Q, batch.tok, batch.adv, mcfg)
+    grads, clipped, degenerate = token_gradients(
+        P, batch.old_tok, batch.ref, batch.flat, batch.adv, mcfg, batch.anchors)
     for i, (token, adv) in enumerate(zip(batch.tok.tolist(), batch.adv.tolist())):
         update = method_token_update(P[i], O[i], Q[i], token, adv, mcfg)
         assert grads[i].tobytes() == update.gradient.tobytes()
@@ -430,9 +451,12 @@ class TestOneRolloutPerStep:
             batches = seen["apply_token_batch"]
             assert len(batches) == epochs and all(b is batches[0] for b in batches)
             batch = batches[0]
-            for got, want in zip((batch.ctx, batch.tok, batch.adv, batch.old, batch.ref),
-                                 old_batch):
+            for got, want in zip((batch.ctx, batch.tok, batch.adv, batch.old), old_batch):
                 assert bits(got) == bits(want)
+            if method in ("grpo", "nsr"):
+                assert batch.ref is None  # neither method reads the reference
+            else:
+                assert bits(batch.ref) == bits(old_batch[4])
             assert dump_logit_table(policy) == dump_logit_table(expected)
             assert untimed(stats) == untimed(old_stats)
             assert rng.bit_generator.state == rng_old.bit_generator.state
