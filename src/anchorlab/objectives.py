@@ -365,10 +365,15 @@ def token_gradients(
     eps = cfg.clip_eps
     outside = ~(((1.0 - eps) <= rectified) & (rectified <= (1.0 + eps)))
     rect = (a * cfg.push_coef) * push
-    # grad_support_mass: P * (1 - P_safe) on members, -P * P_safe elsewhere.
-    gsm = P * np.where(member, (1.0 - p_safe)[:, None], -p_safe[:, None])
-    rect = rect - (a * cfg.pull_coef) * (gsm / z_ref[:, None])
-    rect = np.where(outside[:, None], 0.0, rect)
+    # grad_support_mass (P * (1 - P_safe) on members, -P * P_safe elsewhere)
+    # over Z_ref, times the pull weight; products commute bit for bit, so
+    # each is taken in place.
+    pull = np.where(member, (1.0 - p_safe)[:, None], -p_safe[:, None])
+    pull *= P
+    pull /= z_ref[:, None]
+    pull *= a * cfg.pull_coef
+    rect -= pull
+    rect[outside] = 0.0
     return (
         np.where(neg[:, None], rect, grads),
         np.where(neg, outside, clipped),
