@@ -28,7 +28,7 @@ import numpy as np
 
 from . import trainer
 from .anchor import build_anchor, grad_anchor_ratio
-from .env import EnvConfig, ReasoningTree, generate_tree, oracle_coverage
+from .env import EnvConfig, ReasoningTree, oracle_coverage
 from .gradients import (
     finite_diff,
     grad_log_prob,
@@ -223,9 +223,12 @@ def _cell_env(spec: ExperimentSpec, seed: int) -> EnvConfig:
     return replace(spec.env, seed=seed) if spec.env_seed_follows_cell else spec.env
 
 
-def _seed_tree(spec: ExperimentSpec, seed: int) -> ReasoningTree:
+def _tree(env: EnvConfig) -> ReasoningTree:
     # Looked up on trainer: perfbench's env.generate_tree span wraps that attribute.
-    return trainer.generate_tree(_cell_env(spec, seed))
+    try:
+        return trainer.generate_tree(env)
+    except ValueError as exc:  # reference logits beyond the float64 range
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_cell(spec: ExperimentSpec, method: MethodConfig, seed: int, tree: ReasoningTree,
@@ -328,7 +331,7 @@ def cmd_train(args) -> int:
         for i, seed in enumerate(spec.seeds):
             if i == 0 or spec.env_seed_follows_cell:
                 tree = None  # free the last seed's tree before building the next
-                tree = _seed_tree(spec, seed)
+                tree = _tree(_cell_env(spec, seed))
             for m in spec.methods:
                 _run_cell(spec, m, seed, tree, out_root, timestamp)
     finally:
@@ -360,7 +363,7 @@ def cmd_coverage(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     ks = _parse_ints(args.k_values, "--k-values")
-    tree = generate_tree(env)
+    tree = _tree(env)
     try:
         table = oracle_coverage(tree, tree.ref_policy, ks)
     except ValueError as exc:

@@ -87,7 +87,10 @@ class ReasoningTree:
 
 def generate_tree(cfg: EnvConfig) -> ReasoningTree:
     """Build a seeded tree: uniform choice of valid leaves, then reference
-    logits = concentration * [child reaches a valid leaf] + noise * N(0, 1)."""
+    logits = concentration * [child reaches a valid leaf] + noise * N(0, 1).
+
+    Raises ValueError, naming both coefficients, when a logit or the
+    spread between two logits is beyond the float64 range."""
     rng = np.random.default_rng(cfg.seed)
     b, d = cfg.branching, cfg.depth
     leaf_ids = np.sort(rng.choice(b**d, size=cfg.num_valid_leaves, replace=False))
@@ -108,9 +111,18 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
     # Scaled in place and freed before LogitTable copies z, so at most two
     # (C, B) float arrays are live here, not three; the values are the same.
     noise = rng.standard_normal((c, b))
-    noise *= cfg.ref_noise
-    z += noise
-    del noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise *= cfg.ref_noise
+        z += noise
+        del noise
+        # Finite logits whose spread overflows would overflow the max
+        # subtraction of a softmax.
+        spread = np.maximum.reduce(z, axis=None) - np.minimum.reduce(z, axis=None)
+    if not np.isfinite(spread):
+        raise ValueError(
+            f"ref_concentration {cfg.ref_concentration!r} and ref_noise {cfg.ref_noise!r} "
+            "give reference logits beyond the float64 range"
+        )
     return ReasoningTree(d, b, valid, LogitTable(z))
 
 
@@ -136,12 +148,12 @@ def rollout(
     ``policy.dist(contexts)``, so callers that need the policy at the
     visited contexts read it here instead of taking the softmax again.
     """
-    d, v = tree.depth, policy.vocab_size
+    d, b, v = tree.depth, tree.branching, policy.vocab_size
     u = rng.random((n, d))
     tokens = np.empty((n, d), dtype=np.int64)
     contexts = np.empty((n, d), dtype=np.int64)
     rows = np.empty((n, d, v))
-    ctx = np.full(n, tree.ROOT, dtype=np.int64)
+    ctx = np.zeros(n, dtype=np.int64)  # the root
     for step in range(d):
         dist = policy.dist(ctx)
         rows[:, step] = dist
@@ -149,14 +161,14 @@ def rollout(
         # sample_token. A cumsum of non-negative terms never decreases, so
         # counting over its first V - 1 entries is that clamp: the count
         # over all V is at most one more, and only when every entry counts.
-        tok = (np.cumsum(dist[:, :-1], axis=1) <= u[:, step, None]).sum(axis=1)
+        tok = np.add.reduce(dist[:, :-1].cumsum(axis=1) <= u[:, step, None], axis=1)
         contexts[:, step] = ctx
         tokens[:, step] = tok
-        ctx = tree.child_context(ctx, tok)
+        ctx = ctx * b + tok + 1  # tree.child_context, inline
     leaf = ctx - tree.num_contexts()
     ids = tree.valid_ids
     # Ids are distinct: the count of leaf in ids is 0 or 1.
-    rewards = np.searchsorted(ids, leaf, side="right") - np.searchsorted(ids, leaf)
+    rewards = ids.searchsorted(leaf, side="right") - ids.searchsorted(leaf)
     return tokens, contexts, rewards, rows
 
 

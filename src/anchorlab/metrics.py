@@ -55,6 +55,12 @@ class MetricRecord:
     eval_k: int
 
 
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` of a nonempty 1-D array, bit for bit: numpy's
+    pairwise sum in float64 over the count."""
+    return float(np.add.reduce(x, dtype=np.float64) / x.size)
+
+
 def entropy_and_maxprob(dists: np.ndarray) -> tuple[float, float]:
     """Mean entropy (nats) and mean max-probability over all visited steps,
     given as the ``(..., V)`` policy rows at the visited contexts, one per
@@ -68,8 +74,8 @@ def entropy_and_maxprob(dists: np.ndarray) -> tuple[float, float]:
     # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
     pos = dists > 0.0
     nz = dists[pos]
-    ents = -segment_sums(nz * np.log(nz), pos.sum(axis=1))
-    return float(np.mean(ents)), float(np.mean(dists.max(axis=1)))
+    ents = -segment_sums(nz * np.log(nz), np.add.reduce(pos, axis=1))
+    return _mean(ents), _mean(np.maximum.reduce(dists, axis=1))
 
 
 def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -134,7 +140,7 @@ def _clipped_counts(tokens: np.ndarray, lengths: np.ndarray, n_max: int) -> np.n
     holders = np.add.reduceat(top, gram_starts, dtype=np.intp).repeat(runs)
     below = np.maximum.reduceat(np.where(top, 0, counts), gram_starts).repeat(runs)
     best = np.where(top & (holders == 1), below, largest)
-    cell = run_sample * n_max + np.searchsorted(bounds, run_gram, side="right")
+    cell = run_sample * n_max + np.array(bounds).searchsorted(run_gram, side="right")
     clipped = np.bincount(cell, np.minimum(counts, best), minlength=k * n_max)
     # Exact: the sums are integers far below 2**53.
     return clipped.astype(np.int64).reshape(k, n_max)
@@ -184,7 +190,7 @@ def self_bleu(samples, n_max: int = 4) -> float:
         ref_lens[h] = min((abs(r - h), r) for r, m in others.items() if m)[1]
         others[h] += 1
     scores = [_bleu(h, row[: min(n_max, h)], ref_lens[h]) for h, row in zip(hyp_lengths, rows)]
-    return float(np.mean(scores))
+    return _mean(np.array(scores, dtype=np.float64))
 
 
 def diversity_score(samples) -> float:
@@ -201,8 +207,9 @@ def support_mass(P: np.ndarray, Q: np.ndarray, k: int) -> float:
         raise ValueError("no contexts given")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    members = np.argsort(-Q, axis=1, kind="stable")[:, :k]
-    return float(np.mean(np.take_along_axis(P, members, axis=1).sum(axis=1)))
+    members = (-Q).argsort(axis=1, kind="stable")[:, :k]
+    members += np.arange(0, P.size, P.shape[1])[:, None]  # flat ids into P's rows
+    return _mean(np.add.reduce(P.take(members), axis=1))
 
 
 def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> float:
@@ -212,10 +219,10 @@ def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> float:
     if not len(P):
         raise ValueError("no contexts given")
     pos = P > 0.0
-    if np.any((Q <= 0.0) & pos):
+    if np.logical_or.reduce((Q <= 0.0) & pos, axis=None):
         raise ValueError("reference assigns zero mass where the policy is positive")
     p = P[pos]
-    return float(np.mean(segment_sums(p * np.log(p / Q[pos]), pos.sum(axis=1))))
+    return _mean(segment_sums(p * np.log(p / Q[pos]), np.add.reduce(pos, axis=1)))
 
 
 def evaluate(
@@ -245,8 +252,8 @@ def evaluate(
     return MetricRecord(
         step=step,
         # float(): repr of a numpy scalar would change the CSV under numpy 2.
-        pass_at_1=float(np.mean(rewards)),
-        pass_at_k=float(rewards.max() > 0),
+        pass_at_1=_mean(rewards),
+        pass_at_k=float(np.logical_or.reduce(rewards > 0)),
         mean_entropy=mean_ent,
         mean_max_prob=mean_maxp,
         diversity_score=diversity_score(tokens),

@@ -91,8 +91,8 @@ def group_advantages(rewards, adv_eps: float = 1e-6) -> np.ndarray:
         raise ValueError(f"group must contain at least 2 rewards, got shape {r.shape}")
     # r.std() and r.mean() in numpy's own arithmetic, with the mean taken once.
     n = r.shape[-1]
-    dev = r - r.sum(axis=-1, keepdims=True) / n
-    std = np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / n)
+    dev = r - np.add.reduce(r, axis=-1, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n)
     return np.where(std == 0.0, 0.0, dev / (std + adv_eps))
 
 
@@ -262,7 +262,7 @@ def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """:func:`kl_penalty` gradient per row."""
     pos = P > 0.0
     log_ratio = np.log(np.where(pos, P / Q, 1.0))
-    kl = segment_sums((P * log_ratio)[pos], pos.sum(axis=1))
+    kl = segment_sums((P * log_ratio)[pos], np.add.reduce(pos, axis=1))
     return P * (log_ratio - kl[:, None])
 
 
@@ -289,21 +289,22 @@ def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: int):
     """
     n, v = Q.shape
     base = np.arange(0, n * v, v)
-    top = np.argsort(-Q, axis=1, kind="stable")[:, :k] + base[:, None]
+    top = (-Q).argsort(axis=1, kind="stable")[:, :k] + base[:, None]
     keep = top != (base + tokens)[:, None]
-    full = keep.all(axis=1)
+    full = np.logical_and.reduce(keep, axis=1)
     member = np.zeros(n * v, dtype=bool)
     member[top[keep]] = True
     m = top.shape[1]
-    full_rows, short_rows = np.flatnonzero(full), np.flatnonzero(~full)
+    full_rows, short_rows = full.nonzero()[0], (~full).nonzero()[0]
     z_ref = np.ones(n)
     groups = []
     for rows, ranked, width in ((full_rows, top[full], m),
                                 (short_rows, top[keep & ~full[:, None]], m - 1)):
         ranked = ranked.reshape(rows.size, width)
         if width:
-            z_ref[rows] = Q.take(ranked).sum(axis=-1)
-        idx = np.concatenate((ranked, np.sort(ranked, axis=1)), axis=1)
+            z_ref[rows] = np.add.reduce(Q.take(ranked), axis=-1)
+        idx = np.concatenate((ranked, ranked), axis=1)
+        idx[:, width:].sort(axis=1)
         groups.append(idx.reshape(rows.size, 2, width))
     order = np.empty(n, dtype=np.intp)
     order[np.concatenate((full_rows, short_rows))] = np.arange(n)
@@ -356,7 +357,7 @@ def token_gradients(
 
     # apo: the rectified ratio on negative advantages, gated by the window.
     member, z_ref, empty, groups, order = anchors
-    sums = np.concatenate([P.take(idx).sum(axis=-1) for idx in groups])
+    sums = np.concatenate([np.add.reduce(P.take(idx), axis=-1) for idx in groups])
     mass, p_safe = sums.take(order, axis=0).T
     neg = adv < 0.0
     # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms

@@ -48,9 +48,13 @@ def softmax(logits: Iterable[float] | np.ndarray) -> np.ndarray:
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """The arithmetic of :func:`softmax`, without its checks, for float64
-    logits already known finite (a :class:`LogitTable`'s rows)."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    logits already known finite (a :class:`LogitTable`'s rows). The
+    subtraction makes the one new array and the rest runs in place on it,
+    never on ``z``, which belongs to the caller."""
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -65,15 +69,16 @@ def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     axes of ``flat`` are kept, so sums that share ``counts`` take one call.
     """
     lead = flat.shape[:-1]
-    if counts.size and (counts == counts[0]).all():
-        return flat.reshape(*lead, counts.size, counts[0]).sum(axis=-1)
-    starts = np.cumsum(counts) - counts
+    if counts.size and np.logical_and.reduce(counts == counts[0]):
+        return np.add.reduce(flat.reshape(*lead, counts.size, counts[0]), axis=-1)
+    starts = counts.cumsum() - counts
     out = np.empty((*lead, counts.size))
     for m in set(counts.tolist()):
-        rows = np.flatnonzero(counts == m)
+        rows = (counts == m).nonzero()[0]
         # take() lays the block out C-contiguous; flat[..., idx] with a
         # leading axis would not, and numpy would sum it in another order.
-        out[..., rows] = np.take(flat, starts[rows, None] + np.arange(m), axis=-1).sum(axis=-1)
+        out[..., rows] = np.add.reduce(flat.take(starts[rows, None] + np.arange(m), axis=-1),
+                                       axis=-1)
     return out
 
 
@@ -160,13 +165,13 @@ class LogitTable:
         """Add ``delta`` to the logits at ``ctx``, or an ``(n, V)`` block to
         the rows of a vector of distinct ids; nothing changes unless every
         updated logit is finite."""
-        rows = self._z[ctx]
+        updated = self._z.take(ctx, axis=0)  # a copy, even for one id
         d = np.asarray(delta, dtype=np.float64)
-        if d.shape != rows.shape:
-            raise ValueError(f"logit delta must have shape {rows.shape}, got {d.shape}")
-        updated = rows + d
+        if d.shape != updated.shape:
+            raise ValueError(f"logit delta must have shape {updated.shape}, got {d.shape}")
+        updated += d
         finite = np.isfinite(updated)
-        if not np.all(finite):
+        if not np.logical_and.reduce(finite, axis=None):
             bad = ctx if finite.ndim == 1 else np.asarray(ctx)[~finite.all(axis=1)][0]
             raise ValueError(f"logit update at context {bad} produced non-finite values")
         self._z[ctx] = updated
@@ -179,7 +184,7 @@ class LogitTable:
     def dist(self, ctx: ContextId | np.ndarray) -> np.ndarray:
         """Distribution at ``ctx``, or an ``(n, V)`` stack for a vector of ids;
         the rows are finite by construction, so they are not re-checked."""
-        return _softmax_rows(self._z[ctx])
+        return _softmax_rows(self._z.take(ctx, axis=0))
 
     def copy(self) -> "LogitTable":
         out = object.__new__(LogitTable)  # the source array is already checked

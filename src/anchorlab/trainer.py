@@ -23,8 +23,12 @@ rollout; only later passes take the policy's softmax. Gradients are
 averaged over all tokens in the batch (token-mean) and applied as a plain
 SGD ascent step on the logits. Each pass is dense: one
 :func:`~anchorlab.objectives.token_gradients` call over the ``(N, V)`` rows
-of the batch, summed per context with ``np.add.at``; the scalar
-``method_token_update`` is the oracle it is tested against, not called here.
+of the batch, summed per context with one ``np.bincount`` over the batch's
+flat cell ids; the scalar ``method_token_update`` is the oracle it is
+tested against, not called here. Every numpy call on this path goes
+straight to C (a ufunc, its ``reduce``, or an array method), not through
+numpy's Python wrappers such as ``np.mean`` or ``ndarray.sum``: at a few
+hundred values per array the call, not the arithmetic, is the cost.
 
 The anchor's reference half is built per step, over the batch's rows, and
 not once per tree: ranking every row of a large tree's reference costs
@@ -87,7 +91,10 @@ class StepStats:
     ``rollout_ms`` its rollout, and ``update_ms`` the rest up to the end of
     the last pass (advantages, the batch and its passes), so the two sum
     to at most ``wallclock_ms``. ``eval_ms`` times the evaluation after
-    the step, 0.0 on steps without one."""
+    the step, 0.0 on steps without one. ``frac_clipped_pos`` and
+    ``frac_clipped_neg`` split ``frac_clipped`` by the sign of the
+    advantage: the clipped share of the positive-advantage (negative-
+    advantage) token updates, 0.0 when the step has none."""
 
     step: int
     mean_reward: float
@@ -97,6 +104,8 @@ class StepStats:
     rollout_ms: float
     update_ms: float
     eval_ms: float = 0.0
+    frac_clipped_pos: float = 0.0
+    frac_clipped_neg: float = 0.0
 
 
 class TokenBatch:
@@ -105,25 +114,29 @@ class TokenBatch:
     sampling-policy rows the rollout drew each token from. On construction
     it records everything a pass needs that depends only on the batch: the
     sorted distinct contexts ``ctxs`` and each token's position ``at`` in
-    them, each token's flat index ``flat`` into the ``(N, V)`` rows and
-    its old probability ``old_tok``, the reference rows ``ref`` at each
-    token's context for the methods that read them (None for grpo and
-    nsr), and for apo the gather tables of every token's anchor,
-    ``anchors`` (:func:`~anchorlab.objectives.anchor_reference`; None for
-    the other methods). So a pass only gathers the live rows and combines
-    them."""
+    them, the flat ids ``cell`` of each token's V cells in the ``(U, V)``
+    block of per-context sums, each token's flat index ``flat`` into the
+    ``(N, V)`` rows and its old probability ``old_tok``, the reference
+    rows ``ref`` at each token's context for the methods that read them
+    (None for grpo and nsr), and for apo the gather tables of every
+    token's anchor, ``anchors``
+    (:func:`~anchorlab.objectives.anchor_reference`; None for the other
+    methods). So a pass only gathers the live rows and combines them."""
 
-    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "old", "flat", "old_tok", "ref", "anchors")
+    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "cell", "old", "flat", "old_tok", "ref",
+                 "anchors")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
                  ref_policy: LogitTable, mcfg: MethodConfig):
         self.ctx, self.tok, self.adv, self.old = ctx, tok, adv, old
         # sorted(set()) rather than np.unique, which imports numpy.ma.
         self.ctxs = np.array(sorted(set(ctx.tolist())), dtype=np.intp)
-        self.at = np.searchsorted(self.ctxs, ctx)
-        self.flat = np.arange(tok.size) * old.shape[1] + tok
+        self.at = self.ctxs.searchsorted(ctx)
+        v = old.shape[1]
+        self.cell = (self.at[:, None] * v + np.arange(v)).ravel()
+        self.flat = np.arange(tok.size) * v + tok
         self.old_tok = old.take(self.flat)
-        self.ref = (ref_policy.dist(self.ctxs)[self.at]
+        self.ref = (ref_policy.dist(self.ctxs).take(self.at, axis=0)
                     if mcfg.method in REFERENCE_METHODS else None)
         self.anchors = (anchor_reference(self.ref, tok, mcfg.anchor_k)
                         if mcfg.method == "apo" else None)
@@ -138,34 +151,44 @@ def apply_token_batch(
     mcfg: MethodConfig,
     batch: TokenBatch,
     live: np.ndarray | None = None,
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """One pass over the batch: token-mean gradient, single ascent step.
 
     Every token's gradient comes from one :func:`token_gradients` call over
     the batch, with the batch's flat token ids, old token probabilities,
-    reference rows and anchor tables; the gradients are summed per context
-    in batch order and the U touched rows get ``lr / N`` times their sum.
+    reference rows and anchor tables. One ``np.bincount`` over the batch's
+    cell ids sums the gradients per context, adding each cell's terms in
+    batch order, and the U touched rows get ``lr / N`` times their sum.
+    ``bincount`` starts a sum at +0.0 where ``np.add.at`` into ``-0.0``
+    would start at -0.0; the two differ only in a cell whose every term is
+    -0.0, and then only in the sign of a zero, which changes a logit only
+    if the logit is -0.0 itself (a generated tree holds none, and ``z + d``
+    is -0.0 only when both are).
     ``live`` is the policy's rows at the batch's tokens when the caller
     already holds them (``batch.old`` while the policy is still the one
-    sampled from); otherwise they are computed. Returns (clipped count,
-    degenerate-anchor count). Replicating the batch m times leaves the
-    applied update unchanged (sums scale by m, the mean does not). ``tree``
-    is not read, since the batch holds its reference rows; the argument
-    keeps the batch fourth, where perfbench's traced run counts its tokens.
+    sampled from); otherwise they are computed. Returns the clipped counts
+    of the positive-advantage and of the negative-advantage tokens, and the
+    degenerate-anchor count; a token with a zero advantage is never
+    clipped. Replicating the batch m times leaves the applied update
+    unchanged (sums scale by m, the mean does not). ``tree`` is not read,
+    since the batch holds its reference rows; the argument keeps the batch
+    fourth, where perfbench's traced run counts its tokens.
     """
     if not len(batch):
-        return 0, 0
-    ctxs, at = batch.ctxs, batch.at
+        return 0, 0, 0
+    ctxs = batch.ctxs
+    u, v = ctxs.size, policy.vocab_size
     if live is None:
-        live = policy.dist(ctxs)[at]
+        live = policy.dist(ctxs).take(batch.at, axis=0)
     grads, clipped, degenerate = token_gradients(
         live, batch.old_tok, batch.ref, batch.flat, batch.adv, mcfg, batch.anchors
     )
-    # -0.0 is the additive identity, so each row's first add is an exact copy.
-    block = np.full((ctxs.size, policy.vocab_size), -0.0)
-    np.add.at(block, at, grads)
-    policy.add_to_logits(ctxs, (mcfg.learning_rate / len(batch)) * block)
-    return int(clipped.sum()), int(degenerate.sum())
+    block = np.bincount(batch.cell, grads.ravel(), u * v).reshape(u, v)
+    block *= mcfg.learning_rate / len(batch)
+    policy.add_to_logits(ctxs, block)
+    neg = batch.adv < 0.0
+    return (int(np.add.reduce(clipped & ~neg)), int(np.add.reduce(clipped & neg)),
+            int(np.add.reduce(degenerate)))
 
 
 def train_step(
@@ -183,34 +206,41 @@ def train_step(
     t1 = time.perf_counter()
     adv = group_advantages(rewards.reshape(g, n), mcfg.adv_eps)
     # A zero-variance group has all-zero advantages and no learning signal.
-    kept = np.any(adv != 0.0, axis=1)
+    kept = np.logical_or.reduce(adv != 0.0, axis=1)
+    v = policy.vocab_size
     batch = TokenBatch(
-        contexts.reshape(g, -1)[kept].ravel(),
-        tokens.reshape(g, -1)[kept].ravel(),
-        np.repeat(adv[kept].ravel(), tree.depth),
-        rows.reshape(g, -1, policy.vocab_size)[kept].reshape(-1, policy.vocab_size),
+        contexts.reshape(g, -1).compress(kept, axis=0).ravel(),
+        tokens.reshape(g, -1).compress(kept, axis=0).ravel(),
+        adv.compress(kept, axis=0).ravel().repeat(tree.depth),
+        rows.reshape(g, -1, v).compress(kept, axis=0).reshape(-1, v),
         tree.ref_policy,
         mcfg,
     )
 
-    clipped = 0
-    degenerate = 0
+    clipped_pos = clipped_neg = degenerate = 0
     for epoch in range(cfg.inner_epochs):
         # Until the first pass updates it, the policy is the one sampled from.
-        c, d = apply_token_batch(policy, tree, mcfg, batch, batch.old if epoch == 0 else None)
-        clipped += c
+        pos, neg, d = apply_token_batch(policy, tree, mcfg, batch,
+                                        batch.old if epoch == 0 else None)
+        clipped_pos += pos
+        clipped_neg += neg
         degenerate += d
     t2 = time.perf_counter()
 
-    total_updates = max(1, len(batch) * cfg.inner_epochs)
+    epochs = cfg.inner_epochs
+    pos_updates = int(np.add.reduce(batch.adv > 0.0)) * epochs
+    neg_updates = int(np.add.reduce(batch.adv < 0.0)) * epochs
     return StepStats(
         step=step,
-        mean_reward=float(np.mean(rewards)),
-        frac_clipped=clipped / total_updates,
+        # The integer sum is exact, so this is np.mean's quotient bit for bit.
+        mean_reward=int(np.add.reduce(rewards)) / rewards.size,
+        frac_clipped=(clipped_pos + clipped_neg) / max(1, len(batch) * epochs),
         degenerate_anchors=degenerate,
         wallclock_ms=(time.perf_counter() - t0) * 1000.0,
         rollout_ms=(t1 - t0) * 1000.0,
         update_ms=(t2 - t1) * 1000.0,
+        frac_clipped_pos=clipped_pos / pos_updates if pos_updates else 0.0,
+        frac_clipped_neg=clipped_neg / neg_updates if neg_updates else 0.0,
     )
 
 

@@ -250,44 +250,59 @@ class TestTrainCommand:
         assert first.startswith("# generated ")
 
 
+OVERFLOW = ("ref_concentration 1.0 and ref_noise 1e+308 give reference logits beyond the "
+            "float64 range")
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "argv, env, message",
+        "argv, env, message, spec_env",
         [
-            (["train", "--seeds", "a"], {}, None),
-            (["summarize", "--seeds", "a"], {}, None),
-            (["train"], {"ANCHORLAB_SEED": "x"}, None),
-            (["coverage", "--k-values", "0,9"], {}, None),
-            (["coverage", "--k-values", "x"], {}, None),
-            (["coverage", "--depth", "0"], {}, None),
-            (["train", "--jobs", "0"], {}, "--jobs must be >= 1, got 0"),
-            (["train", "--jobs", "-3"], {}, None),
-            (["train", "--seeds=-2"], {}, "--seeds must be >= 0, got -2"),
-            (["train", "--seeds", "3,-2"], {}, "--seeds must be >= 0, got -2"),
-            (["train"], {"ANCHORLAB_SEED": "-1"}, "ANCHORLAB_SEED must be >= 0, got -1"),
-            (["gradcheck", "--seed", "-1"], {}, None),
-            (["dynamics", "--seed", "-1", "--out", "out"], {}, None),
-            (["coverage", "--seed", "-1"], {}, None),
-            (["gradcheck", "--cases", "0"], {}, "--cases must be >= 1, got 0"),
-            (["gradcheck", "--cases", "-3"], {}, None),
-            (["dynamics", "--steps", "-2", "--out", "out"], {}, "--steps must be >= 0, got -2"),
-            (["coverage", "--depth", "30"], {}, None),
+            (["train", "--seeds", "a"], {}, None, None),
+            (["summarize", "--seeds", "a"], {}, None, None),
+            (["train"], {"ANCHORLAB_SEED": "x"}, None, None),
+            (["coverage", "--k-values", "0,9"], {}, None, None),
+            (["coverage", "--k-values", "x"], {}, None, None),
+            (["coverage", "--depth", "0"], {}, None, None),
+            (["train", "--jobs", "0"], {}, "--jobs must be >= 1, got 0", None),
+            (["train", "--jobs", "-3"], {}, None, None),
+            (["train", "--seeds=-2"], {}, "--seeds must be >= 0, got -2", None),
+            (["train", "--seeds", "3,-2"], {}, "--seeds must be >= 0, got -2", None),
+            (["train"], {"ANCHORLAB_SEED": "-1"}, "ANCHORLAB_SEED must be >= 0, got -1", None),
+            (["gradcheck", "--seed", "-1"], {}, None, None),
+            (["dynamics", "--seed", "-1", "--out", "out"], {}, None, None),
+            (["coverage", "--seed", "-1"], {}, None, None),
+            (["gradcheck", "--cases", "0"], {}, "--cases must be >= 1, got 0", None),
+            (["gradcheck", "--cases", "-3"], {}, None, None),
+            (["dynamics", "--steps", "-2", "--out", "out"], {}, "--steps must be >= 0, got -2",
+             None),
+            (["coverage", "--depth", "30"], {}, None, None),
+            # concentration + noise * N(0, 1) overflows float64: no traceback,
+            # no numpy RuntimeWarning (pyproject.toml makes one an error).
+            (["train"], {}, OVERFLOW, {"ref_noise": 1e308}),
+            (["coverage", "--concentration", "1.0", "--noise", "1e308"], {}, OVERFLOW, None),
         ],
         ids=["train-seeds", "summarize-seeds", "env-seed", "k-values-range", "k-values-text",
              "coverage-depth", "jobs-0", "jobs-negative", "train-seeds-negative",
              "train-seeds-second-negative", "env-seed-negative", "gradcheck-seed-negative",
              "dynamics-seed-negative", "coverage-seed-negative", "gradcheck-cases-0",
              "gradcheck-cases-negative", "dynamics-steps-negative",
-             "coverage-ids-overflow-int64"],
+             "coverage-ids-overflow-int64", "train-reference-overflow",
+             "coverage-reference-overflow"],
     )
     def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, env,
-                                       message):
-        # ``message``, when given, is the whole error line after the prefix.
+                                       message, spec_env):
+        # ``message``, when given, is the whole error line after the prefix;
+        # ``spec_env`` updates the env section of the spec train is given.
         monkeypatch.chdir(tmp_path)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         if argv[0] in ("train", "summarize"):
-            argv = argv + ["--spec", str(write_spec(tmp_path)), "--out", str(tmp_path / "out")]
+            data = dict(SPEC, env={**SPEC["env"], **(spec_env or {})})
+            argv = argv + ["--spec", str(write_spec(tmp_path, data)),
+                           "--out", str(tmp_path / "out")]
+        elif argv[0] == "coverage":
+            argv = argv + ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: config:")

@@ -162,6 +162,22 @@ class TestGenerateTree:
         with pytest.raises(ValueError):
             EnvConfig(depth=0, branching=2, num_valid_leaves=1)
 
+    @pytest.mark.parametrize("seed, logits_finite", [(3, False), (4, True), (21, True)])
+    def test_reference_beyond_float64_range_rejected(self, seed, logits_finite):
+        # noise 1e308: seed 3 draws a logit past float64's largest value;
+        # seeds 4 and 21 draw finite logits whose spread is past it, which
+        # would overflow each softmax's max subtraction. Both raise, naming
+        # the two coefficients, with no RuntimeWarning (an error here).
+        cfg = EnvConfig(depth=1, branching=2, num_valid_leaves=1, ref_concentration=0.0,
+                        ref_noise=1e308, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.choice(2, size=1, replace=False)  # generate_tree's draws: the leaf, then the noise
+        with np.errstate(over="ignore"):
+            z = 1e308 * rng.standard_normal(2)
+        assert np.isfinite(z).all() == logits_finite
+        with pytest.raises(ValueError, match="ref_concentration 0.0 and ref_noise 1e[+]308"):
+            generate_tree(cfg)
+
     @pytest.mark.parametrize(
         "depth, branching", [(62, 2), (20, 8), (1, 2**63 - 2)]
     )

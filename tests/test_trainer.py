@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import anchorlab.objectives as objectives
 import anchorlab.trainer as trainer
 from anchorlab.env import EnvConfig, generate_tree, rollout, verify
 from anchorlab.gradients import grad_log_prob
+from anchorlab.metrics import evaluate
 from anchorlab.objectives import (
     MethodConfig,
     group_advantages,
@@ -97,6 +101,27 @@ class TestTrainStep:
                 policy.logits(ctx), expected.logits(ctx), atol=1e-12
             )
 
+    def test_apo_pull_past_the_window_clips_every_negative_token(self):
+        # First pass from the reference: every push ratio and anchor ratio
+        # is exactly 1, so the rectified ratio is 1.05 - 0.5 = 0.55, below
+        # the [0.8, 1.2] window, and every negative-advantage update is
+        # clipped while no positive one is.
+        tree = generate_tree(SMALL_ENV)
+        cfg = small_cfg("apo", inner_epochs=1, method_config=MethodConfig(
+            method="apo", pull_coef=0.5))
+        stats = train_step(initial_policy(tree), tree, cfg, np.random.default_rng(12))
+        assert stats.degenerate_anchors == 0
+        assert stats.frac_clipped_neg == 1.0
+        assert stats.frac_clipped_pos == 0.0
+        assert 0.0 < stats.frac_clipped < 1.0
+
+    def test_grpo_first_pass_clips_nothing_of_either_sign(self):
+        tree = generate_tree(SMALL_ENV)
+        policy = initial_policy(tree)
+        stats = train_step(policy, tree, small_cfg(inner_epochs=1), np.random.default_rng(12))
+        assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
+        assert stats.frac_clipped_pos == stats.frac_clipped_neg == 0.0
+
     @pytest.mark.parametrize("method", ["grpo", "apo"])
     def test_old_rows_captured_before_the_first_pass(self, method):
         # Every pass after the first must see ratios against the rows the
@@ -118,7 +143,7 @@ class TestTrainStep:
             assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
         else:
             assert batch.ref is None  # grpo never reads the reference
-        clipped = sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[0]
+        clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[:2])
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(policy) == dump_logit_table(expected)
         assert stats.frac_clipped == clipped / (len(batch) * cfg.inner_epochs) > 0
@@ -265,14 +290,17 @@ METHODS = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
 
 def scalar_pass(policy, pi_old, tree, batch, mcfg):
     """The per-token oracle for apply_token_batch: method_token_update per
-    token, summed per context in batch order, then lr/N."""
+    token, summed per context in batch order, then lr/N. Returns the
+    clipped counts of the positive- and negative-advantage tokens and the
+    degenerate-anchor count."""
     grads = {}
-    clipped = degenerate = 0
+    clipped_pos = clipped_neg = degenerate = 0
     for ctx, token, adv in zip(batch.ctx.tolist(), batch.tok.tolist(), batch.adv.tolist()):
         update = method_token_update(
             policy.dist(ctx), pi_old.dist(ctx), tree.ref_policy.dist(ctx), token, adv, mcfg
         )
-        clipped += update.clipped
+        clipped_pos += update.clipped and adv > 0.0
+        clipped_neg += update.clipped and adv < 0.0
         degenerate += update.degenerate_anchor
         if ctx in grads:
             grads[ctx] += update.gradient
@@ -281,7 +309,7 @@ def scalar_pass(policy, pi_old, tree, batch, mcfg):
     scale = mcfg.learning_rate / len(batch)
     for ctx, g in grads.items():
         policy.add_to_logits(ctx, scale * g)
-    return clipped, degenerate
+    return clipped_pos, clipped_neg, degenerate
 
 
 def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
@@ -326,7 +354,7 @@ class TestDenseMatchesScalar:
         env, overrides, epochs, copies = DENSE_CASES[case]
         tree = generate_tree(env)
         mcfg = MethodConfig(method=method, **overrides)
-        totals = np.zeros(2, dtype=int)
+        totals = np.zeros(3, dtype=int)
         for seed in range(3):
             pi_old = initial_policy(tree).copy()
             rng = np.random.default_rng(seed)
@@ -341,15 +369,15 @@ class TestDenseMatchesScalar:
                 if len(batch):
                     assert counts == scalar_pass(scalar, pi_old, tree, batch, mcfg)
                 else:
-                    assert counts == (0, 0)
+                    assert counts == (0, 0, 0)
                 assert dump_logit_table(dense) == dump_logit_table(scalar)
                 totals += counts
         if case == "all-skipped":
             assert dump_logit_table(dense) == dump_logit_table(initial_policy(tree))
         if case in ("two-epochs", "replicated-3x") and method != "nsr":
-            assert totals[0] > 0  # the clipped branch was exercised
+            assert totals[0] + totals[1] > 0  # the clipped branch was exercised
         if case == "degenerate-anchor" and method == "apo":
-            assert totals[1] > 0
+            assert totals[2] > 0
 
 
 def separate_groups_step(policy, tree, cfg, rng, step):
@@ -362,19 +390,23 @@ def separate_groups_step(policy, tree, cfg, rng, step):
     groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
     ctx, tok, adv = concat_kept(groups)
     batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
-    clipped = degenerate = 0
+    pos = neg = degenerate = 0
     for _ in range(cfg.inner_epochs):
         if len(batch):
-            c, d = scalar_pass(policy, pi_old, tree, batch, mcfg)
-            clipped, degenerate = clipped + c, degenerate + d
+            p, n, d = scalar_pass(policy, pi_old, tree, batch, mcfg)
+            pos, neg, degenerate = pos + p, neg + n, degenerate + d
+    pos_updates = int(np.sum(adv > 0.0)) * cfg.inner_epochs
+    neg_updates = int(np.sum(adv < 0.0)) * cfg.inner_epochs
     stats = StepStats(
         step=step,
         mean_reward=float(np.mean(np.concatenate([g[2] for g in groups]))),
-        frac_clipped=clipped / max(1, ctx.size * cfg.inner_epochs),
+        frac_clipped=(pos + neg) / max(1, ctx.size * cfg.inner_epochs),
         degenerate_anchors=degenerate,
         wallclock_ms=0.0,
         rollout_ms=0.0,
         update_ms=0.0,
+        frac_clipped_pos=pos / pos_updates if pos_updates else 0.0,
+        frac_clipped_neg=neg / neg_updates if neg_updates else 0.0,
     )
     return groups, (ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy.dist(ctx)), stats
 
@@ -500,11 +532,162 @@ class TestRunExperiment:
 
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert [l["step"] for l in lines] == [1, 2]
-        assert set(lines[0]) == {
+        assert list(lines[0]) == [
             "step", "mean_reward", "frac_clipped", "degenerate_anchors", "wallclock_ms",
-            "rollout_ms", "update_ms", "eval_ms",
-        }
+            "rollout_ms", "update_ms", "eval_ms", "frac_clipped_pos", "frac_clipped_neg",
+        ]
         for line in lines:
             assert line["rollout_ms"] + line["update_ms"] <= line["wallclock_ms"]
         # eval_every=2: step 2 is evaluated, step 1 is not.
         assert lines[0]["eval_ms"] == 0.0 < lines[1]["eval_ms"]
+
+
+COLLAPSE_ENV = EnvConfig(depth=4, branching=8, num_valid_leaves=8, ref_concentration=1.5,
+                         ref_noise=0.75, seed=0)
+
+
+def collapse_cfg(method):
+    overrides = {"anchor_k": 4} if method == "apo" else {}
+    return TrainConfig(
+        method_config=MethodConfig(method=method, learning_rate=0.2, **overrides),
+        env=COLLAPSE_ENV, groups_per_step=4, inner_epochs=2, eval_samples_k=64, support_k=4)
+
+
+def signed_zeros(a):
+    return (a == 0.0) & np.signbit(a)
+
+
+class TestScatterByBincount:
+    """Each pass sums its gradients per context with ``np.bincount``, which
+    starts a sum at +0.0; the ``np.add.at`` into ``-0.0`` it replaced starts
+    at -0.0. The two blocks must be equal, and differ in the sign bit only
+    in cells where every term is -0.0."""
+
+    @pytest.mark.parametrize("underflow", [False, True], ids=["reference", "underflow"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_block_equals_add_at_into_negative_zero(self, monkeypatch, method, underflow):
+        tree = generate_tree(COLLAPSE_ENV)
+        cfg = collapse_cfg(method)
+        policy = initial_policy(tree)
+        if underflow:
+            # Token 0's probability underflows to 0.0 in every row, so a
+            # positive-advantage token's push gradient holds -0.0 there.
+            delta = np.zeros((len(policy), policy.vocab_size))
+            delta[:, 0] = -1000.0
+            policy.add_to_logits(np.arange(len(policy)), delta)
+        passes = []
+
+        def spy_gradients(*args, call=trainer.token_gradients):
+            result = call(*args)
+            passes.append({"grads": result[0]})
+            return result
+
+        def spy_add(ctx, block, call=policy.add_to_logits):
+            passes[-1]["ctxs"], passes[-1]["block"] = ctx, block.copy()
+            return call(ctx, block)
+
+        batches = []
+
+        def spy_batch(*args, call=trainer.apply_token_batch):
+            batches.append(args[3])
+            return call(*args)
+
+        monkeypatch.setattr(trainer, "token_gradients", spy_gradients)
+        monkeypatch.setattr(trainer, "apply_token_batch", spy_batch)
+        monkeypatch.setattr(policy, "add_to_logits", spy_add)
+        rng = np.random.default_rng(5)
+        for step in range(1, 21):
+            train_step(policy, tree, cfg, rng, step)
+        nonempty = [b for b in batches if len(b)]
+        assert len(passes) == len(nonempty) > 10
+        all_negative_zero = 0
+        for seen, batch in zip(passes, nonempty):
+            grads = seen["grads"]
+            u, v = batch.ctxs.size, policy.vocab_size
+            expected = np.full((u, v), -0.0)
+            np.add.at(expected, batch.at, grads)
+            expected = (cfg.method_config.learning_rate / len(batch)) * expected
+            assert seen["ctxs"] is batch.ctxs
+            got = seen["block"]
+            np.testing.assert_array_equal(got, expected)  # -0.0 == +0.0 here
+            # Cells with a term that is not -0.0.
+            live = np.zeros((u, v), dtype=bool)
+            np.logical_or.at(live, batch.at, ~signed_zeros(grads))
+            assert (np.signbit(got) == np.signbit(expected))[live].all()
+            assert (got[~live] == 0.0).all() and signed_zeros(expected[~live]).all()
+            all_negative_zero += int((~live).sum())
+        if underflow and method in ("grpo", "grpo_kl_error_only", "apo"):
+            assert all_negative_zero > 0  # the sign clause is not vacuous
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trained_collapse_cell_holds_no_negative_zero_logit(self, method):
+        # z + d is -0.0 only when z and d both are, and a generated tree's
+        # reference holds no -0.0, so no sign of a zero sum reaches a logit.
+        tree = generate_tree(COLLAPSE_ENV)
+        cfg = collapse_cfg(method)
+        policy = initial_policy(tree)
+        rng = np.random.default_rng(2)
+        for step in range(1, 101):
+            train_step(policy, tree, cfg, rng, step)
+        z = policy.logits(np.arange(len(policy)))
+        assert not signed_zeros(tree.ref_policy.logits(np.arange(len(policy)))).any()
+        assert not signed_zeros(z).any()
+        assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
+
+
+WRAPPER_FILES = ("fromnumeric.py", "_methods.py")
+
+
+def wrapper_calls(fn):
+    """Names of the functions ``fn`` enters that are defined in numpy's
+    Python wrapper modules (numpy 1.x ``core/`` or 2.x ``_core/``)."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.basename(frame.f_code.co_filename) in WRAPPER_FILES:
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+class TestNoNumpyPythonWrappers:
+    """A train step and an evaluation call numpy's C functions directly: a
+    wrapper such as ``np.mean`` or ``ndarray.sum`` passes through Python in
+    ``fromnumeric.py`` or ``_methods.py`` first, which at a step's array
+    sizes costs about what the arithmetic does."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_train_step(self, monkeypatch, method):
+        tree = generate_tree(COLLAPSE_ENV)
+        cfg = collapse_cfg(method)
+        policy = initial_policy(tree)
+        rng = np.random.default_rng(0)
+        for step in range(1, 41):  # warm up: groups with mixed rewards
+            train_step(policy, tree, cfg, rng, step)
+        batches = []
+
+        def spy(*args, call=trainer.apply_token_batch):
+            batches.append(args[3])
+            return call(*args)
+
+        monkeypatch.setattr(trainer, "apply_token_batch", spy)
+        assert wrapper_calls(lambda: train_step(policy, tree, cfg, rng, 41)) == []
+        assert len(batches) == cfg.inner_epochs and len(batches[0])
+        if method == "apo":
+            # Rows of both anchor widths: tokens inside and outside the Top-K.
+            assert all(len(idx) for idx in batches[0].anchors[3])
+
+    def test_evaluate(self):
+        tree = generate_tree(COLLAPSE_ENV)
+        policy = initial_policy(tree)
+        rng = np.random.default_rng(0)
+        assert wrapper_calls(lambda: evaluate(policy, tree, 0, 64, rng, 4)) == []
+
+    def test_profile_sees_a_wrapper(self):
+        assert wrapper_calls(lambda: np.mean(np.ones(3))) != []
