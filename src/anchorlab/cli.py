@@ -231,16 +231,24 @@ def _tree(env: EnvConfig) -> ReasoningTree:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_cell(spec: ExperimentSpec, method: MethodConfig, seed: int, tree: ReasoningTree,
-              out_root: Path, timestamp: str | None) -> Path:
-    cfg = replace(spec.train, method_config=method, env=_cell_env(spec, seed), seed=seed)
-    records, stats = run_experiment(cfg, tree)
-    cell_dir = out_root / spec.name / method.method / str(seed)
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    # metrics.csv last: summarize reads it, so it marks a finished cell.
-    write_steps_jsonl(stats, cell_dir / "steps.jsonl")
-    write_metrics_csv(records, cell_dir / "metrics.csv", timestamp)
-    return cell_dir
+def _run_stack(spec: ExperimentSpec, cells: list[tuple[MethodConfig, int]],
+               tree: ReasoningTree, out_root: Path, timestamp: str | None) -> None:
+    """Train ``cells`` ((method, seed) pairs sharing ``tree`` and a group
+    size) as one stack, then write each cell's files in the order given, so
+    a stack that fails leaves none of its cells written."""
+    # One method's cells side by side share its token_gradients calls.
+    order = sorted(cells, key=lambda cell: spec.methods.index(cell[0]))
+    cfgs = [replace(spec.train, method_config=m, env=_cell_env(spec, seed), seed=seed)
+            for m, seed in order]
+    results = {(m.method, seed): result
+               for (m, seed), result in zip(order, run_experiment(cfgs, tree))}
+    for m, seed in cells:
+        records, stats = results[m.method, seed]
+        cell_dir = out_root / spec.name / m.method / str(seed)
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        # metrics.csv last: summarize reads it, so it marks a finished cell.
+        write_steps_jsonl(stats, cell_dir / "steps.jsonl")
+        write_metrics_csv(records, cell_dir / "metrics.csv", timestamp)
 
 
 def _summary_rows(spec: ExperimentSpec, out_root: Path) -> list[str]:
@@ -321,19 +329,22 @@ def cmd_train(args) -> int:
     spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")
     timestamp = _timestamp(args)
-    # Cells run one at a time, seed by seed, and the cells of all seeds that
-    # share an env share its tree: training only reads it (initial_policy
-    # copies the reference). What is alive now (modules, the spec) outlives
-    # the sweep, so the collector is told not to rescan it during the cells;
-    # unfreezing afterwards lets a process that calls main() again free it.
+    # The cells that share a tree (all of them with a fixed env seed, each
+    # seed's otherwise) and a group size train in lockstep as one stack;
+    # training only reads the tree (a stack copies the reference once).
+    # What is alive now (modules, the spec) outlives the sweep, so the
+    # collector is told not to rescan it during the cells; unfreezing
+    # afterwards lets a process that calls main() again free it.
+    tree_seeds = spec.seeds if spec.env_seed_follows_cell else spec.seeds[:1]
     gc.freeze()
     try:
-        for i, seed in enumerate(spec.seeds):
-            if i == 0 or spec.env_seed_follows_cell:
-                tree = None  # free the last seed's tree before building the next
-                tree = _tree(_cell_env(spec, seed))
-            for m in spec.methods:
-                _run_cell(spec, m, seed, tree, out_root, timestamp)
+        for tree_seed in tree_seeds:
+            tree = None  # free the last seed's tree before building the next
+            tree = _tree(_cell_env(spec, tree_seed))
+            seeds = [tree_seed] if spec.env_seed_follows_cell else spec.seeds
+            for size in dict.fromkeys(m.group_size for m in spec.methods):
+                _run_stack(spec, [(m, seed) for seed in seeds for m in spec.methods
+                                  if m.group_size == size], tree, out_root, timestamp)
     finally:
         gc.unfreeze()
     summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)

@@ -16,8 +16,8 @@ import numpy as np
 from .anchor import top_k
 from .env import ReasoningTree
 from .objectives import MethodConfig
-from .policy import LogitTable, entropy, softmax
-from .trainer import TrainConfig, initial_policy, train_step
+from .policy import LogitTable, StackedTable, entropy, softmax
+from .trainer import TrainConfig, train_step
 
 
 @dataclass
@@ -157,7 +157,8 @@ def collapse_trajectory(
     if not valid or valid[0] < 0 or valid[-1] >= z.size:
         raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
     tree = ReasoningTree(1, z.size, frozenset((t,) for t in valid), LogitTable(z[None]))
-    policy = initial_policy(tree)
+    table = StackedTable(tree.ref_policy, 1)  # a cell of one
+    policy = table.cell(0)
     train_cfg = TrainConfig(method_config=cfg, groups_per_step=1, inner_epochs=1)
     manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))
     report = DynamicsReport(f"collapse_{cfg.method}")
@@ -169,5 +170,5 @@ def collapse_trajectory(
         report.add(step, "entropy", entropy(dist))
         report.add(step, "p_safe", float(dist[manifold].sum()))
         if step < steps:
-            train_step(policy, tree, train_cfg, rng, step + 1)
+            train_step(table, tree, [train_cfg], [rng], step + 1)
     return report

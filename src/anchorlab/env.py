@@ -15,7 +15,12 @@ A batch of n rollouts is four arrays: ``(n, D)`` tokens, the ``(n, D)``
 contexts they were drawn from, ``(n,)`` verified rewards, and the
 ``(n, D, V)`` policy rows the tokens were sampled from. The trainer's old
 rows and first pass, and an evaluation's entropy and max-prob, read those
-rows instead of taking the softmax again.
+rows instead of taking the softmax again. One :func:`rollout` call also
+rolls out every cell of a :class:`~anchorlab.policy.StackedTable` at once,
+each cell from its own rows of the uniform block, so a stack of cells pays
+a rollout's numpy calls once per step, not once per cell.
+The generated reference is the table :func:`generate_tree` built, handed
+over without a copy.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
         ctx = ctx * b + leaves[:, step] + 1
     z = np.zeros((c, b))
     z[bonus] += cfg.ref_concentration
-    # Scaled in place and freed before LogitTable copies z, so at most two
+    # Scaled in place and freed before z is made the table, so at most two
     # (C, B) float arrays are live here, not three; the values are the same.
     noise = rng.standard_normal((c, b))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,7 +128,8 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
             f"ref_concentration {cfg.ref_concentration!r} and ref_noise {cfg.ref_noise!r} "
             "give reference logits beyond the float64 range"
         )
-    return ReasoningTree(d, b, valid, LogitTable(z))
+    # The spread is finite, so every logit is: the table takes z as it is.
+    return ReasoningTree(d, b, valid, LogitTable.adopt(z))
 
 
 def verify(tree: ReasoningTree, tokens) -> int:
@@ -135,27 +141,33 @@ def verify(tree: ReasoningTree, tokens) -> int:
 
 
 def rollout(
-    tree: ReasoningTree, policy: LogitTable, n: int, rng: np.random.Generator
+    tree: ReasoningTree, policy, u: np.ndarray, base: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample ``n`` root-to-leaf rollouts: ``(tokens, contexts, rewards, rows)``.
+    """Sample one root-to-leaf rollout per row of the ``(n, D)`` uniform
+    block ``u``: ``(tokens, contexts, rewards, rows)``.
 
-    Rollout i consumes row i of one ``rng.random((n, D))`` block, which is
-    the stream of n*D scalar :func:`~anchorlab.policy.sample_token` draws;
-    so one call for G*n rollouts draws what G calls for n would. A reward
-    is 1 iff the final context minus C is one of ``tree.valid_ids``, which
-    is :func:`verify` of the row. ``rows`` is the ``(n, D, V)`` stack of
-    the distributions each token was drawn from, bitwise
-    ``policy.dist(contexts)``, so callers that need the policy at the
-    visited contexts read it here instead of taking the softmax again.
+    Rollout i consumes row i of ``u``. With ``u = rng.random((n, D))`` that
+    is the stream of n*D scalar :func:`~anchorlab.policy.sample_token`
+    draws, so one call for G*n rollouts draws what G calls for n would.
+    ``policy`` is a table read at the contexts themselves (a
+    :class:`~anchorlab.policy.LogitTable` or one cell of a stack), or, with
+    ``base``, a :class:`~anchorlab.policy.StackedTable` read at key
+    ``base[i] + ctx`` for row i: ``base`` holds each row's cell times C, so
+    one call rolls out every cell of a stack, each from its own rows of
+    ``u``. A reward is 1 iff the final context minus C is one of
+    ``tree.valid_ids``, which is :func:`verify` of the row. ``rows`` is the
+    ``(n, D, V)`` stack of the distributions each token was drawn from,
+    bitwise the policy's ``dist`` at them, so callers that need the policy
+    at the visited contexts read it here instead of taking the softmax
+    again.
     """
-    d, b, v = tree.depth, tree.branching, policy.vocab_size
-    u = rng.random((n, d))
+    n, d, b, v = len(u), tree.depth, tree.branching, policy.vocab_size
     tokens = np.empty((n, d), dtype=np.int64)
     contexts = np.empty((n, d), dtype=np.int64)
     rows = np.empty((n, d, v))
     ctx = np.zeros(n, dtype=np.int64)  # the root
     for step in range(d):
-        dist = policy.dist(ctx)
+        dist = policy.dist(ctx if base is None else base + ctx)
         rows[:, step] = dist
         # searchsorted(side="right") per row, clamped to V - 1 as in
         # sample_token. A cumsum of non-negative terms never decreases, so

@@ -17,7 +17,9 @@ sample and order. Only the per-sample logs, geometric mean and brevity
 penalty are floating point, evaluated in Python as the pairwise definition
 does, so scores are bitwise those of the pairwise loops.
 
-Evaluation reads the live policy in place (no copy of the table). Entropy
+Evaluation reads the live policy in place (no copy of the table); a
+stacked cell is read through its view of the stack
+(:meth:`~anchorlab.policy.StackedTable.cell`). Entropy
 and max-prob come from the ``(K, D, V)`` rows its rollout sampled from,
 one per visited step, with no second softmax; support mass and KL come
 from one policy softmax and one reference softmax over the distinct
@@ -146,7 +148,7 @@ def _clipped_counts(tokens: np.ndarray, lengths: np.ndarray, n_max: int) -> np.n
     return clipped.astype(np.int64).reshape(k, n_max)
 
 
-def _bleu(h: int, clipped: list[int], ref_len: int) -> float:
+def _bleu(h: int, clipped: tuple[int, ...], ref_len: int) -> float:
     """BLEU of one sample of length ``h`` from its clipped counts of orders
     1..len(clipped): no smoothing, so a zero count scores 0."""
     if not clipped or 0 in clipped:
@@ -165,7 +167,8 @@ def self_bleu(samples, n_max: int = 4) -> float:
     any lengths. Clipping needs only the best count of each n-gram among the
     other samples, which :func:`_clipped_counts` finds with sorts over all
     samples at once, so the cost is about linear in K. The scores are then
-    computed per sample in Python floats.
+    computed in Python floats, once per distinct (length, clipped counts)
+    row, since samples that share the row share the score.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -189,8 +192,11 @@ def self_bleu(samples, n_max: int = 4) -> float:
         others[h] -= 1
         ref_lens[h] = min((abs(r - h), r) for r, m in others.items() if m)[1]
         others[h] += 1
-    scores = [_bleu(h, row[: min(n_max, h)], ref_lens[h]) for h, row in zip(hyp_lengths, rows)]
-    return _mean(np.array(scores, dtype=np.float64))
+    # Samples share few distinct (length, clipped counts) rows, and _bleu is
+    # a pure function of them: each is scored once.
+    keys = [(h, tuple(row[: min(n_max, h)])) for h, row in zip(hyp_lengths, rows)]
+    scored = {(h, c): _bleu(h, c, ref_lens[h]) for h, c in dict.fromkeys(keys)}
+    return _mean(np.array([scored[key] for key in keys], dtype=np.float64))
 
 
 def diversity_score(samples) -> float:
@@ -244,7 +250,7 @@ def evaluate(
         raise ValueError(f"eval_k must be >= 2 (diversity needs it), got {eval_k}")
     if support_k is None:
         support_k = max(1, tree.branching // 2)
-    tokens, contexts, rewards, rows = rollout(tree, policy, eval_k, rng)
+    tokens, contexts, rewards, rows = rollout(tree, policy, rng.random((eval_k, tree.depth)))
     mean_ent, mean_maxp = entropy_and_maxprob(rows)
     # np.unique would import numpy.ma.
     visited = np.array(sorted(set(contexts.ravel().tolist())), dtype=np.intp)

@@ -3,9 +3,13 @@
 A policy is a dense ``(C, V)`` logit array over the C heap-indexed contexts
 of a tree and a fixed vocabulary of size V; row ``ctx`` is context ``ctx``.
 Distributions are plain numpy arrays of length V (``(n, V)`` for a vector
-of contexts). Two instances of :class:`LogitTable` play the roles of the
-live policy and the fixed reference policy; the trainer keeps the sampling
-policy's rows of each batch, not a copy of the table.
+of contexts). A :class:`LogitTable` is the fixed reference policy. The
+live policies of the cells that train together on one tree are one
+:class:`StackedTable`: one copy of the table they start from, a row map,
+and a private copy of each row a cell has updated, so S cells cost one
+table plus the rows they write, not S tables. Each cell reads as a table
+of its own through :meth:`StackedTable.cell`. The trainer keeps the
+sampling policy's rows of each batch, not a copy of the table.
 Logits are checked finite when set, so every softmax row is a valid
 distribution and hot loops do not re-check it.
 
@@ -187,9 +191,125 @@ class LogitTable:
         return _softmax_rows(self._z.take(ctx, axis=0))
 
     def copy(self) -> "LogitTable":
-        out = object.__new__(LogitTable)  # the source array is already checked
-        out._z = self._z.copy()
+        return LogitTable.adopt(self._z.copy())
+
+    @staticmethod
+    def adopt(z: np.ndarray) -> "LogitTable":
+        """A table over ``z`` itself, neither copied nor checked: for a
+        float64 ``(C, V)`` array its maker has already shown finite and
+        hands over."""
+        out = object.__new__(LogitTable)
+        out._z = z
         return out
+
+
+class StackedTable:
+    """The policies of S cells that start from one table, copy-on-write.
+
+    Cell s's context ``ctx`` is key ``s * C + ctx``. One float64 array holds
+    the start table in rows 0..C-1 and after them room for ``capacity``
+    private rows (every key's, by default); the ``(S*C,)`` row map sends
+    each key to its row, at first its context's start row. A cell's first
+    update of a context appends a private copy of that row and points the
+    key at it. So the start rows are never written, a context a cell never
+    updated reads the start row, and no cell sees another's update. The
+    memory is one start table, the row map and the rows the cells write:
+    the reserved rows are left uninitialized until a cell writes them. The
+    start table itself then reads the stack's copy of its rows, read-only,
+    so the stack adds no second copy of it and nothing can write it.
+    """
+
+    def __init__(self, start: LogitTable, cells: int, capacity: int | None = None):
+        check_int("cells", cells, 1)
+        c = len(start)
+        capacity = cells * c if capacity is None else min(capacity, cells * c)
+        self._z = np.empty((c + capacity, start.vocab_size))
+        self._z[:c] = start._z
+        # From here ``start`` reads the stack's copy, read-only, so one copy
+        # of the start table stays alive, not two, and it cannot be written.
+        start._z = self._z[:c]
+        start._z.flags.writeable = False
+        rows = np.arange(c, dtype=np.int32 if c + capacity <= 2**31 - 1 else np.intp)
+        self._map = np.empty((cells, c), dtype=rows.dtype)
+        self._map[:] = rows
+        self._map = self._map.reshape(-1)
+        self._c = c
+        self._used = c  # rows in use: the start table and the private rows
+
+    @property
+    def vocab_size(self) -> int:
+        return self._z.shape[1]
+
+    @property
+    def contexts(self) -> int:
+        """C, the contexts of each cell."""
+        return self._c
+
+    def __len__(self) -> int:
+        return self._map.size
+
+    def dist(self, keys: np.ndarray) -> np.ndarray:
+        """The ``(n, V)`` distributions at a vector of keys."""
+        return _softmax_rows(self._z.take(self._map.take(keys), axis=0))
+
+    def add_to_logits(self, keys: np.ndarray, delta: np.ndarray) -> None:
+        """Add the ``(n, V)`` block ``delta`` to the rows of n distinct keys,
+        copying a key's start row to a private row first; nothing changes
+        unless every updated logit is finite and the new rows fit."""
+        rows = self._map.take(keys)
+        updated = self._z.take(rows, axis=0)
+        d = np.asarray(delta, dtype=np.float64)
+        if d.shape != updated.shape:
+            raise ValueError(f"logit delta must have shape {updated.shape}, got {d.shape}")
+        updated += d
+        finite = np.isfinite(updated)
+        if not np.logical_and.reduce(finite, axis=None):
+            bad = np.asarray(keys)[~finite.all(axis=1)][0]
+            raise ValueError(f"logit update at key {bad} produced non-finite values")
+        fresh = rows < self._c
+        if np.logical_or.reduce(fresh):
+            owners = keys.compress(fresh)
+            end = self._used + owners.size
+            if end > len(self._z):
+                raise ValueError(f"no room for {owners.size} more private rows: "
+                                 f"{len(self._z) - self._used} of the capacity are left")
+            new = np.arange(self._used, end, dtype=rows.dtype)
+            rows[fresh] = new
+            self._map[owners] = new
+            self._used = end
+        self._z[rows] = updated
+
+    def cell(self, s: int) -> "CellTable":
+        return CellTable(self._z, self._map[s * self._c:(s + 1) * self._c])
+
+
+class CellTable:
+    """One cell of a :class:`StackedTable`, read as a :class:`LogitTable`
+    over contexts 0..C-1: a view of its row map into the stack's array, so
+    reads see the cell's updates as they are made. It has no writer; the
+    stack updates its cells."""
+
+    def __init__(self, z: np.ndarray, rows: np.ndarray):
+        self._z, self._rows = z, rows
+
+    @property
+    def vocab_size(self) -> int:
+        return self._z.shape[1]
+
+    def __len__(self) -> int:
+        return self._rows.size
+
+    def logits(self, ctx: ContextId) -> np.ndarray:
+        out = self._z[self._rows[ctx]]  # a copy for an array of ids, a view for one
+        out.flags.writeable = False
+        return out
+
+    def dist(self, ctx: ContextId | np.ndarray) -> np.ndarray:
+        return _softmax_rows(self._z.take(self._rows.take(ctx), axis=0))
+
+    def copy(self) -> LogitTable:
+        """The cell's table as a dense :class:`LogitTable` of its own."""
+        return LogitTable.adopt(self._z.take(self._rows, axis=0))
 
 
 def dump_logit_table(table: LogitTable) -> str:

@@ -1,34 +1,47 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
-Each outer step draws its ``groups_per_step`` groups of ``group_size``
-rollouts from the tree root with one ``rollout`` call, which returns
-``(G*n, D)`` token and context arrays sampled with the live policy and the
-``(G*n, D, V)`` policy rows they were drawn from; the policy does not
-change while they are drawn. Group g is rows g*n..(g+1)*n-1, the rows G
-separate calls would draw. Group-relative advantages come from one call on
-the ``(G, n)`` rewards. Groups whose advantages are all zero are dropped,
-and the kept tokens form a :class:`TokenBatch`, the step's plan: it holds
-everything the passes need that depends only on the batch, so a pass only
-gathers the live rows and combines them. Its old rows are the kept
-groups' rollout rows, not a second softmax; with them come each token's
-flat index into the ``(N, V)`` rows and its old probability. The
-reference rows at each token's context are taken once, and only for the
-methods that read them (the KL methods and apo). For apo the reference
-half of every token's anchor is built once, as fixed-width gather tables
+Cells train in stacks: every cell of a stack shares one tree, one
+``group_size``, ``groups_per_step`` and ``inner_epochs``, and the stack's
+cells train in lockstep on one
+:class:`~anchorlab.policy.StackedTable`, cell s reading and writing its
+own rows of it. A step's numpy calls are made once for the whole stack,
+not once per cell, because at a step's array sizes the call, not the
+arithmetic, is the cost. A single cell is a stack of one.
+
+Each outer step draws every cell's ``groups_per_step`` groups of
+``group_size`` rollouts from the tree root with one ``rollout`` call:
+cell s draws its own ``(G*n, D)`` uniform block from its own training
+stream, and the call returns ``(S*G*n, D)`` token and context arrays
+sampled with the live policies and the ``(S*G*n, D, V)`` policy rows they
+were drawn from; no policy changes while they are drawn. Cell s's group g
+is rows (s*G + g)*n onwards, the rows G separate calls of that cell would
+draw. Group-relative advantages come from one call on the ``(S*G, n)``
+rewards, with each cell's ``adv_eps`` as a per-row array. Groups whose
+advantages are all zero are dropped, and the kept tokens of all cells
+form one :class:`TokenBatch`, the step's plan: it holds everything the
+passes need that depends only on the batch, so a pass only gathers the
+live rows and combines them. Its old rows are the kept groups' rollout
+rows, not a second softmax; with them come each token's flat index into
+the ``(N, V)`` rows and its old probability. The reference rows at each
+token's context are taken once, and only when a cell's method reads them
+(the KL methods and apo). For apo the reference half of every token's
+anchor is built once, as fixed-width gather tables
 (:func:`~anchorlab.objectives.anchor_reference`); no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
-rows as the live policy's, since the policy has not changed since the
-rollout; only later passes take the policy's softmax. Gradients are
-averaged over all tokens in the batch (token-mean) and applied as a plain
-SGD ascent step on the logits. Each pass is dense: one
-:func:`~anchorlab.objectives.token_gradients` call over the ``(N, V)`` rows
-of the batch, summed per context with one ``np.bincount`` over the batch's
-flat cell ids; the scalar ``method_token_update`` is the oracle it is
-tested against, not called here. Every numpy call on this path goes
-straight to C (a ufunc, its ``reduce``, or an array method), not through
-numpy's Python wrappers such as ``np.mean`` or ``ndarray.sum``: at a few
-hundred values per array the call, not the arithmetic, is the cost.
+rows as the live policies', since no policy has changed since the
+rollout; only later passes take the stack's softmax, once per pass.
+Gradients are averaged over each cell's tokens (token-mean) and applied
+as a plain SGD ascent step on the logits. Each pass is dense: one
+:func:`~anchorlab.objectives.token_gradients` call per run of adjacent
+cells with equal methods, over that run's rows, then one ``np.bincount``
+over the batch's flat bin ids sums the gradients per key, each key's row
+is scaled by its cell's ``lr / N_s``, and one ``add_to_logits`` writes
+the stack; the scalar ``method_token_update`` is the oracle it is tested
+against, not called here. Every numpy call on this path goes straight to
+C (a ufunc, its ``reduce``, or an array method), not through numpy's
+Python wrappers such as ``np.mean`` or ``ndarray.sum``. Evaluation stays
+per cell, through the cell's view of the stack.
 
 The anchor's reference half is built per step, over the batch's rows, and
 not once per tree: ranking every row of a large tree's reference costs
@@ -43,9 +56,8 @@ so evaluation never perturbs training randomness.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,7 +70,7 @@ from .objectives import (
     group_advantages,
     token_gradients,
 )
-from .policy import LogitTable, check_int
+from .policy import LogitTable, StackedTable, check_int
 
 
 @dataclass
@@ -87,11 +99,13 @@ class TrainConfig:
 
 @dataclass
 class StepStats:
-    """One outer step. ``wallclock_ms`` times the whole :func:`train_step`;
-    ``rollout_ms`` its rollout, and ``update_ms`` the rest up to the end of
-    the last pass (advantages, the batch and its passes), so the two sum
-    to at most ``wallclock_ms``. ``eval_ms`` times the evaluation after
-    the step, 0.0 on steps without one. ``frac_clipped_pos`` and
+    """One outer step of one cell. ``wallclock_ms`` times the whole
+    :func:`train_step` of the cell's stack, ``rollout_ms`` its rollout, and
+    ``update_ms`` the rest up to the end of the last pass (advantages, the
+    batch and its passes), so the two sum to at most ``wallclock_ms``;
+    the cells of a stack share the step, so they share these three.
+    ``eval_ms`` times this cell's evaluation after the step, 0.0 on steps
+    without one. ``frac_clipped_pos`` and
     ``frac_clipped_neg`` split ``frac_clipped`` by the sign of the
     advantage: the clipped share of the positive-advantage (negative-
     advantage) token updates, 0.0 when the step has none."""
@@ -109,139 +123,188 @@ class StepStats:
 
 
 class TokenBatch:
-    """Every token of the kept groups, flattened in group, rollout and step
-    order: its context, token and advantage, and ``old``, the ``(N, V)``
-    sampling-policy rows the rollout drew each token from. On construction
-    it records everything a pass needs that depends only on the batch: the
-    sorted distinct contexts ``ctxs`` and each token's position ``at`` in
-    them, the flat ids ``cell`` of each token's V cells in the ``(U, V)``
-    block of per-context sums, each token's flat index ``flat`` into the
-    ``(N, V)`` rows and its old probability ``old_tok``, the reference
-    rows ``ref`` at each token's context for the methods that read them
-    (None for grpo and nsr), and for apo the gather tables of every
-    token's anchor, ``anchors``
-    (:func:`~anchorlab.objectives.anchor_reference`; None for the other
-    methods). So a pass only gathers the live rows and combines them."""
+    """Every token of the kept groups of a stack's cells, flattened in cell,
+    group, rollout and step order: its context, token and advantage, and
+    ``old``, the ``(N, V)`` sampling-policy rows the rollout drew each token
+    from. ``counts[s]`` is the number of tokens of cell s, whose tokens
+    come s-th, and ``mcfgs[s]`` its method. On construction it records
+    everything a pass needs that depends only on the batch: each token's
+    cell ``cell``, the sorted distinct keys ``keys`` of the stacked table
+    (``cell * C + ctx``) and each token's position ``at`` in them, the flat
+    ids ``bins`` of each token's V cells in the ``(U, V)`` block of per-key
+    sums, each token's flat index ``flat`` into the ``(N, V)`` rows and its
+    old probability ``old_tok``, each key's step size ``scale`` (its cell's
+    ``learning_rate / N_s`` as a ``(U, 1)`` column), the reference rows
+    ``ref`` at each token's context when a cell reads them (None when
+    every cell is grpo or nsr), and ``runs``: one
+    ``(lo, hi, cell, flat, anchors)`` per run of adjacent cells with equal
+    :class:`~anchorlab.objectives.MethodConfig` and at least one token,
+    covering tokens ``lo:hi``; ``cell`` is its first cell, ``flat`` the
+    run's flat token ids into its own rows and, for apo, ``anchors`` its
+    tokens' anchor gather tables
+    (:func:`~anchorlab.objectives.anchor_reference`; None otherwise). So a
+    pass only gathers the live rows and combines them."""
 
-    __slots__ = ("ctx", "tok", "adv", "ctxs", "at", "cell", "old", "flat", "old_tok", "ref",
-                 "anchors")
+    __slots__ = ("ctx", "tok", "adv", "old", "cell", "keys", "at", "bins", "flat", "old_tok",
+                 "scale", "ref", "runs")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
-                 ref_policy: LogitTable, mcfg: MethodConfig):
+                 ref_policy: LogitTable, mcfgs: list[MethodConfig], counts: list[int]):
         self.ctx, self.tok, self.adv, self.old = ctx, tok, adv, old
+        c, v = len(ref_policy), old.shape[1]
+        self.cell = np.arange(len(counts)).repeat(counts)
+        key = self.cell * c + ctx
         # sorted(set()) rather than np.unique, which imports numpy.ma.
-        self.ctxs = np.array(sorted(set(ctx.tolist())), dtype=np.intp)
-        self.at = self.ctxs.searchsorted(ctx)
-        v = old.shape[1]
-        self.cell = (self.at[:, None] * v + np.arange(v)).ravel()
+        self.keys = np.array(sorted(set(key.tolist())), dtype=np.intp)
+        self.at = self.keys.searchsorted(key)
+        self.bins = (self.at[:, None] * v + np.arange(v)).ravel()
         self.flat = np.arange(tok.size) * v + tok
         self.old_tok = old.take(self.flat)
-        self.ref = (ref_policy.dist(self.ctxs).take(self.at, axis=0)
-                    if mcfg.method in REFERENCE_METHODS else None)
-        self.anchors = (anchor_reference(self.ref, tok, mcfg.anchor_k)
-                        if mcfg.method == "apo" else None)
+        key_cell, key_ctx = np.divmod(self.keys, c)
+        # Python's float quotient is the scalar lr / N bit for bit.
+        self.scale = np.array([m.learning_rate / k if k else 0.0
+                               for m, k in zip(mcfgs, counts)]).take(key_cell)[:, None]
+        self.ref = (ref_policy.dist(key_ctx).take(self.at, axis=0)
+                    if any(m.method in REFERENCE_METHODS for m in mcfgs) else None)
+        self.runs = []
+        lo = hi = first = 0
+        for s, (m, k) in enumerate(zip(mcfgs, counts)):
+            hi += k
+            if s + 1 < len(mcfgs) and mcfgs[s + 1] == m:
+                continue
+            if hi > lo:
+                anchors = (anchor_reference(self.ref[lo:hi], tok[lo:hi], m.anchor_k)
+                           if m.method == "apo" else None)
+                self.runs.append((lo, hi, first, self.flat[lo:hi] - lo * v, anchors))
+            lo, first = hi, s + 1
 
     def __len__(self) -> int:
         return self.ctx.size
 
 
 def apply_token_batch(
-    policy: LogitTable,
+    table: StackedTable,
     tree: ReasoningTree,
-    mcfg: MethodConfig,
+    mcfgs: list[MethodConfig],
     batch: TokenBatch,
     live: np.ndarray | None = None,
-) -> tuple[int, int, int]:
-    """One pass over the batch: token-mean gradient, single ascent step.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over a stack's batch: each cell's token-mean gradient,
+    as a single ascent step.
 
-    Every token's gradient comes from one :func:`token_gradients` call over
-    the batch, with the batch's flat token ids, old token probabilities,
-    reference rows and anchor tables. One ``np.bincount`` over the batch's
-    cell ids sums the gradients per context, adding each cell's terms in
-    batch order, and the U touched rows get ``lr / N`` times their sum.
+    Every token's gradient comes from one :func:`token_gradients` call per
+    run of adjacent cells with equal methods, over the run's rows, with
+    the batch's flat token ids, old token probabilities, reference rows and
+    anchor tables. One ``np.bincount`` over the batch's bins sums the
+    gradients per key, adding each bin's terms in batch order, and the U
+    touched rows get their cell's ``lr / N_s`` times their sum (a
+    per-row product is the scalar product bit for bit), through one
+    :meth:`~anchorlab.policy.StackedTable.add_to_logits` call.
     ``bincount`` starts a sum at +0.0 where ``np.add.at`` into ``-0.0``
     would start at -0.0; the two differ only in a cell whose every term is
     -0.0, and then only in the sign of a zero, which changes a logit only
     if the logit is -0.0 itself (a generated tree holds none, and ``z + d``
     is -0.0 only when both are).
-    ``live`` is the policy's rows at the batch's tokens when the caller
-    already holds them (``batch.old`` while the policy is still the one
-    sampled from); otherwise they are computed. Returns the clipped counts
-    of the positive-advantage and of the negative-advantage tokens, and the
-    degenerate-anchor count; a token with a zero advantage is never
-    clipped. Replicating the batch m times leaves the applied update
-    unchanged (sums scale by m, the mean does not). ``tree`` is not read,
-    since the batch holds its reference rows; the argument keeps the batch
-    fourth, where perfbench's traced run counts its tokens.
+    ``live`` is the table's rows at the batch's tokens when the caller
+    already holds them (``batch.old`` while the table is still the one
+    sampled from); otherwise they are computed. Returns each token's
+    clipped and degenerate-anchor flags; a token with a zero advantage is
+    never clipped. Replicating a cell's tokens m times leaves the applied
+    update unchanged (sums scale by m, the mean does not). ``tree`` is not
+    read, since the batch holds its reference rows; the argument keeps the
+    batch fourth, where perfbench's traced run counts its tokens.
     """
     if not len(batch):
-        return 0, 0, 0
-    ctxs = batch.ctxs
-    u, v = ctxs.size, policy.vocab_size
+        none = np.zeros(0, dtype=bool)
+        return none, none
+    keys = batch.keys
+    u, v = keys.size, table.vocab_size
     if live is None:
-        live = policy.dist(ctxs).take(batch.at, axis=0)
-    grads, clipped, degenerate = token_gradients(
-        live, batch.old_tok, batch.ref, batch.flat, batch.adv, mcfg, batch.anchors
-    )
-    block = np.bincount(batch.cell, grads.ravel(), u * v).reshape(u, v)
-    block *= mcfg.learning_rate / len(batch)
-    policy.add_to_logits(ctxs, block)
-    neg = batch.adv < 0.0
-    return (int(np.add.reduce(clipped & ~neg)), int(np.add.reduce(clipped & neg)),
-            int(np.add.reduce(degenerate)))
+        live = table.dist(keys).take(batch.at, axis=0)
+    ref = batch.ref
+    parts = [
+        token_gradients(live[lo:hi], batch.old_tok[lo:hi], None if ref is None else ref[lo:hi],
+                        flat, batch.adv[lo:hi], mcfgs[s], anchors)
+        for lo, hi, s, flat, anchors in batch.runs
+    ]
+    grads, clipped, degenerate = (parts[0] if len(parts) == 1
+                                  else [np.concatenate(p) for p in zip(*parts)])
+    block = np.bincount(batch.bins, grads.ravel(), u * v).reshape(u, v)
+    block *= batch.scale
+    table.add_to_logits(keys, block)
+    return clipped, degenerate
 
 
 def train_step(
-    policy: LogitTable,
+    table: StackedTable,
     tree: ReasoningTree,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
+    cfgs: list[TrainConfig],
+    rngs: list[np.random.Generator],
     step: int = 0,
-) -> StepStats:
-    """One outer optimization step (mutates ``policy`` in place)."""
+) -> list[StepStats]:
+    """One outer optimization step of every cell of a stack (mutates
+    ``table`` in place): cell s is ``table``'s cell s, trained by
+    ``cfgs[s]`` from the training stream ``rngs[s]``. The cells share
+    ``groups_per_step``, ``inner_epochs`` and ``group_size``. Returns each
+    cell's statistics, in order."""
     t0 = time.perf_counter()
-    mcfg = cfg.method_config
-    g, n = cfg.groups_per_step, mcfg.group_size
-    tokens, contexts, rewards, rows = rollout(tree, policy, g * n, rng)
+    mcfgs = [cfg.method_config for cfg in cfgs]
+    cells, g, n, d = len(cfgs), cfgs[0].groups_per_step, mcfgs[0].group_size, tree.depth
+    r = g * n
+    u = np.empty((cells * r, d))
+    for s, rng in enumerate(rngs):
+        rng.random(out=u[s * r:(s + 1) * r])
+    base = np.arange(0, cells * table.contexts, table.contexts).repeat(r)
+    tokens, contexts, rewards, rows = rollout(tree, table, u, base)
     t1 = time.perf_counter()
-    adv = group_advantages(rewards.reshape(g, n), mcfg.adv_eps)
+    adv_eps = np.array([m.adv_eps for m in mcfgs]).repeat(g)[:, None]
+    adv = group_advantages(rewards.reshape(cells * g, n), adv_eps)
     # A zero-variance group has all-zero advantages and no learning signal.
     kept = np.logical_or.reduce(adv != 0.0, axis=1)
-    v = policy.vocab_size
+    counts = (np.add.reduce(kept.reshape(cells, g), axis=1) * (n * d)).tolist()
+    v = table.vocab_size
     batch = TokenBatch(
-        contexts.reshape(g, -1).compress(kept, axis=0).ravel(),
-        tokens.reshape(g, -1).compress(kept, axis=0).ravel(),
-        adv.compress(kept, axis=0).ravel().repeat(tree.depth),
-        rows.reshape(g, -1, v).compress(kept, axis=0).reshape(-1, v),
+        contexts.reshape(cells * g, -1).compress(kept, axis=0).ravel(),
+        tokens.reshape(cells * g, -1).compress(kept, axis=0).ravel(),
+        adv.compress(kept, axis=0).ravel().repeat(d),
+        rows.reshape(cells * g, -1, v).compress(kept, axis=0).reshape(-1, v),
         tree.ref_policy,
-        mcfg,
+        mcfgs,
+        counts,
     )
 
-    clipped_pos = clipped_neg = degenerate = 0
-    for epoch in range(cfg.inner_epochs):
-        # Until the first pass updates it, the policy is the one sampled from.
-        pos, neg, d = apply_token_batch(policy, tree, mcfg, batch,
-                                        batch.old if epoch == 0 else None)
-        clipped_pos += pos
-        clipped_neg += neg
-        degenerate += d
+    clipped = degenerate = 0
+    epochs = cfgs[0].inner_epochs
+    for epoch in range(epochs):
+        # Until the first pass updates it, the table is the one sampled from.
+        c, dg = apply_token_batch(table, tree, mcfgs, batch, batch.old if epoch == 0 else None)
+        clipped = clipped + c
+        degenerate = degenerate + dg
     t2 = time.perf_counter()
 
-    epochs = cfg.inner_epochs
-    pos_updates = int(np.add.reduce(batch.adv > 0.0)) * epochs
-    neg_updates = int(np.add.reduce(batch.adv < 0.0)) * epochs
-    return StepStats(
-        step=step,
-        # The integer sum is exact, so this is np.mean's quotient bit for bit.
-        mean_reward=int(np.add.reduce(rewards)) / rewards.size,
-        frac_clipped=(clipped_pos + clipped_neg) / max(1, len(batch) * epochs),
-        degenerate_anchors=degenerate,
-        wallclock_ms=(time.perf_counter() - t0) * 1000.0,
-        rollout_ms=(t1 - t0) * 1000.0,
-        update_ms=(t2 - t1) * 1000.0,
-        frac_clipped_pos=clipped_pos / pos_updates if pos_updates else 0.0,
-        frac_clipped_neg=clipped_neg / neg_updates if neg_updates else 0.0,
-    )
+    # Per cell: clipped updates of each advantage sign, degenerate anchors,
+    # and tokens of each sign; exact integers in float64.
+    pos, neg = batch.adv > 0.0, batch.adv < 0.0
+    tallies = [np.bincount(batch.cell, w, cells).tolist()
+               for w in (clipped * pos, clipped * neg, degenerate, pos, neg)]
+    # The integer sums are exact, so each mean is np.mean's quotient bit for bit.
+    reward_sums = np.add.reduce(rewards.reshape(cells, r), axis=1).tolist()
+    wallclock_ms = (time.perf_counter() - t0) * 1000.0
+    out = []
+    for s, (cp, cn, dg, np_, nn) in enumerate(zip(*tallies)):
+        pos_updates, neg_updates = int(np_) * epochs, int(nn) * epochs
+        out.append(StepStats(
+            step=step,
+            mean_reward=reward_sums[s] / r,
+            frac_clipped=int(cp + cn) / max(1, counts[s] * epochs),
+            degenerate_anchors=int(dg),
+            wallclock_ms=wallclock_ms,
+            rollout_ms=(t1 - t0) * 1000.0,
+            update_ms=(t2 - t1) * 1000.0,
+            frac_clipped_pos=int(cp) / pos_updates if pos_updates else 0.0,
+            frac_clipped_neg=int(cn) / neg_updates if neg_updates else 0.0,
+        ))
+    return out
 
 
 def initial_policy(tree: ReasoningTree) -> LogitTable:
@@ -249,37 +312,69 @@ def initial_policy(tree: ReasoningTree) -> LogitTable:
     return tree.ref_policy.copy()
 
 
-def run_experiment(
-    cfg: TrainConfig,
-    tree: ReasoningTree | None = None,
-) -> tuple[list[MetricRecord], list[StepStats]]:
-    """Full deterministic run: returns metric records (step 0, every
-    ``eval_every`` steps, and the final step) plus per-step statistics."""
-    if tree is None:
-        tree = generate_tree(cfg.env)
-    train_ss, eval_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    train_rng = np.random.default_rng(train_ss)
-    eval_rng = np.random.default_rng(eval_ss)
+def private_rows(tree: ReasoningTree, cfg: TrainConfig) -> int:
+    """The most contexts one cell's run can update: a step updates only
+    contexts its G*n rollouts visit, at most G*n of the B**l at level l."""
+    visits = cfg.total_steps * cfg.groups_per_step * cfg.method_config.group_size
+    return sum(min(tree.branching**level, visits) for level in range(tree.depth))
 
-    policy = initial_policy(tree)
+
+# The TrainConfig values the cells of a stack share.
+_SHARED = ("env", "total_steps", "groups_per_step", "inner_epochs")
+
+
+def run_experiment(
+    cfgs: list[TrainConfig],
+    tree: ReasoningTree | None = None,
+) -> list[tuple[list[MetricRecord], list[StepStats]]]:
+    """Full deterministic run of a stack of cells trained in lockstep on one
+    tree: returns each cell's metric records (step 0, every ``eval_every``
+    steps, and the final step) and per-step statistics, in the order of
+    ``cfgs``. The cells must share their env, ``total_steps``,
+    ``groups_per_step``, ``inner_epochs`` and ``group_size``; a cell of
+    one is a stack of one. The stacked table reserves room for the most
+    rows the cells can update (:func:`private_rows`), so it never grows.
+    """
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        for name in _SHARED:
+            if getattr(cfg, name) != getattr(first, name):
+                raise ValueError(f"the cells of a stack must share {name}")
+        if cfg.method_config.group_size != first.method_config.group_size:
+            raise ValueError("the cells of a stack must share group_size")
+    if tree is None:
+        tree = generate_tree(first.env)
+    streams = [np.random.SeedSequence(cfg.seed).spawn(2) for cfg in cfgs]
+    train_rngs = [np.random.default_rng(train_ss) for train_ss, _ in streams]
+    eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
+
+    table = StackedTable(tree.ref_policy, len(cfgs), len(cfgs) * private_rows(tree, first))
+    policies = [table.cell(s) for s in range(len(cfgs))]
     records = [
-        evaluate(policy, tree, 0, cfg.eval_samples_k, eval_rng, cfg.support_k)
+        [evaluate(policy, tree, 0, cfg.eval_samples_k, rng, cfg.support_k)]
+        for policy, cfg, rng in zip(policies, cfgs, eval_rngs)
     ]
-    stats: list[StepStats] = []
-    for step in range(1, cfg.total_steps + 1):
-        stats.append(train_step(policy, tree, cfg, train_rng, step))
-        if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            t0 = time.perf_counter()
-            records.append(
-                evaluate(policy, tree, step, cfg.eval_samples_k, eval_rng, cfg.support_k)
-            )
-            stats[-1].eval_ms = (time.perf_counter() - t0) * 1000.0
-    return records, stats
+    stats: list[list[StepStats]] = [[] for _ in cfgs]
+    for step in range(1, first.total_steps + 1):
+        for s, cell_stats in enumerate(train_step(table, tree, cfgs, train_rngs, step)):
+            stats[s].append(cell_stats)
+            cfg = cfgs[s]
+            if step % cfg.eval_every == 0 or step == cfg.total_steps:
+                t0 = time.perf_counter()
+                records[s].append(evaluate(policies[s], tree, step, cfg.eval_samples_k,
+                                           eval_rngs[s], cfg.support_k))
+                cell_stats.eval_ms = (time.perf_counter() - t0) * 1000.0
+    return list(zip(records, stats))
+
+
+# One steps.jsonl line: json.dumps(vars(stats)) for ints and finite floats,
+# which json writes as their repr.
+_STEP_LINE = "{{" + ", ".join(f'"{f.name}": {{}}' for f in fields(StepStats)) + "}}\n"
 
 
 def write_steps_jsonl(stats, path) -> None:
     """One JSON object per step, with the :class:`StepStats` fields in
-    order; ``path`` is replaced whole (:func:`~anchorlab.metrics.atomic_open`)."""
+    order; ``path`` is replaced whole (:func:`~anchorlab.metrics.atomic_open`).
+    Every field is an int or a finite float, so each value is its repr."""
     with atomic_open(path) as fh:
-        for s in stats:
-            fh.write(json.dumps(vars(s)) + "\n")
+        fh.write("".join(_STEP_LINE.format(*map(repr, vars(s).values())) for s in stats))

@@ -250,7 +250,7 @@ def test_criterion_9_degenerate_anchor_handling():
         method_config=cfg, env=env, total_steps=30, groups_per_step=2,
         inner_epochs=2, eval_every=15, eval_samples_k=8, seed=4,
     )
-    records, stats = run_experiment(train_cfg)
+    [(records, stats)] = run_experiment([train_cfg])
     total = sum(s.degenerate_anchors for s in stats)
     assert total > 0
     assert len(records) == 3

@@ -106,9 +106,9 @@ def test_shipped_spec_resolves_to_the_cells_it_trains(tmp_path, monkeypatch):
     built = []
     run = cli.run_experiment
 
-    def record(cfg, tree):
-        built.append(cfg)
-        return run(dataclasses.replace(cfg, total_steps=0), tree)
+    def record(cfgs, tree):
+        built.extend(cfgs)
+        return run([dataclasses.replace(cfg, total_steps=0) for cfg in cfgs], tree)
 
     monkeypatch.setattr(cli, "run_experiment", record)
     assert main(["train", "--spec", str(SHIPPED_SPEC), "--out", str(tmp_path),
@@ -202,9 +202,10 @@ class TestTrainCommand:
         cells = {}
         run = cli.run_experiment
 
-        def record(cfg, tree=None):
-            cells[cfg.method_config.method, cfg.seed] = (cfg.env, tree)
-            return run(cfg, tree)
+        def record(cfgs, tree=None):
+            for cfg in cfgs:
+                cells[cfg.method_config.method, cfg.seed] = (cfg.env, tree)
+            return run(cfgs, tree)
 
         monkeypatch.setattr(trainer, "generate_tree", counted)
         monkeypatch.setattr(cli, "run_experiment", record)
@@ -218,6 +219,78 @@ class TestTrainCommand:
                                            else env_seed))
             assert tree is not None
             assert_same_tree(tree, generate(env))
+
+    @pytest.mark.parametrize("env_seed", [4, None], ids=["fixed", "null"])
+    def test_cells_stack_by_tree_and_group_size(self, tmp_path, monkeypatch, env_seed):
+        # grpo and apo share a group size, nsr has its own. A fixed env seed
+        # is one tree, so one stack per group size over both seeds; a null
+        # one is a tree per seed, so stacks per seed. One method's cells sit
+        # side by side in a stack, and each stack's cells are written after
+        # it trains, seed by seed in method order.
+        methods = [{"method": "grpo"}, {"method": "nsr", "group_size": 4},
+                   {"method": "apo", "anchor_k": 2}]
+        spec = dict(SPEC, methods=methods, env=dict(SPEC["env"], seed=env_seed))
+        events = []
+        run, write = cli.run_experiment, cli.write_metrics_csv
+
+        def stacked(cfgs, tree):
+            events.append(("stack", [(cfg.method_config.method, cfg.seed) for cfg in cfgs]))
+            return run(cfgs, tree)
+
+        def written(records, path, timestamp=None):
+            events.append(("write", (path.parent.parent.name, int(path.parent.name))))
+            return write(records, path, timestamp)
+
+        monkeypatch.setattr(cli, "run_experiment", stacked)
+        monkeypatch.setattr(cli, "write_metrics_csv", written)
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)), "--out", str(out),
+                     "--no-timestamp"]) == 0
+
+        def stack(cells):
+            order = sorted(cells, key=lambda cell: ["grpo", "nsr", "apo"].index(cell[0]))
+            return [("stack", order)] + [("write", cell) for cell in cells]
+
+        if env_seed is None:
+            want = (stack([("grpo", 1), ("apo", 1)]) + stack([("nsr", 1)])
+                    + stack([("grpo", 2), ("apo", 2)]) + stack([("nsr", 2)]))
+        else:
+            want = (stack([("grpo", 1), ("apo", 1), ("grpo", 2), ("apo", 2)])
+                    + stack([("nsr", 1), ("nsr", 2)]))
+        assert events == want
+        # Every cell is the cell trained alone, byte for byte.
+        monkeypatch.undo()
+        for m in methods:
+            for seed in SPEC["seeds"]:
+                env = EnvConfig(**dict(SPEC["env"], seed=seed if env_seed is None else env_seed))
+                cfg = TrainConfig(method_config=MethodConfig(**m), env=env, seed=seed,
+                                  **SPEC["train"])
+                [(records, _)] = trainer.run_experiment([cfg])
+                alone = tmp_path / f"{m['method']}{seed}.csv"
+                cli.write_metrics_csv(records, alone)
+                cell = out / "smoke" / m["method"] / str(seed) / "metrics.csv"
+                assert cell.read_bytes() == alone.read_bytes()
+
+    def test_failed_stack_writes_none_of_its_cells(self, tmp_path, monkeypatch, capsys):
+        # The nsr stack fails mid-run: the stack before it is written whole,
+        # and no file of its own cells exists.
+        spec = dict(SPEC, methods=[{"method": "grpo"}, {"method": "nsr", "group_size": 4}])
+        step = trainer.train_step
+
+        def failing(table, tree, cfgs, rngs, k):
+            if cfgs[0].method_config.method == "nsr" and k == 3:
+                raise OSError("device lost")
+            return step(table, tree, cfgs, rngs, k)
+
+        monkeypatch.setattr(trainer, "train_step", failing)
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)), "--out", str(out),
+                     "--no-timestamp"]) == 3
+        assert "error: io: device lost" in capsys.readouterr().out
+        files = sorted(p.relative_to(out / "smoke").as_posix() for p in out.rglob("*")
+                       if p.is_file())
+        assert files == [f"grpo/{seed}/{name}" for seed in SPEC["seeds"]
+                         for name in ("metrics.csv", "steps.jsonl")]
 
     def test_jobs_2_sweep_leaves_the_shared_tree_as_generated(self, tmp_path, monkeypatch):
         # Every cell of the sweep reads one tree; no cell may write to it.

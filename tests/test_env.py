@@ -48,6 +48,16 @@ class TestGenerateTree:
         expected[leaf[0]] = 0.5
         np.testing.assert_allclose(tree.ref_policy.dist(tree.ROOT), expected, atol=1e-12)
 
+    def test_reference_is_handed_over_without_a_copy(self, monkeypatch):
+        # The spread check has shown every logit finite, so the table takes
+        # generate_tree's array as it is, without copying and checking it.
+        def copying(self, z):
+            raise AssertionError("the reference went through LogitTable's copy")
+
+        monkeypatch.setattr(LogitTable, "__init__", copying)
+        tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=3, seed=1))
+        assert len(tree.ref_policy) == tree.num_contexts() == 21
+
     def test_no_signal_gives_uniform(self):
         cfg = EnvConfig(depth=2, branching=3, num_valid_leaves=2,
                         ref_concentration=0.0, ref_noise=0.0, seed=1)
@@ -244,13 +254,15 @@ class TestRollout:
             z[ctx] = -200.0
             z[ctx, t] = 200.0
             ctx = tree.child_context(ctx, t)
-        tokens, _, rewards, _ = rollout(tree, LogitTable(z), 5, np.random.default_rng(0))
+        u = np.random.default_rng(0).random((5, 3))
+        tokens, _, rewards, _ = rollout(tree, LogitTable(z), u)
         assert tokens.tolist() == [list(leaf)] * 5
         assert rewards.tolist() == [1] * 5
 
     def test_reward_matches_verify_and_contexts_follow_path(self):
         tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=4, seed=5))
-        tokens, contexts, rewards, _ = rollout(tree, tree.ref_policy, 50, np.random.default_rng(8))
+        tokens, contexts, rewards, _ = rollout(tree, tree.ref_policy,
+                                             np.random.default_rng(8).random((50, 3)))
         assert tokens.shape == contexts.shape == (50, 3)
         assert rewards.shape == (50,)
         for toks, ctxs, reward in zip(tokens, contexts, rewards):
@@ -286,7 +298,7 @@ class TestRollout:
             policy = LogitTable(8.0 * noise)
         rng_a = np.random.default_rng(seed + 100)
         rng_b = np.random.default_rng(seed + 100)
-        tokens, contexts, rewards, rows = rollout(tree, policy, 37, rng_a)
+        tokens, contexts, rewards, rows = rollout(tree, policy, rng_a.random((37, depth)))
         want_tokens, want_contexts = scalar_rollouts(tree, policy, 37, rng_b)
         assert tokens.shape == contexts.shape == (37, depth)
         # The rows the tokens were drawn from, which the trainer and the
@@ -306,7 +318,7 @@ class TestRollout:
             EnvConfig(depth=3, branching=4, num_valid_leaves=2,
                       ref_concentration=0.0, ref_noise=noise, seed=4)
         )
-        tokens, contexts, _, _ = rollout(tree, tree.ref_policy, 6, _AllOnes())
+        tokens, contexts, _, _ = rollout(tree, tree.ref_policy, _AllOnes().random((6, 3)))
         assert tokens.tolist() == [[3, 3, 3]] * 6
         assert sample_token(tree.ref_policy.dist(tree.ROOT), _AllOnes()) == 3
         assert contexts.tolist() == [[0, 4, 20]] * 6
@@ -318,7 +330,7 @@ class TestRollout:
         )
         rng = np.random.default_rng(13)
         n = 10**4
-        mean = np.mean(rollout(tree, tree.ref_policy, n, rng)[2])
+        mean = np.mean(rollout(tree, tree.ref_policy, rng.random((n, 2)))[2])
         assert abs(mean - 0.25) < 0.02
 
     def test_leaf_probabilities_sum_to_one(self):
@@ -336,7 +348,7 @@ class TestRollout:
         )
         rng = np.random.default_rng(23)
         n = 4000
-        hits = int(rollout(tree, tree.ref_policy, n, rng)[2].sum())
+        hits = int(rollout(tree, tree.ref_policy, rng.random((n, 3)))[2].sum())
         sigma = math.sqrt(exact * (1 - exact) / n)
         assert abs(hits / n - exact) < 3 * sigma + 1e-9
 
@@ -473,12 +485,12 @@ def assert_rewards_are_verify(tree):
     and on sampled rollouts."""
     b, d = tree.branching, tree.depth
     uniform = LogitTable(np.zeros((tree.num_contexts(), b)))
-    tokens, _, rewards, _ = rollout(tree, uniform, b**d, _LeafWalk(b, d))
+    tokens, _, rewards, _ = rollout(tree, uniform, _LeafWalk(b, d).random((b**d, d)))
     assert tokens.tolist() == [list(leaf) for leaf in all_leaves(tree)]
     assert rewards.tolist() == [verify(tree, leaf) for leaf in all_leaves(tree)]
     peaked = LogitTable(3.0 * np.random.default_rng(d * b).standard_normal(
         (tree.num_contexts(), b)))
-    tokens, _, rewards, _ = rollout(tree, peaked, 64, np.random.default_rng(b))
+    tokens, _, rewards, _ = rollout(tree, peaked, np.random.default_rng(b).random((64, d)))
     assert rewards.tolist() == [verify(tree, row) for row in tokens]
     assert tree.valid_ids.tolist() == sorted(tree.valid_ids.tolist())
 

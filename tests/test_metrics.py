@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorlab import metrics
 from anchorlab.anchor import top_k
 from anchorlab.env import EnvConfig, generate_tree, rollout
 from anchorlab.metrics import (
@@ -152,7 +153,8 @@ class TestPassMetrics:
             policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), tree.branching)))
             k = int(rng.integers(2, 9))
             rec = evaluate(policy, tree, 0, k, np.random.default_rng(seed))
-            rewards = rollout(tree, policy, k, np.random.default_rng(seed))[2]
+            u = np.random.default_rng(seed).random((k, tree.depth))
+            rewards = rollout(tree, policy, u)[2]
             assert rec.pass_at_1 == float(np.mean(rewards))
             assert rec.pass_at_k == (1.0 if rewards.any() else 0.0)
             assert rec.pass_at_k >= rec.pass_at_1
@@ -271,7 +273,8 @@ class TestSelfBleuMatchesPairwise:
 
     def test_rollout_samples(self):
         tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
-        tokens, _, _, _ = rollout(tree, tree.ref_policy, 64, np.random.default_rng(3))
+        u = np.random.default_rng(3).random((64, tree.depth))
+        tokens, _, _, _ = rollout(tree, tree.ref_policy, u)
         assert_bleu_bitwise(tokens.tolist(), 4)
         # ``evaluate`` passes the (K, D) array itself.
         assert bits(self_bleu(tokens, 4)) == bits(self_bleu(tokens.tolist(), 4))
@@ -285,6 +288,33 @@ class TestSelfBleuMatchesPairwise:
     def test_tokens_near_2_62(self, samples, n_max):
         # A base-V code of an 8-gram of such tokens would overflow int64.
         assert_bleu_bitwise(samples, n_max)
+
+    @pytest.mark.parametrize("case", ["rollouts", "variable-lengths"])
+    def test_bleu_runs_once_per_distinct_row(self, monkeypatch, case):
+        # Samples with one length and one row of clipped counts share their
+        # score, so _bleu scores each distinct (length, counts) row once.
+        if case == "rollouts":
+            tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
+            u = np.random.default_rng(3).random((64, tree.depth))
+            samples = rollout(tree, tree.ref_policy, u)[0].tolist()
+        else:
+            samples = [[1, 2, 3], [1, 2, 3], [2, 3], [1], [1], [2, 3, 1, 2], [], [3, 2]]
+        n_max = 4
+        lengths = [len(x) for x in samples]
+        rows = metrics._clipped_counts(np.array(sum(samples, []), dtype=np.int64),
+                                       np.array(lengths), n_max).tolist()
+        distinct = {(h, tuple(row[:min(n_max, h)])) for h, row in zip(lengths, rows)}
+        calls = []
+        bleu = metrics._bleu
+
+        def counted(h, clipped, ref_len):
+            calls.append((h, tuple(clipped)))
+            return bleu(h, clipped, ref_len)
+
+        monkeypatch.setattr(metrics, "_bleu", counted)
+        assert bits(self_bleu(samples, n_max)) == bits(pairwise_self_bleu(samples, n_max))
+        assert sorted(calls) == sorted(distinct)
+        assert len(calls) < len(samples)
 
     @pytest.mark.parametrize("samples, n_max", [([], 4), ([(1,), (2,)], 0)])
     def test_rejects_what_it_cannot_score(self, samples, n_max):
@@ -408,7 +438,8 @@ class TestEvaluate:
         policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), branching)))
         k = int(rng.integers(2, 65))
         record = evaluate(policy, tree, 3, k, np.random.default_rng(seed), support_k)
-        tokens, contexts, rewards, _ = rollout(tree, policy, k, np.random.default_rng(seed))
+        tokens, contexts, rewards, _ = rollout(tree, policy,
+                                                np.random.default_rng(seed).random((k, tree.depth)))
         visited = sorted(set(contexts.ravel().tolist()))
         top = max(1, branching // 2) if support_k is None else support_k
         ent, maxp = loop_entropy_and_maxprob(policy, contexts)

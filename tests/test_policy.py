@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anchorlab.policy import (
     LogitTable,
+    StackedTable,
     check_dist,
     dump_logit_table,
     entropy,
@@ -147,6 +148,81 @@ class TestLogitTable:
         clone.add_to_logits(0, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(table.logits(0), [1.0, 2.0])
         np.testing.assert_array_equal(clone.logits(0), [2.0, 3.0])
+
+
+def start_and_copy(c=6, v=4, seed=0):
+    """A start table and an independent copy of it, the oracle."""
+    z = 3.0 * np.random.default_rng(seed).standard_normal((c, v))
+    return LogitTable(z), LogitTable(z)
+
+
+class TestStackedTable:
+    def test_cells_read_the_start_until_they_write(self):
+        start, want = start_and_copy()
+        stack = StackedTable(start, 3)
+        assert len(stack) == 18 and stack.contexts == 6 and stack.vocab_size == 4
+        ctxs = np.arange(6)
+        for s in range(3):
+            cell = stack.cell(s)
+            assert len(cell) == 6 and cell.vocab_size == 4
+            assert cell.dist(ctxs).tobytes() == want.dist(ctxs).tobytes()
+            assert dump_logit_table(cell) == dump_logit_table(want)
+        assert stack.dist(np.arange(18)).tobytes() == want.dist(np.tile(ctxs, 3)).tobytes()
+
+    def test_no_cell_sees_another_cells_update(self):
+        start, want = start_and_copy()
+        stack = StackedTable(start, 3)
+        d1, d2 = np.full((1, 4), 0.5), np.array([[1.0, -1.0, 2.0, 0.0]])
+        stack.add_to_logits(np.array([6 + 2]), d1)  # cell 1, context 2
+        stack.add_to_logits(np.array([2, 12 + 2, 12 + 5]), np.vstack((d2, d2, d1)))
+        expected = [want.copy() for _ in range(3)]
+        expected[1].add_to_logits(2, d1[0])
+        expected[0].add_to_logits(2, d2[0])
+        expected[2].add_to_logits(np.array([2, 5]), np.vstack((d2, d1)))
+        stack.add_to_logits(np.array([6 + 2]), d2)  # a private row is written in place
+        expected[1].add_to_logits(2, d2[0])
+        for s in range(3):
+            assert dump_logit_table(stack.cell(s)) == dump_logit_table(expected[s])
+        # The start table is never written: it reads the stack's copy, read-only.
+        assert dump_logit_table(start) == dump_logit_table(want)
+        with pytest.raises(ValueError):
+            start.add_to_logits(0, np.ones(4))
+
+    def test_room_for_private_rows(self):
+        start, want = start_and_copy()
+        stack = StackedTable(start, 2, capacity=2)
+        stack.add_to_logits(np.array([1, 7]), np.ones((2, 4)))
+        stack.add_to_logits(np.array([1, 7]), np.ones((2, 4)))  # no new rows
+        before = [dump_logit_table(stack.cell(s)) for s in range(2)]
+        with pytest.raises(ValueError, match="no room"):
+            stack.add_to_logits(np.array([1, 8]), np.ones((2, 4)))
+        assert [dump_logit_table(stack.cell(s)) for s in range(2)] == before
+
+    def test_failed_update_changes_nothing_and_takes_no_row(self):
+        start, want = start_and_copy()
+        stack = StackedTable(start, 2, capacity=1)
+        bad = np.zeros((2, 4))
+        bad[1, 3] = np.inf
+        with pytest.raises(ValueError, match="key 9"):
+            stack.add_to_logits(np.array([3, 9]), bad)
+        with pytest.raises(ValueError):
+            stack.add_to_logits(np.array([3]), np.zeros((1, 3)))
+        for s in range(2):
+            assert dump_logit_table(stack.cell(s)) == dump_logit_table(want)
+        stack.add_to_logits(np.array([9]), np.ones((1, 4)))  # the one row is still free
+        assert stack.cell(1).logits(3).tobytes() == (want.logits(3) + 1.0).tobytes()
+
+    def test_cell_copy_and_logits_are_not_the_stack(self):
+        start, want = start_and_copy()
+        stack = StackedTable(start, 2)
+        cell = stack.cell(1)
+        clone = cell.copy()
+        clone.add_to_logits(4, np.ones(4))
+        assert dump_logit_table(cell) == dump_logit_table(want)
+        with pytest.raises(ValueError):
+            cell.logits(4)[0] = 1.0
+        stack.add_to_logits(np.array([6 + 4]), np.ones((1, 4)))
+        assert dump_logit_table(cell) == dump_logit_table(clone)
 
 
 class TestSerialization:

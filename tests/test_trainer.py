@@ -1,5 +1,9 @@
+import json
 import os
 import sys
+import tracemalloc
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from anchorlab.objectives import (
     method_token_update,
     token_gradients,
 )
-from anchorlab.policy import dump_logit_table
+from anchorlab.policy import StackedTable, dump_logit_table
 from anchorlab.trainer import (
     StepStats,
     TokenBatch,
@@ -36,7 +40,7 @@ def separate_groups(tree, policy, mcfg, groups, rng):
     one 1-D :func:`group_advantages` call per group."""
     out = []
     for _ in range(groups):
-        tokens, contexts, _, _ = rollout(tree, policy, mcfg.group_size, rng)
+        tokens, contexts, _, _ = rollout(tree, policy, rng.random((mcfg.group_size, tree.depth)))
         rewards = np.array([verify(tree, row) for row in tokens])
         out.append((tokens, contexts, rewards, group_advantages(rewards, mcfg.adv_eps)))
     return out
@@ -54,6 +58,33 @@ def concat_kept(groups):
         np.concatenate([g[0].ravel() for g in kept]),
         np.concatenate([np.repeat(g[3], g[0].shape[1]) for g in kept]),
     )
+
+
+def cell_of_one(tree, start=None):
+    """A stack of one cell starting from ``start`` (a copy of the
+    reference by default), and the cell."""
+    table = StackedTable(initial_policy(tree) if start is None else start, 1)
+    return table, table.cell(0)
+
+
+def one_step(table, tree, cfg, rng, step=0):
+    """:func:`train_step` of a stack of one cell: that cell's statistics."""
+    [stats] = train_step(table, tree, [cfg], [rng], step)
+    return stats
+
+
+def one_cell_batch(ctx, tok, adv, old, ref_policy, mcfg):
+    """The :class:`TokenBatch` of a stack of one cell."""
+    return TokenBatch(ctx, tok, adv, old, ref_policy, [mcfg], [ctx.size])
+
+
+def apply_one(table, tree, mcfg, batch, live=None):
+    """:func:`apply_token_batch` for a stack of one cell, with the clipped
+    counts of the positive- and negative-advantage tokens and the
+    degenerate-anchor count of the pass."""
+    clipped, degenerate = apply_token_batch(table, tree, [mcfg], batch, live)
+    neg = batch.adv < 0.0
+    return int((clipped & ~neg).sum()), int((clipped & neg).sum()), int(degenerate.sum())
 
 
 def small_cfg(method="grpo", **overrides):
@@ -78,9 +109,9 @@ class TestTrainStep:
         # to token-mean advantage-weighted log-prob ascent.
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg(inner_epochs=1)
-        policy = initial_policy(tree)
+        table, policy = cell_of_one(tree)
         rng = np.random.default_rng(12)
-        stats = train_step(policy, tree, cfg, rng)
+        stats = one_step(table, tree, cfg, rng)
         assert stats.frac_clipped == 0.0
 
         expected = initial_policy(tree)
@@ -109,7 +140,7 @@ class TestTrainStep:
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg("apo", inner_epochs=1, method_config=MethodConfig(
             method="apo", pull_coef=0.5))
-        stats = train_step(initial_policy(tree), tree, cfg, np.random.default_rng(12))
+        stats = one_step(cell_of_one(tree)[0], tree, cfg, np.random.default_rng(12))
         assert stats.degenerate_anchors == 0
         assert stats.frac_clipped_neg == 1.0
         assert stats.frac_clipped_pos == 0.0
@@ -117,8 +148,8 @@ class TestTrainStep:
 
     def test_grpo_first_pass_clips_nothing_of_either_sign(self):
         tree = generate_tree(SMALL_ENV)
-        policy = initial_policy(tree)
-        stats = train_step(policy, tree, small_cfg(inner_epochs=1), np.random.default_rng(12))
+        table, policy = cell_of_one(tree)
+        stats = one_step(table, tree, small_cfg(inner_epochs=1), np.random.default_rng(12))
         assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
         assert stats.frac_clipped_pos == stats.frac_clipped_neg == 0.0
 
@@ -130,15 +161,15 @@ class TestTrainStep:
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg(method, inner_epochs=3,
                         method_config=MethodConfig(method=method, learning_rate=5.0))
-        policy = initial_policy(tree)
-        stats = train_step(policy, tree, cfg, np.random.default_rng(11))
+        table, policy = cell_of_one(tree)
+        stats = one_step(table, tree, cfg, np.random.default_rng(11))
 
         expected = initial_policy(tree)
         pi_old = expected.copy()
         rng = np.random.default_rng(11)
         ctx, tok, adv = concat_kept(separate_groups(
             tree, pi_old, cfg.method_config, cfg.groups_per_step, rng))
-        batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, cfg.method_config)
+        batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, cfg.method_config)
         if method == "apo":
             assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
         else:
@@ -172,7 +203,7 @@ class TestTrainStep:
         for module in (trainer, objectives):
             spy(module, "anchor_reference", "anchor_reference")
         spy(objectives, "segment_sums", "segment_sums")
-        policy = initial_policy(tree)
+        table, policy = cell_of_one(tree)
         spy(tree.ref_policy, "dist", "ref_dist")
         rng = np.random.default_rng(11)
         reads_reference = method not in ("grpo", "nsr")
@@ -180,7 +211,7 @@ class TestTrainStep:
         for step in range(1, 5):
             for key in calls:
                 calls[key].clear()
-            train_step(policy, tree, cfg, rng, step)
+            one_step(table, tree, cfg, rng, step)
             assert len(calls["anchor_reference"]) == builds
             assert len(calls["ref_dist"]) == int(reads_reference)
             sums += len(calls["segment_sums"])
@@ -194,9 +225,9 @@ class TestTrainStep:
         env = EnvConfig(depth=2, branching=3, num_valid_leaves=9, seed=1)
         tree = generate_tree(env)
         cfg = small_cfg(env=env)
-        policy = initial_policy(tree)
+        table, policy = cell_of_one(tree)
         before = dump_logit_table(policy)
-        stats = train_step(policy, tree, cfg, np.random.default_rng(0))
+        stats = one_step(table, tree, cfg, np.random.default_rng(0))
         assert dump_logit_table(policy) == before
         assert stats.mean_reward == 1.0
 
@@ -217,11 +248,11 @@ class TestTrainStep:
         gains = []
         for seed in range(10):
             cfg = small_cfg(method, env=env, total_steps=40, seed=seed)
-            policy = initial_policy(tree)
+            table, policy = cell_of_one(tree)
             rng = np.random.default_rng(seed)
             start = leaf_prob(policy)
             for step in range(cfg.total_steps):
-                train_step(policy, tree, cfg, rng, step)
+                one_step(table, tree, cfg, rng, step)
             gains.append(leaf_prob(policy) - start)
         assert np.mean(gains) > 0
 
@@ -232,8 +263,8 @@ class TestTrainStep:
         results = []
         for method in ("grpo", "grpo_kl"):
             cfg = small_cfg(method, inner_epochs=1)
-            policy = initial_policy(tree)
-            train_step(policy, tree, cfg, np.random.default_rng(7))
+            table, policy = cell_of_one(tree)
+            one_step(table, tree, cfg, np.random.default_rng(7))
             results.append(dump_logit_table(policy))
         assert results[0] == results[1]
 
@@ -245,11 +276,11 @@ class TestTrainStep:
             "apo", env=env, total_steps=30,
             method_config=MethodConfig(method="apo", anchor_k=1),
         )
-        policy = initial_policy(tree)
+        table, _ = cell_of_one(tree)
         rng = np.random.default_rng(4)
         total_degenerate = 0
         for step in range(cfg.total_steps):
-            total_degenerate += train_step(policy, tree, cfg, rng, step).degenerate_anchors
+            total_degenerate += one_step(table, tree, cfg, rng, step).degenerate_anchors
         assert total_degenerate > 0
 
 
@@ -260,7 +291,7 @@ class TestTokenMeanAggregation:
         pi_old = initial_policy(tree).copy()
         rng = np.random.default_rng(9)
         ((tokens, contexts, _, advantages),) = separate_groups(tree, pi_old, mcfg, 1, rng)
-        batch = TokenBatch(
+        batch = one_cell_batch(
             contexts.ravel(),
             tokens.ravel(),
             np.repeat(advantages, tree.depth),
@@ -269,16 +300,16 @@ class TestTokenMeanAggregation:
             mcfg,
         )
         assert len(batch) == tokens.size
-        thrice_batch = TokenBatch(
+        thrice_batch = one_cell_batch(
             *(np.tile(a, (3,) + (1,) * (a.ndim - 1))
               for a in (batch.ctx, batch.tok, batch.adv, batch.old)),
             tree.ref_policy, mcfg,
         )
 
-        once = initial_policy(tree)
-        apply_token_batch(once, tree, mcfg, batch)
-        thrice = initial_policy(tree)
-        apply_token_batch(thrice, tree, mcfg, thrice_batch)
+        once_table, once = cell_of_one(tree)
+        apply_one(once_table, tree, mcfg, batch)
+        thrice_table, thrice = cell_of_one(tree)
+        apply_one(thrice_table, tree, mcfg, thrice_batch)
         for ctx in range(len(once)):
             np.testing.assert_allclose(
                 once.logits(ctx), thrice.logits(ctx), rtol=0, atol=1e-12
@@ -317,8 +348,9 @@ def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
     bit for bit, sign of zero included (a last-bit difference in a gradient
     can round away in the logits it is added to)."""
     P, O, Q = (t.dist(batch.ctx) for t in (policy, pi_old, tree.ref_policy))
+    [(_, _, _, flat, anchors)] = batch.runs
     grads, clipped, degenerate = token_gradients(
-        P, batch.old_tok, batch.ref, batch.flat, batch.adv, mcfg, batch.anchors)
+        P, batch.old_tok, batch.ref, flat, batch.adv, mcfg, anchors)
     for i, (token, adv) in enumerate(zip(batch.tok.tolist(), batch.adv.tolist())):
         update = method_token_update(P[i], O[i], Q[i], token, adv, mcfg)
         assert grads[i].tobytes() == update.gradient.tobytes()
@@ -360,12 +392,12 @@ class TestDenseMatchesScalar:
             rng = np.random.default_rng(seed)
             ctx, tok, adv = (np.tile(a, copies)
                              for a in concat_kept(separate_groups(tree, pi_old, mcfg, 4, rng)))
-            batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
-            dense, scalar = initial_policy(tree), initial_policy(tree)
+            batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
+            (dense_table, dense), scalar = cell_of_one(tree), initial_policy(tree)
             for _ in range(epochs):
                 if len(batch):
                     assert_rows_match_scalar(dense, pi_old, tree, batch, mcfg)
-                counts = apply_token_batch(dense, tree, mcfg, batch)
+                counts = apply_one(dense_table, tree, mcfg, batch)
                 if len(batch):
                     assert counts == scalar_pass(scalar, pi_old, tree, batch, mcfg)
                 else:
@@ -389,7 +421,7 @@ def separate_groups_step(policy, tree, cfg, rng, step):
     pi_old = policy.copy()
     groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
     ctx, tok, adv = concat_kept(groups)
-    batch = TokenBatch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
+    batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
     pos = neg = degenerate = 0
     for _ in range(cfg.inner_epochs):
         if len(batch):
@@ -462,13 +494,13 @@ class TestOneRolloutPerStep:
         spy("group_advantages", lambda args, result: result)
         spy("apply_token_batch", lambda args, result: args[3])
 
-        policy, expected = initial_policy(tree), initial_policy(tree)
+        (table, policy), expected = cell_of_one(tree), initial_policy(tree)
         rng, rng_old = np.random.default_rng(31), np.random.default_rng(31)
         n = cfg.method_config.group_size
         for step in range(1, 4):
             seen.clear()
             sampled_from = policy.copy()
-            stats = train_step(policy, tree, cfg, rng, step)
+            stats = one_step(table, tree, cfg, rng, step)
             old_groups, old_batch, old_stats = separate_groups_step(
                 expected, tree, cfg, rng_old, step)
 
@@ -498,34 +530,176 @@ class TestOneRolloutPerStep:
             assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
 
 
+STACK_ENV = EnvConfig(depth=3, branching=9, num_valid_leaves=5, seed=8)
+# (method config, seed) of each cell of a mixed stack: all five methods,
+# unequal learning rates and adv_eps, apo with a Top-1 and a Top-8 anchor,
+# and two adjacent cells with one config, which share their passes' calls.
+STACK_CELLS = [
+    (MethodConfig(method="grpo", learning_rate=0.3), 1),
+    (MethodConfig(method="grpo_kl", learning_rate=1.0, adv_eps=0.1), 2),
+    (MethodConfig(method="grpo_kl_error_only", learning_rate=2.0), 3),
+    (MethodConfig(method="nsr", learning_rate=0.5, adv_eps=1e-3), 4),
+    (MethodConfig(method="apo", anchor_k=1, learning_rate=2.0), 5),
+    (MethodConfig(method="apo", anchor_k=8, learning_rate=1.5), 6),
+    (MethodConfig(method="apo", anchor_k=8, learning_rate=1.5), 7),
+]
+
+
+def stack_cfgs(cells=STACK_CELLS, **overrides):
+    base = dict(env=STACK_ENV, total_steps=8, groups_per_step=2, inner_epochs=2,
+                eval_every=3, eval_samples_k=8)
+    base.update(overrides)
+    return [TrainConfig(method_config=m, seed=seed, **base) for m, seed in cells]
+
+
+class TestStack:
+    """Cells trained in lockstep on one stacked table equal the same cells
+    trained alone, bit for bit, and each equals the step written out with
+    separate groups and scalar passes."""
+
+    def test_stack_equals_cells_trained_alone(self, monkeypatch):
+        tree = generate_tree(STACK_ENV)
+        cfgs = stack_cfgs()
+        table = StackedTable(initial_policy(tree), len(cfgs))
+        alone = [cell_of_one(tree) for _ in cfgs]
+        oracles = [initial_policy(tree) for _ in cfgs]
+        rngs, alone_rngs, oracle_rngs = ([np.random.default_rng(cfg.seed) for cfg in cfgs]
+                                         for _ in range(3))
+        calls = []
+
+        def spy(*args, call=trainer.token_gradients):
+            calls.append(args)
+            return call(*args)
+
+        monkeypatch.setattr(trainer, "token_gradients", spy)
+        mixed = 0
+        for step in range(1, cfgs[0].total_steps + 1):
+            calls.clear()
+            stacked = train_step(table, tree, cfgs, rngs, step)
+            stacked_calls = len(calls)
+            kept = []
+            for s, cfg in enumerate(cfgs):
+                [stats] = train_step(alone[s][0], tree, [cfg], [alone_rngs[s]], step)
+                _, (ctx, *_), want = separate_groups_step(oracles[s], tree, cfg, oracle_rngs[s],
+                                                          step)
+                kept.append(ctx.size)
+                assert untimed(stacked[s]) == untimed(stats) == untimed(want), (s, step)
+                cell = dump_logit_table(table.cell(s))
+                assert cell == dump_logit_table(alone[s][1]) == dump_logit_table(oracles[s])
+                assert rngs[s].bit_generator.state == oracle_rngs[s].bit_generator.state
+            # One token_gradients call per run of cells with one config and tokens.
+            with_tokens = [cfg.method_config for cfg, k in zip(cfgs, kept) if k]
+            assert stacked_calls == cfgs[0].inner_epochs * len(
+                [m for i, m in enumerate(with_tokens) if i == 0 or m != with_tokens[i - 1]])
+            mixed += 0 in kept and any(kept)
+        assert mixed > 0  # steps where one cell keeps no group and another does
+        for s in range(len(cfgs)):
+            assert dump_logit_table(table.cell(s)) != dump_logit_table(initial_policy(tree))
+
+    def test_contexts_a_cell_never_updated_read_the_start_row(self, monkeypatch):
+        tree = generate_tree(STACK_ENV)
+        reference = dump_logit_table(tree.ref_policy)
+        cfgs = stack_cfgs()
+        start = initial_policy(tree)
+        table = StackedTable(start, len(cfgs))
+        written = set()
+
+        def spy(keys, block, call=table.add_to_logits):
+            written.update(keys.tolist())
+            return call(keys, block)
+
+        monkeypatch.setattr(table, "add_to_logits", spy)
+        rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        for step in range(1, 9):
+            train_step(table, tree, cfgs, rngs, step)
+        # Neither the start table nor the tree's reference was written.
+        assert dump_logit_table(tree.ref_policy) == reference == dump_logit_table(start)
+        c = tree.num_contexts()
+        start_rows = tree.ref_policy.dist(np.arange(c))
+        for s in range(len(cfgs)):
+            updated = np.isin(np.arange(c) + s * c, list(written))
+            assert updated.any() and not updated.all()
+            rows = table.cell(s).dist(np.arange(c))
+            assert rows[~updated].tobytes() == start_rows[~updated].tobytes()
+
+    def test_run_experiment_records_equal_cells_run_alone(self):
+        tree = generate_tree(STACK_ENV)
+        cfgs = stack_cfgs(total_steps=10)
+        stacked = run_experiment(cfgs, tree)
+        assert len(stacked) == len(cfgs)
+        for cfg, (records, stats) in zip(cfgs, stacked):
+            [(want_records, want_stats)] = run_experiment([cfg], tree)
+            assert records == want_records
+            assert [untimed(x) for x in stats] == [untimed(x) for x in want_stats]
+            assert [r.step for r in records] == [0, 3, 6, 9, 10]
+
+    def test_cells_share_the_stack_timings(self):
+        tree = generate_tree(STACK_ENV)
+        stacked = run_experiment(stack_cfgs(total_steps=3), tree)
+        for step in range(3):
+            times = {tuple(getattr(stats[step], k) for k in TIMINGS[:3]) for _, stats in stacked}
+            assert len(times) == 1
+
+    @pytest.mark.parametrize("name, change", [
+        ("group_size", lambda cfg: replace(cfg, method_config=replace(cfg.method_config,
+                                                                      group_size=4))),
+        ("total_steps", lambda cfg: replace(cfg, total_steps=3)),
+        ("inner_epochs", lambda cfg: replace(cfg, inner_epochs=1)),
+        ("groups_per_step", lambda cfg: replace(cfg, groups_per_step=3)),
+        ("env", lambda cfg: replace(cfg, env=replace(cfg.env, seed=9))),
+    ])
+    def test_cells_that_cannot_share_a_step_are_rejected(self, name, change):
+        cfgs = stack_cfgs()[:2]
+        with pytest.raises(ValueError, match=name):
+            run_experiment([cfgs[0], change(cfgs[1])])
+
+
+class TestStackMemory:
+    def test_five_cells_cost_less_than_two_tables_beyond_the_start_copy(self):
+        # A plain (S*C, V) stack of 5 cells would hold 4 tables more.
+        tree = generate_tree(EnvConfig(depth=6, branching=8, num_valid_leaves=64, seed=0))
+        cfgs = [replace(cfg, env=EnvConfig(depth=6, branching=8, num_valid_leaves=64, seed=0),
+                        total_steps=3, eval_every=3, eval_samples_k=16)
+                for cfg in stack_cfgs(STACK_CELLS[:5])]
+        table_bytes = tree.num_contexts() * tree.branching * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_experiment(cfgs, tree)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert table_bytes < peak < 3 * table_bytes
+
+
 class TestRunExperiment:
     def test_zero_steps_gives_single_initial_record(self):
         cfg = small_cfg(total_steps=0)
-        records, stats = run_experiment(cfg)
+        [(records, stats)] = run_experiment([cfg])
         assert len(records) == 1
         assert records[0].step == 0
         assert stats == []
 
     def test_determinism(self):
         cfg = small_cfg("apo", total_steps=4)
-        a, _ = run_experiment(cfg)
-        b, _ = run_experiment(cfg)
+        [(a, _)] = run_experiment([cfg])
+        [(b, _)] = run_experiment([cfg])
         assert a == b
 
     def test_eval_cadence(self):
         cfg = small_cfg(total_steps=5, eval_every=2)
-        records, stats = run_experiment(cfg)
+        [(records, stats)] = run_experiment([cfg])
         assert [r.step for r in records] == [0, 2, 4, 5]
         assert len(stats) == 5
 
     def test_final_eval_not_duplicated(self):
         cfg = small_cfg(total_steps=4, eval_every=2)
-        records, _ = run_experiment(cfg)
+        [(records, _)] = run_experiment([cfg])
         assert [r.step for r in records] == [0, 2, 4]
 
     def test_jsonl_format(self, tmp_path):
         cfg = small_cfg(total_steps=2)
-        _, stats = run_experiment(cfg)
+        [(_, stats)] = run_experiment([cfg])
         path = tmp_path / "steps.jsonl"
         write_steps_jsonl(stats, path)
         import json
@@ -540,6 +714,21 @@ class TestRunExperiment:
             assert line["rollout_ms"] + line["update_ms"] <= line["wallclock_ms"]
         # eval_every=2: step 2 is evaluated, step 1 is not.
         assert lines[0]["eval_ms"] == 0.0 < lines[1]["eval_ms"]
+
+
+    def test_jsonl_lines_are_the_json_dumps_bytes(self, tmp_path):
+        # Lines come from one format string with each value's repr, which is
+        # what json writes for ints and finite floats.
+        values = [0.0, -0.0, 5e-324, 1e16, 0.1, 1 / 3, 2.5e-8, 123456.789]
+        # Each float field takes every value once over the lines.
+        rotations = [values[i:] + values[:i] for i in range(len(values))]
+        stats = [StepStats(2**70 + i, r[0], r[1], 10**20 + i, *r[2:])
+                 for i, r in enumerate(rotations)]
+        path = tmp_path / "steps.jsonl"
+        write_steps_jsonl(stats, path)
+        assert path.read_bytes() == "".join(json.dumps(vars(s)) + "\n" for s in stats).encode()
+        write_steps_jsonl([], path)
+        assert path.read_bytes() == b""
 
 
 COLLAPSE_ENV = EnvConfig(depth=4, branching=8, num_valid_leaves=8, ref_concentration=1.5,
@@ -568,13 +757,14 @@ class TestScatterByBincount:
     def test_block_equals_add_at_into_negative_zero(self, monkeypatch, method, underflow):
         tree = generate_tree(COLLAPSE_ENV)
         cfg = collapse_cfg(method)
-        policy = initial_policy(tree)
+        start = initial_policy(tree)
         if underflow:
             # Token 0's probability underflows to 0.0 in every row, so a
             # positive-advantage token's push gradient holds -0.0 there.
-            delta = np.zeros((len(policy), policy.vocab_size))
+            delta = np.zeros((len(start), start.vocab_size))
             delta[:, 0] = -1000.0
-            policy.add_to_logits(np.arange(len(policy)), delta)
+            start.add_to_logits(np.arange(len(start)), delta)
+        table, policy = cell_of_one(tree, start)
         passes = []
 
         def spy_gradients(*args, call=trainer.token_gradients):
@@ -582,7 +772,7 @@ class TestScatterByBincount:
             passes.append({"grads": result[0]})
             return result
 
-        def spy_add(ctx, block, call=policy.add_to_logits):
+        def spy_add(ctx, block, call=table.add_to_logits):
             passes[-1]["ctxs"], passes[-1]["block"] = ctx, block.copy()
             return call(ctx, block)
 
@@ -594,20 +784,20 @@ class TestScatterByBincount:
 
         monkeypatch.setattr(trainer, "token_gradients", spy_gradients)
         monkeypatch.setattr(trainer, "apply_token_batch", spy_batch)
-        monkeypatch.setattr(policy, "add_to_logits", spy_add)
+        monkeypatch.setattr(table, "add_to_logits", spy_add)
         rng = np.random.default_rng(5)
         for step in range(1, 21):
-            train_step(policy, tree, cfg, rng, step)
+            one_step(table, tree, cfg, rng, step)
         nonempty = [b for b in batches if len(b)]
         assert len(passes) == len(nonempty) > 10
         all_negative_zero = 0
         for seen, batch in zip(passes, nonempty):
             grads = seen["grads"]
-            u, v = batch.ctxs.size, policy.vocab_size
+            u, v = batch.keys.size, policy.vocab_size
             expected = np.full((u, v), -0.0)
             np.add.at(expected, batch.at, grads)
             expected = (cfg.method_config.learning_rate / len(batch)) * expected
-            assert seen["ctxs"] is batch.ctxs
+            assert seen["ctxs"] is batch.keys
             got = seen["block"]
             np.testing.assert_array_equal(got, expected)  # -0.0 == +0.0 here
             # Cells with a term that is not -0.0.
@@ -625,10 +815,10 @@ class TestScatterByBincount:
         # reference holds no -0.0, so no sign of a zero sum reaches a logit.
         tree = generate_tree(COLLAPSE_ENV)
         cfg = collapse_cfg(method)
-        policy = initial_policy(tree)
+        table, policy = cell_of_one(tree)
         rng = np.random.default_rng(2)
         for step in range(1, 101):
-            train_step(policy, tree, cfg, rng, step)
+            one_step(table, tree, cfg, rng, step)
         z = policy.logits(np.arange(len(policy)))
         assert not signed_zeros(tree.ref_policy.logits(np.arange(len(policy)))).any()
         assert not signed_zeros(z).any()
@@ -666,10 +856,10 @@ class TestNoNumpyPythonWrappers:
     def test_train_step(self, monkeypatch, method):
         tree = generate_tree(COLLAPSE_ENV)
         cfg = collapse_cfg(method)
-        policy = initial_policy(tree)
+        table, _ = cell_of_one(tree)
         rng = np.random.default_rng(0)
         for step in range(1, 41):  # warm up: groups with mixed rewards
-            train_step(policy, tree, cfg, rng, step)
+            one_step(table, tree, cfg, rng, step)
         batches = []
 
         def spy(*args, call=trainer.apply_token_batch):
@@ -677,11 +867,12 @@ class TestNoNumpyPythonWrappers:
             return call(*args)
 
         monkeypatch.setattr(trainer, "apply_token_batch", spy)
-        assert wrapper_calls(lambda: train_step(policy, tree, cfg, rng, 41)) == []
+        assert wrapper_calls(lambda: one_step(table, tree, cfg, rng, 41)) == []
         assert len(batches) == cfg.inner_epochs and len(batches[0])
         if method == "apo":
             # Rows of both anchor widths: tokens inside and outside the Top-K.
-            assert all(len(idx) for idx in batches[0].anchors[3])
+            [(_, _, _, _, anchors)] = batches[0].runs
+            assert all(len(idx) for idx in anchors[3])
 
     def test_evaluate(self):
         tree = generate_tree(COLLAPSE_ENV)
