@@ -157,7 +157,7 @@ def collapse_trajectory(
     if not valid or valid[0] < 0 or valid[-1] >= z.size:
         raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
     tree = ReasoningTree(1, z.size, frozenset((t,) for t in valid), LogitTable(z[None]))
-    table = StackedTable(tree.ref_policy, 1)  # a cell of one
+    table = StackedTable(tree.ref_policy, 1)  # a stack of one cell
     policy = table.cell(0)
     train_cfg = TrainConfig(method_config=cfg, groups_per_step=1, inner_epochs=1)
     manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import ReasoningTree, rollout
-from .policy import LogitTable, segment_sums
+from .policy import LogitTable, distinct, segment_sums
 
 CSV_HEADER = "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K"
 
@@ -252,8 +252,7 @@ def evaluate(
         support_k = max(1, tree.branching // 2)
     tokens, contexts, rewards, rows = rollout(tree, policy, rng.random((eval_k, tree.depth)))
     mean_ent, mean_maxp = entropy_and_maxprob(rows)
-    # np.unique would import numpy.ma.
-    visited = np.array(sorted(set(contexts.ravel().tolist())), dtype=np.intp)
+    visited = distinct(contexts.ravel())
     P, Q = policy.dist(visited), tree.ref_policy.dist(visited)
     return MetricRecord(
         step=step,

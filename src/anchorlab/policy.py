@@ -86,6 +86,17 @@ def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D integer array in ascending order, as
+    ``np.unique`` returns them without importing numpy.ma as it does: a
+    sort of a copy and a compress, a few numpy calls whatever the size."""
+    out = ids.copy()
+    out.sort()
+    first = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=first[1:])
+    return out.compress(first)
+
+
 def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:
     """Validate a probability vector: nonnegative, sums to 1 within atol."""
     p = np.asarray(probs, dtype=np.float64)
@@ -230,9 +241,7 @@ class StackedTable:
         start._z = self._z[:c]
         start._z.flags.writeable = False
         rows = np.arange(c, dtype=np.int32 if c + capacity <= 2**31 - 1 else np.intp)
-        self._map = np.empty((cells, c), dtype=rows.dtype)
-        self._map[:] = rows
-        self._map = self._map.reshape(-1)
+        self._map = np.tile(rows, cells)
         self._c = c
         self._used = c  # rows in use: the start table and the private rows
 
@@ -264,7 +273,7 @@ class StackedTable:
         updated += d
         finite = np.isfinite(updated)
         if not np.logical_and.reduce(finite, axis=None):
-            bad = np.asarray(keys)[~finite.all(axis=1)][0]
+            bad = keys[~finite.all(axis=1)][0]
             raise ValueError(f"logit update at key {bad} produced non-finite values")
         fresh = rows < self._c
         if np.logical_or.reduce(fresh):

@@ -70,7 +70,7 @@ from .objectives import (
     group_advantages,
     token_gradients,
 )
-from .policy import LogitTable, StackedTable, check_int
+from .policy import LogitTable, StackedTable, check_int, distinct
 
 
 @dataclass
@@ -154,8 +154,7 @@ class TokenBatch:
         c, v = len(ref_policy), old.shape[1]
         self.cell = np.arange(len(counts)).repeat(counts)
         key = self.cell * c + ctx
-        # sorted(set()) rather than np.unique, which imports numpy.ma.
-        self.keys = np.array(sorted(set(key.tolist())), dtype=np.intp)
+        self.keys = distinct(key)
         self.at = self.keys.searchsorted(key)
         self.bins = (self.at[:, None] * v + np.arange(v)).ravel()
         self.flat = np.arange(tok.size) * v + tok
@@ -291,8 +290,8 @@ def train_step(
     reward_sums = np.add.reduce(rewards.reshape(cells, r), axis=1).tolist()
     wallclock_ms = (time.perf_counter() - t0) * 1000.0
     out = []
-    for s, (cp, cn, dg, np_, nn) in enumerate(zip(*tallies)):
-        pos_updates, neg_updates = int(np_) * epochs, int(nn) * epochs
+    for s, (cp, cn, dg, n_pos, n_neg) in enumerate(zip(*tallies)):
+        pos_updates, neg_updates = int(n_pos) * epochs, int(n_neg) * epochs
         out.append(StepStats(
             step=step,
             mean_reward=reward_sums[s] / r,

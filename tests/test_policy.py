@@ -9,6 +9,7 @@ from anchorlab.policy import (
     LogitTable,
     StackedTable,
     check_dist,
+    distinct,
     dump_logit_table,
     entropy,
     load_logit_table,
@@ -148,6 +149,13 @@ class TestLogitTable:
         clone.add_to_logits(0, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(table.logits(0), [1.0, 2.0])
         np.testing.assert_array_equal(clone.logits(0), [2.0, 3.0])
+
+
+@pytest.mark.parametrize("size, high", [(0, 5), (1, 5), (7, 3), (200, 50), (500, 10**12)])
+def test_distinct_equals_np_unique(size, high):
+    ids = np.random.default_rng(size).integers(0, high, size)
+    got = distinct(ids)
+    assert got.dtype == ids.dtype and got.tobytes() == np.unique(ids).tobytes()
 
 
 def start_and_copy(c=6, v=4, seed=0):
