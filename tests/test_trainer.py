@@ -2,8 +2,9 @@ import json
 import os
 import sys
 import tracemalloc
-
 from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -587,10 +588,11 @@ class TestStack:
                 cell = dump_logit_table(table.cell(s))
                 assert cell == dump_logit_table(alone[s][1]) == dump_logit_table(oracles[s])
                 assert rngs[s].bit_generator.state == oracle_rngs[s].bit_generator.state
-            # One token_gradients call per run of cells with one config and tokens.
-            with_tokens = [cfg.method_config for cfg, k in zip(cfgs, kept) if k]
-            assert stacked_calls == cfgs[0].inner_epochs * len(
-                [m for i, m in enumerate(with_tokens) if i == 0 or m != with_tokens[i - 1]])
+            # One token_gradients call per pass per run of adjacent cells
+            # with one config, when the run has tokens.
+            runs = groupby(zip((cfg.method_config for cfg in cfgs), kept), key=itemgetter(0))
+            assert stacked_calls == cfgs[0].inner_epochs * sum(
+                any(k for _, k in run) for _, run in runs)
             mixed += 0 in kept and any(kept)
         assert mixed > 0  # steps where one cell keeps no group and another does
         for s in range(len(cfgs)):
@@ -657,10 +659,9 @@ class TestStack:
 class TestStackMemory:
     def test_five_cells_cost_less_than_two_tables_beyond_the_start_copy(self):
         # A plain (S*C, V) stack of 5 cells would hold 4 tables more.
-        tree = generate_tree(EnvConfig(depth=6, branching=8, num_valid_leaves=64, seed=0))
-        cfgs = [replace(cfg, env=EnvConfig(depth=6, branching=8, num_valid_leaves=64, seed=0),
-                        total_steps=3, eval_every=3, eval_samples_k=16)
-                for cfg in stack_cfgs(STACK_CELLS[:5])]
+        env = EnvConfig(depth=6, branching=8, num_valid_leaves=64, seed=0)
+        tree = generate_tree(env)
+        cfgs = stack_cfgs(STACK_CELLS[:5], env=env, total_steps=3, eval_samples_k=16)
         table_bytes = tree.num_contexts() * tree.branching * 8
         tracemalloc.start()
         try:
