@@ -9,8 +9,8 @@ Subcommands::
     summarize  aggregate per-cell metrics into a per-method mean/std table
 
 Specs are JSON files (see README for the schema). Exit codes: 0 success,
-2 malformed config, 3 I/O failure. ``ANCHORLAB_SEED`` overrides the spec's
-seed list for smoke tests; an explicit ``--seeds`` flag wins over both.
+2 malformed config, 3 I/O failure. ``--seeds`` overrides the spec's seed
+list, for ``train`` and ``summarize`` alike.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -98,12 +97,13 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if not seeds:
         raise ConfigError("seeds must be nonempty")
     _check_seeds(seeds, "seeds")
-    # The name is one directory under the output root.
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name:
+    # The name is one directory under the output root. No path holds a NUL.
+    if (not isinstance(name, str) or name in ("", ".", "..") or "/" in name
+            or "\0" in name):
         raise ConfigError(f"name must be a nonempty string naming one directory, got {name!r}")
     output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    if output_dir is not None and (not isinstance(output_dir, str) or "\0" in output_dir):
+        raise ConfigError(f"output_dir must be a string without NUL, got {output_dir!r}")
     names = [m.method for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError(f"method names must be unique, got {names}")
@@ -313,13 +313,6 @@ def _check_seeds(seeds: list[int], what: str) -> list[int]:
 def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
     if args.seeds:
         return _check_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
-    env_seed = os.environ.get("ANCHORLAB_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"ANCHORLAB_SEED must be an integer, got {env_seed!r}") from exc
-        return _check_seeds([seed], "ANCHORLAB_SEED")
     return spec.seeds
 
 

@@ -1,11 +1,11 @@
 """Evaluation metrics: pass rates, distributional health, diversity, coverage.
 
 Diversity Score is 1 - Self-BLEU of orders 1-4. Self-BLEU scores each
-sample against the other K-1 as references using modified (clipped) n-gram
-precision, a geometric mean over orders n = 1..n_max with no smoothing
-(any zero precision zeroes the score), and the standard brevity penalty
-against the closest reference length. Sequences shorter than n contribute only the
-available orders. Entropy is reported in nats.
+sample of a ``(K, D)`` rollout block against the other K-1 as references
+using modified (clipped) n-gram precision, a geometric mean over orders
+n = 1..min(4, D) with no smoothing (any zero precision zeroes the score).
+Every sample has length D, so BLEU's length penalty is 1 and is left out.
+Entropy is reported in nats.
 
 Self-BLEU is counted with integer array operations over all K samples at
 once. Each n-gram gets a dense id, one order at a time: order 1 ranks the
@@ -13,9 +13,9 @@ tokens, order n ranks the pair (order n-1 id, next token), so ids stay below
 the token count whatever the token values. One sort of ``id * K + sample``
 gives every (n-gram, sample) count; each sample's count is clipped by the
 best count held by another sample, and the clipped counts are summed per
-sample and order. Only the per-sample logs, geometric mean and brevity
-penalty are floating point, evaluated in Python as the pairwise definition
-does, so scores are bitwise those of the pairwise loops.
+sample and order. Only the per-sample logs and geometric mean are floating
+point, evaluated in Python as the pairwise definition does, so scores are
+bitwise those of the pairwise loops.
 
 Evaluation reads the live policy in place (no copy of the table); a
 stacked cell is read through its view of the stack
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import exp, log
@@ -100,34 +99,27 @@ def _run_edges(keys: np.ndarray) -> np.ndarray:
     return new.nonzero()[0]
 
 
-def _clipped_counts(tokens: np.ndarray, lengths: np.ndarray, n_max: int) -> np.ndarray:
-    """``(K, n_max)`` integer array: entry ``[k, n - 1]`` sums, over the
-    distinct n-grams of sample k, min(its count, the largest count of that
-    n-gram in any other sample). ``tokens`` holds the K samples back to
-    back, ``lengths`` their lengths; at least one token is given."""
-    k = lengths.size
-    sample = np.arange(k).repeat(lengths)
-    # Tokens from each position to the end of its sample, itself included.
-    left = lengths.cumsum().repeat(lengths) - np.arange(tokens.size)
-    tok, n_tok = _dense_ranks(tokens)
-    pos, gram, n_gram = np.arange(tokens.size), tok, n_tok
-    # Order n's id at position i is the dense rank of (order n-1 id at i,
+def _clipped_counts(tokens: np.ndarray) -> np.ndarray:
+    """``(K, min(4, D))`` integer array of a ``(K, D)`` integer array, D >= 1:
+    entry ``[k, n - 1]`` sums, over the distinct n-grams of sample k,
+    min(its count, the largest count of that n-gram in any other sample)."""
+    k, d = tokens.shape
+    orders = min(4, d)
+    tok, n_tok = _dense_ranks(tokens.ravel())
+    tok = tok.reshape(k, d)
+    gram, n_gram = tok, n_tok
+    # Order n's id at (sample, i) is the dense rank of (order n-1 id at i,
     # token at i+n-1): ids stay below the token count, so no key overflows.
     # Ids of order n are shifted past those of lower orders.
-    grams, positions, bounds = [], [], []
-    for n in range(1, n_max + 1):
+    keys, bounds = [], [0]
+    for n in range(1, orders + 1):
         if n > 1:
-            keep = left >= n
-            pos, left, gram = pos[keep], left[keep], gram[keep]
-            if pos.size == 0:
-                break
-            gram, n_gram = _dense_ranks(gram * n_tok + tok[pos + n - 1])
-        offset = bounds[-1] if bounds else 0
-        grams.append(gram + offset)
-        positions.append(pos)
-        bounds.append(offset + n_gram)
+            gram, n_gram = _dense_ranks((gram[:, :-1] * n_tok + tok[:, n - 1:]).ravel())
+            gram = gram.reshape(k, d - n + 1)
+        keys.append(((gram + bounds[-1]) * k + np.arange(k)[:, None]).ravel())
+        bounds.append(bounds[-1] + n_gram)
     # One run per (gram, sample) pair; its length is the sample's count.
-    keys = np.concatenate(grams) * k + sample[np.concatenate(positions)]
+    keys = np.concatenate(keys)
     keys.sort()
     edges = _run_edges(keys)
     counts = edges[1:] - edges[:-1]
@@ -142,67 +134,45 @@ def _clipped_counts(tokens: np.ndarray, lengths: np.ndarray, n_max: int) -> np.n
     holders = np.add.reduceat(top, gram_starts, dtype=np.intp).repeat(runs)
     below = np.maximum.reduceat(np.where(top, 0, counts), gram_starts).repeat(runs)
     best = np.where(top & (holders == 1), below, largest)
-    cell = run_sample * n_max + np.array(bounds).searchsorted(run_gram, side="right")
-    clipped = np.bincount(cell, np.minimum(counts, best), minlength=k * n_max)
+    cell = run_sample * orders + np.array(bounds[1:]).searchsorted(run_gram, side="right")
+    clipped = np.bincount(cell, np.minimum(counts, best), minlength=k * orders)
     # Exact: the sums are integers far below 2**53.
-    return clipped.astype(np.int64).reshape(k, n_max)
+    return clipped.astype(np.int64).reshape(k, orders)
 
 
-def _bleu(h: int, clipped: tuple[int, ...], ref_len: int) -> float:
-    """BLEU of one sample of length ``h`` from its clipped counts of orders
+def _bleu(d: int, clipped: tuple[int, ...]) -> float:
+    """BLEU of one sample of length ``d`` from its clipped counts of orders
     1..len(clipped): no smoothing, so a zero count scores 0."""
-    if not clipped or 0 in clipped:
+    if 0 in clipped:
         return 0.0
-    # Order n has h - n + 1 grams; clipped[n - 1] is its clipped count.
-    log_precisions = [log(c / (h - n + 1)) for n, c in enumerate(clipped, 1)]
-    precision = exp(sum(log_precisions) / len(log_precisions))
-    bp = 1.0 if h >= ref_len else exp(1.0 - ref_len / h)
-    return bp * precision
+    # Order n has d - n + 1 grams; clipped[n - 1] is its clipped count.
+    log_precisions = [log(c / (d - n + 1)) for n, c in enumerate(clipped, 1)]
+    return exp(sum(log_precisions) / len(log_precisions))
 
 
-def self_bleu(samples, n_max: int = 4) -> float:
-    """Mean BLEU of each sample against the other K-1 samples.
+def self_bleu(tokens: np.ndarray) -> float:
+    """Mean BLEU of each row of a ``(K, D)`` integer array against the other
+    K-1 rows, K >= 2 and D >= 1.
 
-    ``samples`` is a ``(K, D)`` integer array or K sequences of integers of
-    any lengths. Clipping needs only the best count of each n-gram among the
-    other samples, which :func:`_clipped_counts` finds with sorts over all
-    samples at once, so the cost is about linear in K. The scores are then
-    computed in Python floats, once per distinct (length, clipped counts)
-    row, since samples that share the row share the score.
+    Clipping needs only the best count of each n-gram among the other
+    samples, which :func:`_clipped_counts` finds with sorts over all samples
+    at once, so the cost is about linear in K. The scores are then computed
+    in Python floats, once per distinct row of clipped counts, since samples
+    that share the row share the score.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        tokens = samples.ravel()
-        lengths = np.full(len(samples), samples.shape[1])
-    else:
-        seqs = [list(s) for s in samples]
-        tokens = np.array([t for s in seqs for t in s], dtype=np.int64)
-        lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    if lengths.size < 2:
-        raise ValueError("self-BLEU needs at least 2 samples")
-    if tokens.size == 0:
-        return 0.0  # every sample is empty and scores 0
-    rows = _clipped_counts(tokens, lengths, n_max).tolist()
-    hyp_lengths = lengths.tolist()
-    # Brevity penalty against the closest other length (ties -> shorter).
-    others = Counter(hyp_lengths)
-    ref_lens = {}
-    for h in others:
-        others[h] -= 1
-        ref_lens[h] = min((abs(r - h), r) for r, m in others.items() if m)[1]
-        others[h] += 1
-    # Samples share few distinct (length, clipped counts) rows, and _bleu is
-    # a pure function of them: each is scored once.
-    keys = [(h, tuple(row[: min(n_max, h)])) for h, row in zip(hyp_lengths, rows)]
-    scored = {(h, c): _bleu(h, c, ref_lens[h]) for h, c in dict.fromkeys(keys)}
-    return _mean(np.array([scored[key] for key in keys], dtype=np.float64))
+    k, d = tokens.shape
+    if k < 2 or d < 1:
+        raise ValueError(f"self-BLEU needs at least 2 samples of at least 1 token, "
+                         f"got shape {tokens.shape}")
+    rows = list(map(tuple, _clipped_counts(tokens).tolist()))
+    scored = {row: _bleu(d, row) for row in set(rows)}
+    return _mean(np.array([scored[row] for row in rows], dtype=np.float64))
 
 
-def diversity_score(samples) -> float:
-    """1 - Self-BLEU of orders 1-4; 0 for identical samples, 1 for disjoint
-    alphabets."""
-    return 1.0 - self_bleu(samples)
+def diversity_score(tokens: np.ndarray) -> float:
+    """1 - Self-BLEU of orders 1-4 of a ``(K, D)`` integer array; 0 for
+    identical samples, 1 for disjoint alphabets."""
+    return 1.0 - self_bleu(tokens)
 
 
 def support_mass(P: np.ndarray, Q: np.ndarray, k: int) -> float:

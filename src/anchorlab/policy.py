@@ -62,27 +62,22 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments of the last axis of ``flat``, with
-    lengths ``counts``; each is bitwise the 1-D ``.sum()`` of its segment.
+    """Sums of consecutive segments of the 1-D array ``flat``, with lengths
+    ``counts``; each is bitwise the ``.sum()`` of its segment.
 
     This is the lab's one rule for a sum over part of a probability row:
     the row's subset compressed in the order the scalar kernel takes it,
     then summed. numpy sums 8 or more terms pairwise, so a masked or
     zero-padded full-row sum would differ in the last bits; segments of
-    one length m are summed as rows of an ``(r, m)`` block instead. Leading
-    axes of ``flat`` are kept, so sums that share ``counts`` take one call.
+    one length m are summed as rows of an ``(r, m)`` block instead.
     """
-    lead = flat.shape[:-1]
     if counts.size and np.logical_and.reduce(counts == counts[0]):
-        return np.add.reduce(flat.reshape(*lead, counts.size, counts[0]), axis=-1)
+        return np.add.reduce(flat.reshape(counts.size, counts[0]), axis=1)
     starts = counts.cumsum() - counts
-    out = np.empty((*lead, counts.size))
+    out = np.empty(counts.size)
     for m in set(counts.tolist()):
         rows = (counts == m).nonzero()[0]
-        # take() lays the block out C-contiguous; flat[..., idx] with a
-        # leading axis would not, and numpy would sum it in another order.
-        out[..., rows] = np.add.reduce(flat.take(starts[rows, None] + np.arange(m), axis=-1),
-                                       axis=-1)
+        out[rows] = np.add.reduce(flat.take(starts[rows, None] + np.arange(m)), axis=1)
     return out
 
 

@@ -151,15 +151,6 @@ class TestTrainCommand:
         assert (out / "smoke" / "grpo" / "7").is_dir()
         assert not (out / "smoke" / "grpo" / "1").exists()
 
-    def test_env_var_seed_override(self, tmp_path, monkeypatch):
-        spec_path = write_spec(tmp_path)
-        out = tmp_path / "out"
-        monkeypatch.setenv("ANCHORLAB_SEED", "9")
-        assert main([
-            "train", "--spec", str(spec_path), "--out", str(out), "--no-timestamp",
-        ]) == 0
-        assert (out / "smoke" / "apo" / "9").is_dir()
-
     def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
         # --jobs is kept for compatibility only; every output but the wall
         # clock must be the --jobs 1 run's, for every method.
@@ -329,47 +320,43 @@ OVERFLOW = ("ref_concentration 1.0 and ref_noise 1e+308 give reference logits be
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "argv, env, message, spec_env",
+        "argv, message, spec_env",
         [
-            (["train", "--seeds", "a"], {}, None, None),
-            (["summarize", "--seeds", "a"], {}, None, None),
-            (["train"], {"ANCHORLAB_SEED": "x"}, None, None),
-            (["coverage", "--k-values", "0,9"], {}, None, None),
-            (["coverage", "--k-values", "x"], {}, None, None),
-            (["coverage", "--depth", "0"], {}, None, None),
-            (["train", "--jobs", "0"], {}, "--jobs must be >= 1, got 0", None),
-            (["train", "--jobs", "-3"], {}, None, None),
-            (["train", "--seeds=-2"], {}, "--seeds must be >= 0, got -2", None),
-            (["train", "--seeds", "3,-2"], {}, "--seeds must be >= 0, got -2", None),
-            (["train"], {"ANCHORLAB_SEED": "-1"}, "ANCHORLAB_SEED must be >= 0, got -1", None),
-            (["gradcheck", "--seed", "-1"], {}, None, None),
-            (["dynamics", "--seed", "-1", "--out", "out"], {}, None, None),
-            (["coverage", "--seed", "-1"], {}, None, None),
-            (["gradcheck", "--cases", "0"], {}, "--cases must be >= 1, got 0", None),
-            (["gradcheck", "--cases", "-3"], {}, None, None),
-            (["dynamics", "--steps", "-2", "--out", "out"], {}, "--steps must be >= 0, got -2",
+            (["train", "--seeds", "a"], None, None),
+            (["summarize", "--seeds", "a"], None, None),
+            (["coverage", "--k-values", "0,9"], None, None),
+            (["coverage", "--k-values", "x"], None, None),
+            (["coverage", "--depth", "0"], None, None),
+            (["train", "--jobs", "0"], "--jobs must be >= 1, got 0", None),
+            (["train", "--jobs", "-3"], None, None),
+            (["train", "--seeds=-2"], "--seeds must be >= 0, got -2", None),
+            (["train", "--seeds", "3,-2"], "--seeds must be >= 0, got -2", None),
+            (["gradcheck", "--seed", "-1"], None, None),
+            (["dynamics", "--seed", "-1", "--out", "out"], None, None),
+            (["coverage", "--seed", "-1"], None, None),
+            (["gradcheck", "--cases", "0"], "--cases must be >= 1, got 0", None),
+            (["gradcheck", "--cases", "-3"], None, None),
+            (["dynamics", "--steps", "-2", "--out", "out"], "--steps must be >= 0, got -2",
              None),
-            (["coverage", "--depth", "30"], {}, None, None),
+            (["coverage", "--depth", "30"], None, None),
             # concentration + noise * N(0, 1) overflows float64: no traceback,
             # no numpy RuntimeWarning (pyproject.toml makes one an error).
-            (["train"], {}, OVERFLOW, {"ref_noise": 1e308}),
-            (["coverage", "--concentration", "1.0", "--noise", "1e308"], {}, OVERFLOW, None),
+            (["train"], OVERFLOW, {"ref_noise": 1e308}),
+            (["coverage", "--concentration", "1.0", "--noise", "1e308"], OVERFLOW, None),
         ],
-        ids=["train-seeds", "summarize-seeds", "env-seed", "k-values-range", "k-values-text",
+        ids=["train-seeds", "summarize-seeds", "k-values-range", "k-values-text",
              "coverage-depth", "jobs-0", "jobs-negative", "train-seeds-negative",
-             "train-seeds-second-negative", "env-seed-negative", "gradcheck-seed-negative",
+             "train-seeds-second-negative", "gradcheck-seed-negative",
              "dynamics-seed-negative", "coverage-seed-negative", "gradcheck-cases-0",
              "gradcheck-cases-negative", "dynamics-steps-negative",
              "coverage-ids-overflow-int64", "train-reference-overflow",
              "coverage-reference-overflow"],
     )
-    def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, env,
-                                       message, spec_env):
+    def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, message,
+                                       spec_env):
         # ``message``, when given, is the whole error line after the prefix;
         # ``spec_env`` updates the env section of the spec train is given.
         monkeypatch.chdir(tmp_path)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         if argv[0] in ("train", "summarize"):
             data = dict(SPEC, env={**SPEC["env"], **(spec_env or {})})
             argv = argv + ["--spec", str(write_spec(tmp_path, data)),
@@ -531,7 +518,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "key, value",
         [("name", ["a"]), ("name", ""), ("name", "a/b"), ("name", ".."), ("name", "."),
-         ("name", 5), ("output_dir", 5), ("output_dir", ["out"])],
+         ("name", 5), ("output_dir", 5), ("output_dir", ["out"]),
+         # A NUL used to pass here and fail after training, in mkdir.
+         ("name", "a\0b"), ("output_dir", "out\0")],
         ids=lambda v: repr(v) if not isinstance(v, str) else v,
     )
     def test_bad_name_or_output_dir_exits_2_before_any_cell(self, tmp_path, monkeypatch,
@@ -618,21 +607,20 @@ class TestSummarizeCommand:
                      "--no-timestamp"]) == 2
         assert capsys.readouterr().out.startswith(f"error: config: {bad}:")
 
-    def test_env_var_seed_selects_the_cells_train_wrote(self, tmp_path, monkeypatch, capsys):
+    def test_seeds_flag_selects_the_cells_train_wrote(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path)
         out = tmp_path / "out"
-        monkeypatch.setenv("ANCHORLAB_SEED", "9")
         argv = ["--spec", str(spec_path), "--out", str(out), "--no-timestamp"]
-        assert main(["train"] + argv) == 0
+        assert main(["train", "--seeds", "9"] + argv) == 0
         summary = (out / "smoke" / "summary.csv").read_bytes()
         capsys.readouterr()
-        assert main(["summarize"] + argv) == 0
+        assert main(["summarize", "--seeds", "9"] + argv) == 0
         assert (out / "smoke" / "summary.csv").read_bytes() == summary
         printed = capsys.readouterr().out.splitlines()
         assert printed[:-1] == summary.decode().splitlines()
         assert [row.split(",")[:2] for row in printed[1:3]] == [["grpo", "1"], ["apo", "1"]]
-        # The flag wins over the variable.
-        assert main(["summarize", "--seeds", "1,2"] + argv) == 3
+        # Without the flag summarize reads the spec's seeds, which train did not write.
+        assert main(["summarize"] + argv) == 3
 
     def test_reads_each_metrics_csv_once(self, tmp_path, monkeypatch):
         spec_path = write_spec(tmp_path)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anchorlab import metrics
 from anchorlab.anchor import top_k
@@ -104,8 +105,18 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
-def assert_bleu_bitwise(samples, n_max):
-    assert bits(self_bleu(samples, n_max)) == bits(pairwise_self_bleu(samples, n_max))
+def assert_bleu_bitwise(tokens):
+    assert bits(self_bleu(tokens)) == bits(pairwise_self_bleu(tokens.tolist(), 4))
+
+
+def blocks(tokens=st.integers(0, 3), k=st.integers(2, 11), d=st.integers(1, 6)):
+    """``(K, D)`` int64 token blocks, the shape a rollout returns."""
+    return arrays(np.int64, st.tuples(k, d), elements=tokens)
+
+
+def rollout_tokens(seed):
+    tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=seed))
+    return rollout(tree, tree.ref_policy, np.random.default_rng(seed + 3).random((64, 4)))[0]
 
 
 class _Draws:
@@ -185,141 +196,105 @@ class TestEntropyAndMaxProb:
 
 class TestDiversityScore:
     def test_identical_sequences(self):
-        assert diversity_score([(1, 2, 3, 4)] * 5) == pytest.approx(0.0)
+        assert diversity_score(np.array([(1, 2, 3, 4)] * 5)) == pytest.approx(0.0)
 
     def test_disjoint_alphabets(self):
-        samples = [(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)]
+        samples = np.array([(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
         assert diversity_score(samples) == pytest.approx(1.0)
 
     def test_partial_overlap_matches_oracle(self):
-        samples = [(1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8)]
-        assert self_bleu(samples, 4) == pytest.approx(oracle_self_bleu(samples, 4), abs=1e-12)
+        samples = np.array([(1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8)])
+        assert self_bleu(samples) == pytest.approx(oracle_self_bleu(samples.tolist(), 4),
+                                                   abs=1e-12)
 
     def test_random_samples_match_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            k = int(rng.integers(2, 6))
-            samples = [
-                tuple(int(t) for t in rng.integers(0, 4, size=int(rng.integers(1, 7))))
-                for _ in range(k)
-            ]
-            for n_max in (1, 2, 4):
-                assert self_bleu(samples, n_max) == pytest.approx(
-                    oracle_self_bleu(samples, n_max), abs=1e-12
-                )
+        for _ in range(100):
+            k, d = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+            samples = rng.integers(0, 4, size=(k, d))
+            assert self_bleu(samples) == pytest.approx(oracle_self_bleu(samples.tolist(), 4),
+                                                       abs=1e-12)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            diversity_score([(1, 2, 3)])
+            diversity_score(np.array([(1, 2, 3)]))
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 5), min_size=1, max_size=8).map(tuple),
-            min_size=2,
-            max_size=6,
-        ),
-        st.randoms(),
-    )
+    @given(blocks(st.integers(0, 5), st.integers(2, 6), st.integers(1, 8)), st.randoms())
     def test_bounds_and_order_invariance(self, samples, rnd):
         value = diversity_score(samples)
         assert 0.0 <= value <= 1.0
-        shuffled = list(samples)
-        rnd.shuffle(shuffled)
-        assert diversity_score(shuffled) == pytest.approx(value, abs=1e-12)
-
-
-n_orders = st.integers(1, 8)
+        order = list(range(len(samples)))
+        rnd.shuffle(order)
+        assert diversity_score(samples[order]) == pytest.approx(value, abs=1e-12)
 
 
 class TestSelfBleuMatchesPairwise:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.lists(st.integers(0, 3), max_size=7), min_size=2, max_size=11),
-        n_orders,
-    )
-    def test_variable_lengths_including_empty(self, samples, n_max):
-        assert_bleu_bitwise(samples, n_max)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=1, max_size=6),
-        st.data(),
-        n_orders,
-    )
-    def test_ties_for_the_largest_count(self, base, data, n_max):
+    @given(blocks(st.integers(0, 2), st.integers(1, 6)), st.data())
+    def test_ties_for_the_largest_count(self, base, data):
         # Copies of some samples: a hypothesis can tie another sample for
         # the largest count of its n-grams, so the best other count is the
         # largest, not the second-largest.
         copies = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=4))
-        samples = data.draw(st.permutations(base + [base[i] for i in copies]))
-        assert_bleu_bitwise(samples, n_max)
+        order = data.draw(st.permutations(range(len(base) + len(copies))))
+        assert_bleu_bitwise(np.concatenate([base, base[copies]])[order])
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(0, 3), max_size=7), st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]),
-           n_orders)
-    def test_all_identical_samples(self, seq, k, n_max):
-        samples = [seq] * k
-        assert_bleu_bitwise(samples, n_max)
-        assert self_bleu(samples, n_max) == (1.0 if seq else 0.0)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]))
+    def test_all_identical_samples(self, seq, k):
+        samples = np.array([seq] * k)
+        assert_bleu_bitwise(samples)
+        assert self_bleu(samples) == 1.0
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 64), st.integers(1, 6), st.integers(2, 4), st.data(), n_orders)
-    def test_equal_length_up_to_64_samples(self, k, depth, branching, data, n_max):
-        token = st.integers(0, branching - 1)
-        samples = data.draw(st.lists(st.lists(token, min_size=depth, max_size=depth),
-                                     min_size=k, max_size=k))
-        assert_bleu_bitwise(samples, n_max)
+    @given(st.integers(2, 64), st.integers(1, 6), st.integers(2, 4), st.data())
+    def test_equal_length_up_to_64_samples(self, k, depth, branching, data):
+        assert_bleu_bitwise(data.draw(blocks(st.integers(0, branching - 1), st.just(k),
+                                             st.just(depth))))
 
     def test_rollout_samples(self):
-        tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
-        u = np.random.default_rng(3).random((64, tree.depth))
-        tokens, _, _, _ = rollout(tree, tree.ref_policy, u)
-        assert_bleu_bitwise(tokens.tolist(), 4)
-        # ``evaluate`` passes the (K, D) array itself.
-        assert bits(self_bleu(tokens, 4)) == bits(self_bleu(tokens.tolist(), 4))
+        # ``evaluate`` passes the (K, D) int64 block rollout returns.
+        for seed in range(4):
+            tokens = rollout_tokens(seed)
+            assert tokens.dtype == np.int64
+            assert_bleu_bitwise(tokens)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.lists(st.sampled_from([-(2**62), -(2**62) + 1, -1, 0, 2**62 - 1, 2**62]),
-                          max_size=9), min_size=2, max_size=8),
-        n_orders,
-    )
-    def test_tokens_near_2_62(self, samples, n_max):
-        # A base-V code of an 8-gram of such tokens would overflow int64.
-        assert_bleu_bitwise(samples, n_max)
+    @given(blocks(st.sampled_from([-(2**62), -(2**62) + 1, -1, 0, 2**62 - 1, 2**62]),
+                  st.integers(2, 8), st.integers(1, 9)))
+    def test_tokens_near_2_62(self, samples):
+        # A base-V code of any n-gram of such tokens, n >= 2, would overflow int64.
+        assert_bleu_bitwise(samples)
 
-    @pytest.mark.parametrize("case", ["rollouts", "variable-lengths"])
+    @pytest.mark.parametrize("case", ["rollouts", "repeats"])
     def test_bleu_runs_once_per_distinct_row(self, monkeypatch, case):
-        # Samples with one length and one row of clipped counts share their
-        # score, so _bleu scores each distinct (length, counts) row once.
+        # Samples with one row of clipped counts share their score, so
+        # _bleu scores each distinct row once.
         if case == "rollouts":
-            tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
-            u = np.random.default_rng(3).random((64, tree.depth))
-            samples = rollout(tree, tree.ref_policy, u)[0].tolist()
+            samples = rollout_tokens(0)
         else:
-            samples = [[1, 2, 3], [1, 2, 3], [2, 3], [1], [1], [2, 3, 1, 2], [], [3, 2]]
-        n_max = 4
-        lengths = [len(x) for x in samples]
-        rows = metrics._clipped_counts(np.array(sum(samples, []), dtype=np.int64),
-                                       np.array(lengths), n_max).tolist()
-        distinct = {(h, tuple(row[:min(n_max, h)])) for h, row in zip(lengths, rows)}
+            samples = np.array([[1, 2, 3], [1, 2, 3], [2, 3, 1], [1, 1, 1], [1, 1, 1],
+                                [3, 2, 1], [2, 3, 1], [4, 4, 4]])
+        distinct = set(map(tuple, metrics._clipped_counts(samples).tolist()))
         calls = []
         bleu = metrics._bleu
 
-        def counted(h, clipped, ref_len):
-            calls.append((h, tuple(clipped)))
-            return bleu(h, clipped, ref_len)
+        def counted(d, clipped):
+            calls.append(tuple(clipped))
+            return bleu(d, clipped)
 
         monkeypatch.setattr(metrics, "_bleu", counted)
-        assert bits(self_bleu(samples, n_max)) == bits(pairwise_self_bleu(samples, n_max))
+        assert_bleu_bitwise(samples)
         assert sorted(calls) == sorted(distinct)
         assert len(calls) < len(samples)
 
-    @pytest.mark.parametrize("samples, n_max", [([], 4), ([(1,), (2,)], 0)])
-    def test_rejects_what_it_cannot_score(self, samples, n_max):
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 3), (2, 0)],
+                             ids=["no-samples", "one-sample", "empty-samples"])
+    def test_rejects_what_it_cannot_score(self, shape):
         with pytest.raises(ValueError):
-            self_bleu(samples, n_max)
+            self_bleu(np.zeros(shape, dtype=np.int64))
 
 
 def loop_support_mass(policy, ref, k, ctxs):

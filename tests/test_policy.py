@@ -290,17 +290,12 @@ class TestSegmentSums:
     def test_each_sum_is_the_1d_sum_of_its_segment(self, counts):
         counts = np.array(counts, dtype=np.intp)
         rng = np.random.default_rng(counts.size)
-        # Three stacked rows share the counts, as in the dense anchor sums.
-        flat = rng.random((3, counts.sum())) * 10.0 ** rng.integers(-8, 8, (3, counts.sum()))
+        flat = rng.random(counts.sum()) * 10.0 ** rng.integers(-8, 8, counts.sum())
         ends = np.cumsum(counts)
         got = segment_sums(flat, counts)
-        assert got.shape == (3, counts.size)
-        for row in range(3):
-            one = segment_sums(flat[row].copy(), counts)
-            for i, (start, end) in enumerate(zip(ends - counts, ends)):
-                want = flat[row, start:end].copy().sum()
-                assert got[row, i].tobytes() == want.tobytes()
-                assert one[i].tobytes() == want.tobytes()
+        assert got.shape == (counts.size,)
+        for i, (start, end) in enumerate(zip(ends - counts, ends)):
+            assert got[i].tobytes() == flat[start:end].copy().sum().tobytes()
 
 
 def test_entropy_reference_values():
