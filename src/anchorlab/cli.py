@@ -311,7 +311,7 @@ def _check_seeds(seeds: list[int], what: str) -> list[int]:
 
 
 def _resolve_seeds(spec: ExperimentSpec, args) -> list[int]:
-    if args.seeds:
+    if args.seeds is not None:
         return _check_seeds(_parse_ints(args.seeds, "--seeds"), "--seeds")
     return spec.seeds
 

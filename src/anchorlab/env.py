@@ -149,9 +149,9 @@ def rollout(
     Rollout i consumes row i of ``u``. With ``u = rng.random((n, D))`` that
     is the stream of n*D scalar :func:`~anchorlab.policy.sample_token`
     draws, so one call for G*n rollouts draws what G calls for n would.
-    ``policy`` is a table read at the contexts themselves (a
-    :class:`~anchorlab.policy.LogitTable` or one cell of a stack), or, with
-    ``base``, a :class:`~anchorlab.policy.StackedTable` read at key
+    ``policy`` is a :class:`~anchorlab.policy.LogitTable` read at the
+    contexts themselves, or, with ``base``, a
+    :class:`~anchorlab.policy.StackedTable` read at key
     ``base[i] + ctx`` for row i: ``base`` holds each row's cell times C, so
     one call rolls out every cell of a stack, each from its own rows of
     ``u``. A reward is 1 iff the final context minus C is one of

@@ -17,13 +17,13 @@ sample and order. Only the per-sample logs and geometric mean are floating
 point, evaluated in Python as the pairwise definition does, so scores are
 bitwise those of the pairwise loops.
 
-Evaluation reads the live policy in place (no copy of the table); a
-stacked cell is read through its view of the stack
-(:meth:`~anchorlab.policy.StackedTable.cell`). Entropy
-and max-prob come from the ``(K, D, V)`` rows its rollout sampled from,
-one per visited step, with no second softmax; support mass and KL come
-from one policy softmax and one reference softmax over the distinct
-visited contexts.
+Evaluation reads every cell of a stack in one call, by key, in place (no
+copy of the table): one rollout draws every cell's K samples, each cell
+from its own evaluation stream. Entropy and max-prob come from the
+``(S*K, D, V)`` rows the rollout sampled from, one per visited step, with
+no second softmax; support mass and KL come from one policy softmax and
+one reference softmax over the sorted distinct visited keys. Each cell's
+record is then computed from its own contiguous slices of these arrays.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ import csv
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from math import exp, log
+from math import exp, isfinite, log
 from pathlib import Path
 
 import numpy as np
 
 from .env import ReasoningTree, rollout
-from .policy import LogitTable, distinct, segment_sums
+from .policy import StackedTable, distinct, segment_sums
 
 CSV_HEADER = "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K"
 
@@ -202,40 +202,54 @@ def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def evaluate(
-    policy: LogitTable,
+    table: StackedTable,
     tree: ReasoningTree,
     step: int,
     eval_k: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     support_k: int | None = None,
-) -> MetricRecord:
-    """Roll out ``eval_k`` samples from the root and summarize them.
+) -> list[MetricRecord]:
+    """Roll out ``eval_k`` samples of every cell of ``table`` from the root
+    and summarize each cell's: returns one record per cell, in order.
 
+    Cell s draws its ``(eval_k, D)`` uniform block from ``rngs[s]``.
     ``support_k`` defaults to half the vocabulary (at least 1); entropy and
     max-prob average over visited steps, support mass and KL over the set of
-    distinct visited contexts. ``policy`` is read in place, not copied, so
+    distinct visited contexts. ``table`` is read in place, not copied, so
     nothing may write to it during the call.
     """
     if eval_k < 2:
         raise ValueError(f"eval_k must be >= 2 (diversity needs it), got {eval_k}")
     if support_k is None:
         support_k = max(1, tree.branching // 2)
-    tokens, contexts, rewards, rows = rollout(tree, policy, rng.random((eval_k, tree.depth)))
-    mean_ent, mean_maxp = entropy_and_maxprob(rows)
-    visited = distinct(contexts.ravel())
-    P, Q = policy.dist(visited), tree.ref_policy.dist(visited)
-    return MetricRecord(
-        step=step,
-        # float(): repr of a numpy scalar would change the CSV under numpy 2.
-        pass_at_1=_mean(rewards),
-        pass_at_k=float(np.logical_or.reduce(rewards > 0)),
-        mean_entropy=mean_ent,
-        mean_max_prob=mean_maxp,
-        diversity_score=diversity_score(tokens),
-        support_mass=support_mass(P, Q, support_k),
-        kl_to_ref=kl_to_reference(P, Q),
-        eval_k=eval_k,
-    )
+    cells, c = len(rngs), table.contexts
+    u = np.empty((cells * eval_k, tree.depth))
+    for s, rng in enumerate(rngs):
+        rng.random(out=u[s * eval_k:(s + 1) * eval_k])
+    base = np.arange(0, cells * c, c).repeat(eval_k)
+    tokens, contexts, rewards, rows = rollout(tree, table, u, base)
+    # Sorted keys: cell s's distinct visited contexts are one run, in order.
+    keys = distinct((contexts + base[:, None]).ravel())
+    P, Q = table.dist(keys), tree.ref_policy.dist(keys % c)
+    edges = keys.searchsorted(np.arange(0, (cells + 1) * c, c)).tolist()
+    out = []
+    for s in range(cells):
+        lo, hi = s * eval_k, (s + 1) * eval_k
+        mean_ent, mean_maxp = entropy_and_maxprob(rows[lo:hi])
+        cell_p, cell_q = P[edges[s]:edges[s + 1]], Q[edges[s]:edges[s + 1]]
+        out.append(MetricRecord(
+            step=step,
+            # float(): repr of a numpy scalar would change the CSV under numpy 2.
+            pass_at_1=_mean(rewards[lo:hi]),
+            pass_at_k=float(np.logical_or.reduce(rewards[lo:hi] > 0)),
+            mean_entropy=mean_ent,
+            mean_max_prob=mean_maxp,
+            diversity_score=diversity_score(tokens[lo:hi]),
+            support_mass=support_mass(cell_p, cell_q, support_k),
+            kl_to_ref=kl_to_reference(cell_p, cell_q),
+            eval_k=eval_k,
+        ))
+    return out
 
 
 @contextmanager
@@ -275,11 +289,14 @@ def read_metrics_csv(path) -> list[MetricRecord]:
     header = next(reader, None)
     if header is None or ",".join(header) != CSV_HEADER:
         raise ValueError(f"unexpected metrics header: {header}")
-    for row in reader:
+    for i, row in enumerate(reader, 1):
         if len(row) != len(METRIC_FIELD_NAMES):
             raise ValueError(f"metrics row has {len(row)} fields, expected "
                              f"{len(METRIC_FIELD_NAMES)}: {row}")
-        records.append(MetricRecord(int(row[0]), *map(float, row[1:-1]), int(row[-1])))
+        values = [float(x) for x in row[1:-1]]
+        if not all(map(isfinite, values)):
+            raise ValueError(f"metrics row {i} holds a non-finite value: {row}")
+        records.append(MetricRecord(int(row[0]), *values, int(row[-1])))
     return records
 
 

@@ -3,13 +3,15 @@
 A policy is a dense ``(C, V)`` logit array over the C heap-indexed contexts
 of a tree and a fixed vocabulary of size V; row ``ctx`` is context ``ctx``.
 Distributions are plain numpy arrays of length V (``(n, V)`` for a vector
-of contexts). A :class:`LogitTable` is the fixed reference policy. The
-live policies of the cells that train together on one tree are one
-:class:`StackedTable`: one copy of the table they start from, a row map,
-and a private copy of each row a cell has updated, so S cells cost one
-table plus the rows they write, not S tables. Each cell reads as a table
-of its own through :meth:`StackedTable.cell`. The trainer keeps the
-sampling policy's rows of each batch, not a copy of the table.
+of contexts). A :class:`LogitTable` is the fixed reference policy and has
+no writer. The live policies of the cells that train together on one
+tree are one :class:`StackedTable`: one copy of the table they start
+from, a row map, and a private copy of each row a cell has updated, so S
+cells cost one table plus the rows they write, not S tables. The stack is
+read and written only by key, cell s's context ``ctx`` being key
+``s * C + ctx``; :meth:`StackedTable.cell` copies one cell out as a dense
+table, for tests and dumps. The trainer keeps the sampling policy's rows
+of each batch, not a copy of the table.
 Logits are checked finite when set, so every softmax row is a valid
 distribution and hot loops do not re-check it.
 
@@ -152,8 +154,7 @@ class LogitTable:
     """Dense logit table: row ``ctx`` of one finite float64 ``(C, V)`` array
     holds the logits of heap context ``ctx`` (root 0, contexts 0..C-1).
     Context ids are not range-checked on access: as in numpy, a negative id
-    counts from the last row. A table must not be mutated during shared
-    reads.
+    counts from the last row. A table has no writer.
     """
 
     def __init__(self, z: np.ndarray):
@@ -170,21 +171,6 @@ class LogitTable:
 
     def __len__(self) -> int:
         return self._z.shape[0]
-
-    def add_to_logits(self, ctx: ContextId | np.ndarray, delta: np.ndarray) -> None:
-        """Add ``delta`` to the logits at ``ctx``, or an ``(n, V)`` block to
-        the rows of a vector of distinct ids; nothing changes unless every
-        updated logit is finite."""
-        updated = self._z.take(ctx, axis=0)  # a copy, even for one id
-        d = np.asarray(delta, dtype=np.float64)
-        if d.shape != updated.shape:
-            raise ValueError(f"logit delta must have shape {updated.shape}, got {d.shape}")
-        updated += d
-        finite = np.isfinite(updated)
-        if not np.logical_and.reduce(finite, axis=None):
-            bad = ctx if finite.ndim == 1 else np.asarray(ctx)[~finite.all(axis=1)][0]
-            raise ValueError(f"logit update at context {bad} produced non-finite values")
-        self._z[ctx] = updated
 
     def logits(self, ctx: ContextId) -> np.ndarray:
         view = self._z[ctx]
@@ -253,7 +239,8 @@ class StackedTable:
         return self._map.size
 
     def dist(self, keys: np.ndarray) -> np.ndarray:
-        """The ``(n, V)`` distributions at a vector of keys."""
+        """The ``(n, V)`` distributions at a vector of keys, or the one at
+        a single key."""
         return _softmax_rows(self._z.take(self._map.take(keys), axis=0))
 
     def add_to_logits(self, keys: np.ndarray, delta: np.ndarray) -> None:
@@ -283,37 +270,10 @@ class StackedTable:
             self._used = end
         self._z[rows] = updated
 
-    def cell(self, s: int) -> "CellTable":
-        return CellTable(self._z, self._map[s * self._c:(s + 1) * self._c])
-
-
-class CellTable:
-    """One cell of a :class:`StackedTable`, read as a :class:`LogitTable`
-    over contexts 0..C-1: a view of its row map into the stack's array, so
-    reads see the cell's updates as they are made. It has no writer; the
-    stack updates its cells."""
-
-    def __init__(self, z: np.ndarray, rows: np.ndarray):
-        self._z, self._rows = z, rows
-
-    @property
-    def vocab_size(self) -> int:
-        return self._z.shape[1]
-
-    def __len__(self) -> int:
-        return self._rows.size
-
-    def logits(self, ctx: ContextId) -> np.ndarray:
-        out = self._z[self._rows[ctx]]  # a copy for an array of ids, a view for one
-        out.flags.writeable = False
-        return out
-
-    def dist(self, ctx: ContextId | np.ndarray) -> np.ndarray:
-        return _softmax_rows(self._z.take(self._rows.take(ctx), axis=0))
-
-    def copy(self) -> LogitTable:
-        """The cell's table as a dense :class:`LogitTable` of its own."""
-        return LogitTable.adopt(self._z.take(self._rows, axis=0))
+    def cell(self, s: int) -> LogitTable:
+        """Cell s's policy as a dense :class:`LogitTable` of its own: a
+        copy, so later updates of the stack do not reach it."""
+        return LogitTable.adopt(self._z.take(self._map[s * self._c:(s + 1) * self._c], axis=0))
 
 
 def dump_logit_table(table: LogitTable) -> str:

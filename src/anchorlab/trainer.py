@@ -1,8 +1,8 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
 Cells train in stacks: every cell of a stack shares one tree, one
-``group_size``, ``groups_per_step`` and ``inner_epochs``, and the stack's
-cells train in lockstep on one
+``group_size``, ``groups_per_step``, ``inner_epochs`` and evaluation
+schedule, and the stack's cells train in lockstep on one
 :class:`~anchorlab.policy.StackedTable`, cell s reading and writing its
 own rows of it. A step's numpy calls are made once for the whole stack,
 not once per cell, because at a step's array sizes the call, not the
@@ -40,8 +40,9 @@ is scaled by its cell's ``lr / N_s``, and one ``add_to_logits`` writes
 the stack; the scalar ``method_token_update`` is the oracle it is tested
 against, not called here. Every numpy call on this path goes straight to
 C (a ufunc, its ``reduce``, or an array method), not through numpy's
-Python wrappers such as ``np.mean`` or ``ndarray.sum``. Evaluation stays
-per cell, through the cell's view of the stack.
+Python wrappers such as ``np.mean`` or ``ndarray.sum``. Evaluation, too,
+takes one :func:`~anchorlab.metrics.evaluate` call per stack, which reads
+the table by key.
 
 The anchor's reference half is built per step, over the batch's rows, and
 not once per tree: ranking every row of a large tree's reference costs
@@ -103,12 +104,12 @@ class StepStats:
     :func:`train_step` of the cell's stack, ``rollout_ms`` its rollout, and
     ``update_ms`` the rest up to the end of the last pass (advantages, the
     batch and its passes), so the two sum to at most ``wallclock_ms``;
-    the cells of a stack share the step, so they share these three.
-    ``eval_ms`` times this cell's evaluation after the step, 0.0 on steps
-    without one. ``frac_clipped_pos`` and
-    ``frac_clipped_neg`` split ``frac_clipped`` by the sign of the
-    advantage: the clipped share of the positive-advantage (negative-
-    advantage) token updates, 0.0 when the step has none."""
+    ``eval_ms`` times the stack's evaluation after the step, 0.0 on steps
+    without one. The cells of a stack share the step and its evaluation, so
+    they share these four. ``frac_clipped_pos`` and ``frac_clipped_neg``
+    split ``frac_clipped`` by the sign of the advantage: the clipped share
+    of the positive-advantage (negative-advantage) token updates, 0.0 when
+    the step has none."""
 
     step: int
     mean_reward: float
@@ -319,7 +320,8 @@ def private_rows(tree: ReasoningTree, cfg: TrainConfig) -> int:
 
 
 # The TrainConfig values the cells of a stack share.
-_SHARED = ("env", "total_steps", "groups_per_step", "inner_epochs")
+_SHARED = ("env", "total_steps", "groups_per_step", "inner_epochs", "eval_every",
+           "eval_samples_k", "support_k")
 
 
 def run_experiment(
@@ -330,8 +332,10 @@ def run_experiment(
     tree: returns each cell's metric records (step 0, every ``eval_every``
     steps, and the final step) and per-step statistics, in the order of
     ``cfgs``. The cells must share their env, ``total_steps``,
-    ``groups_per_step``, ``inner_epochs`` and ``group_size``; a cell of
-    one is a stack of one. The stacked table reserves room for the most
+    ``groups_per_step``, ``inner_epochs``, ``eval_every``,
+    ``eval_samples_k``, ``support_k`` and ``group_size``; a cell alone is
+    a stack of one. Each evaluation is one :func:`evaluate` call for the
+    whole stack. The stacked table reserves room for the most
     rows the cells can update (:func:`private_rows`), so it never grows.
     """
     first = cfgs[0]
@@ -348,21 +352,20 @@ def run_experiment(
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
 
     table = StackedTable(tree.ref_policy, len(cfgs), len(cfgs) * private_rows(tree, first))
-    policies = [table.cell(s) for s in range(len(cfgs))]
-    records = [
-        [evaluate(policy, tree, 0, cfg.eval_samples_k, rng, cfg.support_k)]
-        for policy, cfg, rng in zip(policies, cfgs, eval_rngs)
-    ]
+    k, support_k = first.eval_samples_k, first.support_k
+    records = [[rec] for rec in evaluate(table, tree, 0, k, eval_rngs, support_k)]
     stats: list[list[StepStats]] = [[] for _ in cfgs]
     for step in range(1, first.total_steps + 1):
-        for s, cell_stats in enumerate(train_step(table, tree, cfgs, train_rngs, step)):
-            stats[s].append(cell_stats)
-            cfg = cfgs[s]
-            if step % cfg.eval_every == 0 or step == cfg.total_steps:
-                t0 = time.perf_counter()
-                records[s].append(evaluate(policies[s], tree, step, cfg.eval_samples_k,
-                                           eval_rngs[s], cfg.support_k))
-                cell_stats.eval_ms = (time.perf_counter() - t0) * 1000.0
+        step_stats = train_step(table, tree, cfgs, train_rngs, step)
+        for cell, cell_stats in zip(stats, step_stats):
+            cell.append(cell_stats)
+        if step % first.eval_every == 0 or step == first.total_steps:
+            t0 = time.perf_counter()
+            evaluated = evaluate(table, tree, step, k, eval_rngs, support_k)
+            eval_ms = (time.perf_counter() - t0) * 1000.0
+            for cell, rec, cell_stats in zip(records, evaluated, step_stats):
+                cell.append(rec)
+                cell_stats.eval_ms = eval_ms
     return list(zip(records, stats))
 
 

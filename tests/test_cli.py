@@ -324,6 +324,10 @@ class TestMalformedInput:
         [
             (["train", "--seeds", "a"], None, None),
             (["summarize", "--seeds", "a"], None, None),
+            # An empty list is malformed, not the spec's seeds.
+            (["train", "--seeds", ""], "--seeds: expected comma-separated integers, got ''",
+             None),
+            (["summarize", "--seeds", ""], None, None),
             (["coverage", "--k-values", "0,9"], None, None),
             (["coverage", "--k-values", "x"], None, None),
             (["coverage", "--depth", "0"], None, None),
@@ -344,7 +348,8 @@ class TestMalformedInput:
             (["train"], OVERFLOW, {"ref_noise": 1e308}),
             (["coverage", "--concentration", "1.0", "--noise", "1e308"], OVERFLOW, None),
         ],
-        ids=["train-seeds", "summarize-seeds", "k-values-range", "k-values-text",
+        ids=["train-seeds", "summarize-seeds", "train-seeds-empty", "summarize-seeds-empty",
+             "k-values-range", "k-values-text",
              "coverage-depth", "jobs-0", "jobs-negative", "train-seeds-negative",
              "train-seeds-second-negative", "gradcheck-seed-negative",
              "dynamics-seed-negative", "coverage-seed-negative", "gradcheck-cases-0",
@@ -606,6 +611,25 @@ class TestSummarizeCommand:
         assert main(["summarize", "--spec", str(spec_path), "--out", str(out),
                      "--no-timestamp"]) == 2
         assert capsys.readouterr().out.startswith(f"error: config: {bad}:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_exits_2_and_writes_no_summary(self, tmp_path, capsys, value):
+        spec_path = write_spec(tmp_path)
+        out = tmp_path / "out"
+        argv = ["--spec", str(spec_path), "--out", str(out), "--no-timestamp"]
+        assert main(["train"] + argv) == 0
+        summary = out / "smoke" / "summary.csv"
+        summary.unlink()
+        bad = out / "smoke" / "grpo" / "1" / "metrics.csv"
+        lines = bad.read_text().splitlines()
+        row = lines[2].split(",")
+        row[3] = value  # the entropy of the second record
+        bad.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+        capsys.readouterr()
+        assert main(["summarize"] + argv) == 2
+        assert capsys.readouterr().out.startswith(
+            f"error: config: {bad}: metrics row 2 holds a non-finite value")
+        assert not summary.exists()
 
     def test_seeds_flag_selects_the_cells_train_wrote(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path)

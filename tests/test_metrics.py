@@ -28,7 +28,7 @@ from anchorlab.metrics import (
     write_metrics_csv,
 )
 from anchorlab.objectives import kl_penalty
-from anchorlab.policy import LogitTable, entropy
+from anchorlab.policy import LogitTable, StackedTable, entropy
 
 
 def oracle_self_bleu(samples, n_max):
@@ -120,14 +120,22 @@ def rollout_tokens(seed):
 
 
 class _Draws:
-    """Stub generator whose ``random`` returns fixed uniform draws."""
+    """Stub generator whose ``random`` fills its output with fixed uniform
+    draws."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
 
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
+    def random(self, *, out):
+        assert out.shape == self.u.shape
+        out[...] = self.u
+
+
+def evaluate_one(policy, tree, step, eval_k, rng, support_k=None):
+    """The record :func:`evaluate` gives for a stack of one cell that
+    starts from ``policy``."""
+    [record] = evaluate(StackedTable(policy, 1), tree, step, eval_k, [rng], support_k)
+    return record
 
 
 class TestPassMetrics:
@@ -143,7 +151,7 @@ class TestPassMetrics:
         # One draw per token of a uniform bandit: exactly one of 4 succeeds.
         tree = self.tree(1, 4, 0)
         u = (np.arange(4)[:, None] + 0.5) / 4
-        rec = evaluate(tree.ref_policy, tree, 0, 4, _Draws(u))
+        rec = evaluate_one(tree.ref_policy, tree, 0, 4, _Draws(u))
         assert (rec.pass_at_1, rec.pass_at_k) == (0.25, 1.0)
         assert type(rec.pass_at_1) is float and type(rec.pass_at_k) is float
 
@@ -153,7 +161,7 @@ class TestPassMetrics:
         (leaf,) = tree.valid_leaves
         z = np.full((tree.num_contexts(), 3), -300.0)
         z[:, (leaf[0] + 1) % 3] = 300.0
-        rec = evaluate(LogitTable(z), tree, 0, 8, np.random.default_rng(0))
+        rec = evaluate_one(LogitTable(z), tree, 0, 8, np.random.default_rng(0))
         assert (rec.pass_at_1, rec.pass_at_k) == (0.0, 0.0)
         assert type(rec.pass_at_k) is float
 
@@ -163,7 +171,7 @@ class TestPassMetrics:
             tree = self.tree(int(rng.integers(1, 4)), int(rng.integers(2, 5)), seed)
             policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), tree.branching)))
             k = int(rng.integers(2, 9))
-            rec = evaluate(policy, tree, 0, k, np.random.default_rng(seed))
+            rec = evaluate_one(policy, tree, 0, k, np.random.default_rng(seed))
             u = np.random.default_rng(seed).random((k, tree.depth))
             rewards = rollout(tree, policy, u)[2]
             assert rec.pass_at_1 == float(np.mean(rewards))
@@ -376,18 +384,17 @@ class TestSupportMass:
 
 class TestKlToReference:
     def test_zero_iff_equal(self):
-        ref = LogitTable(np.array([[0.5, 0.2, -0.3, 0.0], [1.0, 0.0, 0.0, -1.0]]))
-        Q = ref.dist([0, 1])
+        z = np.array([[0.5, 0.2, -0.3, 0.0], [1.0, 0.0, 0.0, -1.0]])
+        Q = LogitTable(z).dist([0, 1])
         assert kl_to_reference(Q, Q) == pytest.approx(0.0, abs=1e-12)
-        moved = ref.copy()
-        moved.add_to_logits(0, np.array([0.5, 0.0, 0.0, 0.0]))
-        assert kl_to_reference(moved.dist([0, 1]), Q) > 1e-9
+        z[0, 0] += 0.5
+        assert kl_to_reference(LogitTable(z).dist([0, 1]), Q) > 1e-9
 
 
 class TestEvaluate:
     def test_record_consistency(self):
         tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=3))
-        record = evaluate(tree.ref_policy.copy(), tree, 7, 32, np.random.default_rng(1))
+        record = evaluate_one(tree.ref_policy.copy(), tree, 7, 32, np.random.default_rng(1))
         assert record.step == 7
         assert record.eval_k == 32
         assert record.pass_at_k >= record.pass_at_1
@@ -398,8 +405,8 @@ class TestEvaluate:
 
     def test_deterministic_given_rng(self):
         tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=3))
-        a = evaluate(tree.ref_policy.copy(), tree, 0, 16, np.random.default_rng(5))
-        b = evaluate(tree.ref_policy.copy(), tree, 0, 16, np.random.default_rng(5))
+        a = evaluate_one(tree.ref_policy.copy(), tree, 0, 16, np.random.default_rng(5))
+        b = evaluate_one(tree.ref_policy.copy(), tree, 0, 16, np.random.default_rng(5))
         assert a == b
 
     @pytest.mark.parametrize("seed", range(4))
@@ -412,7 +419,7 @@ class TestEvaluate:
                                        seed=seed))
         policy = LogitTable(rng.normal(0.0, 2.0, (tree.num_contexts(), branching)))
         k = int(rng.integers(2, 65))
-        record = evaluate(policy, tree, 3, k, np.random.default_rng(seed), support_k)
+        record = evaluate_one(policy, tree, 3, k, np.random.default_rng(seed), support_k)
         tokens, contexts, rewards, _ = rollout(tree, policy,
                                                 np.random.default_rng(seed).random((k, tree.depth)))
         visited = sorted(set(contexts.ravel().tolist()))
@@ -465,6 +472,16 @@ class TestMetricsCsv:
         write_metrics_csv(records, path)
         assert path.read_text().splitlines()[0] == CSV_HEADER
         assert read_metrics_csv(path) == records
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_rejects_a_non_finite_value_naming_the_row(self, tmp_path, value):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv([MetricRecord(0, 0.25, 1.0, 1.5, 0.5, 0.75, 0.6, 0.01, 16)] * 2, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("0.6", value)  # support_mass of the second row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="metrics row 2 holds a non-finite value"):
+            read_metrics_csv(path)
 
     def test_timestamp_comment(self, tmp_path):
         path = tmp_path / "metrics.csv"

@@ -20,7 +20,7 @@ from anchorlab.objectives import (
     method_token_update,
     token_gradients,
 )
-from anchorlab.policy import StackedTable, dump_logit_table
+from anchorlab.policy import LogitTable, StackedTable, dump_logit_table
 from anchorlab.trainer import (
     StepStats,
     TokenBatch,
@@ -63,9 +63,20 @@ def concat_kept(groups):
 
 def cell_of_one(tree, start=None):
     """A stack of one cell starting from ``start`` (a copy of the
-    reference by default), and the cell."""
-    table = StackedTable(initial_policy(tree) if start is None else start, 1)
-    return table, table.cell(0)
+    reference by default). Its cell is read with ``table.cell(0)``, a copy
+    taken when it is read."""
+    return StackedTable(initial_policy(tree) if start is None else start, 1)
+
+
+def start_logits(tree):
+    """A writable copy of the reference logits: the scalar oracles' table,
+    written row by row in place."""
+    return tree.ref_policy.logits(np.arange(tree.num_contexts())).copy()
+
+
+def dump(z):
+    """:func:`dump_logit_table` of an oracle's logits."""
+    return dump_logit_table(LogitTable(z))
 
 
 def one_step(table, tree, cfg, rng, step=0):
@@ -110,13 +121,13 @@ class TestTrainStep:
         # to token-mean advantage-weighted log-prob ascent.
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg(inner_epochs=1)
-        table, policy = cell_of_one(tree)
+        table = cell_of_one(tree)
         rng = np.random.default_rng(12)
         stats = one_step(table, tree, cfg, rng)
         assert stats.frac_clipped == 0.0
 
-        expected = initial_policy(tree)
-        pi_old = expected.copy()
+        expected = start_logits(tree)
+        pi_old = initial_policy(tree)
         rng2 = np.random.default_rng(12)
         ctxs, toks, advs = concat_kept(separate_groups(
             tree, pi_old, cfg.method_config, cfg.groups_per_step, rng2))
@@ -125,13 +136,10 @@ class TestTrainStep:
             dz = adv * grad_log_prob(pi_old.dist(ctx), token)
             grads[ctx] = grads.get(ctx, 0.0) + dz
         for ctx, g in grads.items():
-            expected.add_to_logits(
-                ctx, cfg.method_config.learning_rate * g / ctxs.size
-            )
+            expected[ctx] += cfg.method_config.learning_rate * g / ctxs.size
+        policy = table.cell(0)
         for ctx in range(len(expected)):
-            np.testing.assert_allclose(
-                policy.logits(ctx), expected.logits(ctx), atol=1e-12
-            )
+            np.testing.assert_allclose(policy.logits(ctx), expected[ctx], atol=1e-12)
 
     def test_apo_pull_past_the_window_clips_every_negative_token(self):
         # First pass from the reference: every push ratio and anchor ratio
@@ -141,7 +149,7 @@ class TestTrainStep:
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg("apo", inner_epochs=1, method_config=MethodConfig(
             method="apo", pull_coef=0.5))
-        stats = one_step(cell_of_one(tree)[0], tree, cfg, np.random.default_rng(12))
+        stats = one_step(cell_of_one(tree), tree, cfg, np.random.default_rng(12))
         assert stats.degenerate_anchors == 0
         assert stats.frac_clipped_neg == 1.0
         assert stats.frac_clipped_pos == 0.0
@@ -149,9 +157,9 @@ class TestTrainStep:
 
     def test_grpo_first_pass_clips_nothing_of_either_sign(self):
         tree = generate_tree(SMALL_ENV)
-        table, policy = cell_of_one(tree)
+        table = cell_of_one(tree)
         stats = one_step(table, tree, small_cfg(inner_epochs=1), np.random.default_rng(12))
-        assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
+        assert dump_logit_table(table.cell(0)) != dump_logit_table(initial_policy(tree))
         assert stats.frac_clipped_pos == stats.frac_clipped_neg == 0.0
 
     @pytest.mark.parametrize("method", ["grpo", "apo"])
@@ -162,11 +170,11 @@ class TestTrainStep:
         tree = generate_tree(SMALL_ENV)
         cfg = small_cfg(method, inner_epochs=3,
                         method_config=MethodConfig(method=method, learning_rate=5.0))
-        table, policy = cell_of_one(tree)
+        table = cell_of_one(tree)
         stats = one_step(table, tree, cfg, np.random.default_rng(11))
 
-        expected = initial_policy(tree)
-        pi_old = expected.copy()
+        expected = start_logits(tree)
+        pi_old = initial_policy(tree)
         rng = np.random.default_rng(11)
         ctx, tok, adv = concat_kept(separate_groups(
             tree, pi_old, cfg.method_config, cfg.groups_per_step, rng))
@@ -177,7 +185,7 @@ class TestTrainStep:
             assert batch.ref is None  # grpo never reads the reference
         clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[:2])
                       for _ in range(cfg.inner_epochs))
-        assert dump_logit_table(policy) == dump_logit_table(expected)
+        assert dump_logit_table(table.cell(0)) == dump(expected)
         assert stats.frac_clipped == clipped / (len(batch) * cfg.inner_epochs) > 0
 
     @pytest.mark.parametrize("method, builds", [
@@ -204,7 +212,7 @@ class TestTrainStep:
         for module in (trainer, objectives):
             spy(module, "anchor_reference", "anchor_reference")
         spy(objectives, "segment_sums", "segment_sums")
-        table, policy = cell_of_one(tree)
+        table = cell_of_one(tree)
         spy(tree.ref_policy, "dist", "ref_dist")
         rng = np.random.default_rng(11)
         reads_reference = method not in ("grpo", "nsr")
@@ -218,7 +226,7 @@ class TestTrainStep:
             sums += len(calls["segment_sums"])
         # The spy does see the KL methods' sums, so the zeros are not vacuous.
         assert (sums > 0) == (method in ("grpo_kl", "grpo_kl_error_only"))
-        assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
+        assert dump_logit_table(table.cell(0)) != dump_logit_table(initial_policy(tree))
 
     def test_all_valid_leaves_means_bitwise_no_op(self):
         # Every rollout earns reward 1: all groups are zero-variance and the
@@ -226,10 +234,10 @@ class TestTrainStep:
         env = EnvConfig(depth=2, branching=3, num_valid_leaves=9, seed=1)
         tree = generate_tree(env)
         cfg = small_cfg(env=env)
-        table, policy = cell_of_one(tree)
-        before = dump_logit_table(policy)
+        table = cell_of_one(tree)
+        before = dump_logit_table(table.cell(0))
         stats = one_step(table, tree, cfg, np.random.default_rng(0))
-        assert dump_logit_table(policy) == before
+        assert dump_logit_table(table.cell(0)) == before
         assert stats.mean_reward == 1.0
 
     @pytest.mark.parametrize("method", ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"])
@@ -249,12 +257,12 @@ class TestTrainStep:
         gains = []
         for seed in range(10):
             cfg = small_cfg(method, env=env, total_steps=40, seed=seed)
-            table, policy = cell_of_one(tree)
+            table = cell_of_one(tree)
             rng = np.random.default_rng(seed)
-            start = leaf_prob(policy)
+            start = leaf_prob(table.cell(0))
             for step in range(cfg.total_steps):
                 one_step(table, tree, cfg, rng, step)
-            gains.append(leaf_prob(policy) - start)
+            gains.append(leaf_prob(table.cell(0)) - start)
         assert np.mean(gains) > 0
 
     def test_grpo_kl_step_equals_grpo_step_at_reference(self):
@@ -264,9 +272,9 @@ class TestTrainStep:
         results = []
         for method in ("grpo", "grpo_kl"):
             cfg = small_cfg(method, inner_epochs=1)
-            table, policy = cell_of_one(tree)
+            table = cell_of_one(tree)
             one_step(table, tree, cfg, np.random.default_rng(7))
-            results.append(dump_logit_table(policy))
+            results.append(dump_logit_table(table.cell(0)))
         assert results[0] == results[1]
 
     def test_apo_degenerate_anchor_is_counted_not_fatal(self):
@@ -277,7 +285,7 @@ class TestTrainStep:
             "apo", env=env, total_steps=30,
             method_config=MethodConfig(method="apo", anchor_k=1),
         )
-        table, _ = cell_of_one(tree)
+        table = cell_of_one(tree)
         rng = np.random.default_rng(4)
         total_degenerate = 0
         for step in range(cfg.total_steps):
@@ -307,10 +315,10 @@ class TestTokenMeanAggregation:
             tree.ref_policy, mcfg,
         )
 
-        once_table, once = cell_of_one(tree)
+        once_table, thrice_table = cell_of_one(tree), cell_of_one(tree)
         apply_one(once_table, tree, mcfg, batch)
-        thrice_table, thrice = cell_of_one(tree)
         apply_one(thrice_table, tree, mcfg, thrice_batch)
+        once, thrice = once_table.cell(0), thrice_table.cell(0)
         for ctx in range(len(once)):
             np.testing.assert_allclose(
                 once.logits(ctx), thrice.logits(ctx), rtol=0, atol=1e-12
@@ -320,11 +328,12 @@ class TestTokenMeanAggregation:
 METHODS = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
 
 
-def scalar_pass(policy, pi_old, tree, batch, mcfg):
+def scalar_pass(z, pi_old, tree, batch, mcfg):
     """The per-token oracle for apply_token_batch: method_token_update per
-    token, summed per context in batch order, then lr/N. Returns the
-    clipped counts of the positive- and negative-advantage tokens and the
-    degenerate-anchor count."""
+    token, summed per context in batch order, then lr/N added to the
+    logits ``z`` in place. Returns the clipped counts of the positive- and
+    negative-advantage tokens and the degenerate-anchor count."""
+    policy = LogitTable(z)  # the logits before the pass
     grads = {}
     clipped_pos = clipped_neg = degenerate = 0
     for ctx, token, adv in zip(batch.ctx.tolist(), batch.tok.tolist(), batch.adv.tolist()):
@@ -340,7 +349,7 @@ def scalar_pass(policy, pi_old, tree, batch, mcfg):
             grads[ctx] = update.gradient.copy()
     scale = mcfg.learning_rate / len(batch)
     for ctx, g in grads.items():
-        policy.add_to_logits(ctx, scale * g)
+        z[ctx] += scale * g
     return clipped_pos, clipped_neg, degenerate
 
 
@@ -394,39 +403,40 @@ class TestDenseMatchesScalar:
             ctx, tok, adv = (np.tile(a, copies)
                              for a in concat_kept(separate_groups(tree, pi_old, mcfg, 4, rng)))
             batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
-            (dense_table, dense), scalar = cell_of_one(tree), initial_policy(tree)
+            dense_table, scalar = cell_of_one(tree), start_logits(tree)
             for _ in range(epochs):
                 if len(batch):
-                    assert_rows_match_scalar(dense, pi_old, tree, batch, mcfg)
+                    assert_rows_match_scalar(dense_table.cell(0), pi_old, tree, batch, mcfg)
                 counts = apply_one(dense_table, tree, mcfg, batch)
                 if len(batch):
                     assert counts == scalar_pass(scalar, pi_old, tree, batch, mcfg)
                 else:
                     assert counts == (0, 0, 0)
-                assert dump_logit_table(dense) == dump_logit_table(scalar)
+                assert dump_logit_table(dense_table.cell(0)) == dump(scalar)
                 totals += counts
         if case == "all-skipped":
-            assert dump_logit_table(dense) == dump_logit_table(initial_policy(tree))
+            assert dump_logit_table(dense_table.cell(0)) == dump_logit_table(initial_policy(tree))
         if case in ("two-epochs", "replicated-3x") and method != "nsr":
             assert totals[0] + totals[1] > 0  # the clipped branch was exercised
         if case == "degenerate-anchor" and method == "apo":
             assert totals[2] > 0
 
 
-def separate_groups_step(policy, tree, cfg, rng, step):
+def separate_groups_step(z, tree, cfg, rng, step):
     """The step as first written: G separate rollout calls, per-group
     advantages, skipped groups dropped, the kept ones concatenated, then
-    scalar passes against the sampling policy's frozen copy. Returns the
-    groups, the batch arrays and the step's statistics."""
+    scalar passes against the sampling policy's frozen copy, on the
+    logits ``z`` in place. Returns the groups, the batch arrays and the
+    step's statistics."""
     mcfg = cfg.method_config
-    pi_old = policy.copy()
+    pi_old = LogitTable(z)
     groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
     ctx, tok, adv = concat_kept(groups)
     batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
     pos = neg = degenerate = 0
     for _ in range(cfg.inner_epochs):
         if len(batch):
-            p, n, d = scalar_pass(policy, pi_old, tree, batch, mcfg)
+            p, n, d = scalar_pass(z, pi_old, tree, batch, mcfg)
             pos, neg, degenerate = pos + p, neg + n, degenerate + d
     pos_updates = int(np.sum(adv > 0.0)) * cfg.inner_epochs
     neg_updates = int(np.sum(adv < 0.0)) * cfg.inner_epochs
@@ -495,12 +505,12 @@ class TestOneRolloutPerStep:
         spy("group_advantages", lambda args, result: result)
         spy("apply_token_batch", lambda args, result: args[3])
 
-        (table, policy), expected = cell_of_one(tree), initial_policy(tree)
+        table, expected = cell_of_one(tree), start_logits(tree)
         rng, rng_old = np.random.default_rng(31), np.random.default_rng(31)
         n = cfg.method_config.group_size
         for step in range(1, 4):
             seen.clear()
-            sampled_from = policy.copy()
+            sampled_from = table.cell(0)
             stats = one_step(table, tree, cfg, rng, step)
             old_groups, old_batch, old_stats = separate_groups_step(
                 expected, tree, cfg, rng_old, step)
@@ -522,9 +532,10 @@ class TestOneRolloutPerStep:
                 assert batch.ref is None  # neither method reads the reference
             else:
                 assert bits(batch.ref) == bits(old_batch[4])
-            assert dump_logit_table(policy) == dump_logit_table(expected)
+            assert dump_logit_table(table.cell(0)) == dump(expected)
             assert untimed(stats) == untimed(old_stats)
             assert rng.bit_generator.state == rng_old.bit_generator.state
+        policy = table.cell(0)
         if case == "all-skipped":
             assert dump_logit_table(policy) == dump_logit_table(initial_policy(tree))
         else:
@@ -563,7 +574,7 @@ class TestStack:
         cfgs = stack_cfgs()
         table = StackedTable(initial_policy(tree), len(cfgs))
         alone = [cell_of_one(tree) for _ in cfgs]
-        oracles = [initial_policy(tree) for _ in cfgs]
+        oracles = [start_logits(tree) for _ in cfgs]
         rngs, alone_rngs, oracle_rngs = ([np.random.default_rng(cfg.seed) for cfg in cfgs]
                                          for _ in range(3))
         calls = []
@@ -580,13 +591,13 @@ class TestStack:
             stacked_calls = len(calls)
             kept = []
             for s, cfg in enumerate(cfgs):
-                [stats] = train_step(alone[s][0], tree, [cfg], [alone_rngs[s]], step)
+                [stats] = train_step(alone[s], tree, [cfg], [alone_rngs[s]], step)
                 _, (ctx, *_), want = separate_groups_step(oracles[s], tree, cfg, oracle_rngs[s],
                                                           step)
                 kept.append(ctx.size)
                 assert untimed(stacked[s]) == untimed(stats) == untimed(want), (s, step)
                 cell = dump_logit_table(table.cell(s))
-                assert cell == dump_logit_table(alone[s][1]) == dump_logit_table(oracles[s])
+                assert cell == dump_logit_table(alone[s].cell(0)) == dump(oracles[s])
                 assert rngs[s].bit_generator.state == oracle_rngs[s].bit_generator.state
             # One token_gradients call per pass per run of adjacent cells
             # with one config, when the run has tokens.
@@ -636,11 +647,57 @@ class TestStack:
             assert [r.step for r in records] == [0, 3, 6, 9, 10]
 
     def test_cells_share_the_stack_timings(self):
+        # The step and its evaluation are the stack's, eval_ms included.
         tree = generate_tree(STACK_ENV)
         stacked = run_experiment(stack_cfgs(total_steps=3), tree)
         for step in range(3):
-            times = {tuple(getattr(stats[step], k) for k in TIMINGS[:3]) for _, stats in stacked}
+            times = {tuple(getattr(stats[step], k) for k in TIMINGS) for _, stats in stacked}
             assert len(times) == 1
+        assert stacked[0][1][1].eval_ms == 0.0 < stacked[0][1][2].eval_ms
+
+    @pytest.mark.parametrize("support_k", [None, 3])
+    def test_evaluation_equals_cells_evaluated_alone(self, support_k):
+        # At the start and after every step, each cell's record and
+        # evaluation stream equal those of a stack of one built from the
+        # cell's copy, bit for bit, while the cells have updated different
+        # contexts: some a context that others have not.
+        tree = generate_tree(STACK_ENV)
+        cfgs = stack_cfgs()
+        c, start = tree.num_contexts(), start_logits(tree)
+        table = StackedTable(initial_policy(tree), len(cfgs))
+        train_rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        rngs, alone_rngs = ([np.random.default_rng(100 + cfg.seed) for cfg in cfgs]
+                            for _ in range(2))
+        mixed = 0
+        for step in range(cfgs[0].total_steps + 1):
+            if step:
+                train_step(table, tree, cfgs, train_rngs, step)
+            cells = [table.cell(s) for s in range(len(cfgs))]
+            records = evaluate(table, tree, step, 8, rngs, support_k)
+            assert len(records) == len(cfgs)
+            for s, cell in enumerate(cells):
+                [want] = evaluate(StackedTable(cell, 1), tree, step, 8, [alone_rngs[s]],
+                                  support_k)
+                assert [bits(v) for v in vars(records[s]).values()] == \
+                    [bits(v) for v in vars(want).values()], (s, step)
+                assert rngs[s].bit_generator.state == alone_rngs[s].bit_generator.state
+            moved = np.stack([(cell.logits(np.arange(c)) != start).any(axis=1)
+                              for cell in cells])
+            mixed += bool((moved.any(axis=0) & ~moved.all(axis=0)).any())
+        assert mixed == cfgs[0].total_steps
+
+    def test_evaluate_runs_once_per_eval_step(self, monkeypatch):
+        calls = []
+
+        def spy(table, tree, step, *args, call=trainer.evaluate):
+            records = call(table, tree, step, *args)
+            calls.append((step, len(records)))
+            return records
+
+        monkeypatch.setattr(trainer, "evaluate", spy)
+        cfgs = stack_cfgs(total_steps=10)
+        run_experiment(cfgs, generate_tree(STACK_ENV))
+        assert calls == [(step, len(cfgs)) for step in (0, 3, 6, 9, 10)]
 
     @pytest.mark.parametrize("name, change", [
         ("group_size", lambda cfg: replace(cfg, method_config=replace(cfg.method_config,
@@ -649,6 +706,9 @@ class TestStack:
         ("inner_epochs", lambda cfg: replace(cfg, inner_epochs=1)),
         ("groups_per_step", lambda cfg: replace(cfg, groups_per_step=3)),
         ("env", lambda cfg: replace(cfg, env=replace(cfg.env, seed=9))),
+        ("eval_every", lambda cfg: replace(cfg, eval_every=2)),
+        ("eval_samples_k", lambda cfg: replace(cfg, eval_samples_k=16)),
+        ("support_k", lambda cfg: replace(cfg, support_k=3)),
     ])
     def test_cells_that_cannot_share_a_step_are_rejected(self, name, change):
         cfgs = stack_cfgs()[:2]
@@ -762,10 +822,10 @@ class TestScatterByBincount:
         if underflow:
             # Token 0's probability underflows to 0.0 in every row, so a
             # positive-advantage token's push gradient holds -0.0 there.
-            delta = np.zeros((len(start), start.vocab_size))
-            delta[:, 0] = -1000.0
-            start.add_to_logits(np.arange(len(start)), delta)
-        table, policy = cell_of_one(tree, start)
+            z = start_logits(tree)
+            z[:, 0] += -1000.0
+            start = LogitTable(z)
+        table = cell_of_one(tree, start)
         passes = []
 
         def spy_gradients(*args, call=trainer.token_gradients):
@@ -794,7 +854,7 @@ class TestScatterByBincount:
         all_negative_zero = 0
         for seen, batch in zip(passes, nonempty):
             grads = seen["grads"]
-            u, v = batch.keys.size, policy.vocab_size
+            u, v = batch.keys.size, table.vocab_size
             expected = np.full((u, v), -0.0)
             np.add.at(expected, batch.at, grads)
             expected = (cfg.method_config.learning_rate / len(batch)) * expected
@@ -816,10 +876,11 @@ class TestScatterByBincount:
         # reference holds no -0.0, so no sign of a zero sum reaches a logit.
         tree = generate_tree(COLLAPSE_ENV)
         cfg = collapse_cfg(method)
-        table, policy = cell_of_one(tree)
+        table = cell_of_one(tree)
         rng = np.random.default_rng(2)
         for step in range(1, 101):
             one_step(table, tree, cfg, rng, step)
+        policy = table.cell(0)
         z = policy.logits(np.arange(len(policy)))
         assert not signed_zeros(tree.ref_policy.logits(np.arange(len(policy)))).any()
         assert not signed_zeros(z).any()
@@ -857,7 +918,7 @@ class TestNoNumpyPythonWrappers:
     def test_train_step(self, monkeypatch, method):
         tree = generate_tree(COLLAPSE_ENV)
         cfg = collapse_cfg(method)
-        table, _ = cell_of_one(tree)
+        table = cell_of_one(tree)
         rng = np.random.default_rng(0)
         for step in range(1, 41):  # warm up: groups with mixed rewards
             one_step(table, tree, cfg, rng, step)
@@ -876,10 +937,13 @@ class TestNoNumpyPythonWrappers:
             assert all(len(idx) for idx in anchors[3])
 
     def test_evaluate(self):
+        # A stack of two cells, read at start rows and private rows alike.
         tree = generate_tree(COLLAPSE_ENV)
-        policy = initial_policy(tree)
-        rng = np.random.default_rng(0)
-        assert wrapper_calls(lambda: evaluate(policy, tree, 0, 64, rng, 4)) == []
+        cfgs = [collapse_cfg(method) for method in ("grpo", "apo")]
+        table = StackedTable(initial_policy(tree), len(cfgs))
+        rngs = [np.random.default_rng(seed) for seed in range(len(cfgs))]
+        train_step(table, tree, cfgs, rngs, 1)
+        assert wrapper_calls(lambda: evaluate(table, tree, 1, 64, rngs, 4)) == []
 
     def test_profile_sees_a_wrapper(self):
         assert wrapper_calls(lambda: np.mean(np.ones(3))) != []
