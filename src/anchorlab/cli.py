@@ -380,7 +380,8 @@ def cmd_coverage(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "coverage.csv").write_text(text, encoding="ascii")
+        with atomic_open(out / "coverage.csv") as fh:
+            fh.write(text)
     return 0
 
 

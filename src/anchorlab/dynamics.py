@@ -15,6 +15,7 @@ import numpy as np
 
 from .anchor import top_k
 from .env import ReasoningTree
+from .metrics import atomic_open
 from .objectives import MethodConfig
 from .policy import LogitTable, StackedTable, entropy, softmax
 from .trainer import TrainConfig, train_step
@@ -39,7 +40,8 @@ class DynamicsReport:
 
 
 def write_reports_csv(reports, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    """Write every report's rows, replacing ``path`` whole (:func:`atomic_open`)."""
+    with atomic_open(path) as fh:
         fh.write("scenario,step,quantity,value\n")
         for report in reports:
             for row in report.csv_rows():

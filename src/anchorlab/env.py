@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchor import top_k
-from .policy import LogitTable, check_float, check_int, dump_logit_table, load_logit_table
+from .policy import LogitTable, check_float, check_int, distinct, dump_logit_table, load_logit_table
 
 
 @dataclass
@@ -105,21 +105,19 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
 
     # Row ctx of the reference is context ctx; rows 0..C-1 are the internal
     # nodes in breadth-first order, so one (C, B) draw fixes the rng stream.
+    # The draw is made into the table itself, which is then built in place.
     c = (b**d - 1) // (b - 1)
-    bonus = np.zeros((c, b), dtype=bool)
-    ctx = np.zeros(len(leaves), dtype=np.int64)
+    z = np.empty((c, b))
+    rng.standard_normal(out=z)
+    # The flat (context, token) cells of the valid leaves' prefixes.
+    bonus, ctx = [], np.zeros(len(leaves), dtype=np.int64)
     for step in range(d):
-        bonus[ctx, leaves[:, step]] = True
-        ctx = ctx * b + leaves[:, step] + 1
-    z = np.zeros((c, b))
-    z[bonus] += cfg.ref_concentration
-    # Scaled in place and freed before z is made the table, so at most two
-    # (C, B) float arrays are live here, not three; the values are the same.
-    noise = rng.standard_normal((c, b))
+        bonus.append(ctx * b + leaves[:, step])
+        ctx = bonus[-1] + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        noise *= cfg.ref_noise
-        z += noise
-        del noise
+        z *= cfg.ref_noise
+        z += 0.0  # a -0.0 becomes +0.0, as it does in the sum 0.0 + x
+        z.ravel()[distinct(np.concatenate(bonus))] += cfg.ref_concentration
         # Finite logits whose spread overflows would overflow the max
         # subtraction of a softmax.
         spread = np.maximum.reduce(z, axis=None) - np.minimum.reduce(z, axis=None)

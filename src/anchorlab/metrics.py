@@ -7,23 +7,27 @@ n = 1..min(4, D) with no smoothing (any zero precision zeroes the score).
 Every sample has length D, so BLEU's length penalty is 1 and is left out.
 Entropy is reported in nats.
 
-Self-BLEU is counted with integer array operations over all K samples at
-once. Each n-gram gets a dense id, one order at a time: order 1 ranks the
-tokens, order n ranks the pair (order n-1 id, next token), so ids stay below
-the token count whatever the token values. One sort of ``id * K + sample``
-gives every (n-gram, sample) count; each sample's count is clipped by the
-best count held by another sample, and the clipped counts are summed per
-sample and order. Only the per-sample logs and geometric mean are floating
-point, evaluated in Python as the pairwise definition does, so scores are
-bitwise those of the pairwise loops.
+Self-BLEU is counted with integer array operations over every sample of
+every cell of a stack at once. Each n-gram gets a dense id, one order at a
+time: order 1 ranks the tokens, and cell s's ranks are shifted by s times
+their number, so no n-gram of one cell shares an id with another cell's;
+order n ranks the pair (order n-1 id, next token), so ids stay below S
+times the token count whatever the token values. One sort of
+``id * S*K + sample`` gives every (n-gram, sample) count; each sample's
+count is clipped by the best count held by another sample of its cell, and
+the clipped counts are summed per sample and order. Only the per-sample
+logs and geometric mean are floating point, evaluated in Python as the
+pairwise definition does, so scores are bitwise those of the pairwise
+loops.
 
 Evaluation reads every cell of a stack in one call, by key, in place (no
 copy of the table): one rollout draws every cell's K samples, each cell
-from its own evaluation stream. Entropy and max-prob come from the
-``(S*K, D, V)`` rows the rollout sampled from, one per visited step, with
-no second softmax; support mass and KL come from one policy softmax and
-one reference softmax over the sorted distinct visited keys. Each cell's
-record is then computed from its own contiguous slices of these arrays.
+from its own evaluation stream. Each metric is computed once for the whole
+stack: entropy and max-prob per visited step, from the ``(S*K, D, V)``
+rows the rollout sampled from; reward and BLEU per sample; support mass
+and KL per distinct visited key. A cell's record holds the means over its
+own contiguous slices: one row-wise sum over the ``(S, n)`` block for the
+equal slices of steps and samples, one mean per cell for the keys.
 """
 
 from __future__ import annotations
@@ -62,21 +66,25 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x, dtype=np.float64) / x.size)
 
 
-def entropy_and_maxprob(dists: np.ndarray) -> tuple[float, float]:
-    """Mean entropy (nats) and mean max-probability over all visited steps,
-    given as the ``(..., V)`` policy rows at the visited contexts, one per
-    step (a rollout's rows).
+def _means(x: np.ndarray, cells: int) -> list[float]:
+    """:func:`_mean` of each of ``cells`` equal consecutive slices of the
+    1-D float64 or 0/1 integer array ``x``, bit for bit: numpy sums each row
+    of the ``(cells, n)`` block pairwise, as it sums a 1-D slice, and sums
+    of 0s and 1s are exact in either type."""
+    x = x.reshape(cells, -1)
+    return (np.add.reduce(x, axis=1) / x.shape[1]).tolist()
 
-    A context visited by several rollouts counts once per visit.
-    """
-    dists = dists.reshape(-1, dists.shape[-1])
-    if not len(dists):
-        raise ValueError("no visited contexts")
+
+def entropy_and_maxprob(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy (nats) and max-probability of each ``(V,)`` row of the
+    ``(..., V)`` array ``rows``, flattened in order: of a rollout's rows,
+    one of each per visited step."""
+    rows = rows.reshape(-1, rows.shape[-1])
     # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
-    pos = dists > 0.0
-    nz = dists[pos]
+    pos = rows > 0.0
+    nz = rows[pos]
     ents = -segment_sums(nz * np.log(nz), np.add.reduce(pos, axis=1))
-    return _mean(ents), _mean(np.maximum.reduce(dists, axis=1))
+    return ents, np.maximum.reduce(rows, axis=1)
 
 
 def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -99,18 +107,22 @@ def _run_edges(keys: np.ndarray) -> np.ndarray:
     return new.nonzero()[0]
 
 
-def _clipped_counts(tokens: np.ndarray) -> np.ndarray:
-    """``(K, min(4, D))`` integer array of a ``(K, D)`` integer array, D >= 1:
-    entry ``[k, n - 1]`` sums, over the distinct n-grams of sample k,
-    min(its count, the largest count of that n-gram in any other sample)."""
+def _clipped_counts(tokens: np.ndarray, cells: int) -> np.ndarray:
+    """``(K, min(4, D))`` integer array of a ``(K, D)`` integer array,
+    D >= 1, whose rows are ``cells`` equal blocks of samples: entry
+    ``[k, n - 1]`` sums, over the distinct n-grams of sample k, min(its
+    count, the largest count of that n-gram in any other sample of its
+    block)."""
     k, d = tokens.shape
     orders = min(4, d)
     tok, n_tok = _dense_ranks(tokens.ravel())
     tok = tok.reshape(k, d)
-    gram, n_gram = tok, n_tok
+    # Block s's token ids are shifted by s * n_tok, so no n-gram id of one
+    # block is another's and no block's counts clip another's.
+    gram, n_gram = tok + np.arange(cells).repeat(k // cells)[:, None] * n_tok, cells * n_tok
     # Order n's id at (sample, i) is the dense rank of (order n-1 id at i,
-    # token at i+n-1): ids stay below the token count, so no key overflows.
-    # Ids of order n are shifted past those of lower orders.
+    # token at i+n-1): ids stay below cells times the token count, so no
+    # key overflows. Ids of order n are shifted past those of lower orders.
     keys, bounds = [], [0]
     for n in range(1, orders + 1):
         if n > 1:
@@ -150,55 +162,47 @@ def _bleu(d: int, clipped: tuple[int, ...]) -> float:
     return exp(sum(log_precisions) / len(log_precisions))
 
 
-def self_bleu(tokens: np.ndarray) -> float:
-    """Mean BLEU of each row of a ``(K, D)`` integer array against the other
-    K-1 rows, K >= 2 and D >= 1.
+def self_bleu(tokens: np.ndarray, cells: int) -> list[float]:
+    """Self-BLEU of each of ``cells`` equal blocks of the ``(cells*K, D)``
+    integer array ``tokens``, K >= 2 and D >= 1: the mean BLEU of each row
+    of a block against the other K-1 rows of that block.
 
     Clipping needs only the best count of each n-gram among the other
-    samples, which :func:`_clipped_counts` finds with sorts over all samples
-    at once, so the cost is about linear in K. The scores are then computed
-    in Python floats, once per distinct row of clipped counts, since samples
-    that share the row share the score.
+    samples, which :func:`_clipped_counts` finds with one sort over every
+    block's samples, so the cost is about linear in the number of rows. The
+    scores are then computed in Python floats, once per distinct row of
+    clipped counts, since samples that share the row share the score.
     """
-    k, d = tokens.shape
-    if k < 2 or d < 1:
-        raise ValueError(f"self-BLEU needs at least 2 samples of at least 1 token, "
-                         f"got shape {tokens.shape}")
-    rows = list(map(tuple, _clipped_counts(tokens).tolist()))
+    n, d = tokens.shape
+    k, rest = divmod(n, cells)
+    if k < 2 or rest or d < 1:
+        raise ValueError(f"self-BLEU needs {cells} blocks of at least 2 samples of at least "
+                         f"1 token, got shape {tokens.shape}")
+    rows = list(map(tuple, _clipped_counts(tokens, cells).tolist()))
     scored = {row: _bleu(d, row) for row in set(rows)}
-    return _mean(np.array([scored[row] for row in rows], dtype=np.float64))
+    return _means(np.array([scored[row] for row in rows], dtype=np.float64), cells)
 
 
-def diversity_score(tokens: np.ndarray) -> float:
-    """1 - Self-BLEU of orders 1-4 of a ``(K, D)`` integer array; 0 for
-    identical samples, 1 for disjoint alphabets."""
-    return 1.0 - self_bleu(tokens)
-
-
-def support_mass(P: np.ndarray, Q: np.ndarray, k: int) -> float:
-    """Mean policy mass inside the reference Top-K over the ``(n, V)``
-    policy and reference rows ``P`` and ``Q`` of n contexts, each summed in
-    Top-K order (ties toward the lower token index)."""
-    if not len(P):
-        raise ValueError("no contexts given")
+def support_mass(P: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
+    """Policy mass inside the reference Top-K of each of n contexts, from
+    their ``(n, V)`` policy and reference rows ``P`` and ``Q``, each summed
+    in Top-K order (ties toward the lower token index)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     members = (-Q).argsort(axis=1, kind="stable")[:, :k]
     members += np.arange(0, P.size, P.shape[1])[:, None]  # flat ids into P's rows
-    return _mean(np.add.reduce(P.take(members), axis=1))
+    return np.add.reduce(P.take(members), axis=1)
 
 
-def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> float:
-    """Mean exact KL(policy || ref) over the ``(n, V)`` policy and
-    reference rows of n contexts, each as
+def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Exact KL(policy || ref) of each of n contexts, from their ``(n, V)``
+    policy and reference rows, each as
     :func:`~anchorlab.objectives.kl_penalty` sums it."""
-    if not len(P):
-        raise ValueError("no contexts given")
     pos = P > 0.0
     if np.logical_or.reduce((Q <= 0.0) & pos, axis=None):
         raise ValueError("reference assigns zero mass where the policy is positive")
     p = P[pos]
-    return _mean(segment_sums(p * np.log(p / Q[pos]), np.add.reduce(pos, axis=1)))
+    return segment_sums(p * np.log(p / Q[pos]), np.add.reduce(pos, axis=1))
 
 
 def evaluate(
@@ -232,24 +236,15 @@ def evaluate(
     keys = distinct((contexts + base[:, None]).ravel())
     P, Q = table.dist(keys), tree.ref_policy.dist(keys % c)
     edges = keys.searchsorted(np.arange(0, (cells + 1) * c, c)).tolist()
-    out = []
-    for s in range(cells):
-        lo, hi = s * eval_k, (s + 1) * eval_k
-        mean_ent, mean_maxp = entropy_and_maxprob(rows[lo:hi])
-        cell_p, cell_q = P[edges[s]:edges[s + 1]], Q[edges[s]:edges[s + 1]]
-        out.append(MetricRecord(
-            step=step,
-            # float(): repr of a numpy scalar would change the CSV under numpy 2.
-            pass_at_1=_mean(rewards[lo:hi]),
-            pass_at_k=float(np.logical_or.reduce(rewards[lo:hi] > 0)),
-            mean_entropy=mean_ent,
-            mean_max_prob=mean_maxp,
-            diversity_score=diversity_score(tokens[lo:hi]),
-            support_mass=support_mass(cell_p, cell_q, support_k),
-            kl_to_ref=kl_to_reference(cell_p, cell_q),
-            eval_k=eval_k,
-        ))
-    return out
+    mass, kl = ([_mean(x[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+                for x in (support_mass(P, Q, support_k), kl_to_reference(P, Q)))
+    ents, maxps = entropy_and_maxprob(rows)
+    hits = np.logical_or.reduce(rewards.reshape(cells, eval_k) > 0, axis=1).tolist()
+    columns = zip(_means(rewards, cells), hits, _means(ents, cells), _means(maxps, cells),
+                  self_bleu(tokens, cells), mass, kl)
+    # Python floats: repr of a numpy scalar or a bool would change the CSV.
+    return [MetricRecord(step, p1, float(hit), ent, maxp, 1.0 - bleu, sm, kl_s, eval_k)
+            for p1, hit, ent, maxp, bleu, sm, kl_s in columns]
 
 
 @contextmanager

@@ -22,10 +22,10 @@ form one :class:`TokenBatch`, the step's plan: it holds everything the
 passes need that depends only on the batch, so a pass only gathers the
 live rows and combines them. Its old rows are the kept groups' rollout
 rows, not a second softmax; with them come each token's flat index into
-the ``(N, V)`` rows and its old probability. The reference rows at each
-token's context are taken once, and only when a cell's method reads them
-(the KL methods and apo). For apo the reference half of every token's
-anchor is built once, as fixed-width gather tables
+the ``(N, V)`` rows and its old probability. The reference rows are taken
+with one softmax per step, and only at the tokens of cells whose method
+reads them (the KL methods and apo). For apo the reference half of every
+token's anchor is built once, as fixed-width gather tables
 (:func:`~anchorlab.objectives.anchor_reference`); no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
@@ -42,7 +42,7 @@ against, not called here. Every numpy call on this path goes straight to
 C (a ufunc, its ``reduce``, or an array method), not through numpy's
 Python wrappers such as ``np.mean`` or ``ndarray.sum``. Evaluation, too,
 takes one :func:`~anchorlab.metrics.evaluate` call per stack, which reads
-the table by key.
+the table by key and computes each metric once for the whole stack.
 
 The anchor's reference half is built per step, over the batch's rows, and
 not once per tree: ranking every row of a large tree's reference costs
@@ -135,19 +135,19 @@ class TokenBatch:
     ids ``bins`` of each token's V cells in the ``(U, V)`` block of per-key
     sums, each token's flat index ``flat`` into the ``(N, V)`` rows and its
     old probability ``old_tok``, each key's step size ``scale`` (its cell's
-    ``learning_rate / N_s`` as a ``(U, 1)`` column), the reference rows
-    ``ref`` at each token's context when a cell reads them (None when
-    every cell is grpo or nsr), and ``runs``: one
-    ``(lo, hi, cell, flat, anchors)`` per run of adjacent cells with equal
-    :class:`~anchorlab.objectives.MethodConfig` and at least one token,
-    covering tokens ``lo:hi``; ``cell`` is its first cell, ``flat`` the
-    run's flat token ids into its own rows and, for apo, ``anchors`` its
-    tokens' anchor gather tables
+    ``learning_rate / N_s`` as a ``(U, 1)`` column), and ``runs``: one
+    ``(lo, hi, cell, flat, ref, anchors)`` per run of adjacent cells with
+    equal :class:`~anchorlab.objectives.MethodConfig` and at least one
+    token, covering tokens ``lo:hi``; ``cell`` is its first cell, ``flat``
+    the run's flat token ids into its own rows, ``ref`` the reference rows
+    at its tokens' contexts when its method reads them (None for grpo and
+    nsr, so their tokens take no reference row) and, for apo, ``anchors``
+    its tokens' anchor gather tables
     (:func:`~anchorlab.objectives.anchor_reference`; None otherwise). So a
     pass only gathers the live rows and combines them."""
 
     __slots__ = ("ctx", "tok", "adv", "old", "cell", "keys", "at", "bins", "flat", "old_tok",
-                 "scale", "ref", "runs")
+                 "scale", "runs")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
                  ref_policy: LogitTable, mcfgs: list[MethodConfig], counts: list[int]):
@@ -164,8 +164,11 @@ class TokenBatch:
         # Python's float quotient is the scalar lr / N bit for bit.
         self.scale = np.array([m.learning_rate / k if k else 0.0
                                for m, k in zip(mcfgs, counts)]).take(key_cell)[:, None]
-        self.ref = (ref_policy.dist(key_ctx).take(self.at, axis=0)
-                    if any(m.method in REFERENCE_METHODS for m in mcfgs) else None)
+        # One reference softmax, at the keys of the cells that read it.
+        reads = [m.method in REFERENCE_METHODS for m in mcfgs]
+        if any(reads):
+            read = np.array(reads).take(key_cell)
+            ref_rows, ref_at = ref_policy.dist(key_ctx.compress(read)), read.cumsum() - 1
         self.runs = []
         lo = hi = first = 0
         for s, (m, k) in enumerate(zip(mcfgs, counts)):
@@ -173,9 +176,10 @@ class TokenBatch:
             if s + 1 < len(mcfgs) and mcfgs[s + 1] == m:
                 continue
             if hi > lo:
-                anchors = (anchor_reference(self.ref[lo:hi], tok[lo:hi], m.anchor_k)
+                ref = ref_rows.take(ref_at.take(self.at[lo:hi]), axis=0) if reads[s] else None
+                anchors = (anchor_reference(ref, tok[lo:hi], m.anchor_k)
                            if m.method == "apo" else None)
-                self.runs.append((lo, hi, first, self.flat[lo:hi] - lo * v, anchors))
+                self.runs.append((lo, hi, first, self.flat[lo:hi] - lo * v, ref, anchors))
             lo, first = hi, s + 1
 
     def __len__(self) -> int:
@@ -194,11 +198,11 @@ def apply_token_batch(
 
     Every token's gradient comes from one :func:`token_gradients` call per
     run of adjacent cells with equal methods, over the run's rows, with
-    the batch's flat token ids, old token probabilities, reference rows and
-    anchor tables. One ``np.bincount`` over the batch's bins sums the
-    gradients per key, adding each bin's terms in batch order, and the U
-    touched rows get their cell's ``lr / N_s`` times their sum (a
-    per-row product is the scalar product bit for bit), through one
+    the batch's flat token ids and old token probabilities, and the run's
+    reference rows and anchor tables. One ``np.bincount`` over the batch's
+    bins sums the gradients per key, adding each bin's terms in batch
+    order, and the U touched rows get their cell's ``lr / N_s`` times their
+    sum (a per-row product is the scalar product bit for bit), through one
     :meth:`~anchorlab.policy.StackedTable.add_to_logits` call.
     ``bincount`` starts a sum at +0.0 where ``np.add.at`` into ``-0.0``
     would start at -0.0; the two differ only in a cell whose every term is
@@ -221,11 +225,10 @@ def apply_token_batch(
     u, v = keys.size, table.vocab_size
     if live is None:
         live = table.dist(keys).take(batch.at, axis=0)
-    ref = batch.ref
     parts = [
-        token_gradients(live[lo:hi], batch.old_tok[lo:hi], None if ref is None else ref[lo:hi],
-                        flat, batch.adv[lo:hi], mcfgs[s], anchors)
-        for lo, hi, s, flat, anchors in batch.runs
+        token_gradients(live[lo:hi], batch.old_tok[lo:hi], ref, flat, batch.adv[lo:hi], mcfgs[s],
+                        anchors)
+        for lo, hi, s, flat, ref, anchors in batch.runs
     ]
     grads, clipped, degenerate = (parts[0] if len(parts) == 1
                                   else [np.concatenate(p) for p in zip(*parts)])

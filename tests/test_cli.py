@@ -2,11 +2,13 @@ import dataclasses
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import anchorlab.cli as cli
+import anchorlab.dynamics as dynamics
 import anchorlab.trainer as trainer
 from anchorlab.cli import (
     ConfigError,
@@ -540,24 +542,39 @@ class TestMalformedInput:
 
 class TestAtomicWrites:
     @pytest.mark.parametrize("earlier", [True, False])
-    @pytest.mark.parametrize("name", ["metrics.csv", "steps.jsonl", "summary.csv"])
-    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, name, earlier):
+    @pytest.mark.parametrize("name", ["metrics.csv", "steps.jsonl", "summary.csv",
+                                      "dynamics.csv", "coverage.csv"])
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, monkeypatch, name,
+                                                         earlier):
         # Each writer raises after its first line: a record that is not a
-        # dataclass, or a summary row that is not a string.
+        # dataclass, a summary or dynamics row that is not a string; the
+        # coverage table raises on a recall whose repr is not ASCII.
         spec = load_spec(write_spec(tmp_path))
         path = tmp_path / spec.name / name
         path.parent.mkdir()
         if earlier:
             path.write_text("earlier\n")
-        with pytest.raises(TypeError):
+
+        class NotAscii(float):
+            def __repr__(self):
+                return "0.5\u00e9"
+
+        with pytest.raises(UnicodeEncodeError if name == "coverage.csv" else TypeError):
             if name == "metrics.csv":
                 record = MetricRecord(0, 0.25, 1.0, 1.5, 0.5, 0.75, 0.6, 0.01, 16)
                 cli.write_metrics_csv([record, object()], path, "t")
             elif name == "steps.jsonl":
                 stats = StepStats(1, 0.5, 0.0, 0, 1.0, 0.5, 0.25)
                 cli.write_steps_jsonl([stats, object()], path)
-            else:
+            elif name == "summary.csv":
                 cli._write_summary(spec, tmp_path, ["method,seeds", 1], "t")
+            elif name == "dynamics.csv":
+                report = dynamics.DynamicsReport("s", [(0, "q", 1.0)])
+                dynamics.write_reports_csv([report, SimpleNamespace(csv_rows=lambda: [1])], path)
+            else:
+                monkeypatch.setattr(cli, "oracle_coverage", lambda *args: {1: NotAscii(0.5)})
+                main(["coverage", "--depth", "2", "--branching", "3", "--leaves", "2",
+                      "--k-values", "1", "--out", str(path.parent)])
         assert os.listdir(path.parent) == ([name] if earlier else [])
         if earlier:
             assert path.read_text() == "earlier\n"

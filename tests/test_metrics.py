@@ -18,7 +18,6 @@ from anchorlab.env import EnvConfig, generate_tree, rollout
 from anchorlab.metrics import (
     CSV_HEADER,
     MetricRecord,
-    diversity_score,
     entropy_and_maxprob,
     evaluate,
     kl_to_reference,
@@ -105,8 +104,14 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
+def bleu(tokens):
+    """Self-BLEU of one ``(K, D)`` block: a stack of one cell."""
+    [score] = self_bleu(tokens, 1)
+    return score
+
+
 def assert_bleu_bitwise(tokens):
-    assert bits(self_bleu(tokens)) == bits(pairwise_self_bleu(tokens.tolist(), 4))
+    assert bits(bleu(tokens)) == bits(pairwise_self_bleu(tokens.tolist(), 4))
 
 
 def blocks(tokens=st.integers(0, 3), k=st.integers(2, 11), d=st.integers(1, 6)):
@@ -187,54 +192,59 @@ class TestEntropyAndMaxProb:
         return LogitTable(z)
 
     def test_uniform_context(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy().dist(np.array([[0]])))
+        [ent], [maxp] = entropy_and_maxprob(self.make_policy().dist(np.array([[0]])))
         assert ent == pytest.approx(math.log(8), abs=1e-12)
         assert maxp == pytest.approx(0.125, abs=1e-12)
 
     def test_one_hot_context(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy().dist(np.array([[1]])))
+        [ent], [maxp] = entropy_and_maxprob(self.make_policy().dist(np.array([[1]])))
         assert ent == pytest.approx(0.0, abs=1e-12)
         assert maxp == pytest.approx(1.0, abs=1e-12)
 
     def test_even_mixture_is_midpoint(self):
-        ent, maxp = entropy_and_maxprob(self.make_policy().dist(np.array([[0, 1]])))
-        assert ent == pytest.approx(math.log(8) / 2, abs=1e-12)
-        assert maxp == pytest.approx((0.125 + 1.0) / 2, abs=1e-12)
+        # One value per visited step; their mean is what a record holds.
+        ents, maxps = entropy_and_maxprob(self.make_policy().dist(np.array([[0, 1]])))
+        assert ents == pytest.approx([math.log(8), 0.0], abs=1e-12)
+        assert maxps == pytest.approx([0.125, 1.0], abs=1e-12)
+        assert metrics._mean(ents) == pytest.approx(math.log(8) / 2, abs=1e-12)
+        assert metrics._mean(maxps) == pytest.approx((0.125 + 1.0) / 2, abs=1e-12)
 
 
 class TestDiversityScore:
+    """A record's diversity is 1 - Self-BLEU: 0 for identical samples, 1 for
+    disjoint alphabets."""
+
     def test_identical_sequences(self):
-        assert diversity_score(np.array([(1, 2, 3, 4)] * 5)) == pytest.approx(0.0)
+        assert 1.0 - bleu(np.array([(1, 2, 3, 4)] * 5)) == pytest.approx(0.0)
 
     def test_disjoint_alphabets(self):
         samples = np.array([(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
-        assert diversity_score(samples) == pytest.approx(1.0)
+        assert 1.0 - bleu(samples) == pytest.approx(1.0)
 
     def test_partial_overlap_matches_oracle(self):
         samples = np.array([(1, 2, 3, 4), (1, 2, 3, 4), (5, 6, 7, 8)])
-        assert self_bleu(samples) == pytest.approx(oracle_self_bleu(samples.tolist(), 4),
-                                                   abs=1e-12)
+        assert bleu(samples) == pytest.approx(oracle_self_bleu(samples.tolist(), 4), abs=1e-12)
 
     def test_random_samples_match_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             k, d = int(rng.integers(2, 6)), int(rng.integers(1, 7))
             samples = rng.integers(0, 4, size=(k, d))
-            assert self_bleu(samples) == pytest.approx(oracle_self_bleu(samples.tolist(), 4),
-                                                       abs=1e-12)
+            assert bleu(samples) == pytest.approx(oracle_self_bleu(samples.tolist(), 4),
+                                                  abs=1e-12)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            diversity_score(np.array([(1, 2, 3)]))
+            bleu(np.array([(1, 2, 3)]))
 
     @settings(max_examples=100, deadline=None)
     @given(blocks(st.integers(0, 5), st.integers(2, 6), st.integers(1, 8)), st.randoms())
     def test_bounds_and_order_invariance(self, samples, rnd):
-        value = diversity_score(samples)
+        value = 1.0 - bleu(samples)
         assert 0.0 <= value <= 1.0
         order = list(range(len(samples)))
         rnd.shuffle(order)
-        assert diversity_score(samples[order]) == pytest.approx(value, abs=1e-12)
+        assert 1.0 - bleu(samples[order]) == pytest.approx(value, abs=1e-12)
 
 
 class TestSelfBleuMatchesPairwise:
@@ -254,7 +264,7 @@ class TestSelfBleuMatchesPairwise:
     def test_all_identical_samples(self, seq, k):
         samples = np.array([seq] * k)
         assert_bleu_bitwise(samples)
-        assert self_bleu(samples) == 1.0
+        assert bleu(samples) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 64), st.integers(1, 6), st.integers(2, 4), st.data())
@@ -285,7 +295,7 @@ class TestSelfBleuMatchesPairwise:
         else:
             samples = np.array([[1, 2, 3], [1, 2, 3], [2, 3, 1], [1, 1, 1], [1, 1, 1],
                                 [3, 2, 1], [2, 3, 1], [4, 4, 4]])
-        distinct = set(map(tuple, metrics._clipped_counts(samples).tolist()))
+        distinct = set(map(tuple, metrics._clipped_counts(samples, 1).tolist()))
         calls = []
         bleu = metrics._bleu
 
@@ -302,7 +312,46 @@ class TestSelfBleuMatchesPairwise:
                              ids=["no-samples", "one-sample", "empty-samples"])
     def test_rejects_what_it_cannot_score(self, shape):
         with pytest.raises(ValueError):
-            self_bleu(np.zeros(shape, dtype=np.int64))
+            bleu(np.zeros(shape, dtype=np.int64))
+
+
+@st.composite
+def stacks(draw):
+    """``(cells, tokens)``: a ``(cells*K, D)`` stack of 1-5 cells' blocks
+    drawn from one small alphabet, so n-grams recur across cells, or from
+    tokens near +-2**62."""
+    cells, k, d = draw(st.integers(1, 5)), draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    tokens = draw(st.sampled_from([
+        st.integers(0, 2),
+        st.sampled_from([-(2**62), -(2**62) + 1, -1, 0, 2**62 - 1, 2**62]),
+    ]))
+    return cells, draw(arrays(np.int64, (cells * k, d), elements=tokens))
+
+
+class TestStackedSelfBleu:
+    """One call scores every cell of a stack with one sort; each cell's
+    score is its block's alone, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacks())
+    def test_each_cell_scores_as_its_block_alone(self, stack):
+        cells, tokens = stack
+        k = len(tokens) // cells
+        scores = self_bleu(tokens, cells)
+        assert len(scores) == cells
+        for s, score in enumerate(scores):
+            block = tokens[s * k:(s + 1) * k]
+            assert bits(score) == bits(bleu(block)) == \
+                bits(pairwise_self_bleu(block.tolist(), 4)), s
+
+    def test_copies_of_a_block_in_other_cells_do_not_clip_it(self):
+        # Disjoint samples score 0; a copy in another cell would score 1.
+        block = np.array([(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
+        assert self_bleu(np.tile(block, (3, 1)), 3) == [0.0, 0.0, 0.0]
+
+    def test_rejects_unequal_blocks(self):
+        with pytest.raises(ValueError):
+            self_bleu(np.zeros((5, 3), dtype=np.int64), 2)
 
 
 def loop_support_mass(policy, ref, k, ctxs):
@@ -337,32 +386,41 @@ class TestDenseMetricsMatchLoops:
     @settings(max_examples=200, deadline=None)
     @given(policy_pairs())
     def test_support_mass_and_kl(self, pair):
+        # One value per context, each the loop oracle's at that context
+        # alone; their mean is the oracle's over all of them.
         policy, ref, rng = pair
         v, c = policy.vocab_size, len(policy)
         ctxs = sorted(set(rng.integers(0, c, size=c).tolist()))
         P, Q = policy.dist(ctxs), ref.dist(ctxs)
         for k in sorted({1, max(1, v // 2), v - 1 or 1, v, v + 1}):
-            assert bits(support_mass(P, Q, k)) == bits(loop_support_mass(policy, ref, k, ctxs))
-        assert bits(kl_to_reference(P, Q)) == bits(loop_kl(policy, ref, ctxs))
+            mass = support_mass(P, Q, k)
+            assert [bits(x) for x in mass] == \
+                [bits(loop_support_mass(policy, ref, k, [ctx])) for ctx in ctxs]
+            assert bits(metrics._mean(mass)) == bits(loop_support_mass(policy, ref, k, ctxs))
+        kl = kl_to_reference(P, Q)
+        assert [bits(x) for x in kl] == [bits(loop_kl(policy, ref, [ctx])) for ctx in ctxs]
+        assert bits(metrics._mean(kl)) == bits(loop_kl(policy, ref, ctxs))
 
     @settings(max_examples=200, deadline=None)
     @given(policy_pairs())
     def test_entropy_and_maxprob(self, pair):
+        # One pair per visited step, in order, and the means over them. A
+        # one-hot row's entropy is the negated sum -0.0, the oracle's +0.0,
+        # so + 0.0 equates the sign of a zero (and changes nothing else).
         policy, _, rng = pair
         visits = rng.integers(0, len(policy), size=(5, 3))
-        got = entropy_and_maxprob(policy.dist(visits))
-        want = loop_entropy_and_maxprob(policy, visits)
-        assert [bits(x) for x in got] == [bits(x) for x in want]
+        ents, maxps = entropy_and_maxprob(policy.dist(visits))
+        want = [loop_entropy_and_maxprob(policy, [ctx]) for ctx in visits.ravel().tolist()]
+        assert [(bits(e + 0.0), bits(m)) for e, m in zip(ents, maxps)] == \
+            [(bits(e), bits(m)) for e, m in want]
+        means = metrics._mean(ents), metrics._mean(maxps)
+        assert [bits(x) for x in means] == \
+            [bits(x) for x in loop_entropy_and_maxprob(policy, visits)]
 
     def test_rejections(self):
         rows = LogitTable(np.zeros((2, 4))).dist([0, 1])
         with pytest.raises(ValueError):
             support_mass(rows, rows, 0)
-        for call in (lambda: support_mass(rows[:0], rows[:0], 2),
-                     lambda: kl_to_reference(rows[:0], rows[:0]),
-                     lambda: entropy_and_maxprob(np.zeros((0, 3, 4)))):
-            with pytest.raises(ValueError):
-                call()
         ref = LogitTable(np.array([[0.0, -800.0, 0.0, 0.0]])).dist([0])  # q == 0 at token 1
         with pytest.raises(ValueError, match="reference assigns zero mass"):
             kl_to_reference(rows[:1], ref)
@@ -371,24 +429,28 @@ class TestDenseMetricsMatchLoops:
 class TestSupportMass:
     def test_uniform_matches_k_over_v(self):
         rows = LogitTable(np.zeros((1, 8))).dist([0])
-        assert support_mass(rows, rows, 2) == pytest.approx(0.25, abs=1e-12)
-        assert support_mass(rows, rows, 8) == pytest.approx(1.0, abs=1e-12)
+        assert support_mass(rows, rows, 2) == pytest.approx([0.25], abs=1e-12)
+        assert support_mass(rows, rows, 8) == pytest.approx([1.0], abs=1e-12)
 
     def test_one_hot_on_manifold_member(self):
         ref = LogitTable(np.array([[2.0, 1.0, 0.0, -1.0]]))
         z = np.full((1, 4), -300.0)
         z[0, 1] = 300.0
         policy = LogitTable(z)
-        assert support_mass(policy.dist([0]), ref.dist([0]), 2) == pytest.approx(1.0, abs=1e-12)
+        assert support_mass(policy.dist([0]), ref.dist([0]), 2) == pytest.approx([1.0],
+                                                                                 abs=1e-12)
 
 
 class TestKlToReference:
     def test_zero_iff_equal(self):
+        # Per context: moving row 0 leaves row 1's KL at zero.
         z = np.array([[0.5, 0.2, -0.3, 0.0], [1.0, 0.0, 0.0, -1.0]])
         Q = LogitTable(z).dist([0, 1])
-        assert kl_to_reference(Q, Q) == pytest.approx(0.0, abs=1e-12)
+        assert kl_to_reference(Q, Q) == pytest.approx([0.0, 0.0], abs=1e-12)
         z[0, 0] += 0.5
-        assert kl_to_reference(LogitTable(z).dist([0, 1]), Q) > 1e-9
+        moved, kept = kl_to_reference(LogitTable(z).dist([0, 1]), Q)
+        assert moved > 1e-9
+        assert kept == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEvaluate:
@@ -438,6 +500,38 @@ class TestEvaluate:
         )
         for name, value in vars(want).items():
             assert bits(getattr(record, name)) == bits(value), name
+
+    def test_twin_cells_each_equal_the_cell_evaluated_alone(self):
+        # Two cells with one start table and one evaluation seed draw the
+        # same samples; neither cell's n-grams may clip the other's.
+        tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=0))
+        policy = tree.ref_policy.copy()
+        records = evaluate(StackedTable(policy, 2), tree, 0, 64,
+                           [np.random.default_rng(5), np.random.default_rng(5)])
+        want = evaluate_one(policy, tree, 0, 64, np.random.default_rng(5))
+        for record in records:
+            assert [bits(v) for v in vars(record).values()] == \
+                [bits(v) for v in vars(want).values()]
+        assert want.diversity_score > 0.5
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_each_helper_runs_once_per_evaluation(self, monkeypatch, cells):
+        tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=3))
+        calls = Counter()
+
+        def spy(name):
+            def counted(*args, call=getattr(metrics, name)):
+                calls[name] += 1
+                return call(*args)
+            monkeypatch.setattr(metrics, name, counted)
+
+        helpers = ["entropy_and_maxprob", "self_bleu", "support_mass", "kl_to_reference"]
+        for name in helpers:
+            spy(name)
+        rngs = [np.random.default_rng(seed) for seed in range(cells)]
+        records = evaluate(StackedTable(tree.ref_policy.copy(), cells), tree, 0, 16, rngs)
+        assert len(records) == cells
+        assert calls == Counter(helpers)
 
     def test_train_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma, which costs start-up time and peak

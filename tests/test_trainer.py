@@ -179,10 +179,11 @@ class TestTrainStep:
         ctx, tok, adv = concat_kept(separate_groups(
             tree, pi_old, cfg.method_config, cfg.groups_per_step, rng))
         batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, cfg.method_config)
+        [(_, _, _, _, ref, _)] = batch.runs
         if method == "apo":
-            assert batch.ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
+            assert ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
         else:
-            assert batch.ref is None  # grpo never reads the reference
+            assert ref is None  # grpo never reads the reference
         clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[:2])
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(table.cell(0)) == dump(expected)
@@ -358,9 +359,9 @@ def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
     bit for bit, sign of zero included (a last-bit difference in a gradient
     can round away in the logits it is added to)."""
     P, O, Q = (t.dist(batch.ctx) for t in (policy, pi_old, tree.ref_policy))
-    [(_, _, _, flat, anchors)] = batch.runs
+    [(_, _, _, flat, ref, anchors)] = batch.runs
     grads, clipped, degenerate = token_gradients(
-        P, batch.old_tok, batch.ref, flat, batch.adv, mcfg, anchors)
+        P, batch.old_tok, ref, flat, batch.adv, mcfg, anchors)
     for i, (token, adv) in enumerate(zip(batch.tok.tolist(), batch.adv.tolist())):
         update = method_token_update(P[i], O[i], Q[i], token, adv, mcfg)
         assert grads[i].tobytes() == update.gradient.tobytes()
@@ -528,10 +529,13 @@ class TestOneRolloutPerStep:
             batch = batches[0]
             for got, want in zip((batch.ctx, batch.tok, batch.adv, batch.old), old_batch):
                 assert bits(got) == bits(want)
-            if method in ("grpo", "nsr"):
-                assert batch.ref is None  # neither method reads the reference
-            else:
-                assert bits(batch.ref) == bits(old_batch[4])
+            # One run covers the batch; an empty batch has none.
+            assert [run[:2] for run in batch.runs] == ([(0, len(batch))] if len(batch) else [])
+            for lo, hi, _, _, ref, _ in batch.runs:
+                if method in ("grpo", "nsr"):
+                    assert ref is None  # neither method reads the reference
+                else:
+                    assert bits(ref) == bits(old_batch[4][lo:hi])
             assert dump_logit_table(table.cell(0)) == dump(expected)
             assert untimed(stats) == untimed(old_stats)
             assert rng.bit_generator.state == rng_old.bit_generator.state
@@ -562,6 +566,20 @@ def stack_cfgs(cells=STACK_CELLS, **overrides):
                 eval_every=3, eval_samples_k=8)
     base.update(overrides)
     return [TrainConfig(method_config=m, seed=seed, **base) for m, seed in cells]
+
+
+def assert_cells_evaluate_as_alone(table, tree, step, k, rngs, alone_rngs, support_k):
+    """One evaluation of the stack: each cell's record and evaluation
+    stream equal those of a stack of one built from the cell's copy, bit
+    for bit."""
+    records = evaluate(table, tree, step, k, rngs, support_k)
+    assert len(records) == len(rngs)
+    for s, record in enumerate(records):
+        [want] = evaluate(StackedTable(table.cell(s), 1), tree, step, k, [alone_rngs[s]],
+                          support_k)
+        assert [bits(v) for v in vars(record).values()] == \
+            [bits(v) for v in vars(want).values()], (s, step)
+        assert rngs[s].bit_generator.state == alone_rngs[s].bit_generator.state
 
 
 class TestStack:
@@ -672,19 +690,69 @@ class TestStack:
         for step in range(cfgs[0].total_steps + 1):
             if step:
                 train_step(table, tree, cfgs, train_rngs, step)
-            cells = [table.cell(s) for s in range(len(cfgs))]
-            records = evaluate(table, tree, step, 8, rngs, support_k)
-            assert len(records) == len(cfgs)
-            for s, cell in enumerate(cells):
-                [want] = evaluate(StackedTable(cell, 1), tree, step, 8, [alone_rngs[s]],
-                                  support_k)
-                assert [bits(v) for v in vars(records[s]).values()] == \
-                    [bits(v) for v in vars(want).values()], (s, step)
-                assert rngs[s].bit_generator.state == alone_rngs[s].bit_generator.state
-            moved = np.stack([(cell.logits(np.arange(c)) != start).any(axis=1)
-                              for cell in cells])
+            assert_cells_evaluate_as_alone(table, tree, step, 8, rngs, alone_rngs, support_k)
+            moved = np.stack([(table.cell(s).logits(np.arange(c)) != start).any(axis=1)
+                              for s in range(len(cfgs))])
             mixed += bool((moved.any(axis=0) & ~moved.all(axis=0)).any())
         assert mixed == cfgs[0].total_steps
+
+    def test_sixty_cell_evaluation_equals_cells_evaluated_alone(self):
+        # Five methods x 12 seeds: every cell's record at the start and
+        # after 3 steps, bit for bit, and its evaluation stream.
+        tree = generate_tree(STACK_ENV)
+        cfgs = stack_cfgs([(MethodConfig(method=m, learning_rate=1.0), seed)
+                           for m in METHODS for seed in range(12)])
+        table = StackedTable(initial_policy(tree), len(cfgs))
+        train_rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        rngs, alone_rngs = ([np.random.default_rng(100 + s) for s in range(len(cfgs))]
+                            for _ in range(2))
+        assert len(cfgs) == 60
+        assert_cells_evaluate_as_alone(table, tree, 0, 16, rngs, alone_rngs, 4)
+        for step in range(1, 4):
+            train_step(table, tree, cfgs, train_rngs, step)
+        assert_cells_evaluate_as_alone(table, tree, 3, 16, rngs, alone_rngs, 4)
+
+    @pytest.mark.parametrize("methods", [("grpo", "apo"), ("grpo", "nsr"), tuple(METHODS)])
+    def test_reference_rows_only_at_the_tokens_of_methods_that_read_them(self, monkeypatch,
+                                                                        methods):
+        # One reference softmax per step, at the distinct contexts of the
+        # reading cells' tokens only: none for a grpo and nsr stack.
+        tree = generate_tree(STACK_ENV)
+        cfgs = stack_cfgs([(MethodConfig(method=m, learning_rate=1.0), seed)
+                           for seed, m in enumerate(methods, 1)])
+        table = StackedTable(initial_policy(tree), len(cfgs))
+        rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        ref_dist, taken, batches = tree.ref_policy.dist, [], []
+
+        def dist(ctx):
+            taken.append(np.array(ctx))
+            return ref_dist(ctx)
+
+        def spy(*args, call=trainer.apply_token_batch):
+            batches.append(args[3])
+            return call(*args)
+
+        monkeypatch.setattr(tree.ref_policy, "dist", dist)
+        monkeypatch.setattr(trainer, "apply_token_batch", spy)
+        reads = np.array([m in objectives.REFERENCE_METHODS for m in methods])
+        c, mixed = tree.num_contexts(), 0
+        for step in range(1, 6):
+            taken.clear()
+            batches.clear()
+            train_step(table, tree, cfgs, rngs, step)
+            batch = batches[0]
+            read = reads.take(batch.cell)
+            assert len(taken) == int(reads.any())
+            if reads.any():
+                keys = sorted(set((batch.cell * c + batch.ctx)[read].tolist()))
+                assert taken[0].tolist() == [key % c for key in keys]
+            for lo, hi, cell, _, ref, _ in batch.runs:
+                if reads[cell]:
+                    assert bits(ref) == bits(ref_dist(batch.ctx[lo:hi]))
+                else:
+                    assert ref is None
+            mixed += bool(read.any() and not read.all())
+        assert mixed > 0 or not reads.any()  # a step with tokens of both kinds
 
     def test_evaluate_runs_once_per_eval_step(self, monkeypatch):
         calls = []
@@ -933,7 +1001,7 @@ class TestNoNumpyPythonWrappers:
         assert len(batches) == cfg.inner_epochs and len(batches[0])
         if method == "apo":
             # Rows of both anchor widths: tokens inside and outside the Top-K.
-            [(_, _, _, _, anchors)] = batches[0].runs
+            [(_, _, _, _, _, anchors)] = batches[0].runs
             assert all(len(idx) for idx in anchors[3])
 
     def test_evaluate(self):
