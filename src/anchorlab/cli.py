@@ -10,7 +10,9 @@ Subcommands::
 
 Specs are JSON files (see README for the schema). Exit codes: 0 success,
 2 malformed config, 3 I/O failure. ``--seeds`` overrides the spec's seed
-list, for ``train`` and ``summarize`` alike.
+list, for ``train`` and ``summarize`` alike. A spec's cells are its
+``(MethodConfig, seed)`` pairs, and all of them train with the spec's
+``train`` section, one :class:`~anchorlab.trainer.TrainConfig`.
 """
 
 from __future__ import annotations
@@ -58,18 +60,12 @@ class ExperimentSpec:
     env: EnvConfig
     methods: list[MethodConfig]
     seeds: list[int]
-    # Every TrainConfig value but the ones each cell fills in: method_config,
-    # seed and, when env_seed_follows_cell, env.seed.
+    # The schedule every cell shares; a cell is a (method, seed) pair.
     train: TrainConfig
     output_dir: str | None = None
     # env.seed == null in the JSON: the cells of each seed share a tree
     # generated from that seed instead of all sharing one fixed tree.
     env_seed_follows_cell: bool = False
-
-
-# The spec's train section sets every TrainConfig field but the ones each
-# cell fills in itself.
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"method_config", "env", "seed"}
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
@@ -107,11 +103,13 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     names = [m.method for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError(f"method names must be unique, got {names}")
-    unknown = set(train) - _TRAIN_KEYS
+    unknown = set(train) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"unknown train keys: {sorted(unknown)}")
     try:
-        train = TrainConfig(env=env, **train)
+        train = TrainConfig(**train)
+        if train.support_k is not None and train.support_k > env.branching:
+            raise ValueError(f"support_k must be in [1, {env.branching}], got {train.support_k}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}") from exc
     return ExperimentSpec(
@@ -219,10 +217,6 @@ def gradient_check_suite(n_cases: int = 1000, seed: int = 0) -> dict[str, float]
 # subcommands
 
 
-def _cell_env(spec: ExperimentSpec, seed: int) -> EnvConfig:
-    return replace(spec.env, seed=seed) if spec.env_seed_follows_cell else spec.env
-
-
 def _tree(env: EnvConfig) -> ReasoningTree:
     # Looked up on trainer: perfbench's env.generate_tree span wraps that attribute.
     try:
@@ -236,14 +230,7 @@ def _run_stack(spec: ExperimentSpec, cells: list[tuple[MethodConfig, int]],
     """Train ``cells`` ((method, seed) pairs sharing ``tree`` and a group
     size) as one stack, then write each cell's files in the order given, so
     a stack that fails leaves none of its cells written."""
-    # One method's cells side by side share its token_gradients calls.
-    order = sorted(cells, key=lambda cell: spec.methods.index(cell[0]))
-    cfgs = [replace(spec.train, method_config=m, env=_cell_env(spec, seed), seed=seed)
-            for m, seed in order]
-    results = {(m.method, seed): result
-               for (m, seed), result in zip(order, run_experiment(cfgs, tree))}
-    for m, seed in cells:
-        records, stats = results[m.method, seed]
+    for (m, seed), (records, stats) in zip(cells, run_experiment(spec.train, cells, tree)):
         cell_dir = out_root / spec.name / m.method / str(seed)
         cell_dir.mkdir(parents=True, exist_ok=True)
         # metrics.csv last: summarize reads it, so it marks a finished cell.
@@ -322,22 +309,27 @@ def cmd_train(args) -> int:
     spec.seeds = _resolve_seeds(spec, args)
     out_root = Path(args.out or spec.output_dir or "results")
     timestamp = _timestamp(args)
-    # The cells that share a tree (all of them with a fixed env seed, each
-    # seed's otherwise) and a group size train in lockstep as one stack;
-    # training only reads the tree (a stack copies the reference once).
+    # One tree for the whole sweep with a fixed env seed, one per seed
+    # otherwise.
+    if spec.env_seed_follows_cell:
+        sweep = [(replace(spec.env, seed=seed), [seed]) for seed in spec.seeds]
+    else:
+        sweep = [(spec.env, spec.seeds)]
+    # The cells that share a tree and a group size train in lockstep as one
+    # stack, method by method, so one method's cells sit side by side and
+    # share its token_gradients calls; training only reads the tree (a
+    # stack copies the reference once).
     # What is alive now (modules, the spec) outlives the sweep, so the
     # collector is told not to rescan it during the cells; unfreezing
     # afterwards lets a process that calls main() again free it.
-    tree_seeds = spec.seeds if spec.env_seed_follows_cell else spec.seeds[:1]
     gc.freeze()
     try:
-        for tree_seed in tree_seeds:
+        for env, seeds in sweep:
             tree = None  # free the last seed's tree before building the next
-            tree = _tree(_cell_env(spec, tree_seed))
-            seeds = [tree_seed] if spec.env_seed_follows_cell else spec.seeds
+            tree = _tree(env)
             for size in dict.fromkeys(m.group_size for m in spec.methods):
-                _run_stack(spec, [(m, seed) for seed in seeds for m in spec.methods
-                                  if m.group_size == size], tree, out_root, timestamp)
+                _run_stack(spec, [(m, seed) for m in spec.methods if m.group_size == size
+                                  for seed in seeds], tree, out_root, timestamp)
     finally:
         gc.unfreeze()
     summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)
@@ -496,9 +488,10 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}")
         return 2
     except MemoryError as exc:
-        # A tree whose node ids fit int64 may still be too large to build:
-        # its (C, B) reference table is the lab's largest allocation.
-        print(f"error: config: the tree does not fit in memory: {exc}")
+        # Values that all pass their bounds may still size an array beyond
+        # memory: a tree's (C, B) reference table, or a sample block sized
+        # by groups_per_step or eval_samples_k.
+        print(f"error: config: an array sized by the config does not fit in memory: {exc}")
         return 2
     except OSError as exc:
         print(f"error: io: {exc}")

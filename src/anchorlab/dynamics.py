@@ -2,9 +2,9 @@
 
 The formulas here are written out locally on purpose: tests compare them
 against the gradient kernels as two independent code paths. The bandit
-harness is a depth-1 tree whose one context is the bandit, trained by
-:func:`~anchorlab.trainer.train_step` itself, so collapse trajectories come
-from the update the sweeps train with.
+harness is a depth-1 tree whose one context is the bandit, trained as a
+stack of one cell by :func:`~anchorlab.trainer.train_step` itself, so
+collapse trajectories come from the update the sweeps train with.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def collapse_trajectory(
         raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
     tree = ReasoningTree(1, z.size, frozenset((t,) for t in valid), LogitTable(z[None]))
     table = StackedTable(tree.ref_policy, 1)  # a stack of one cell: key 0 is the root
-    train_cfg = TrainConfig(method_config=cfg, groups_per_step=1, inner_epochs=1)
+    train = TrainConfig(groups_per_step=1, inner_epochs=1)
     manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))
     report = DynamicsReport(f"collapse_{cfg.method}")
 
@@ -171,5 +171,5 @@ def collapse_trajectory(
         report.add(step, "entropy", entropy(dist))
         report.add(step, "p_safe", float(dist[manifold].sum()))
         if step < steps:
-            train_step(table, tree, [train_cfg], [rng], step + 1)
+            train_step(table, tree, train, [cfg], [rng], step + 1)
     return report

@@ -83,7 +83,8 @@ def entropy_and_maxprob(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
     pos = rows > 0.0
     nz = rows[pos]
-    ents = -segment_sums(nz * np.log(nz), np.add.reduce(pos, axis=1))
+    # 0.0 - s, not -s: a one-hot row's entropy is +0.0, not -0.0.
+    ents = 0.0 - segment_sums(nz * np.log(nz), np.add.reduce(pos, axis=1))
     return ents, np.maximum.reduce(rows, axis=1)
 
 

@@ -147,7 +147,7 @@ def entropy(dist: np.ndarray) -> float:
     """Shannon entropy in nats, with 0*log(0) := 0."""
     p = np.asarray(dist, dtype=np.float64)
     nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(0.0 - (nz * np.log(nz)).sum())  # +0.0, not -0.0, for a one-hot row
 
 
 class LogitTable:

@@ -1,8 +1,9 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
-Cells train in stacks: every cell of a stack shares one tree, one
-``group_size``, ``groups_per_step``, ``inner_epochs`` and evaluation
-schedule, and the stack's cells train in lockstep on one
+A cell is a ``(MethodConfig, seed)`` pair, and cells train in stacks:
+every cell of a stack shares one tree, one ``group_size`` and one
+:class:`TrainConfig` (the step and evaluation schedule), and the stack's
+cells train in lockstep on one
 :class:`~anchorlab.policy.StackedTable`, cell s reading and writing its
 own rows of it. A step's numpy calls are made once for the whole stack,
 not once per cell, because at a step's array sizes the call, not the
@@ -50,7 +51,7 @@ more than a short cell spends on anchors. For the 37,449-row deep_sweep
 tree a softmax and stable argsort of the whole reference takes 11-12 ms;
 the 10 steps of an apo cell there spend under 0.5 ms building anchors.
 
-Seeding: the experiment seed feeds ``numpy.random.SeedSequence(seed)``; its
+Seeding: a cell's seed feeds ``numpy.random.SeedSequence(seed)``; its
 two spawned children drive the training stream and the evaluation stream,
 so evaluation never perturbs training randomness.
 """
@@ -58,11 +59,13 @@ so evaluation never perturbs training randomness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .env import EnvConfig, ReasoningTree, generate_tree, rollout
+# generate_tree is not called here: the CLI builds its trees through this
+# name, which perfbench's env.generate_tree span wraps.
+from .env import ReasoningTree, generate_tree, rollout  # noqa: F401
 from .metrics import MetricRecord, atomic_open, evaluate
 from .objectives import (
     REFERENCE_METHODS,
@@ -76,26 +79,22 @@ from .policy import LogitTable, StackedTable, check_int, distinct
 
 @dataclass
 class TrainConfig:
-    method_config: MethodConfig = field(default_factory=MethodConfig)
-    env: EnvConfig = field(default_factory=lambda: EnvConfig(4, 8, 8))
+    """The schedule every cell of a stack shares: a spec's ``train``
+    section. A cell is a ``(MethodConfig, seed)`` pair."""
+
     total_steps: int = 300
     groups_per_step: int = 4
     inner_epochs: int = 2
     eval_every: int = 25
     eval_samples_k: int = 64
     support_k: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low in (("total_steps", 0), ("groups_per_step", 1), ("inner_epochs", 1),
-                          ("eval_every", 1), ("eval_samples_k", 2), ("seed", 0)):
+                          ("eval_every", 1), ("eval_samples_k", 2)):
             check_int(name, getattr(self, name), low)
         if self.support_k is not None:
-            check_int("support_k", self.support_k)
-            if not 1 <= self.support_k <= self.env.branching:
-                raise ValueError(
-                    f"support_k must be in [1, {self.env.branching}], got {self.support_k}"
-                )
+            check_int("support_k", self.support_k, 1)
 
 
 @dataclass
@@ -241,18 +240,18 @@ def apply_token_batch(
 def train_step(
     table: StackedTable,
     tree: ReasoningTree,
-    cfgs: list[TrainConfig],
+    train: TrainConfig,
+    mcfgs: list[MethodConfig],
     rngs: list[np.random.Generator],
     step: int = 0,
 ) -> list[StepStats]:
     """One outer optimization step of every cell of a stack (mutates
-    ``table`` in place): cell s is ``table``'s cell s, trained by
-    ``cfgs[s]`` from the training stream ``rngs[s]``. The cells share
-    ``groups_per_step``, ``inner_epochs`` and ``group_size``. Returns each
-    cell's statistics, in order."""
+    ``table`` in place): cell s is ``table``'s cell s, trained by method
+    ``mcfgs[s]`` from the training stream ``rngs[s]``, with ``train``'s
+    ``groups_per_step`` and ``inner_epochs``. The cells share
+    ``group_size``. Returns each cell's statistics, in order."""
     t0 = time.perf_counter()
-    mcfgs = [cfg.method_config for cfg in cfgs]
-    cells, g, n, d = len(cfgs), cfgs[0].groups_per_step, mcfgs[0].group_size, tree.depth
+    cells, g, n, d = len(mcfgs), train.groups_per_step, mcfgs[0].group_size, tree.depth
     r = g * n
     u = np.empty((cells * r, d))
     for s, rng in enumerate(rngs):
@@ -277,7 +276,7 @@ def train_step(
     )
 
     clipped = degenerate = 0
-    epochs = cfgs[0].inner_epochs
+    epochs = train.inner_epochs
     for epoch in range(epochs):
         # Until the first pass updates it, the table is the one sampled from.
         c, dg = apply_token_batch(table, tree, mcfgs, batch, batch.old if epoch == 0 else None)
@@ -315,54 +314,44 @@ def initial_policy(tree: ReasoningTree) -> LogitTable:
     return tree.ref_policy.copy()
 
 
-def private_rows(tree: ReasoningTree, cfg: TrainConfig) -> int:
+def private_rows(tree: ReasoningTree, train: TrainConfig, group_size: int) -> int:
     """The most contexts one cell's run can update: a step updates only
     contexts its G*n rollouts visit, at most G*n of the B**l at level l."""
-    visits = cfg.total_steps * cfg.groups_per_step * cfg.method_config.group_size
+    visits = train.total_steps * train.groups_per_step * group_size
     return sum(min(tree.branching**level, visits) for level in range(tree.depth))
 
 
-# The TrainConfig values the cells of a stack share.
-_SHARED = ("env", "total_steps", "groups_per_step", "inner_epochs", "eval_every",
-           "eval_samples_k", "support_k")
-
-
 def run_experiment(
-    cfgs: list[TrainConfig],
-    tree: ReasoningTree | None = None,
+    train: TrainConfig,
+    cells: list[tuple[MethodConfig, int]],
+    tree: ReasoningTree,
 ) -> list[tuple[list[MetricRecord], list[StepStats]]]:
-    """Full deterministic run of a stack of cells trained in lockstep on one
-    tree: returns each cell's metric records (step 0, every ``eval_every``
-    steps, and the final step) and per-step statistics, in the order of
-    ``cfgs``. The cells must share their env, ``total_steps``,
-    ``groups_per_step``, ``inner_epochs``, ``eval_every``,
-    ``eval_samples_k``, ``support_k`` and ``group_size``; a cell alone is
-    a stack of one. Each evaluation is one :func:`evaluate` call for the
-    whole stack. The stacked table reserves room for the most
-    rows the cells can update (:func:`private_rows`), so it never grows.
+    """Full deterministic run of a stack of ``(method config, seed)`` cells
+    trained in lockstep on ``tree`` with the schedule ``train``: returns
+    each cell's metric records (step 0, every ``eval_every`` steps, and the
+    final step) and per-step statistics, in the order of ``cells``. The
+    cells must share ``group_size``; a cell alone is a stack of one. Each
+    evaluation is one :func:`evaluate` call for the whole stack. The
+    stacked table reserves room for the most rows the cells can update
+    (:func:`private_rows`), so it never grows.
     """
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        for name in _SHARED:
-            if getattr(cfg, name) != getattr(first, name):
-                raise ValueError(f"the cells of a stack must share {name}")
-        if cfg.method_config.group_size != first.method_config.group_size:
-            raise ValueError("the cells of a stack must share group_size")
-    if tree is None:
-        tree = generate_tree(first.env)
-    streams = [np.random.SeedSequence(cfg.seed).spawn(2) for cfg in cfgs]
+    mcfgs = [m for m, _ in cells]
+    n = mcfgs[0].group_size
+    if any(m.group_size != n for m in mcfgs):
+        raise ValueError("the cells of a stack must share group_size")
+    streams = [np.random.SeedSequence(seed).spawn(2) for _, seed in cells]
     train_rngs = [np.random.default_rng(train_ss) for train_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
 
-    table = StackedTable(tree.ref_policy, len(cfgs), len(cfgs) * private_rows(tree, first))
-    k, support_k = first.eval_samples_k, first.support_k
+    table = StackedTable(tree.ref_policy, len(cells), len(cells) * private_rows(tree, train, n))
+    k, support_k = train.eval_samples_k, train.support_k
     records = [[rec] for rec in evaluate(table, tree, 0, k, eval_rngs, support_k)]
-    stats: list[list[StepStats]] = [[] for _ in cfgs]
-    for step in range(1, first.total_steps + 1):
-        step_stats = train_step(table, tree, cfgs, train_rngs, step)
+    stats: list[list[StepStats]] = [[] for _ in cells]
+    for step in range(1, train.total_steps + 1):
+        step_stats = train_step(table, tree, train, mcfgs, train_rngs, step)
         for cell, cell_stats in zip(stats, step_stats):
             cell.append(cell_stats)
-        if step % first.eval_every == 0 or step == first.total_steps:
+        if step % train.eval_every == 0 or step == train.total_steps:
             t0 = time.perf_counter()
             evaluated = evaluate(table, tree, step, k, eval_rngs, support_k)
             eval_ms = (time.perf_counter() - t0) * 1000.0

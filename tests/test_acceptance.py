@@ -246,11 +246,9 @@ def test_criterion_9_degenerate_anchor_handling():
 
     env = EnvConfig(depth=2, branching=3, num_valid_leaves=1,
                     ref_concentration=2.0, ref_noise=0.2, seed=2)
-    train_cfg = TrainConfig(
-        method_config=cfg, env=env, total_steps=30, groups_per_step=2,
-        inner_epochs=2, eval_every=15, eval_samples_k=8, seed=4,
-    )
-    [(records, stats)] = run_experiment([train_cfg])
+    train_cfg = TrainConfig(total_steps=30, groups_per_step=2, inner_epochs=2, eval_every=15,
+                            eval_samples_k=8)
+    [(records, stats)] = run_experiment(train_cfg, [(cfg, 4)], generate_tree(env))
     total = sum(s.degenerate_anchors for s in stats)
     assert total > 0
     assert len(records) == 3

@@ -71,8 +71,8 @@ class TestSpecParsing:
             spec_from_dict(dict(SPEC, seeds=[]))
 
     def test_unknown_train_key_rejected(self):
-        # Each cell sets seed, env and method_config itself, so the train
-        # section may not.
+        # A cell is a (method, seed) pair and the env is the spec's own
+        # section, so seed, env and method_config are no train keys.
         for key in ("bogus", "seed", "env", "method_config"):
             with pytest.raises(ConfigError, match="unknown train keys"):
                 spec_from_dict(dict(SPEC, train={"total_steps": 1, key: 2}))
@@ -99,28 +99,28 @@ def test_shipped_spec_resolves_to_the_cells_it_trains(tmp_path, monkeypatch):
     # spec's env seed is null, so each cell's tree has the cell's seed.
     data = json.loads(SHIPPED_SPEC.read_text())
     assert data["env"]["seed"] is None
+    train = TrainConfig(**data["train"])
     expected = {
-        (m["method"], s): TrainConfig(method_config=MethodConfig(**m),
-                                      env=EnvConfig(**dict(data["env"], seed=s)),
-                                      seed=s, **data["train"])
+        (m["method"], s): (MethodConfig(**m), EnvConfig(**dict(data["env"], seed=s)))
         for m in data["methods"] for s in data["seeds"]
     }
     built = []
     run = cli.run_experiment
 
-    def record(cfgs, tree):
-        built.extend(cfgs)
-        return run([dataclasses.replace(cfg, total_steps=0) for cfg in cfgs], tree)
+    def record(train_cfg, cells, tree):
+        built.extend((train_cfg, m, seed, tree) for m, seed in cells)
+        return run(dataclasses.replace(train_cfg, total_steps=0), cells, tree)
 
     monkeypatch.setattr(cli, "run_experiment", record)
     assert main(["train", "--spec", str(SHIPPED_SPEC), "--out", str(tmp_path),
                  "--no-timestamp"]) == 0
-    got = {(cfg.method_config.method, cfg.seed): cfg for cfg in built}
+    got = {(m.method, seed): (train_cfg, m, tree) for train_cfg, m, seed, tree in built}
     assert len(built) == len(got) == len(expected) == 10
     assert got.keys() == expected.keys()
-    for key, want in expected.items():
-        for f in dataclasses.fields(TrainConfig):
-            assert getattr(got[key], f.name) == getattr(want, f.name), (key, f.name)
+    for key, (mcfg, env) in expected.items():
+        train_cfg, m, tree = got[key]
+        assert (train_cfg, m) == (train, mcfg), key
+        assert_same_tree(tree, trainer.generate_tree(env))
 
 
 class TestTrainCommand:
@@ -195,10 +195,10 @@ class TestTrainCommand:
         cells = {}
         run = cli.run_experiment
 
-        def record(cfgs, tree=None):
-            for cfg in cfgs:
-                cells[cfg.method_config.method, cfg.seed] = (cfg.env, tree)
-            return run(cfgs, tree)
+        def record(train, stack, tree):
+            for m, seed in stack:
+                cells[m.method, seed] = tree
+            return run(train, stack, tree)
 
         monkeypatch.setattr(trainer, "generate_tree", counted)
         monkeypatch.setattr(cli, "run_experiment", record)
@@ -207,9 +207,8 @@ class TestTrainCommand:
                      "--no-timestamp"]) == 0
         assert len(built) == trees
         assert sorted(cells) == [(m, s) for m in ("apo", "grpo") for s in SPEC["seeds"]]
-        for (_, seed), (env, tree) in cells.items():
-            assert env == EnvConfig(**dict(SPEC["env"], seed=seed if env_seed is None
-                                           else env_seed))
+        for (_, seed), tree in cells.items():
+            env = EnvConfig(**dict(SPEC["env"], seed=seed if env_seed is None else env_seed))
             assert tree is not None
             assert_same_tree(tree, generate(env))
 
@@ -217,18 +216,18 @@ class TestTrainCommand:
     def test_cells_stack_by_tree_and_group_size(self, tmp_path, monkeypatch, env_seed):
         # grpo and apo share a group size, nsr has its own. A fixed env seed
         # is one tree, so one stack per group size over both seeds; a null
-        # one is a tree per seed, so stacks per seed. One method's cells sit
-        # side by side in a stack, and each stack's cells are written after
-        # it trains, seed by seed in method order.
+        # one is a tree per seed, so stacks per seed. A stack's cells come
+        # method by method, each method's seeds side by side, and are
+        # written in that order after the stack trains.
         methods = [{"method": "grpo"}, {"method": "nsr", "group_size": 4},
                    {"method": "apo", "anchor_k": 2}]
         spec = dict(SPEC, methods=methods, env=dict(SPEC["env"], seed=env_seed))
         events = []
         run, write = cli.run_experiment, cli.write_metrics_csv
 
-        def stacked(cfgs, tree):
-            events.append(("stack", [(cfg.method_config.method, cfg.seed) for cfg in cfgs]))
-            return run(cfgs, tree)
+        def stacked(train, cells, tree):
+            events.append(("stack", [(m.method, seed) for m, seed in cells]))
+            return run(train, cells, tree)
 
         def written(records, path, timestamp=None):
             events.append(("write", (path.parent.parent.name, int(path.parent.name))))
@@ -241,14 +240,13 @@ class TestTrainCommand:
                      "--no-timestamp"]) == 0
 
         def stack(cells):
-            order = sorted(cells, key=lambda cell: ["grpo", "nsr", "apo"].index(cell[0]))
-            return [("stack", order)] + [("write", cell) for cell in cells]
+            return [("stack", cells)] + [("write", cell) for cell in cells]
 
         if env_seed is None:
             want = (stack([("grpo", 1), ("apo", 1)]) + stack([("nsr", 1)])
                     + stack([("grpo", 2), ("apo", 2)]) + stack([("nsr", 2)]))
         else:
-            want = (stack([("grpo", 1), ("apo", 1), ("grpo", 2), ("apo", 2)])
+            want = (stack([("grpo", 1), ("grpo", 2), ("apo", 1), ("apo", 2)])
                     + stack([("nsr", 1), ("nsr", 2)]))
         assert events == want
         # Every cell is the cell trained alone, byte for byte.
@@ -256,9 +254,9 @@ class TestTrainCommand:
         for m in methods:
             for seed in SPEC["seeds"]:
                 env = EnvConfig(**dict(SPEC["env"], seed=seed if env_seed is None else env_seed))
-                cfg = TrainConfig(method_config=MethodConfig(**m), env=env, seed=seed,
-                                  **SPEC["train"])
-                [(records, _)] = trainer.run_experiment([cfg])
+                [(records, _)] = trainer.run_experiment(
+                    TrainConfig(**SPEC["train"]), [(MethodConfig(**m), seed)],
+                    trainer.generate_tree(env))
                 alone = tmp_path / f"{m['method']}{seed}.csv"
                 cli.write_metrics_csv(records, alone)
                 cell = out / "smoke" / m["method"] / str(seed) / "metrics.csv"
@@ -270,10 +268,10 @@ class TestTrainCommand:
         spec = dict(SPEC, methods=[{"method": "grpo"}, {"method": "nsr", "group_size": 4}])
         step = trainer.train_step
 
-        def failing(table, tree, cfgs, rngs, k):
-            if cfgs[0].method_config.method == "nsr" and k == 3:
+        def failing(table, tree, train, mcfgs, rngs, k):
+            if mcfgs[0].method == "nsr" and k == 3:
                 raise OSError("device lost")
-            return step(table, tree, cfgs, rngs, k)
+            return step(table, tree, train, mcfgs, rngs, k)
 
         monkeypatch.setattr(trainer, "train_step", failing)
         out = tmp_path / "out"
@@ -316,6 +314,7 @@ class TestTrainCommand:
         assert first.startswith("# generated ")
 
 
+MEMORY_ERROR = "error: config: an array sized by the config does not fit in memory: "
 OVERFLOW = ("ref_concentration 1.0 and ref_noise 1e+308 give reference logits beyond the "
             "float64 range")
 
@@ -410,7 +409,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["coverage", "train"])
     def test_tree_too_large_for_memory_exits_2_before_any_cell(self, tmp_path, capsys,
                                                                command):
-        # Node ids fit int64, but the (C, B) reference table is 281 TiB,
+        # Node ids fit int64, but the (C, B) reference table is 2.19 PiB,
         # more than a 128 TiB user address space: the allocation fails at
         # once without touching memory.
         out = tmp_path / "out"
@@ -422,9 +421,25 @@ class TestMalformedInput:
                     "--out", str(out)]
         assert main(argv) == 2
         printed = capsys.readouterr().out
-        assert printed.startswith("error: config: the tree does not fit in memory")
+        assert printed.startswith(MEMORY_ERROR)
         assert printed.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("eval_samples_k", 10**11),
+                                            ("groups_per_step", 10**10)])
+    def test_sample_block_too_large_for_memory_exits_2_before_any_cell(self, tmp_path,
+                                                                      capsys, key, value):
+        # Every value is in bounds, but the 2 cells' (cells*K, D) evaluation
+        # block, or their (cells*G*n, D) training block, is over 2 TiB: the
+        # allocation fails at once, and no cell of the stack is written.
+        spec = dict(SPEC, train=dict(SPEC["train"], **{key: value}))
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith(MEMORY_ERROR) and "TiB" in printed
+        assert printed.count("\n") == 1
+        assert not any(p.is_file() for p in out.rglob("*"))
 
     def test_tree_ids_overflowing_int64_exit_2_before_any_cell(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -444,6 +459,15 @@ class TestMalformedInput:
         assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith("error: config: train:")
+        assert not out.exists()
+
+    def test_support_k_beyond_the_branching_names_its_range(self, tmp_path, capsys):
+        # TrainConfig bounds support_k below; the spec's tree bounds it above.
+        spec = dict(SPEC, train=dict(SPEC["train"], support_k=4))
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == "error: config: train: support_k must be in [1, 3], got 4\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

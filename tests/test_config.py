@@ -21,7 +21,7 @@ TINY = 5e-324  # the smallest positive float64
 # Base arguments each row varies one field of.
 BASE = {
     MethodConfig: {},
-    TrainConfig: {"env": EnvConfig(depth=2, branching=3, num_valid_leaves=2)},
+    TrainConfig: {},
     EnvConfig: {"depth": 2, "branching": 3, "num_valid_leaves": 2},
 }
 
@@ -40,8 +40,9 @@ ROWS = [
     (TrainConfig, "inner_epochs", int, [1], 0, "inner_epochs must be >= 1, got 0"),
     (TrainConfig, "eval_every", int, [1], 0, "eval_every must be >= 1, got 0"),
     (TrainConfig, "eval_samples_k", int, [2], 1, "eval_samples_k must be >= 2, got 1"),
-    (TrainConfig, "support_k", int, [1, 3, None], 4, "support_k must be in [1, 3], got 4"),
-    (TrainConfig, "seed", int, [0], -1, "seed must be >= 0, got -1"),
+    # Its upper bound, the tree's branching, is checked with the spec
+    # (tests/test_cli.py::test_bad_train_value_exits_2_before_any_cell).
+    (TrainConfig, "support_k", int, [1, 3, None], 0, "support_k must be >= 1, got 0"),
     (EnvConfig, "depth", int, [1], 0, "depth must be >= 1, got 0"),
     (EnvConfig, "branching", int, [2], 1, "branching must be >= 2, got 1"),
     (EnvConfig, "num_valid_leaves", int, [1, 9], 0, "num_valid_leaves must be in [1, 9], got 0"),
@@ -52,11 +53,10 @@ ROWS = [
 ]
 
 # Fields with no bound of their own: the method name must be one of
-# METHODS (tests/test_objectives.py), and the nested configs check
-# themselves.
+# METHODS (tests/test_objectives.py).
 UNBOUNDED = {
     MethodConfig: {"method"},
-    TrainConfig: {"method_config", "env"},
+    TrainConfig: set(),
     EnvConfig: set(),
 }
 

@@ -201,6 +201,14 @@ class TestEntropyAndMaxProb:
         assert ent == pytest.approx(0.0, abs=1e-12)
         assert maxp == pytest.approx(1.0, abs=1e-12)
 
+    def test_exactly_one_hot_row_has_entropy_plus_zero(self):
+        # The sum over the one positive entry is 1*log(1) = +0.0; its
+        # entropy is +0.0, not the negated -0.0, in every row.
+        rows = np.eye(4)[[2, 0, 2]].reshape(1, 3, 4)
+        ents, maxps = entropy_and_maxprob(rows)
+        assert [bits(e) for e in ents] == [bits(0.0)] * 3
+        assert [bits(m) for m in maxps] == [bits(1.0)] * 3
+
     def test_even_mixture_is_midpoint(self):
         # One value per visited step; their mean is what a record holds.
         ents, maxps = entropy_and_maxprob(self.make_policy().dist(np.array([[0, 1]])))
@@ -404,14 +412,13 @@ class TestDenseMetricsMatchLoops:
     @settings(max_examples=200, deadline=None)
     @given(policy_pairs())
     def test_entropy_and_maxprob(self, pair):
-        # One pair per visited step, in order, and the means over them. A
-        # one-hot row's entropy is the negated sum -0.0, the oracle's +0.0,
-        # so + 0.0 equates the sign of a zero (and changes nothing else).
+        # One pair per visited step, in order, and the means over them,
+        # bit for bit (a one-hot row's entropy is +0.0 in both).
         policy, _, rng = pair
         visits = rng.integers(0, len(policy), size=(5, 3))
         ents, maxps = entropy_and_maxprob(policy.dist(visits))
         want = [loop_entropy_and_maxprob(policy, [ctx]) for ctx in visits.ravel().tolist()]
-        assert [(bits(e + 0.0), bits(m)) for e, m in zip(ents, maxps)] == \
+        assert [(bits(e), bits(m)) for e, m in zip(ents, maxps)] == \
             [(bits(e), bits(m)) for e, m in want]
         means = metrics._mean(ents), metrics._mean(maxps)
         assert [bits(x) for x in means] == \

@@ -294,4 +294,6 @@ class TestSegmentSums:
 
 def test_entropy_reference_values():
     assert entropy(np.ones(8) / 8) == pytest.approx(math.log(8), abs=1e-12)
-    assert entropy(np.array([1.0, 0.0])) == 0.0
+    # +0.0 bit for bit: the sum 1*log(1) is +0.0, and its negation -0.0.
+    for dist in (np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0]), np.array([1.0])):
+        assert np.float64(entropy(dist)).tobytes() == np.float64(0.0).tobytes()

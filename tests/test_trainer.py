@@ -79,9 +79,9 @@ def dump(z):
     return dump_logit_table(LogitTable(z))
 
 
-def one_step(table, tree, cfg, rng, step=0):
+def one_step(table, tree, train, mcfg, rng, step=0):
     """:func:`train_step` of a stack of one cell: that cell's statistics."""
-    [stats] = train_step(table, tree, [cfg], [rng], step)
+    [stats] = train_step(table, tree, train, [mcfg], [rng], step)
     return stats
 
 
@@ -99,19 +99,19 @@ def apply_one(table, tree, mcfg, batch, live=None):
     return int((clipped & ~neg).sum()), int((clipped & neg).sum()), int(degenerate.sum())
 
 
-def small_cfg(method="grpo", **overrides):
-    base = dict(
-        method_config=MethodConfig(method=method),
-        env=SMALL_ENV,
-        total_steps=5,
-        groups_per_step=2,
-        inner_epochs=2,
-        eval_every=2,
-        eval_samples_k=8,
-        seed=3,
-    )
+def small_cfg(**overrides):
+    """The schedule of the small-tree tests, with ``overrides``."""
+    base = dict(total_steps=5, groups_per_step=2, inner_epochs=2, eval_every=2, eval_samples_k=8)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def run_small(train, method="grpo"):
+    """:func:`run_experiment` of one ``method`` cell (seed 3) on the
+    small tree: its metric records and step statistics."""
+    [(records, stats)] = run_experiment(train, [(MethodConfig(method=method), 3)],
+                                        generate_tree(SMALL_ENV))
+    return records, stats
 
 
 class TestTrainStep:
@@ -120,23 +120,23 @@ class TestTrainStep:
         # pass, every push ratio is exactly 1, and the grpo update reduces
         # to token-mean advantage-weighted log-prob ascent.
         tree = generate_tree(SMALL_ENV)
-        cfg = small_cfg(inner_epochs=1)
+        cfg, mcfg = small_cfg(inner_epochs=1), MethodConfig()
         table = cell_of_one(tree)
         rng = np.random.default_rng(12)
-        stats = one_step(table, tree, cfg, rng)
+        stats = one_step(table, tree, cfg, mcfg, rng)
         assert stats.frac_clipped == 0.0
 
         expected = start_logits(tree)
         pi_old = initial_policy(tree)
         rng2 = np.random.default_rng(12)
         ctxs, toks, advs = concat_kept(separate_groups(
-            tree, pi_old, cfg.method_config, cfg.groups_per_step, rng2))
+            tree, pi_old, mcfg, cfg.groups_per_step, rng2))
         grads = {}
         for ctx, token, adv in zip(ctxs.tolist(), toks.tolist(), advs.tolist()):
             dz = adv * grad_log_prob(pi_old.dist(ctx), token)
             grads[ctx] = grads.get(ctx, 0.0) + dz
         for ctx, g in grads.items():
-            expected[ctx] += cfg.method_config.learning_rate * g / ctxs.size
+            expected[ctx] += mcfg.learning_rate * g / ctxs.size
         policy = table.cell(0)
         for ctx in range(len(expected)):
             np.testing.assert_allclose(policy.logits(ctx), expected[ctx], atol=1e-12)
@@ -147,9 +147,9 @@ class TestTrainStep:
         # the [0.8, 1.2] window, and every negative-advantage update is
         # clipped while no positive one is.
         tree = generate_tree(SMALL_ENV)
-        cfg = small_cfg("apo", inner_epochs=1, method_config=MethodConfig(
-            method="apo", pull_coef=0.5))
-        stats = one_step(cell_of_one(tree), tree, cfg, np.random.default_rng(12))
+        mcfg = MethodConfig(method="apo", pull_coef=0.5)
+        stats = one_step(cell_of_one(tree), tree, small_cfg(inner_epochs=1), mcfg,
+                         np.random.default_rng(12))
         assert stats.degenerate_anchors == 0
         assert stats.frac_clipped_neg == 1.0
         assert stats.frac_clipped_pos == 0.0
@@ -158,7 +158,8 @@ class TestTrainStep:
     def test_grpo_first_pass_clips_nothing_of_either_sign(self):
         tree = generate_tree(SMALL_ENV)
         table = cell_of_one(tree)
-        stats = one_step(table, tree, small_cfg(inner_epochs=1), np.random.default_rng(12))
+        stats = one_step(table, tree, small_cfg(inner_epochs=1), MethodConfig(),
+                         np.random.default_rng(12))
         assert dump_logit_table(table.cell(0)) != dump_logit_table(initial_policy(tree))
         assert stats.frac_clipped_pos == stats.frac_clipped_neg == 0.0
 
@@ -168,23 +169,22 @@ class TestTrainStep:
         # groups were sampled from, not the already updated policy: the
         # step equals scalar passes against a frozen copy.
         tree = generate_tree(SMALL_ENV)
-        cfg = small_cfg(method, inner_epochs=3,
-                        method_config=MethodConfig(method=method, learning_rate=5.0))
+        cfg, mcfg = small_cfg(inner_epochs=3), MethodConfig(method=method, learning_rate=5.0)
         table = cell_of_one(tree)
-        stats = one_step(table, tree, cfg, np.random.default_rng(11))
+        stats = one_step(table, tree, cfg, mcfg, np.random.default_rng(11))
 
         expected = start_logits(tree)
         pi_old = initial_policy(tree)
         rng = np.random.default_rng(11)
         ctx, tok, adv = concat_kept(separate_groups(
-            tree, pi_old, cfg.method_config, cfg.groups_per_step, rng))
-        batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, cfg.method_config)
+            tree, pi_old, mcfg, cfg.groups_per_step, rng))
+        batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
         [(_, _, _, _, ref, _)] = batch.runs
         if method == "apo":
             assert ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
         else:
             assert ref is None  # grpo never reads the reference
-        clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, cfg.method_config)[:2])
+        clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, mcfg)[:2])
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(table.cell(0)) == dump(expected)
         assert stats.frac_clipped == clipped / (len(batch) * cfg.inner_epochs) > 0
@@ -200,8 +200,7 @@ class TestTrainStep:
         # reference softmax is taken once per step, only by the methods
         # that read it.
         tree = generate_tree(SMALL_ENV)
-        cfg = small_cfg(method, inner_epochs=3,
-                        method_config=MethodConfig(method=method, learning_rate=5.0))
+        cfg, mcfg = small_cfg(inner_epochs=3), MethodConfig(method=method, learning_rate=5.0)
         calls = {"anchor_reference": [], "segment_sums": [], "ref_dist": []}
 
         def spy(owner, name, key):
@@ -221,7 +220,7 @@ class TestTrainStep:
         for step in range(1, 5):
             for key in calls:
                 calls[key].clear()
-            one_step(table, tree, cfg, rng, step)
+            one_step(table, tree, cfg, mcfg, rng, step)
             assert len(calls["anchor_reference"]) == builds
             assert len(calls["ref_dist"]) == int(reads_reference)
             sums += len(calls["segment_sums"])
@@ -234,10 +233,9 @@ class TestTrainStep:
         # policy must come out byte-identical.
         env = EnvConfig(depth=2, branching=3, num_valid_leaves=9, seed=1)
         tree = generate_tree(env)
-        cfg = small_cfg(env=env)
         table = cell_of_one(tree)
         before = dump_logit_table(table.cell(0))
-        stats = one_step(table, tree, cfg, np.random.default_rng(0))
+        stats = one_step(table, tree, small_cfg(), MethodConfig(), np.random.default_rng(0))
         assert dump_logit_table(table.cell(0)) == before
         assert stats.mean_reward == 1.0
 
@@ -255,14 +253,14 @@ class TestTrainStep:
                 ctx = tree.child_context(ctx, t)
             return prob
 
+        cfg, mcfg = small_cfg(total_steps=40), MethodConfig(method=method)
         gains = []
         for seed in range(10):
-            cfg = small_cfg(method, env=env, total_steps=40, seed=seed)
             table = cell_of_one(tree)
             rng = np.random.default_rng(seed)
             start = leaf_prob(table.cell(0))
             for step in range(cfg.total_steps):
-                one_step(table, tree, cfg, rng, step)
+                one_step(table, tree, cfg, mcfg, rng, step)
             gains.append(leaf_prob(table.cell(0)) - start)
         assert np.mean(gains) > 0
 
@@ -272,9 +270,9 @@ class TestTrainStep:
         tree = generate_tree(SMALL_ENV)
         results = []
         for method in ("grpo", "grpo_kl"):
-            cfg = small_cfg(method, inner_epochs=1)
             table = cell_of_one(tree)
-            one_step(table, tree, cfg, np.random.default_rng(7))
+            one_step(table, tree, small_cfg(inner_epochs=1), MethodConfig(method=method),
+                     np.random.default_rng(7))
             results.append(dump_logit_table(table.cell(0)))
         assert results[0] == results[1]
 
@@ -282,15 +280,12 @@ class TestTrainStep:
         env = EnvConfig(depth=2, branching=3, num_valid_leaves=1,
                         ref_concentration=2.0, ref_noise=0.2, seed=2)
         tree = generate_tree(env)
-        cfg = small_cfg(
-            "apo", env=env, total_steps=30,
-            method_config=MethodConfig(method="apo", anchor_k=1),
-        )
+        cfg, mcfg = small_cfg(total_steps=30), MethodConfig(method="apo", anchor_k=1)
         table = cell_of_one(tree)
         rng = np.random.default_rng(4)
         total_degenerate = 0
         for step in range(cfg.total_steps):
-            total_degenerate += one_step(table, tree, cfg, rng, step).degenerate_anchors
+            total_degenerate += one_step(table, tree, cfg, mcfg, rng, step).degenerate_anchors
         assert total_degenerate > 0
 
 
@@ -423,13 +418,12 @@ class TestDenseMatchesScalar:
             assert totals[2] > 0
 
 
-def separate_groups_step(z, tree, cfg, rng, step):
+def separate_groups_step(z, tree, cfg, mcfg, rng, step):
     """The step as first written: G separate rollout calls, per-group
     advantages, skipped groups dropped, the kept ones concatenated, then
     scalar passes against the sampling policy's frozen copy, on the
     logits ``z`` in place. Returns the groups, the batch arrays and the
     step's statistics."""
-    mcfg = cfg.method_config
     pi_old = LogitTable(z)
     groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
     ctx, tok, adv = concat_kept(groups)
@@ -489,8 +483,8 @@ class TestOneRolloutPerStep:
     def test_step_equals_separate_groups(self, monkeypatch, method, case, epochs):
         env, groups, overrides = STEP_CASES[case]
         tree = generate_tree(env)
-        cfg = small_cfg(method, env=env, groups_per_step=groups, inner_epochs=epochs,
-                        method_config=MethodConfig(method=method, **overrides))
+        cfg = small_cfg(groups_per_step=groups, inner_epochs=epochs)
+        mcfg = MethodConfig(method=method, **overrides)
         seen = {}
 
         def spy(name, record):
@@ -508,13 +502,13 @@ class TestOneRolloutPerStep:
 
         table, expected = cell_of_one(tree), start_logits(tree)
         rng, rng_old = np.random.default_rng(31), np.random.default_rng(31)
-        n = cfg.method_config.group_size
+        n = mcfg.group_size
         for step in range(1, 4):
             seen.clear()
             sampled_from = table.cell(0)
-            stats = one_step(table, tree, cfg, rng, step)
+            stats = one_step(table, tree, cfg, mcfg, rng, step)
             old_groups, old_batch, old_stats = separate_groups_step(
-                expected, tree, cfg, rng_old, step)
+                expected, tree, cfg, mcfg, rng_old, step)
 
             [(tokens, contexts, rewards, rows)] = seen["rollout"]
             assert tokens.shape == contexts.shape == (groups * n, tree.depth)
@@ -561,11 +555,17 @@ STACK_CELLS = [
 ]
 
 
-def stack_cfgs(cells=STACK_CELLS, **overrides):
-    base = dict(env=STACK_ENV, total_steps=8, groups_per_step=2, inner_epochs=2,
-                eval_every=3, eval_samples_k=8)
-    base.update(overrides)
-    return [TrainConfig(method_config=m, seed=seed, **base) for m, seed in cells]
+STACK_TRAIN = TrainConfig(total_steps=8, groups_per_step=2, inner_epochs=2, eval_every=3,
+                          eval_samples_k=8)
+
+
+def methods_of(cells):
+    return [m for m, _ in cells]
+
+
+def cell_rngs(cells, offset=0):
+    """One generator per cell, seeded with ``offset`` plus its seed."""
+    return [np.random.default_rng(offset + seed) for _, seed in cells]
 
 
 def assert_cells_evaluate_as_alone(table, tree, step, k, rngs, alone_rngs, support_k):
@@ -589,12 +589,11 @@ class TestStack:
 
     def test_stack_equals_cells_trained_alone(self, monkeypatch):
         tree = generate_tree(STACK_ENV)
-        cfgs = stack_cfgs()
-        table = StackedTable(initial_policy(tree), len(cfgs))
-        alone = [cell_of_one(tree) for _ in cfgs]
-        oracles = [start_logits(tree) for _ in cfgs]
-        rngs, alone_rngs, oracle_rngs = ([np.random.default_rng(cfg.seed) for cfg in cfgs]
-                                         for _ in range(3))
+        train, mcfgs = STACK_TRAIN, methods_of(STACK_CELLS)
+        table = StackedTable(initial_policy(tree), len(mcfgs))
+        alone = [cell_of_one(tree) for _ in mcfgs]
+        oracles = [start_logits(tree) for _ in mcfgs]
+        rngs, alone_rngs, oracle_rngs = (cell_rngs(STACK_CELLS) for _ in range(3))
         calls = []
 
         def spy(*args, call=trainer.token_gradients):
@@ -603,15 +602,15 @@ class TestStack:
 
         monkeypatch.setattr(trainer, "token_gradients", spy)
         mixed = 0
-        for step in range(1, cfgs[0].total_steps + 1):
+        for step in range(1, train.total_steps + 1):
             calls.clear()
-            stacked = train_step(table, tree, cfgs, rngs, step)
+            stacked = train_step(table, tree, train, mcfgs, rngs, step)
             stacked_calls = len(calls)
             kept = []
-            for s, cfg in enumerate(cfgs):
-                [stats] = train_step(alone[s], tree, [cfg], [alone_rngs[s]], step)
-                _, (ctx, *_), want = separate_groups_step(oracles[s], tree, cfg, oracle_rngs[s],
-                                                          step)
+            for s, mcfg in enumerate(mcfgs):
+                stats = one_step(alone[s], tree, train, mcfg, alone_rngs[s], step)
+                _, (ctx, *_), want = separate_groups_step(oracles[s], tree, train, mcfg,
+                                                          oracle_rngs[s], step)
                 kept.append(ctx.size)
                 assert untimed(stacked[s]) == untimed(stats) == untimed(want), (s, step)
                 cell = dump_logit_table(table.cell(s))
@@ -619,20 +618,20 @@ class TestStack:
                 assert rngs[s].bit_generator.state == oracle_rngs[s].bit_generator.state
             # One token_gradients call per pass per run of adjacent cells
             # with one config, when the run has tokens.
-            runs = groupby(zip((cfg.method_config for cfg in cfgs), kept), key=itemgetter(0))
-            assert stacked_calls == cfgs[0].inner_epochs * sum(
+            runs = groupby(zip(mcfgs, kept), key=itemgetter(0))
+            assert stacked_calls == train.inner_epochs * sum(
                 any(k for _, k in run) for _, run in runs)
             mixed += 0 in kept and any(kept)
         assert mixed > 0  # steps where one cell keeps no group and another does
-        for s in range(len(cfgs)):
+        for s in range(len(mcfgs)):
             assert dump_logit_table(table.cell(s)) != dump_logit_table(initial_policy(tree))
 
     def test_contexts_a_cell_never_updated_read_the_start_row(self, monkeypatch):
         tree = generate_tree(STACK_ENV)
         reference = dump_logit_table(tree.ref_policy)
-        cfgs = stack_cfgs()
+        mcfgs = methods_of(STACK_CELLS)
         start = initial_policy(tree)
-        table = StackedTable(start, len(cfgs))
+        table = StackedTable(start, len(mcfgs))
         written = set()
 
         def spy(keys, block, call=table.add_to_logits):
@@ -640,14 +639,14 @@ class TestStack:
             return call(keys, block)
 
         monkeypatch.setattr(table, "add_to_logits", spy)
-        rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        rngs = cell_rngs(STACK_CELLS)
         for step in range(1, 9):
-            train_step(table, tree, cfgs, rngs, step)
+            train_step(table, tree, STACK_TRAIN, mcfgs, rngs, step)
         # Neither the start table nor the tree's reference was written.
         assert dump_logit_table(tree.ref_policy) == reference == dump_logit_table(start)
         c = tree.num_contexts()
         start_rows = tree.ref_policy.dist(np.arange(c))
-        for s in range(len(cfgs)):
+        for s in range(len(mcfgs)):
             updated = np.isin(np.arange(c) + s * c, list(written))
             assert updated.any() and not updated.all()
             rows = table.cell(s).dist(np.arange(c))
@@ -655,11 +654,11 @@ class TestStack:
 
     def test_run_experiment_records_equal_cells_run_alone(self):
         tree = generate_tree(STACK_ENV)
-        cfgs = stack_cfgs(total_steps=10)
-        stacked = run_experiment(cfgs, tree)
-        assert len(stacked) == len(cfgs)
-        for cfg, (records, stats) in zip(cfgs, stacked):
-            [(want_records, want_stats)] = run_experiment([cfg], tree)
+        train = replace(STACK_TRAIN, total_steps=10)
+        stacked = run_experiment(train, STACK_CELLS, tree)
+        assert len(stacked) == len(STACK_CELLS)
+        for cell, (records, stats) in zip(STACK_CELLS, stacked):
+            [(want_records, want_stats)] = run_experiment(train, [cell], tree)
             assert records == want_records
             assert [untimed(x) for x in stats] == [untimed(x) for x in want_stats]
             assert [r.step for r in records] == [0, 3, 6, 9, 10]
@@ -667,7 +666,7 @@ class TestStack:
     def test_cells_share_the_stack_timings(self):
         # The step and its evaluation are the stack's, eval_ms included.
         tree = generate_tree(STACK_ENV)
-        stacked = run_experiment(stack_cfgs(total_steps=3), tree)
+        stacked = run_experiment(replace(STACK_TRAIN, total_steps=3), STACK_CELLS, tree)
         for step in range(3):
             times = {tuple(getattr(stats[step], k) for k in TIMINGS) for _, stats in stacked}
             assert len(times) == 1
@@ -680,36 +679,35 @@ class TestStack:
         # cell's copy, bit for bit, while the cells have updated different
         # contexts: some a context that others have not.
         tree = generate_tree(STACK_ENV)
-        cfgs = stack_cfgs()
+        mcfgs, steps = methods_of(STACK_CELLS), STACK_TRAIN.total_steps
         c, start = tree.num_contexts(), start_logits(tree)
-        table = StackedTable(initial_policy(tree), len(cfgs))
-        train_rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-        rngs, alone_rngs = ([np.random.default_rng(100 + cfg.seed) for cfg in cfgs]
-                            for _ in range(2))
+        table = StackedTable(initial_policy(tree), len(mcfgs))
+        train_rngs = cell_rngs(STACK_CELLS)
+        rngs, alone_rngs = (cell_rngs(STACK_CELLS, 100) for _ in range(2))
         mixed = 0
-        for step in range(cfgs[0].total_steps + 1):
+        for step in range(steps + 1):
             if step:
-                train_step(table, tree, cfgs, train_rngs, step)
+                train_step(table, tree, STACK_TRAIN, mcfgs, train_rngs, step)
             assert_cells_evaluate_as_alone(table, tree, step, 8, rngs, alone_rngs, support_k)
             moved = np.stack([(table.cell(s).logits(np.arange(c)) != start).any(axis=1)
-                              for s in range(len(cfgs))])
+                              for s in range(len(mcfgs))])
             mixed += bool((moved.any(axis=0) & ~moved.all(axis=0)).any())
-        assert mixed == cfgs[0].total_steps
+        assert mixed == steps
 
     def test_sixty_cell_evaluation_equals_cells_evaluated_alone(self):
         # Five methods x 12 seeds: every cell's record at the start and
         # after 3 steps, bit for bit, and its evaluation stream.
         tree = generate_tree(STACK_ENV)
-        cfgs = stack_cfgs([(MethodConfig(method=m, learning_rate=1.0), seed)
-                           for m in METHODS for seed in range(12)])
-        table = StackedTable(initial_policy(tree), len(cfgs))
-        train_rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-        rngs, alone_rngs = ([np.random.default_rng(100 + s) for s in range(len(cfgs))]
+        cells = [(MethodConfig(method=m, learning_rate=1.0), seed)
+                 for m in METHODS for seed in range(12)]
+        table = StackedTable(initial_policy(tree), len(cells))
+        train_rngs = cell_rngs(cells)
+        rngs, alone_rngs = ([np.random.default_rng(100 + s) for s in range(len(cells))]
                             for _ in range(2))
-        assert len(cfgs) == 60
+        assert len(cells) == 60
         assert_cells_evaluate_as_alone(table, tree, 0, 16, rngs, alone_rngs, 4)
         for step in range(1, 4):
-            train_step(table, tree, cfgs, train_rngs, step)
+            train_step(table, tree, STACK_TRAIN, methods_of(cells), train_rngs, step)
         assert_cells_evaluate_as_alone(table, tree, 3, 16, rngs, alone_rngs, 4)
 
     @pytest.mark.parametrize("methods", [("grpo", "apo"), ("grpo", "nsr"), tuple(METHODS)])
@@ -718,10 +716,10 @@ class TestStack:
         # One reference softmax per step, at the distinct contexts of the
         # reading cells' tokens only: none for a grpo and nsr stack.
         tree = generate_tree(STACK_ENV)
-        cfgs = stack_cfgs([(MethodConfig(method=m, learning_rate=1.0), seed)
-                           for seed, m in enumerate(methods, 1)])
-        table = StackedTable(initial_policy(tree), len(cfgs))
-        rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        cells = [(MethodConfig(method=m, learning_rate=1.0), seed)
+                 for seed, m in enumerate(methods, 1)]
+        table = StackedTable(initial_policy(tree), len(cells))
+        rngs = cell_rngs(cells)
         ref_dist, taken, batches = tree.ref_policy.dist, [], []
 
         def dist(ctx):
@@ -739,7 +737,7 @@ class TestStack:
         for step in range(1, 6):
             taken.clear()
             batches.clear()
-            train_step(table, tree, cfgs, rngs, step)
+            train_step(table, tree, STACK_TRAIN, methods_of(cells), rngs, step)
             batch = batches[0]
             read = reads.take(batch.cell)
             assert len(taken) == int(reads.any())
@@ -763,25 +761,20 @@ class TestStack:
             return records
 
         monkeypatch.setattr(trainer, "evaluate", spy)
-        cfgs = stack_cfgs(total_steps=10)
-        run_experiment(cfgs, generate_tree(STACK_ENV))
-        assert calls == [(step, len(cfgs)) for step in (0, 3, 6, 9, 10)]
+        run_experiment(replace(STACK_TRAIN, total_steps=10), STACK_CELLS,
+                       generate_tree(STACK_ENV))
+        assert calls == [(step, len(STACK_CELLS)) for step in (0, 3, 6, 9, 10)]
 
+    # The cells share the stack's tree and TrainConfig by construction;
+    # group_size is the one per-cell value they must agree on.
     @pytest.mark.parametrize("name, change", [
-        ("group_size", lambda cfg: replace(cfg, method_config=replace(cfg.method_config,
-                                                                      group_size=4))),
-        ("total_steps", lambda cfg: replace(cfg, total_steps=3)),
-        ("inner_epochs", lambda cfg: replace(cfg, inner_epochs=1)),
-        ("groups_per_step", lambda cfg: replace(cfg, groups_per_step=3)),
-        ("env", lambda cfg: replace(cfg, env=replace(cfg.env, seed=9))),
-        ("eval_every", lambda cfg: replace(cfg, eval_every=2)),
-        ("eval_samples_k", lambda cfg: replace(cfg, eval_samples_k=16)),
-        ("support_k", lambda cfg: replace(cfg, support_k=3)),
+        ("group_size", lambda mcfg: replace(mcfg, group_size=4)),
     ])
     def test_cells_that_cannot_share_a_step_are_rejected(self, name, change):
-        cfgs = stack_cfgs()[:2]
+        (first, seed), (second, other) = STACK_CELLS[:2]
         with pytest.raises(ValueError, match=name):
-            run_experiment([cfgs[0], change(cfgs[1])])
+            run_experiment(STACK_TRAIN, [(first, seed), (change(second), other)],
+                           generate_tree(STACK_ENV))
 
 
 class TestStackMemory:
@@ -789,12 +782,12 @@ class TestStackMemory:
         # A plain (S*C, V) stack of 5 cells would hold 4 tables more.
         env = EnvConfig(depth=6, branching=8, num_valid_leaves=64, seed=0)
         tree = generate_tree(env)
-        cfgs = stack_cfgs(STACK_CELLS[:5], env=env, total_steps=3, eval_samples_k=16)
+        train = replace(STACK_TRAIN, total_steps=3, eval_samples_k=16)
         table_bytes = tree.num_contexts() * tree.branching * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run_experiment(cfgs, tree)
+            run_experiment(train, STACK_CELLS[:5], tree)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -803,32 +796,28 @@ class TestStackMemory:
 
 class TestRunExperiment:
     def test_zero_steps_gives_single_initial_record(self):
-        cfg = small_cfg(total_steps=0)
-        [(records, stats)] = run_experiment([cfg])
+        records, stats = run_small(small_cfg(total_steps=0))
         assert len(records) == 1
         assert records[0].step == 0
         assert stats == []
 
     def test_determinism(self):
-        cfg = small_cfg("apo", total_steps=4)
-        [(a, _)] = run_experiment([cfg])
-        [(b, _)] = run_experiment([cfg])
+        cfg = small_cfg(total_steps=4)
+        a, _ = run_small(cfg, "apo")
+        b, _ = run_small(cfg, "apo")
         assert a == b
 
     def test_eval_cadence(self):
-        cfg = small_cfg(total_steps=5, eval_every=2)
-        [(records, stats)] = run_experiment([cfg])
+        records, stats = run_small(small_cfg(total_steps=5, eval_every=2))
         assert [r.step for r in records] == [0, 2, 4, 5]
         assert len(stats) == 5
 
     def test_final_eval_not_duplicated(self):
-        cfg = small_cfg(total_steps=4, eval_every=2)
-        [(records, _)] = run_experiment([cfg])
+        records, _ = run_small(small_cfg(total_steps=4, eval_every=2))
         assert [r.step for r in records] == [0, 2, 4]
 
     def test_jsonl_format(self, tmp_path):
-        cfg = small_cfg(total_steps=2)
-        [(_, stats)] = run_experiment([cfg])
+        _, stats = run_small(small_cfg(total_steps=2))
         path = tmp_path / "steps.jsonl"
         write_steps_jsonl(stats, path)
         import json
@@ -864,11 +853,12 @@ COLLAPSE_ENV = EnvConfig(depth=4, branching=8, num_valid_leaves=8, ref_concentra
                          ref_noise=0.75, seed=0)
 
 
+COLLAPSE_TRAIN = TrainConfig(groups_per_step=4, inner_epochs=2, eval_samples_k=64, support_k=4)
+
+
 def collapse_cfg(method):
     overrides = {"anchor_k": 4} if method == "apo" else {}
-    return TrainConfig(
-        method_config=MethodConfig(method=method, learning_rate=0.2, **overrides),
-        env=COLLAPSE_ENV, groups_per_step=4, inner_epochs=2, eval_samples_k=64, support_k=4)
+    return MethodConfig(method=method, learning_rate=0.2, **overrides)
 
 
 def signed_zeros(a):
@@ -885,7 +875,7 @@ class TestScatterByBincount:
     @pytest.mark.parametrize("method", METHODS)
     def test_block_equals_add_at_into_negative_zero(self, monkeypatch, method, underflow):
         tree = generate_tree(COLLAPSE_ENV)
-        cfg = collapse_cfg(method)
+        mcfg = collapse_cfg(method)
         start = initial_policy(tree)
         if underflow:
             # Token 0's probability underflows to 0.0 in every row, so a
@@ -916,7 +906,7 @@ class TestScatterByBincount:
         monkeypatch.setattr(table, "add_to_logits", spy_add)
         rng = np.random.default_rng(5)
         for step in range(1, 21):
-            one_step(table, tree, cfg, rng, step)
+            one_step(table, tree, COLLAPSE_TRAIN, mcfg, rng, step)
         nonempty = [b for b in batches if len(b)]
         assert len(passes) == len(nonempty) > 10
         all_negative_zero = 0
@@ -925,7 +915,7 @@ class TestScatterByBincount:
             u, v = batch.keys.size, table.vocab_size
             expected = np.full((u, v), -0.0)
             np.add.at(expected, batch.at, grads)
-            expected = (cfg.method_config.learning_rate / len(batch)) * expected
+            expected = (mcfg.learning_rate / len(batch)) * expected
             assert seen["ctxs"] is batch.keys
             got = seen["block"]
             np.testing.assert_array_equal(got, expected)  # -0.0 == +0.0 here
@@ -943,11 +933,11 @@ class TestScatterByBincount:
         # z + d is -0.0 only when z and d both are, and a generated tree's
         # reference holds no -0.0, so no sign of a zero sum reaches a logit.
         tree = generate_tree(COLLAPSE_ENV)
-        cfg = collapse_cfg(method)
+        mcfg = collapse_cfg(method)
         table = cell_of_one(tree)
         rng = np.random.default_rng(2)
         for step in range(1, 101):
-            one_step(table, tree, cfg, rng, step)
+            one_step(table, tree, COLLAPSE_TRAIN, mcfg, rng, step)
         policy = table.cell(0)
         z = policy.logits(np.arange(len(policy)))
         assert not signed_zeros(tree.ref_policy.logits(np.arange(len(policy)))).any()
@@ -985,11 +975,11 @@ class TestNoNumpyPythonWrappers:
     @pytest.mark.parametrize("method", METHODS)
     def test_train_step(self, monkeypatch, method):
         tree = generate_tree(COLLAPSE_ENV)
-        cfg = collapse_cfg(method)
+        mcfg = collapse_cfg(method)
         table = cell_of_one(tree)
         rng = np.random.default_rng(0)
         for step in range(1, 41):  # warm up: groups with mixed rewards
-            one_step(table, tree, cfg, rng, step)
+            one_step(table, tree, COLLAPSE_TRAIN, mcfg, rng, step)
         batches = []
 
         def spy(*args, call=trainer.apply_token_batch):
@@ -997,8 +987,8 @@ class TestNoNumpyPythonWrappers:
             return call(*args)
 
         monkeypatch.setattr(trainer, "apply_token_batch", spy)
-        assert wrapper_calls(lambda: one_step(table, tree, cfg, rng, 41)) == []
-        assert len(batches) == cfg.inner_epochs and len(batches[0])
+        assert wrapper_calls(lambda: one_step(table, tree, COLLAPSE_TRAIN, mcfg, rng, 41)) == []
+        assert len(batches) == COLLAPSE_TRAIN.inner_epochs and len(batches[0])
         if method == "apo":
             # Rows of both anchor widths: tokens inside and outside the Top-K.
             [(_, _, _, _, _, anchors)] = batches[0].runs
@@ -1007,10 +997,10 @@ class TestNoNumpyPythonWrappers:
     def test_evaluate(self):
         # A stack of two cells, read at start rows and private rows alike.
         tree = generate_tree(COLLAPSE_ENV)
-        cfgs = [collapse_cfg(method) for method in ("grpo", "apo")]
-        table = StackedTable(initial_policy(tree), len(cfgs))
-        rngs = [np.random.default_rng(seed) for seed in range(len(cfgs))]
-        train_step(table, tree, cfgs, rngs, 1)
+        mcfgs = [collapse_cfg(method) for method in ("grpo", "apo")]
+        table = StackedTable(initial_policy(tree), len(mcfgs))
+        rngs = [np.random.default_rng(seed) for seed in range(len(mcfgs))]
+        train_step(table, tree, COLLAPSE_TRAIN, mcfgs, rngs, 1)
         assert wrapper_calls(lambda: evaluate(table, tree, 1, 64, rngs, 4)) == []
 
     def test_profile_sees_a_wrapper(self):
