@@ -316,9 +316,9 @@ def cmd_train(args) -> int:
     else:
         sweep = [(spec.env, spec.seeds)]
     # The cells that share a tree and a group size train in lockstep as one
-    # stack, method by method, so one method's cells sit side by side and
-    # share its token_gradients calls; training only reads the tree (a
-    # stack copies the reference once).
+    # stack, method by method, whatever their methods and coefficients: a
+    # pass makes one token_gradients call for the whole stack. Training
+    # only reads the tree (a stack copies the reference once).
     # What is alive now (modules, the spec) outlives the sweep, so the
     # collector is told not to rescan it during the cells; unfreezing
     # afterwards lets a process that calls main() again free it.

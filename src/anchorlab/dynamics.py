@@ -18,7 +18,7 @@ from .env import ReasoningTree
 from .metrics import atomic_open
 from .objectives import MethodConfig
 from .policy import LogitTable, StackedTable, entropy, softmax
-from .trainer import TrainConfig, train_step
+from .trainer import Stack, TrainConfig, train_step
 
 
 @dataclass
@@ -160,7 +160,7 @@ def collapse_trajectory(
         raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
     tree = ReasoningTree(1, z.size, frozenset((t,) for t in valid), LogitTable(z[None]))
     table = StackedTable(tree.ref_policy, 1)  # a stack of one cell: key 0 is the root
-    train = TrainConfig(groups_per_step=1, inner_epochs=1)
+    stack = Stack(TrainConfig(groups_per_step=1, inner_epochs=1), [cfg], tree)
     manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))
     report = DynamicsReport(f"collapse_{cfg.method}")
 
@@ -171,5 +171,5 @@ def collapse_trajectory(
         report.add(step, "entropy", entropy(dist))
         report.add(step, "p_safe", float(dist[manifold].sum()))
         if step < steps:
-            train_step(table, tree, train, [cfg], [rng], step + 1)
+            train_step(table, tree, stack, [rng], step + 1)
     return report

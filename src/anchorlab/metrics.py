@@ -218,15 +218,19 @@ def evaluate(
     and summarize each cell's: returns one record per cell, in order.
 
     Cell s draws its ``(eval_k, D)`` uniform block from ``rngs[s]``.
-    ``support_k`` defaults to half the vocabulary (at least 1); entropy and
-    max-prob average over visited steps, support mass and KL over the set of
-    distinct visited contexts. ``table`` is read in place, not copied, so
-    nothing may write to it during the call.
+    ``support_k`` defaults to half the vocabulary (at least 1), and must be
+    in [1, B]: a wider Top-K would hold every token and score support mass
+    1.0 whatever the policy. Entropy and max-prob average over visited
+    steps, support mass and KL over the set of distinct visited contexts.
+    ``table`` is read in place, not copied, so nothing may write to it
+    during the call.
     """
     if eval_k < 2:
         raise ValueError(f"eval_k must be >= 2 (diversity needs it), got {eval_k}")
     if support_k is None:
         support_k = max(1, tree.branching // 2)
+    elif not 1 <= support_k <= tree.branching:
+        raise ValueError(f"support_k must be in [1, {tree.branching}], got {support_k}")
     cells, c = len(rngs), table.contexts
     u = np.empty((cells * eval_k, tree.depth))
     for s, rng in enumerate(rngs):

@@ -1,13 +1,16 @@
 """Per-token surrogate objectives and their exact logit gradients.
 
 Five methods share two entry points. :func:`token_gradients` is the
-trainer's path: it computes the ascent gradient of every token of a batch
-at once, as ``(N, V)`` arrays. It reads the live policy rows, and takes
-what depends only on the step's batch ready-made: each token's flat index
-and old probability, the reference rows, and for apo the anchors' gather
-tables from :func:`anchor_reference`, which the trainer builds once per
-step. :func:`method_token_update` is the scalar oracle for one token,
-which also returns the surrogate value; the dense kernel reproduces its
+trainer's path: it computes the ascent gradient of every token of a
+stack's batch at once, as ``(N, V)`` arrays, each token under its own
+cell's method config. It reads the live policy rows, and takes what
+depends only on the step's batch ready-made: each token's flat index and
+old probability, and its :class:`TokenColumns` (clip bounds, the rows of
+each method's branch, their coefficients, reference rows and anchor
+tables), which :meth:`CellMethods.columns` builds once per step from the
+per-cell arrays that :class:`CellMethods` builds once per run.
+:func:`method_token_update` is the scalar oracle for one token, which
+also returns the surrogate value; the dense kernel reproduces its
 gradients and flags bit for bit.
 
 * ``grpo``                -- clipped ratio surrogate only.
@@ -29,17 +32,15 @@ treated as constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio
 from .gradients import grad_log_prob, grad_prob
-from .policy import check_float, check_int, segment_sums
+from .policy import check_float, check_int, distinct, segment_sums
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
-# The methods whose steps read the reference rows: the KL penalty in every
-# pass, apo once per step to build its anchors. grpo and nsr never do.
-REFERENCE_METHODS = ("grpo_kl", "grpo_kl_error_only", "apo")
 
 
 @dataclass
@@ -241,21 +242,23 @@ def method_token_update(
 
 
 # ---------------------------------------------------------------------------
-# Dense kernel: every token of a batch at once. Each expression is evaluated
-# in the scalar kernels' order. A sum over part of a row is a
+# Dense kernel: every token of a stack's batch at once, each under its own
+# cell's method config. Each expression is evaluated in the scalar kernels'
+# order. A sum over part of a row is a
 # :func:`~anchorlab.policy.segment_sums` call, or for the anchor a sum over
 # fixed-width gather tables that :func:`anchor_reference` builds per step.
 
-
-def _clipped_surrogate_grads(
-    ratio: np.ndarray, adv: np.ndarray, push: np.ndarray, cfg: MethodConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`grpo_token_update` per row: (gradients, clipped)."""
-    eps = cfg.clip_eps
-    capped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps) * adv
-    clipped = ratio * adv > capped
-    zero = clipped | (adv == 0.0)
-    return np.where(zero[:, None], 0.0, adv[:, None] * push), clipped
+# What a token's update is, by its method and the sign of its advantage:
+# the clipped surrogate alone, nsr's log-likelihood term, the clipped
+# surrogate minus the KL penalty, or apo's rectified ratio.
+PLAIN, NSR, KL, APO = range(4)
+_ROLES = {  # method: (role at advantage >= 0, role at advantage < 0)
+    "grpo": (PLAIN, PLAIN),
+    "grpo_kl": (KL, KL),
+    "grpo_kl_error_only": (PLAIN, KL),
+    "nsr": (NSR, NSR),
+    "apo": (PLAIN, APO),
+}
 
 
 def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -312,71 +315,170 @@ def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: int):
     return member.reshape(n, v), z_ref, ~full & (m == 1), tuple(groups), order
 
 
+def anchor_tables(Q: np.ndarray, tokens: np.ndarray, k: np.ndarray):
+    """:func:`anchor_reference` with each row's own anchor width ``k``: one
+    call per distinct width, over that width's rows, merged into the
+    layout one call returns. Each call's gather tables are shifted to index
+    its rows among all of ``Q``'s, and ``order`` to point past the tables
+    before them, so a row's sums are still row ``order[i]`` of all the
+    tables' sums concatenated."""
+    widths = distinct(k)
+    if widths.size == 1:
+        return anchor_reference(Q, tokens, int(widths[0]))
+    n, v = Q.shape
+    member = np.empty((n, v), dtype=bool)
+    z_ref, empty, order = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.intp)
+    groups = []
+    for width in widths.tolist():
+        rows = (k == width).nonzero()[0]
+        m, z, e, g, o = anchor_reference(Q.take(rows, axis=0), tokens.take(rows), width)
+        member[rows], z_ref[rows], empty[rows] = m, z, e
+        order[rows] = o + sum(len(idx) for idx in groups)
+        shift = (rows - np.arange(rows.size)) * v
+        groups.extend(idx + shift.take(idx // v) for idx in g)
+    return member, z_ref, empty, tuple(groups), order
+
+
+class TokenColumns(NamedTuple):
+    """What :func:`token_gradients` reads of each token's method config.
+    ``low`` and ``high`` are every token's clip bounds ``1 - clip_eps`` and
+    ``1 + clip_eps``. ``nsr``, ``kl`` and ``apo`` are the ids of the rows
+    with each :data:`_ROLES` role but the plain one: every nsr token; every
+    grpo_kl token and the grpo_kl_error_only tokens with a negative
+    advantage, with their ``(n, 1)`` ``kl_coef`` column and reference rows
+    ``kl_ref`` (None when no row reads the reference); the apo tokens with
+    a negative advantage, with their
+    ``push_coef`` and ``pull_coef`` columns and anchor tables
+    (:func:`anchor_tables`; None when there are no such tokens)."""
+
+    low: np.ndarray
+    high: np.ndarray
+    nsr: np.ndarray
+    kl: np.ndarray
+    kl_coef: np.ndarray
+    kl_ref: np.ndarray
+    apo: np.ndarray
+    push_coef: np.ndarray
+    pull_coef: np.ndarray
+    anchors: tuple | None
+
+
+class CellMethods:
+    """The method configs of a stack's cells as per-cell arrays, built
+    once per run; :meth:`columns` takes them at a batch's tokens. Each
+    clip bound is computed per cell as a Python float, as the scalar
+    kernel computes it. ``learning_rate`` is a list of floats and
+    ``adv_eps`` an ``(S,)`` array."""
+
+    __slots__ = ("role", "low", "high", "kl_coef", "push_coef", "pull_coef", "anchor_k",
+                 "learning_rate", "adv_eps")
+
+    def __init__(self, cfgs: list[MethodConfig]):
+        # Indexed by cell * 2 + (advantage < 0).
+        self.role = np.array([_ROLES[m.method] for m in cfgs]).ravel()
+        self.low = np.array([1.0 - m.clip_eps for m in cfgs])
+        self.high = np.array([1.0 + m.clip_eps for m in cfgs])
+        for name in ("kl_coef", "push_coef", "pull_coef", "anchor_k", "adv_eps"):
+            setattr(self, name, np.array([getattr(m, name) for m in cfgs]))
+        self.learning_rate = [m.learning_rate for m in cfgs]
+
+    def columns(self, cell: np.ndarray, tokens: np.ndarray, adv: np.ndarray,
+                reference) -> TokenColumns:
+        """The :class:`TokenColumns` of tokens ``tokens`` with advantages
+        ``adv``, token i of cell ``cell[i]``. ``reference(rows)`` returns
+        the reference rows at the token ids ``rows``; it is called once,
+        with the kl rows then the apo rows, and not at all when there are
+        none."""
+        role = self.role.take(cell * 2 + (adv < 0.0))
+        nsr, kl, apo = ((role == r).nonzero()[0] for r in (NSR, KL, APO))
+        read = np.concatenate((kl, apo))
+        ref = reference(read) if read.size else None
+        anchors = push_coef = pull_coef = None
+        if apo.size:
+            at = cell.take(apo)
+            push_coef, pull_coef = self.push_coef.take(at), self.pull_coef.take(at)
+            anchors = anchor_tables(ref[kl.size:], tokens.take(apo), self.anchor_k.take(at))
+        return TokenColumns(
+            self.low.take(cell), self.high.take(cell), nsr,
+            kl, self.kl_coef.take(cell.take(kl))[:, None], None if ref is None else ref[:kl.size],
+            apo, push_coef, pull_coef, anchors,
+        )
+
+
 def token_gradients(
     P: np.ndarray,
     o_t: np.ndarray,
-    Q: np.ndarray | None,
     flat: np.ndarray,
     adv: np.ndarray,
-    cfg: MethodConfig,
-    anchors: tuple | None = None,
+    cols: TokenColumns,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascent gradients of N tokens at once: row i is
-    ``method_token_update(P[i], O[i], Q[i], tokens[i], adv[i], cfg)``.
+    """Ascent gradients of N tokens at once, each under its own method
+    config: row i is ``method_token_update(P[i], O[i], Q[i], tokens[i],
+    adv[i], cfgs[cell[i]])`` for ``cols = CellMethods(cfgs).columns(cell,
+    tokens, adv, ...)``.
 
     ``P`` is the ``(N, V)`` policy rows at each token's context. The rest
     depends only on the step's batch: ``flat`` is each token's flat index
     ``i * V + tokens[i]`` into the rows, ``o_t`` the old probability of
-    each token, ``O.take(flat)``, ``Q`` the reference rows, read only by
-    ``grpo_kl`` and ``grpo_kl_error_only`` (None will do for the others),
-    and for apo ``anchors`` is ``anchor_reference(Q, tokens,
-    cfg.anchor_k)``. Returns ``(N, V)`` gradients and ``(N,)`` boolean
-    clipped and degenerate-anchor flags, all bitwise equal to the scalar
-    kernel's.
+    each token, ``O.take(flat)``, and ``cols`` the per-token columns. Every
+    token's clipped-surrogate gradient is computed, and the nsr, KL and apo
+    rows then get their own. Multiplying by a per-row column gives the bits
+    that multiplying by the config's scalar gives. Returns ``(N, V)``
+    gradients and ``(N,)`` boolean clipped and degenerate-anchor flags, all
+    bitwise equal to the scalar kernel's.
     """
     p_t = P.take(flat)
     a = adv[:, None]
     dz = -P  # grad_log_prob
     dz.reshape(-1)[flat] += 1.0
-    none = np.zeros(flat.size, dtype=bool)
-    if cfg.method == "nsr":
-        return np.where(a >= 0.0, 0.0, a * dz), none, none
+    nsr, kl, apo = cols.nsr, cols.kl, cols.apo
+    if nsr.size:
+        a_nsr = a.take(nsr, axis=0)
+        nsr_grads = np.where(a_nsr >= 0.0, 0.0, a_nsr * dz.take(nsr, axis=0))
     push = dz  # _push_gradient, in place
     push *= p_t[:, None]
     push /= o_t[:, None]
     ratio = p_t / o_t
+    if apo.size:
+        push_apo = push.take(apo, axis=0)
 
-    grads, clipped = _clipped_surrogate_grads(ratio, adv, push, cfg)
-    if cfg.method == "grpo":
-        return grads, clipped, none
-    if cfg.method in ("grpo_kl", "grpo_kl_error_only"):
-        with_kl = grads - cfg.kl_coef * _kl_grads(P, Q)
-        if cfg.method == "grpo_kl":
-            return with_kl, clipped, none
-        return np.where(a < 0.0, with_kl, grads), clipped, none
+    # grpo_token_update per row, in place of the push gradient.
+    capped = np.minimum(np.maximum(ratio, cols.low), cols.high) * adv
+    clipped = ratio * adv > capped
+    grads = push
+    grads *= a
+    grads[clipped | (adv == 0.0)] = 0.0
+    degenerate = np.zeros(flat.size, dtype=bool)
+    if nsr.size:
+        grads[nsr] = nsr_grads
+        clipped[nsr] = False
+    if kl.size:
+        kl_grads = _kl_grads(P.take(kl, axis=0), cols.kl_ref)
+        grads[kl] = grads.take(kl, axis=0) - cols.kl_coef * kl_grads
+    if not apo.size:
+        return grads, clipped, degenerate
 
     # apo: the rectified ratio on negative advantages, gated by the window.
-    member, z_ref, empty, groups, order = anchors
+    member, z_ref, empty, groups, order = cols.anchors
+    P = P.take(apo, axis=0)
     sums = np.concatenate([np.add.reduce(P.take(idx), axis=-1) for idx in groups])
     mass, p_safe = sums.take(order, axis=0).T
-    neg = adv < 0.0
+    a = a.take(apo, axis=0)
     # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms
     # are +0.0 and leave the push-only update bit for bit.
-    rectified = cfg.push_coef * ratio - cfg.pull_coef * (mass / z_ref)
-    eps = cfg.clip_eps
-    outside = ~(((1.0 - eps) <= rectified) & (rectified <= (1.0 + eps)))
-    rect = (a * cfg.push_coef) * push
+    rectified = cols.push_coef * ratio.take(apo) - cols.pull_coef * (mass / z_ref)
+    outside = ~((cols.low.take(apo) <= rectified) & (rectified <= cols.high.take(apo)))
+    rect = (a * cols.push_coef[:, None]) * push_apo
     # grad_support_mass (P * (1 - P_safe) on members, -P * P_safe elsewhere)
     # over Z_ref, times the pull weight; products commute bit for bit, so
     # each is taken in place.
     pull = np.where(member, (1.0 - p_safe)[:, None], -p_safe[:, None])
     pull *= P
     pull /= z_ref[:, None]
-    pull *= a * cfg.pull_coef
+    pull *= a * cols.pull_coef[:, None]
     rect -= pull
     rect[outside] = 0.0
-    return (
-        np.where(neg[:, None], rect, grads),
-        np.where(neg, outside, clipped),
-        neg & empty,
-    )
+    grads[apo] = rect
+    clipped[apo] = outside
+    degenerate[apo] = empty
+    return grads, clipped, degenerate

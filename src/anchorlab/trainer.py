@@ -6,8 +6,12 @@ every cell of a stack shares one tree, one ``group_size`` and one
 cells train in lockstep on one
 :class:`~anchorlab.policy.StackedTable`, cell s reading and writing its
 own rows of it. A step's numpy calls are made once for the whole stack,
-not once per cell, because at a step's array sizes the call, not the
-arithmetic, is the cost. A single cell is a stack of one.
+not once per cell or per method, because at a step's array sizes the
+call, not the arithmetic, is the cost. A single cell is a stack of one.
+What a step reads of the cells' method configs is built once per run, as
+a :class:`Stack`: the configs as per-cell arrays
+(:class:`~anchorlab.objectives.CellMethods`), each group's ``adv_eps``
+and each rollout's key offset into the stacked table.
 
 Each outer step draws every cell's ``groups_per_step`` groups of
 ``group_size`` rollouts from the tree root with one ``rollout`` call:
@@ -17,29 +21,33 @@ sampled with the live policies and the ``(S*G*n, D, V)`` policy rows they
 were drawn from; no policy changes while they are drawn. Cell s's group g
 is rows (s*G + g)*n onwards, the rows G separate calls of that cell would
 draw. Group-relative advantages come from one call on the ``(S*G, n)``
-rewards, with each cell's ``adv_eps`` as a per-row array. Groups whose
+rewards, with each group's ``adv_eps`` as a per-row array. Groups whose
 advantages are all zero are dropped, and the kept tokens of all cells
 form one :class:`TokenBatch`, the step's plan: it holds everything the
 passes need that depends only on the batch, so a pass only gathers the
 live rows and combines them. Its old rows are the kept groups' rollout
 rows, not a second softmax; with them come each token's flat index into
-the ``(N, V)`` rows and its old probability. The reference rows are taken
-with one softmax per step, and only at the tokens of cells whose method
-reads them (the KL methods and apo). For apo the reference half of every
-token's anchor is built once, as fixed-width gather tables
-(:func:`~anchorlab.objectives.anchor_reference`); no table is copied.
+the ``(N, V)`` rows and its old probability, and each token's method
+config as per-token columns: its clip bounds, and the rows, coefficients
+and reference rows of the branches only some tokens take (nsr's, the KL
+penalty's and apo's negative branch). The reference rows are taken with
+one softmax per step, at the distinct contexts of the KL and apo rows
+only. For the apo rows the reference half of every anchor is built once,
+as fixed-width gather tables, with one
+:func:`~anchorlab.objectives.anchor_reference` call per distinct
+``anchor_k``; no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
 rows as the live policies', since no policy has changed since the
 rollout; only later passes take the stack's softmax, once per pass.
 Gradients are averaged over each cell's tokens (token-mean) and applied
 as a plain SGD ascent step on the logits. Each pass is dense: one
-:func:`~anchorlab.objectives.token_gradients` call per run of adjacent
-cells with equal methods, over that run's rows, then one ``np.bincount``
-over the batch's flat bin ids sums the gradients per key, each key's row
-is scaled by its cell's ``lr / N_s``, and one ``add_to_logits`` writes
-the stack; the scalar ``method_token_update`` is the oracle it is tested
-against, not called here. Every numpy call on this path goes straight to
+:func:`~anchorlab.objectives.token_gradients` call over every token of
+the stack, whatever the cells' methods and coefficients, then one
+``np.bincount`` over the batch's flat bin ids sums the gradients per key,
+each key's row is scaled by its cell's ``lr / N_s``, and one
+``add_to_logits`` writes the stack; the scalar ``method_token_update`` is
+the oracle it is tested against, not called here. Every numpy call on this path goes straight to
 C (a ufunc, its ``reduce``, or an array method), not through numpy's
 Python wrappers such as ``np.mean`` or ``ndarray.sum``. Evaluation, too,
 takes one :func:`~anchorlab.metrics.evaluate` call per stack, which reads
@@ -67,13 +75,7 @@ import numpy as np
 # name, which perfbench's env.generate_tree span wraps.
 from .env import ReasoningTree, generate_tree, rollout  # noqa: F401
 from .metrics import MetricRecord, atomic_open, evaluate
-from .objectives import (
-    REFERENCE_METHODS,
-    MethodConfig,
-    anchor_reference,
-    group_advantages,
-    token_gradients,
-)
+from .objectives import CellMethods, MethodConfig, group_advantages, token_gradients
 from .policy import LogitTable, StackedTable, check_int, distinct
 
 
@@ -122,34 +124,57 @@ class StepStats:
     frac_clipped_neg: float = 0.0
 
 
+class Stack:
+    """A stack: the schedule ``train`` its cells share and everything a
+    step reads of their method configs ``mcfgs`` on ``tree``, built once
+    per run. ``u`` is the ``(S*G*n, D)`` block every step refills with its
+    uniform draws, ``methods`` the configs as per-cell arrays
+    (:class:`~anchorlab.objectives.CellMethods`), ``adv_eps`` each group's
+    ``adv_eps`` as an ``(S*G, 1)`` column, and ``base`` each rollout's key
+    offset into the stacked table, its cell times C. Raises ValueError
+    unless the cells share ``group_size``."""
+
+    __slots__ = ("train", "cells", "group_size", "u", "methods", "adv_eps", "base")
+
+    def __init__(self, train: TrainConfig, mcfgs: list[MethodConfig], tree: ReasoningTree):
+        n = mcfgs[0].group_size
+        if any(m.group_size != n for m in mcfgs):
+            raise ValueError("the cells of a stack must share group_size")
+        cells, g, c = len(mcfgs), train.groups_per_step, tree.num_contexts()
+        self.train, self.cells, self.group_size = train, cells, n
+        # The largest array first and left unwritten: a schedule too large
+        # for memory fails at this allocation, before any array is filled.
+        self.u = np.empty((cells * g * n, tree.depth))
+        self.methods = CellMethods(mcfgs)
+        self.adv_eps = self.methods.adv_eps.repeat(g)[:, None]
+        self.base = np.arange(0, cells * c, c).repeat(g * n)
+
+
 class TokenBatch:
     """Every token of the kept groups of a stack's cells, flattened in cell,
     group, rollout and step order: its context, token and advantage, and
     ``old``, the ``(N, V)`` sampling-policy rows the rollout drew each token
     from. ``counts[s]`` is the number of tokens of cell s, whose tokens
-    come s-th, and ``mcfgs[s]`` its method. On construction it records
-    everything a pass needs that depends only on the batch: each token's
-    cell ``cell``, the sorted distinct keys ``keys`` of the stacked table
-    (``cell * C + ctx``) and each token's position ``at`` in them, the flat
-    ids ``bins`` of each token's V cells in the ``(U, V)`` block of per-key
-    sums, each token's flat index ``flat`` into the ``(N, V)`` rows and its
-    old probability ``old_tok``, each key's step size ``scale`` (its cell's
-    ``learning_rate / N_s`` as a ``(U, 1)`` column), and ``runs``: one
-    ``(lo, hi, cell, flat, ref, anchors)`` per run of adjacent cells with
-    equal :class:`~anchorlab.objectives.MethodConfig` and at least one
-    token, covering tokens ``lo:hi``; ``cell`` is its first cell, ``flat``
-    the run's flat token ids into its own rows, ``ref`` the reference rows
-    at its tokens' contexts when its method reads them (None for grpo and
-    nsr, so their tokens take no reference row) and, for apo, ``anchors``
-    its tokens' anchor gather tables
-    (:func:`~anchorlab.objectives.anchor_reference`; None otherwise). So a
-    pass only gathers the live rows and combines them."""
+    come s-th, and ``methods`` the cells' method configs as per-cell arrays
+    (:class:`~anchorlab.objectives.CellMethods`). On construction it
+    records everything a pass needs that depends only on the batch: each
+    token's cell ``cell``, the sorted distinct keys ``keys`` of the stacked
+    table (``cell * C + ctx``) and each token's position ``at`` in them,
+    the flat ids ``bins`` of each token's V cells in the ``(U, V)`` block
+    of per-key sums, each token's flat index ``flat`` into the ``(N, V)``
+    rows and its old probability ``old_tok``, each key's step size
+    ``scale`` (its cell's ``learning_rate / N_s`` as a ``(U, 1)`` column),
+    and ``columns``, the tokens' method configs as per-token columns
+    (:class:`~anchorlab.objectives.TokenColumns`). Their reference rows
+    come from one softmax at the distinct contexts of the KL and apo rows,
+    the only rows that read the reference, and none when there are none.
+    So a pass only gathers the live rows and combines them."""
 
     __slots__ = ("ctx", "tok", "adv", "old", "cell", "keys", "at", "bins", "flat", "old_tok",
-                 "scale", "runs")
+                 "scale", "columns")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
-                 ref_policy: LogitTable, mcfgs: list[MethodConfig], counts: list[int]):
+                 ref_policy: LogitTable, methods: CellMethods, counts: list[int]):
         self.ctx, self.tok, self.adv, self.old = ctx, tok, adv, old
         c, v = len(ref_policy), old.shape[1]
         self.cell = np.arange(len(counts)).repeat(counts)
@@ -159,27 +184,16 @@ class TokenBatch:
         self.bins = (self.at[:, None] * v + np.arange(v)).ravel()
         self.flat = np.arange(tok.size) * v + tok
         self.old_tok = old.take(self.flat)
-        key_cell, key_ctx = np.divmod(self.keys, c)
         # Python's float quotient is the scalar lr / N bit for bit.
-        self.scale = np.array([m.learning_rate / k if k else 0.0
-                               for m, k in zip(mcfgs, counts)]).take(key_cell)[:, None]
-        # One reference softmax, at the keys of the cells that read it.
-        reads = [m.method in REFERENCE_METHODS for m in mcfgs]
-        if any(reads):
-            read = np.array(reads).take(key_cell)
-            ref_rows, ref_at = ref_policy.dist(key_ctx.compress(read)), read.cumsum() - 1
-        self.runs = []
-        lo = hi = first = 0
-        for s, (m, k) in enumerate(zip(mcfgs, counts)):
-            hi += k
-            if s + 1 < len(mcfgs) and mcfgs[s + 1] == m:
-                continue
-            if hi > lo:
-                ref = ref_rows.take(ref_at.take(self.at[lo:hi]), axis=0) if reads[s] else None
-                anchors = (anchor_reference(ref, tok[lo:hi], m.anchor_k)
-                           if m.method == "apo" else None)
-                self.runs.append((lo, hi, first, self.flat[lo:hi] - lo * v, ref, anchors))
-            lo, first = hi, s + 1
+        scale = [lr / k if k else 0.0 for lr, k in zip(methods.learning_rate, counts)]
+        self.scale = np.array(scale).take(self.keys // c)[:, None]
+
+        def reference(rows):
+            at = ctx.take(rows)
+            contexts = distinct(at)
+            return ref_policy.dist(contexts).take(contexts.searchsorted(at), axis=0)
+
+        self.columns = methods.columns(self.cell, tok, adv, reference)
 
     def __len__(self) -> int:
         return self.ctx.size
@@ -188,17 +202,16 @@ class TokenBatch:
 def apply_token_batch(
     table: StackedTable,
     tree: ReasoningTree,
-    mcfgs: list[MethodConfig],
+    stack: Stack,
     batch: TokenBatch,
     live: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass over a stack's batch: each cell's token-mean gradient,
     as a single ascent step.
 
-    Every token's gradient comes from one :func:`token_gradients` call per
-    run of adjacent cells with equal methods, over the run's rows, with
-    the batch's flat token ids and old token probabilities, and the run's
-    reference rows and anchor tables. One ``np.bincount`` over the batch's
+    Every token's gradient comes from one :func:`token_gradients` call
+    over the whole batch, with its flat token ids, old token probabilities
+    and per-token columns. One ``np.bincount`` over the batch's
     bins sums the gradients per key, adding each bin's terms in batch
     order, and the U touched rows get their cell's ``lr / N_s`` times their
     sum (a per-row product is the scalar product bit for bit), through one
@@ -213,9 +226,10 @@ def apply_token_batch(
     sampled from); otherwise they are computed. Returns each token's
     clipped and degenerate-anchor flags; a token with a zero advantage is
     never clipped. Replicating a cell's tokens m times leaves the applied
-    update unchanged (sums scale by m, the mean does not). ``tree`` is not
-    read, since the batch holds its reference rows; the argument keeps the
-    batch fourth, where perfbench's traced run counts its tokens.
+    update unchanged (sums scale by m, the mean does not). ``tree`` and
+    ``stack`` are not read, since the batch holds the reference rows and
+    columns built from them; the arguments keep the batch fourth, where
+    perfbench's traced run counts its tokens.
     """
     if not len(batch):
         none = np.zeros(0, dtype=bool)
@@ -224,13 +238,8 @@ def apply_token_batch(
     u, v = keys.size, table.vocab_size
     if live is None:
         live = table.dist(keys).take(batch.at, axis=0)
-    parts = [
-        token_gradients(live[lo:hi], batch.old_tok[lo:hi], ref, flat, batch.adv[lo:hi], mcfgs[s],
-                        anchors)
-        for lo, hi, s, flat, ref, anchors in batch.runs
-    ]
-    grads, clipped, degenerate = (parts[0] if len(parts) == 1
-                                  else [np.concatenate(p) for p in zip(*parts)])
+    grads, clipped, degenerate = token_gradients(live, batch.old_tok, batch.flat, batch.adv,
+                                                 batch.columns)
     block = np.bincount(batch.bins, grads.ravel(), u * v).reshape(u, v)
     block *= batch.scale
     table.add_to_logits(keys, block)
@@ -240,27 +249,25 @@ def apply_token_batch(
 def train_step(
     table: StackedTable,
     tree: ReasoningTree,
-    train: TrainConfig,
-    mcfgs: list[MethodConfig],
+    stack: Stack,
     rngs: list[np.random.Generator],
     step: int = 0,
 ) -> list[StepStats]:
     """One outer optimization step of every cell of a stack (mutates
-    ``table`` in place): cell s is ``table``'s cell s, trained by method
-    ``mcfgs[s]`` from the training stream ``rngs[s]``, with ``train``'s
-    ``groups_per_step`` and ``inner_epochs``. The cells share
-    ``group_size``. Returns each cell's statistics, in order."""
+    ``table`` in place): cell s is ``table``'s cell s, trained by the
+    stack's method config s from the training stream ``rngs[s]``, with the
+    stack's ``groups_per_step`` and ``inner_epochs``. Returns each cell's
+    statistics, in order."""
     t0 = time.perf_counter()
-    cells, g, n, d = len(mcfgs), train.groups_per_step, mcfgs[0].group_size, tree.depth
+    train = stack.train
+    cells, g, n, d = stack.cells, train.groups_per_step, stack.group_size, tree.depth
     r = g * n
-    u = np.empty((cells * r, d))
+    u = stack.u
     for s, rng in enumerate(rngs):
         rng.random(out=u[s * r:(s + 1) * r])
-    base = np.arange(0, cells * table.contexts, table.contexts).repeat(r)
-    tokens, contexts, rewards, rows = rollout(tree, table, u, base)
+    tokens, contexts, rewards, rows = rollout(tree, table, u, stack.base)
     t1 = time.perf_counter()
-    adv_eps = np.array([m.adv_eps for m in mcfgs]).repeat(g)[:, None]
-    adv = group_advantages(rewards.reshape(cells * g, n), adv_eps)
+    adv = group_advantages(rewards.reshape(cells * g, n), stack.adv_eps)
     # A zero-variance group has all-zero advantages and no learning signal.
     kept = np.logical_or.reduce(adv != 0.0, axis=1)
     counts = (np.add.reduce(kept.reshape(cells, g), axis=1) * (n * d)).tolist()
@@ -271,7 +278,7 @@ def train_step(
         adv.compress(kept, axis=0).ravel().repeat(d),
         rows.reshape(cells * g, -1, v).compress(kept, axis=0).reshape(-1, v),
         tree.ref_policy,
-        mcfgs,
+        stack.methods,
         counts,
     )
 
@@ -279,7 +286,7 @@ def train_step(
     epochs = train.inner_epochs
     for epoch in range(epochs):
         # Until the first pass updates it, the table is the one sampled from.
-        c, dg = apply_token_batch(table, tree, mcfgs, batch, batch.old if epoch == 0 else None)
+        c, dg = apply_token_batch(table, tree, stack, batch, batch.old if epoch == 0 else None)
         clipped = clipped + c
         degenerate = degenerate + dg
     t2 = time.perf_counter()
@@ -330,25 +337,24 @@ def run_experiment(
     trained in lockstep on ``tree`` with the schedule ``train``: returns
     each cell's metric records (step 0, every ``eval_every`` steps, and the
     final step) and per-step statistics, in the order of ``cells``. The
-    cells must share ``group_size``; a cell alone is a stack of one. Each
-    evaluation is one :func:`evaluate` call for the whole stack. The
+    cells must share ``group_size``; a cell alone is a stack of one. The
+    per-cell constants a step reads are built once, as a :class:`Stack`.
+    Each evaluation is one :func:`evaluate` call for the whole stack. The
     stacked table reserves room for the most rows the cells can update
     (:func:`private_rows`), so it never grows.
     """
-    mcfgs = [m for m, _ in cells]
-    n = mcfgs[0].group_size
-    if any(m.group_size != n for m in mcfgs):
-        raise ValueError("the cells of a stack must share group_size")
+    stack = Stack(train, [m for m, _ in cells], tree)
     streams = [np.random.SeedSequence(seed).spawn(2) for _, seed in cells]
     train_rngs = [np.random.default_rng(train_ss) for train_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
 
-    table = StackedTable(tree.ref_policy, len(cells), len(cells) * private_rows(tree, train, n))
+    table = StackedTable(tree.ref_policy, len(cells),
+                         len(cells) * private_rows(tree, train, stack.group_size))
     k, support_k = train.eval_samples_k, train.support_k
     records = [[rec] for rec in evaluate(table, tree, 0, k, eval_rngs, support_k)]
     stats: list[list[StepStats]] = [[] for _ in cells]
     for step in range(1, train.total_steps + 1):
-        step_stats = train_step(table, tree, train, mcfgs, train_rngs, step)
+        step_stats = train_step(table, tree, stack, train_rngs, step)
         for cell, cell_stats in zip(stats, step_stats):
             cell.append(cell_stats)
         if step % train.eval_every == 0 or step == train.total_steps:

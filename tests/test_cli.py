@@ -268,10 +268,10 @@ class TestTrainCommand:
         spec = dict(SPEC, methods=[{"method": "grpo"}, {"method": "nsr", "group_size": 4}])
         step = trainer.train_step
 
-        def failing(table, tree, train, mcfgs, rngs, k):
-            if mcfgs[0].method == "nsr" and k == 3:
+        def failing(table, tree, stack, rngs, k):
+            if stack.group_size == 4 and k == 3:  # the nsr stack
                 raise OSError("device lost")
-            return step(table, tree, train, mcfgs, rngs, k)
+            return step(table, tree, stack, rngs, k)
 
         monkeypatch.setattr(trainer, "train_step", failing)
         out = tmp_path / "out"

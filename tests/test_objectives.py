@@ -14,6 +14,7 @@ from anchorlab.gradients import (
     max_relative_error,
 )
 from anchorlab.objectives import (
+    CellMethods,
     MethodConfig,
     anchor_reference,
     apo_rectified_ratio,
@@ -339,6 +340,47 @@ class TestMethodDispatch:
         )
 
 
+def kernel_rows(v, k, n, seed):
+    """``n`` tokens of a vocabulary of ``v``: their tokens, policy, old and
+    reference rows, and advantages of both signs and zero. Some policy
+    entries off the sampled token underflow to 0.0, which the KL sums
+    skip, and ratios reach e^0.4 away from 1, so tokens clip."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(v, size=n)
+    z = rng.normal(0, 2.0, size=(n, v))
+    far = rng.random((n, v)) < 0.15
+    far[np.arange(n), tokens] = False
+    z[far] -= 800.0
+    P = softmax(z)
+    O = softmax(z + rng.normal(0, 0.4, size=(n, v)))
+    Q = softmax(rng.normal(0, 1.5, size=(n, v)))
+    adv = rng.choice([-1.5, -0.4, 0.0, 0.6, 2.0], size=n)
+    return tokens, P, O, Q, adv
+
+
+def dense_gradients(cfgs, cell, tokens, P, O, Q, adv):
+    """:func:`token_gradients` of tokens of cells with configs ``cfgs``,
+    token i of cell ``cell[i]``, and the reference rows it was given."""
+    v = P.shape[1]
+    flat = np.arange(tokens.size) * v + tokens
+    read = []
+
+    def reference(rows):
+        read.append(rows)
+        return Q.take(rows, axis=0)
+
+    cols = CellMethods(cfgs).columns(cell, tokens, adv, reference)
+    return token_gradients(P, O.take(flat), flat, adv, cols), cols, read
+
+
+def assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate):
+    for i in range(tokens.size):
+        cfg = cfgs[cell[i]]
+        update = method_token_update(P[i], O[i], Q[i], int(tokens[i]), float(adv[i]), cfg)
+        assert grads[i].tobytes() == update.gradient.tobytes(), i
+        assert clipped[i] == update.clipped and degenerate[i] == update.degenerate_anchor
+
+
 class TestTokenGradients:
     """The dense kernel against the scalar oracle, row by row, bit for bit."""
 
@@ -348,33 +390,83 @@ class TestTokenGradients:
         "v, k", [(2, 1), (3, 1), (3, 5), (8, 4), (8, 8), (12, 10), (40, 16), (40, 20)])
     @pytest.mark.parametrize("method", ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"])
     def test_rows_equal_scalar_kernel_bitwise(self, method, v, k):
-        rng = np.random.default_rng(100 * v + k)
         n = 300
-        tokens = rng.integers(v, size=n)
-        z = rng.normal(0, 2.0, size=(n, v))
-        # Underflowed entries (p == 0) off the sampled token, which the KL
-        # sums skip; ratios up to e^0.4 away from 1, so tokens clip.
-        far = rng.random((n, v)) < 0.15
-        far[np.arange(n), tokens] = False
-        z[far] -= 800.0
-        P = softmax(z)
-        O = softmax(z + rng.normal(0, 0.4, size=(n, v)))
-        Q = softmax(rng.normal(0, 1.5, size=(n, v)))
-        adv = rng.choice([-1.5, -0.4, 0.0, 0.6, 2.0], size=n)
-        cfg = MethodConfig(method=method, anchor_k=k)
+        tokens, P, O, Q, adv = kernel_rows(v, k, n, 100 * v + k)
+        cfgs, cell = [MethodConfig(method=method, anchor_k=k)], np.zeros(n, dtype=np.intp)
         assert np.any(P == 0.0)
-
-        flat = np.arange(n) * v + tokens
-        anchors = anchor_reference(Q, tokens, k) if method == "apo" else None
-        grads, clipped, degenerate = token_gradients(P, O.take(flat), Q, flat, adv, cfg, anchors)
+        (grads, clipped, degenerate), _, read = dense_gradients(cfgs, cell, tokens, P, O, Q, adv)
         assert grads.shape == (n, v) and clipped.shape == degenerate.shape == (n,)
-        for i in range(n):
-            update = method_token_update(P[i], O[i], Q[i], int(tokens[i]), float(adv[i]), cfg)
-            assert grads[i].tobytes() == update.gradient.tobytes(), i
-            assert clipped[i] == update.clipped and degenerate[i] == update.degenerate_anchor
+        assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate)
         if method != "nsr":
             assert clipped.any() and not clipped.all()
         assert degenerate.any() == (method == "apo" and k == 1)
+        # The reference is read once, at the rows of the KL penalty or
+        # apo's negative branch only.
+        reads = {"grpo_kl": adv == adv, "grpo_kl_error_only": adv < 0.0, "apo": adv < 0.0}
+        if method in reads:
+            [rows] = read
+            assert rows.tolist() == reads[method].nonzero()[0].tolist()
+        else:
+            assert read == []
+
+    @pytest.mark.parametrize("v", [3, 8, 40])
+    def test_mixed_configs_in_one_call(self, v):
+        # A knob grid of every method in one call, each token under its own
+        # cell's config: clip bounds, KL and pull coefficients and anchor
+        # widths as per-token columns, the cells' tokens interleaved.
+        cfgs = [
+            MethodConfig(method="grpo", clip_eps=0.1),
+            MethodConfig(method="grpo"),
+            MethodConfig(method="grpo_kl", kl_coef=0.01),
+            MethodConfig(method="grpo_kl", kl_coef=0.3, clip_eps=0.3),
+            MethodConfig(method="grpo_kl_error_only", kl_coef=1.0),
+            MethodConfig(method="nsr"),
+            MethodConfig(method="apo", pull_coef=0.1, anchor_k=4),
+            MethodConfig(method="apo", pull_coef=0.2, anchor_k=2, push_coef=1.1),
+            MethodConfig(method="apo", pull_coef=0.05, anchor_k=1, clip_eps=0.25),
+            MethodConfig(method="apo", pull_coef=0.3, anchor_k=4),
+        ]
+        n = 600
+        tokens, P, O, Q, adv = kernel_rows(v, 4, n, v)
+        # Every fourth token is its reference's Top-1, which leaves a Top-1
+        # anchor empty.
+        zq = np.log(Q)
+        zq[np.arange(0, n, 4), tokens[::4]] += 10.0
+        Q = softmax(zq)
+        cell = np.random.default_rng(v).integers(len(cfgs), size=n)
+        (grads, clipped, degenerate), cols, read = dense_gradients(
+            cfgs, cell, tokens, P, O, Q, adv)
+        assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate)
+        assert clipped.any() and degenerate.any()
+        # One reference read: the KL rows, then the apo rows.
+        [rows] = read
+        assert rows.tolist() == cols.kl.tolist() + cols.apo.tolist()
+        method = np.array([cfg.method for cfg in cfgs]).take(cell)
+        neg = adv < 0.0
+        assert cols.kl.tolist() == ((method == "grpo_kl") | (
+            (method == "grpo_kl_error_only") & neg)).nonzero()[0].tolist()
+        assert cols.apo.tolist() == ((method == "apo") & neg).nonzero()[0].tolist()
+        assert cols.nsr.tolist() == (method == "nsr").nonzero()[0].tolist()
+
+    def test_one_anchor_reference_per_distinct_anchor_k(self, monkeypatch):
+        import anchorlab.objectives as objectives
+
+        calls = []
+
+        def spy(Q, tokens, k, call=objectives.anchor_reference):
+            calls.append((len(Q), k))
+            return call(Q, tokens, k)
+
+        monkeypatch.setattr(objectives, "anchor_reference", spy)
+        cfgs = [MethodConfig(method="apo", anchor_k=k) for k in (4, 2, 4, 1)]
+        n = 200
+        tokens, P, O, Q, adv = kernel_rows(8, 4, n, 3)
+        cell = np.arange(n) % len(cfgs)
+        (grads, clipped, degenerate), cols, _ = dense_gradients(cfgs, cell, tokens, P, O, Q, adv)
+        assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate)
+        # Only the negative-advantage tokens take an anchor.
+        k = np.array([4, 2, 4, 1]).take(cell)
+        assert sorted(calls) == sorted((int(((k == w) & (adv < 0.0)).sum()), w) for w in (1, 2, 4))
 
 
 class TestAnchorReference:

@@ -3,9 +3,6 @@ import os
 import sys
 import tracemalloc
 from dataclasses import replace
-from itertools import groupby
-from operator import itemgetter
-
 import numpy as np
 import pytest
 
@@ -15,13 +12,16 @@ from anchorlab.env import EnvConfig, generate_tree, rollout, verify
 from anchorlab.gradients import grad_log_prob
 from anchorlab.metrics import evaluate
 from anchorlab.objectives import (
+    CellMethods,
     MethodConfig,
+    anchor_reference,
     group_advantages,
     method_token_update,
     token_gradients,
 )
 from anchorlab.policy import LogitTable, StackedTable, dump_logit_table
 from anchorlab.trainer import (
+    Stack,
     StepStats,
     TokenBatch,
     TrainConfig,
@@ -79,24 +79,59 @@ def dump(z):
     return dump_logit_table(LogitTable(z))
 
 
+def step_stack(table, tree, train, mcfgs, rngs, step=0):
+    """:func:`train_step` of the stack of cells with configs ``mcfgs``."""
+    return train_step(table, tree, Stack(train, mcfgs, tree), rngs, step)
+
+
 def one_step(table, tree, train, mcfg, rng, step=0):
     """:func:`train_step` of a stack of one cell: that cell's statistics."""
-    [stats] = train_step(table, tree, train, [mcfg], [rng], step)
+    [stats] = step_stack(table, tree, train, [mcfg], [rng], step)
     return stats
 
 
 def one_cell_batch(ctx, tok, adv, old, ref_policy, mcfg):
     """The :class:`TokenBatch` of a stack of one cell."""
-    return TokenBatch(ctx, tok, adv, old, ref_policy, [mcfg], [ctx.size])
+    return TokenBatch(ctx, tok, adv, old, ref_policy, CellMethods([mcfg]), [ctx.size])
 
 
 def apply_one(table, tree, mcfg, batch, live=None):
     """:func:`apply_token_batch` for a stack of one cell, with the clipped
     counts of the positive- and negative-advantage tokens and the
     degenerate-anchor count of the pass."""
-    clipped, degenerate = apply_token_batch(table, tree, [mcfg], batch, live)
+    clipped, degenerate = apply_token_batch(table, tree, Stack(TrainConfig(), [mcfg], tree),
+                                            batch, live)
     neg = batch.adv < 0.0
     return int((clipped & ~neg).sum()), int((clipped & neg).sum()), int(degenerate.sum())
+
+
+def assert_columns(batch, mcfgs, ref_rows):
+    """The batch's per-token columns against each token's cell's config:
+    its clip bounds, the rows of each branch, their coefficients, and the
+    reference rows and anchors, read from ``ref_rows``, the reference rows
+    at every token's context, bit for bit."""
+    cols, cfgs = batch.columns, [mcfgs[s] for s in batch.cell.tolist()]
+    assert cols.low.tolist() == [1.0 - m.clip_eps for m in cfgs]
+    assert cols.high.tolist() == [1.0 + m.clip_eps for m in cfgs]
+    neg = (batch.adv < 0.0).tolist()
+    nsr = [i for i, m in enumerate(cfgs) if m.method == "nsr"]
+    kl = [i for i, (m, n) in enumerate(zip(cfgs, neg))
+          if m.method == "grpo_kl" or (m.method == "grpo_kl_error_only" and n)]
+    apo = [i for i, (m, n) in enumerate(zip(cfgs, neg)) if m.method == "apo" and n]
+    assert (cols.nsr.tolist(), cols.kl.tolist(), cols.apo.tolist()) == (nsr, kl, apo)
+    if not kl and not apo:
+        assert cols.kl_ref is None and cols.anchors is None  # no reference row read
+        return
+    assert cols.kl_coef.ravel().tolist() == [cfgs[i].kl_coef for i in kl]
+    assert bits(cols.kl_ref) == bits(ref_rows[kl])
+    if apo:
+        assert cols.push_coef.tolist() == [cfgs[i].push_coef for i in apo]
+        assert cols.pull_coef.tolist() == [cfgs[i].pull_coef for i in apo]
+        member, z_ref, empty, _, _ = cols.anchors
+        for j, i in enumerate(apo):
+            m, z, e, _, _ = anchor_reference(ref_rows[i:i + 1], batch.tok[i:i + 1],
+                                             cfgs[i].anchor_k)
+            assert (bits(member[j]), bits(z_ref[j]), empty[j]) == (bits(m[0]), bits(z[0]), e[0])
 
 
 def small_cfg(**overrides):
@@ -179,11 +214,9 @@ class TestTrainStep:
         ctx, tok, adv = concat_kept(separate_groups(
             tree, pi_old, mcfg, cfg.groups_per_step, rng))
         batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree.ref_policy, mcfg)
-        [(_, _, _, _, ref, _)] = batch.runs
-        if method == "apo":
-            assert ref.tobytes() == tree.ref_policy.dist(batch.ctx).tobytes()
-        else:
-            assert ref is None  # grpo never reads the reference
+        # apo's anchors come from the reference; grpo never reads it.
+        assert_columns(batch, [mcfg], tree.ref_policy.dist(batch.ctx))
+        assert (batch.columns.anchors is None) == (method == "grpo")
         clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, mcfg)[:2])
                       for _ in range(cfg.inner_epochs))
         assert dump_logit_table(table.cell(0)) == dump(expected)
@@ -194,8 +227,7 @@ class TestTrainStep:
     def test_anchor_reference_built_once_per_step(self, monkeypatch, method, builds):
         # An anchor's reference half reads only the reference rows and the
         # tokens, which are fixed for the step: apo builds it once for all
-        # three passes, the other methods never. Both names are spied, so a
-        # build inside token_gradients counts too. apo's passes sum their
+        # three passes, the other methods never. apo's passes sum their
         # anchors from its gather tables, never with segment_sums, and the
         # reference softmax is taken once per step, only by the methods
         # that read it.
@@ -209,8 +241,7 @@ class TestTrainStep:
                 return call(*args)
             monkeypatch.setattr(owner, name, counted)
 
-        for module in (trainer, objectives):
-            spy(module, "anchor_reference", "anchor_reference")
+        spy(objectives, "anchor_reference", "anchor_reference")
         spy(objectives, "segment_sums", "segment_sums")
         table = cell_of_one(tree)
         spy(tree.ref_policy, "dist", "ref_dist")
@@ -354,9 +385,8 @@ def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
     bit for bit, sign of zero included (a last-bit difference in a gradient
     can round away in the logits it is added to)."""
     P, O, Q = (t.dist(batch.ctx) for t in (policy, pi_old, tree.ref_policy))
-    [(_, _, _, flat, ref, anchors)] = batch.runs
-    grads, clipped, degenerate = token_gradients(
-        P, batch.old_tok, ref, flat, batch.adv, mcfg, anchors)
+    grads, clipped, degenerate = token_gradients(P, batch.old_tok, batch.flat, batch.adv,
+                                                 batch.columns)
     for i, (token, adv) in enumerate(zip(batch.tok.tolist(), batch.adv.tolist())):
         update = method_token_update(P[i], O[i], Q[i], token, adv, mcfg)
         assert grads[i].tobytes() == update.gradient.tobytes()
@@ -523,13 +553,9 @@ class TestOneRolloutPerStep:
             batch = batches[0]
             for got, want in zip((batch.ctx, batch.tok, batch.adv, batch.old), old_batch):
                 assert bits(got) == bits(want)
-            # One run covers the batch; an empty batch has none.
-            assert [run[:2] for run in batch.runs] == ([(0, len(batch))] if len(batch) else [])
-            for lo, hi, _, _, ref, _ in batch.runs:
-                if method in ("grpo", "nsr"):
-                    assert ref is None  # neither method reads the reference
-                else:
-                    assert bits(ref) == bits(old_batch[4][lo:hi])
+            # Reference rows only at the tokens that read them: none for
+            # grpo and nsr.
+            assert_columns(batch, [mcfg], old_batch[4])
             assert dump_logit_table(table.cell(0)) == dump(expected)
             assert untimed(stats) == untimed(old_stats)
             assert rng.bit_generator.state == rng_old.bit_generator.state
@@ -543,7 +569,7 @@ class TestOneRolloutPerStep:
 STACK_ENV = EnvConfig(depth=3, branching=9, num_valid_leaves=5, seed=8)
 # (method config, seed) of each cell of a mixed stack: all five methods,
 # unequal learning rates and adv_eps, apo with a Top-1 and a Top-8 anchor,
-# and two adjacent cells with one config, which share their passes' calls.
+# and two adjacent cells with one config.
 STACK_CELLS = [
     (MethodConfig(method="grpo", learning_rate=0.3), 1),
     (MethodConfig(method="grpo_kl", learning_rate=1.0, adv_eps=0.1), 2),
@@ -604,7 +630,7 @@ class TestStack:
         mixed = 0
         for step in range(1, train.total_steps + 1):
             calls.clear()
-            stacked = train_step(table, tree, train, mcfgs, rngs, step)
+            stacked = step_stack(table, tree, train, mcfgs, rngs, step)
             stacked_calls = len(calls)
             kept = []
             for s, mcfg in enumerate(mcfgs):
@@ -616,11 +642,9 @@ class TestStack:
                 cell = dump_logit_table(table.cell(s))
                 assert cell == dump_logit_table(alone[s].cell(0)) == dump(oracles[s])
                 assert rngs[s].bit_generator.state == oracle_rngs[s].bit_generator.state
-            # One token_gradients call per pass per run of adjacent cells
-            # with one config, when the run has tokens.
-            runs = groupby(zip(mcfgs, kept), key=itemgetter(0))
-            assert stacked_calls == train.inner_epochs * sum(
-                any(k for _, k in run) for _, run in runs)
+            # One token_gradients call per pass for the whole stack, when
+            # any cell has tokens.
+            assert stacked_calls == train.inner_epochs * any(kept)
             mixed += 0 in kept and any(kept)
         assert mixed > 0  # steps where one cell keeps no group and another does
         for s in range(len(mcfgs)):
@@ -641,7 +665,7 @@ class TestStack:
         monkeypatch.setattr(table, "add_to_logits", spy)
         rngs = cell_rngs(STACK_CELLS)
         for step in range(1, 9):
-            train_step(table, tree, STACK_TRAIN, mcfgs, rngs, step)
+            step_stack(table, tree, STACK_TRAIN, mcfgs, rngs, step)
         # Neither the start table nor the tree's reference was written.
         assert dump_logit_table(tree.ref_policy) == reference == dump_logit_table(start)
         c = tree.num_contexts()
@@ -662,6 +686,61 @@ class TestStack:
             assert records == want_records
             assert [untimed(x) for x in stats] == [untimed(x) for x in want_stats]
             assert [r.step for r in records] == [0, 3, 6, 9, 10]
+
+    def test_knob_grid_equals_cells_run_alone_in_one_kernel_call_per_pass(self, monkeypatch):
+        # One method's knobs side by side, as a frontier sweep stacks them:
+        # every coefficient is a per-token column, so the whole grid makes
+        # one token_gradients call per pass and one anchor_reference call
+        # per distinct anchor_k per step, and each cell still equals the
+        # cell run alone, bit for bit.
+        cells = [
+            (MethodConfig(method="grpo", clip_eps=0.1), 1),
+            (MethodConfig(method="grpo_kl", kl_coef=0.01), 2),
+            (MethodConfig(method="grpo_kl", kl_coef=0.3), 3),
+            (MethodConfig(method="grpo_kl_error_only"), 4),
+            (MethodConfig(method="nsr"), 5),
+            (MethodConfig(method="apo", pull_coef=0.1, anchor_k=4), 6),
+            (MethodConfig(method="apo", pull_coef=0.2, anchor_k=2), 7),
+        ]
+        tree = generate_tree(STACK_ENV)
+        train = replace(STACK_TRAIN, total_steps=10)
+        alone = [run_experiment(train, [cell], tree) for cell in cells]
+        passes, steps = [], []
+
+        def spy_batch(*args, call=trainer.apply_token_batch):
+            passes.append([args[3]])
+            return call(*args)
+
+        def spy_kernel(*args, call=trainer.token_gradients):
+            passes[-1].append(args)
+            return call(*args)
+
+        def spy_step(*args, call=trainer.train_step):
+            steps.append([])
+            return call(*args)
+
+        def spy_anchor(Q, tokens, k, call=objectives.anchor_reference):
+            steps[-1].append(k)
+            return call(Q, tokens, k)
+
+        monkeypatch.setattr(trainer, "apply_token_batch", spy_batch)
+        monkeypatch.setattr(trainer, "token_gradients", spy_kernel)
+        monkeypatch.setattr(trainer, "train_step", spy_step)
+        monkeypatch.setattr(objectives, "anchor_reference", spy_anchor)
+        stacked = run_experiment(train, cells, tree)
+        for (records, stats), [(want_records, want_stats)] in zip(stacked, alone):
+            assert records == want_records
+            assert [untimed(x) for x in stats] == [untimed(x) for x in want_stats]
+        assert len(passes) == train.total_steps * train.inner_epochs
+        assert all(len(calls) == (1 if len(batch) else 0) for batch, *calls in passes)
+        anchor_k = {5: 4, 6: 2}
+        both = 0
+        for (batch, *_), built in zip(passes[::train.inner_epochs], steps):
+            neg = batch.cell.compress(batch.adv < 0.0).tolist()
+            want = sorted({anchor_k[s] for s in neg if s in anchor_k})
+            assert sorted(built) == want
+            both += len(want) == 2
+        assert both > 0
 
     def test_cells_share_the_stack_timings(self):
         # The step and its evaluation are the stack's, eval_ms included.
@@ -687,7 +766,7 @@ class TestStack:
         mixed = 0
         for step in range(steps + 1):
             if step:
-                train_step(table, tree, STACK_TRAIN, mcfgs, train_rngs, step)
+                step_stack(table, tree, STACK_TRAIN, mcfgs, train_rngs, step)
             assert_cells_evaluate_as_alone(table, tree, step, 8, rngs, alone_rngs, support_k)
             moved = np.stack([(table.cell(s).logits(np.arange(c)) != start).any(axis=1)
                               for s in range(len(mcfgs))])
@@ -707,14 +786,15 @@ class TestStack:
         assert len(cells) == 60
         assert_cells_evaluate_as_alone(table, tree, 0, 16, rngs, alone_rngs, 4)
         for step in range(1, 4):
-            train_step(table, tree, STACK_TRAIN, methods_of(cells), train_rngs, step)
+            step_stack(table, tree, STACK_TRAIN, methods_of(cells), train_rngs, step)
         assert_cells_evaluate_as_alone(table, tree, 3, 16, rngs, alone_rngs, 4)
 
     @pytest.mark.parametrize("methods", [("grpo", "apo"), ("grpo", "nsr"), tuple(METHODS)])
     def test_reference_rows_only_at_the_tokens_of_methods_that_read_them(self, monkeypatch,
                                                                         methods):
         # One reference softmax per step, at the distinct contexts of the
-        # reading cells' tokens only: none for a grpo and nsr stack.
+        # tokens that read it only (the KL rows and apo's negative-advantage
+        # rows): none for a grpo and nsr stack.
         tree = generate_tree(STACK_ENV)
         cells = [(MethodConfig(method=m, learning_rate=1.0), seed)
                  for seed, m in enumerate(methods, 1)]
@@ -732,24 +812,21 @@ class TestStack:
 
         monkeypatch.setattr(tree.ref_policy, "dist", dist)
         monkeypatch.setattr(trainer, "apply_token_batch", spy)
-        reads = np.array([m in objectives.REFERENCE_METHODS for m in methods])
-        c, mixed = tree.num_contexts(), 0
+        reads = np.array([m not in ("grpo", "nsr") for m in methods])
+        mixed = 0
         for step in range(1, 6):
             taken.clear()
             batches.clear()
-            train_step(table, tree, STACK_TRAIN, methods_of(cells), rngs, step)
+            step_stack(table, tree, STACK_TRAIN, methods_of(cells), rngs, step)
             batch = batches[0]
-            read = reads.take(batch.cell)
-            assert len(taken) == int(reads.any())
-            if reads.any():
-                keys = sorted(set((batch.cell * c + batch.ctx)[read].tolist()))
-                assert taken[0].tolist() == [key % c for key in keys]
-            for lo, hi, cell, _, ref, _ in batch.runs:
-                if reads[cell]:
-                    assert bits(ref) == bits(ref_dist(batch.ctx[lo:hi]))
-                else:
-                    assert ref is None
-            mixed += bool(read.any() and not read.all())
+            cols = batch.columns
+            read = np.concatenate((cols.kl, cols.apo))
+            assert len(taken) == int(read.size > 0)
+            if read.size:
+                assert taken[0].tolist() == sorted(set(batch.ctx[read].tolist()))
+            assert_columns(batch, methods_of(cells), ref_dist(batch.ctx))
+            cell_reads = reads.take(batch.cell)
+            mixed += bool(cell_reads.any() and not cell_reads.all())
         assert mixed > 0 or not reads.any()  # a step with tokens of both kinds
 
     def test_evaluate_runs_once_per_eval_step(self, monkeypatch):
@@ -795,6 +872,17 @@ class TestStackMemory:
 
 
 class TestRunExperiment:
+    def test_support_k_past_the_branching_is_rejected_before_step_0(self, monkeypatch):
+        # A Top-50 of 3 tokens holds them all and would score support mass
+        # 1.0 whatever the policy.
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=r"support_k must be in \[1, 3\], got 50"):
+            run_experiment(TrainConfig(total_steps=2, eval_every=1, eval_samples_k=8,
+                                       support_k=50),
+                           [(MethodConfig(), 0)], generate_tree(EnvConfig(2, 3, 2)))
+        assert steps == []
+
     def test_zero_steps_gives_single_initial_record(self):
         records, stats = run_small(small_cfg(total_steps=0))
         assert len(records) == 1
@@ -991,8 +1079,7 @@ class TestNoNumpyPythonWrappers:
         assert len(batches) == COLLAPSE_TRAIN.inner_epochs and len(batches[0])
         if method == "apo":
             # Rows of both anchor widths: tokens inside and outside the Top-K.
-            [(_, _, _, _, _, anchors)] = batches[0].runs
-            assert all(len(idx) for idx in anchors[3])
+            assert all(len(idx) for idx in batches[0].columns.anchors[3])
 
     def test_evaluate(self):
         # A stack of two cells, read at start rows and private rows alike.
@@ -1000,7 +1087,7 @@ class TestNoNumpyPythonWrappers:
         mcfgs = [collapse_cfg(method) for method in ("grpo", "apo")]
         table = StackedTable(initial_policy(tree), len(mcfgs))
         rngs = [np.random.default_rng(seed) for seed in range(len(mcfgs))]
-        train_step(table, tree, COLLAPSE_TRAIN, mcfgs, rngs, 1)
+        step_stack(table, tree, COLLAPSE_TRAIN, mcfgs, rngs, 1)
         assert wrapper_calls(lambda: evaluate(table, tree, 1, 64, rngs, 4)) == []
 
     def test_profile_sees_a_wrapper(self):
