@@ -38,7 +38,7 @@ import numpy as np
 
 from .anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio
 from .gradients import grad_log_prob, grad_prob
-from .policy import check_float, check_int, distinct, segment_sums
+from .policy import check_float, check_int, segment_sums
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
 
@@ -269,74 +269,52 @@ def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return P * (log_ratio - kl[:, None])
 
 
-def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: int):
+def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: np.ndarray):
     """The reference half of :func:`~anchorlab.anchor.build_anchor` per row,
     laid out as gather tables for the passes of a step.
 
-    It reads only the reference rows ``Q`` and the tokens, so a train step
-    builds it once for all its passes. Every anchor is the Top-K minus the
-    row's token, so a row has m = min(k, V) members, or m - 1 when its
-    token is in the Top-K. Returns ``(member, z_ref, empty, groups,
-    order)``: ``member`` is the ``(N, V)`` member mask, ``z_ref`` each
-    row's Z_ref (1.0 for an empty anchor) and ``empty`` marks rows with no
-    member. ``groups`` holds two tables, for the rows of m members and for
-    those of m - 1, in batch order. Each is an ``(r, 2, width)`` array of
-    flat indices into the ``(N, V)`` rows (r may be 0) that lists each of
-    its rows' members twice: in Top-K order, as ``build_anchor`` sums the
-    anchor mass and Z_ref, and in ascending token order, as
-    ``grad_support_mass`` sums P_safe. So ``P.take(idx).sum(axis=-1)`` is
-    bitwise the scalar kernel's sums, and row i's are row ``order[i]`` of
-    the two groups' sums concatenated. Short rows are not zero-padded to
-    the full width: numpy sums 8 or more terms pairwise, so 7 or 15
-    members and a trailing +0.0 would be summed in another order.
+    It reads only the reference rows ``Q``, the tokens and each row's
+    anchor width ``k`` (an ``(N,)`` int array), so a train step builds it
+    once for all its passes and all its rows' widths. Every anchor is the
+    Top-k minus the row's token, so a row has min(k, V) members, or one
+    fewer when its token is in the Top-k. Returns ``(member, z_ref, empty,
+    groups, order)``: ``member`` is the ``(N, V)`` member mask, ``z_ref``
+    each row's Z_ref (1.0 for an empty anchor) and ``empty`` marks rows
+    with no member. ``groups`` holds one table per distinct member count,
+    ascending, for the rows with that count in batch order. Each is an
+    ``(r, 2, width)`` array of flat indices into the ``(N, V)`` rows that
+    lists each of its rows' members twice: in Top-k order, as
+    ``build_anchor`` sums the anchor mass and Z_ref, and in ascending token
+    order, as ``grad_support_mass`` sums P_safe. So
+    ``P.take(idx).sum(axis=-1)`` is bitwise the scalar kernel's sums, and
+    row i's are row ``order[i]`` of the groups' sums concatenated. Short
+    rows are not zero-padded to a common width: numpy sums 8 or more terms
+    pairwise, so 7 or 15 members and a trailing +0.0 would be summed in
+    another order.
     """
     n, v = Q.shape
     base = np.arange(0, n * v, v)
-    top = (-Q).argsort(axis=1, kind="stable")[:, :k] + base[:, None]
-    keep = top != (base + tokens)[:, None]
-    full = np.logical_and.reduce(keep, axis=1)
+    top = (-Q).argsort(axis=1, kind="stable")[:, :np.maximum.reduce(k)] + base[:, None]
+    keep = (top != (base + tokens)[:, None]) & (np.arange(top.shape[1]) < k[:, None])
+    width = np.add.reduce(keep, axis=1)
     member = np.zeros(n * v, dtype=bool)
     member[top[keep]] = True
-    m = top.shape[1]
-    full_rows, short_rows = full.nonzero()[0], (~full).nonzero()[0]
     z_ref = np.ones(n)
-    groups = []
-    for rows, ranked, width in ((full_rows, top[full], m),
-                                (short_rows, top[keep & ~full[:, None]], m - 1)):
-        ranked = ranked.reshape(rows.size, width)
-        if width:
+    groups, grouped = [], []
+    for w in np.bincount(width).nonzero()[0].tolist():
+        at = width == w
+        rows = at.nonzero()[0]
+        ranked = top[keep & at[:, None]].reshape(rows.size, w)
+        if w:
             z_ref[rows] = np.add.reduce(Q.take(ranked), axis=-1)
         idx = np.concatenate((ranked, ranked), axis=1)
-        idx[:, width:].sort(axis=1)
-        groups.append(idx.reshape(rows.size, 2, width))
+        idx[:, w:].sort(axis=1)
+        groups.append(idx.reshape(rows.size, 2, w))
+        grouped.append(rows)
     order = np.empty(n, dtype=np.intp)
-    order[np.concatenate((full_rows, short_rows))] = np.arange(n)
+    order[np.concatenate(grouped)] = np.arange(n)
     # Only a Top-1 anchor can be empty, when the token is the Top-1.
-    return member.reshape(n, v), z_ref, ~full & (m == 1), tuple(groups), order
-
-
-def anchor_tables(Q: np.ndarray, tokens: np.ndarray, k: np.ndarray):
-    """:func:`anchor_reference` with each row's own anchor width ``k``: one
-    call per distinct width, over that width's rows, merged into the
-    layout one call returns. Each call's gather tables are shifted to index
-    its rows among all of ``Q``'s, and ``order`` to point past the tables
-    before them, so a row's sums are still row ``order[i]`` of all the
-    tables' sums concatenated."""
-    widths = distinct(k)
-    if widths.size == 1:
-        return anchor_reference(Q, tokens, int(widths[0]))
-    n, v = Q.shape
-    member = np.empty((n, v), dtype=bool)
-    z_ref, empty, order = np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.intp)
-    groups = []
-    for width in widths.tolist():
-        rows = (k == width).nonzero()[0]
-        m, z, e, g, o = anchor_reference(Q.take(rows, axis=0), tokens.take(rows), width)
-        member[rows], z_ref[rows], empty[rows] = m, z, e
-        order[rows] = o + sum(len(idx) for idx in groups)
-        shift = (rows - np.arange(rows.size)) * v
-        groups.extend(idx + shift.take(idx // v) for idx in g)
-    return member, z_ref, empty, tuple(groups), order
+    return member.reshape(n, v), z_ref, width == 0, tuple(groups), order
 
 
 class TokenColumns(NamedTuple):
@@ -347,9 +325,9 @@ class TokenColumns(NamedTuple):
     grpo_kl token and the grpo_kl_error_only tokens with a negative
     advantage, with their ``(n, 1)`` ``kl_coef`` column and reference rows
     ``kl_ref`` (None when no row reads the reference); the apo tokens with
-    a negative advantage, with their
-    ``push_coef`` and ``pull_coef`` columns and anchor tables
-    (:func:`anchor_tables`; None when there are no such tokens)."""
+    a negative advantage, with their ``push_coef`` and ``pull_coef``
+    columns and anchor tables (:func:`anchor_reference`; None when there
+    are no such tokens)."""
 
     low: np.ndarray
     high: np.ndarray
@@ -364,23 +342,20 @@ class TokenColumns(NamedTuple):
 
 
 class CellMethods:
-    """The method configs of a stack's cells as per-cell arrays, built
-    once per run; :meth:`columns` takes them at a batch's tokens. Each
-    clip bound is computed per cell as a Python float, as the scalar
-    kernel computes it. ``learning_rate`` is a list of floats and
-    ``adv_eps`` an ``(S,)`` array."""
+    """What :meth:`columns` reads of the method configs of a stack's
+    cells, as per-cell arrays built once per run; :meth:`columns` takes
+    them at a batch's tokens. Each clip bound is computed per cell as a
+    Python float, as the scalar kernel computes it."""
 
-    __slots__ = ("role", "low", "high", "kl_coef", "push_coef", "pull_coef", "anchor_k",
-                 "learning_rate", "adv_eps")
+    __slots__ = ("role", "low", "high", "kl_coef", "push_coef", "pull_coef", "anchor_k")
 
     def __init__(self, cfgs: list[MethodConfig]):
         # Indexed by cell * 2 + (advantage < 0).
         self.role = np.array([_ROLES[m.method] for m in cfgs]).ravel()
         self.low = np.array([1.0 - m.clip_eps for m in cfgs])
         self.high = np.array([1.0 + m.clip_eps for m in cfgs])
-        for name in ("kl_coef", "push_coef", "pull_coef", "anchor_k", "adv_eps"):
+        for name in ("kl_coef", "push_coef", "pull_coef", "anchor_k"):
             setattr(self, name, np.array([getattr(m, name) for m in cfgs]))
-        self.learning_rate = [m.learning_rate for m in cfgs]
 
     def columns(self, cell: np.ndarray, tokens: np.ndarray, adv: np.ndarray,
                 reference) -> TokenColumns:
@@ -397,7 +372,7 @@ class CellMethods:
         if apo.size:
             at = cell.take(apo)
             push_coef, pull_coef = self.push_coef.take(at), self.pull_coef.take(at)
-            anchors = anchor_tables(ref[kl.size:], tokens.take(apo), self.anchor_k.take(at))
+            anchors = anchor_reference(ref[kl.size:], tokens.take(apo), self.anchor_k.take(at))
         return TokenColumns(
             self.low.take(cell), self.high.take(cell), nsr,
             kl, self.kl_coef.take(cell.take(kl))[:, None], None if ref is None else ref[:kl.size],

@@ -9,9 +9,10 @@ own rows of it. A step's numpy calls are made once for the whole stack,
 not once per cell or per method, because at a step's array sizes the
 call, not the arithmetic, is the cost. A single cell is a stack of one.
 What a step reads of the cells' method configs is built once per run, as
-a :class:`Stack`: the configs as per-cell arrays
-(:class:`~anchorlab.objectives.CellMethods`), each group's ``adv_eps``
-and each rollout's key offset into the stacked table.
+a :class:`Stack`: what the gradient kernel reads of them as per-cell
+arrays (:class:`~anchorlab.objectives.CellMethods`), each group's
+``adv_eps``, each cell's learning rate and each rollout's key offset into
+the stacked table.
 
 Each outer step draws every cell's ``groups_per_step`` groups of
 ``group_size`` rollouts from the tree root with one ``rollout`` call:
@@ -34,8 +35,8 @@ penalty's and apo's negative branch). The reference rows are taken with
 one softmax per step, at the distinct contexts of the KL and apo rows
 only. For the apo rows the reference half of every anchor is built once,
 as fixed-width gather tables, with one
-:func:`~anchorlab.objectives.anchor_reference` call per distinct
-``anchor_k``; no table is copied.
+:func:`~anchorlab.objectives.anchor_reference` call per step whatever
+the rows' ``anchor_k``; no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
 rows as the live policies', since no policy has changed since the
@@ -128,13 +129,15 @@ class Stack:
     """A stack: the schedule ``train`` its cells share and everything a
     step reads of their method configs ``mcfgs`` on ``tree``, built once
     per run. ``u`` is the ``(S*G*n, D)`` block every step refills with its
-    uniform draws, ``methods`` the configs as per-cell arrays
-    (:class:`~anchorlab.objectives.CellMethods`), ``adv_eps`` each group's
-    ``adv_eps`` as an ``(S*G, 1)`` column, and ``base`` each rollout's key
-    offset into the stacked table, its cell times C. Raises ValueError
-    unless the cells share ``group_size``."""
+    uniform draws, ``methods`` what the gradient kernel reads of the
+    configs as per-cell arrays (:class:`~anchorlab.objectives.CellMethods`),
+    ``adv_eps`` each group's ``adv_eps`` as an ``(S*G, 1)`` column,
+    ``learning_rate`` each cell's as a list of floats, and ``base`` each
+    rollout's key offset into the stacked table, its cell times C. Raises
+    ValueError unless the cells share ``group_size``."""
 
-    __slots__ = ("train", "cells", "group_size", "u", "methods", "adv_eps", "base")
+    __slots__ = ("train", "cells", "group_size", "u", "methods", "adv_eps", "learning_rate",
+                 "base")
 
     def __init__(self, train: TrainConfig, mcfgs: list[MethodConfig], tree: ReasoningTree):
         n = mcfgs[0].group_size
@@ -146,7 +149,8 @@ class Stack:
         # for memory fails at this allocation, before any array is filled.
         self.u = np.empty((cells * g * n, tree.depth))
         self.methods = CellMethods(mcfgs)
-        self.adv_eps = self.methods.adv_eps.repeat(g)[:, None]
+        self.adv_eps = np.array([m.adv_eps for m in mcfgs]).repeat(g)[:, None]
+        self.learning_rate = [m.learning_rate for m in mcfgs]
         self.base = np.arange(0, cells * c, c).repeat(g * n)
 
 
@@ -155,16 +159,16 @@ class TokenBatch:
     group, rollout and step order: its context, token and advantage, and
     ``old``, the ``(N, V)`` sampling-policy rows the rollout drew each token
     from. ``counts[s]`` is the number of tokens of cell s, whose tokens
-    come s-th, and ``methods`` the cells' method configs as per-cell arrays
-    (:class:`~anchorlab.objectives.CellMethods`). On construction it
-    records everything a pass needs that depends only on the batch: each
-    token's cell ``cell``, the sorted distinct keys ``keys`` of the stacked
-    table (``cell * C + ctx``) and each token's position ``at`` in them,
-    the flat ids ``bins`` of each token's V cells in the ``(U, V)`` block
-    of per-key sums, each token's flat index ``flat`` into the ``(N, V)``
-    rows and its old probability ``old_tok``, each key's step size
-    ``scale`` (its cell's ``learning_rate / N_s`` as a ``(U, 1)`` column),
-    and ``columns``, the tokens' method configs as per-token columns
+    come s-th, and ``stack`` the :class:`Stack` they belong to. On
+    construction it records everything a pass needs that depends only on
+    the batch: each token's cell ``cell``, the sorted distinct keys
+    ``keys`` of the stacked table (``cell * C + ctx``) and each token's
+    position ``at`` in them, the flat ids ``bins`` of each token's V cells
+    in the ``(U, V)`` block of per-key sums, each token's flat index
+    ``flat`` into the ``(N, V)`` rows and its old probability ``old_tok``,
+    each key's step size ``scale`` (its cell's ``learning_rate / N_s`` as a
+    ``(U, 1)`` column), and ``columns``, the tokens' method configs as
+    per-token columns
     (:class:`~anchorlab.objectives.TokenColumns`). Their reference rows
     come from one softmax at the distinct contexts of the KL and apo rows,
     the only rows that read the reference, and none when there are none.
@@ -174,7 +178,7 @@ class TokenBatch:
                  "scale", "columns")
 
     def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
-                 ref_policy: LogitTable, methods: CellMethods, counts: list[int]):
+                 ref_policy: LogitTable, stack: Stack, counts: list[int]):
         self.ctx, self.tok, self.adv, self.old = ctx, tok, adv, old
         c, v = len(ref_policy), old.shape[1]
         self.cell = np.arange(len(counts)).repeat(counts)
@@ -185,7 +189,7 @@ class TokenBatch:
         self.flat = np.arange(tok.size) * v + tok
         self.old_tok = old.take(self.flat)
         # Python's float quotient is the scalar lr / N bit for bit.
-        scale = [lr / k if k else 0.0 for lr, k in zip(methods.learning_rate, counts)]
+        scale = [lr / k if k else 0.0 for lr, k in zip(stack.learning_rate, counts)]
         self.scale = np.array(scale).take(self.keys // c)[:, None]
 
         def reference(rows):
@@ -193,7 +197,7 @@ class TokenBatch:
             contexts = distinct(at)
             return ref_policy.dist(contexts).take(contexts.searchsorted(at), axis=0)
 
-        self.columns = methods.columns(self.cell, tok, adv, reference)
+        self.columns = stack.methods.columns(self.cell, tok, adv, reference)
 
     def __len__(self) -> int:
         return self.ctx.size
@@ -278,7 +282,7 @@ def train_step(
         adv.compress(kept, axis=0).ravel().repeat(d),
         rows.reshape(cells * g, -1, v).compress(kept, axis=0).reshape(-1, v),
         tree.ref_policy,
-        stack.methods,
+        stack,
         counts,
     )
 
