@@ -157,7 +157,8 @@ def rollout(
     ``(n, D, V)`` stack of the distributions each token was drawn from,
     bitwise the policy's ``dist`` at them, so callers that need the policy
     at the visited contexts read it here instead of taking the softmax
-    again.
+    again. Each step's CDF and token counts run across the rows of a
+    transposed copy; the CDF still adds left to right, bitwise a row cumsum.
     """
     n, d, b, v = len(u), tree.depth, tree.branching, policy.vocab_size
     tokens = np.empty((n, d), dtype=np.int64)
@@ -171,7 +172,8 @@ def rollout(
         # sample_token. A cumsum of non-negative terms never decreases, so
         # counting over its first V - 1 entries is that clamp: the count
         # over all V is at most one more, and only when every entry counts.
-        tok = np.add.reduce(dist[:, :-1].cumsum(axis=1) <= u[:, step, None], axis=1)
+        cdf = np.add.accumulate(dist.T[:-1].copy(), axis=0)
+        tok = np.add.reduce(cdf <= u[:, step], axis=0)
         contexts[:, step] = ctx
         tokens[:, step] = tok
         ctx = ctx * b + tok + 1  # tree.child_context, inline

@@ -78,14 +78,16 @@ def _means(x: np.ndarray, cells: int) -> list[float]:
 def entropy_and_maxprob(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropy (nats) and max-probability of each ``(V,)`` row of the
     ``(..., V)`` array ``rows``, flattened in order: of a rollout's rows,
-    one of each per visited step."""
+    one of each per visited step. The maxima and the positive-entry counts
+    are one pass across the rows of a transposed copy; the entropy sums
+    stay along each row (:func:`~anchorlab.policy.segment_sums`)."""
     rows = rows.reshape(-1, rows.shape[-1])
     # Entropy sums p*log(p) over each row's positive entries, 0*log(0) := 0.
     pos = rows > 0.0
     nz = rows[pos]
     # 0.0 - s, not -s: a one-hot row's entropy is +0.0, not -0.0.
-    ents = 0.0 - segment_sums(nz * np.log(nz), np.add.reduce(pos, axis=1))
-    return ents, np.maximum.reduce(rows, axis=1)
+    ents = 0.0 - segment_sums(nz * np.log(nz), np.add.reduce(pos.T.copy(), axis=0))
+    return ents, np.maximum.reduce(rows.T.copy(), axis=0)
 
 
 def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -103,7 +105,8 @@ def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, int]:
 def _run_edges(keys: np.ndarray) -> np.ndarray:
     """Edges of the runs of equal values in a nonempty sorted array: run j
     is ``keys[edges[j]:edges[j + 1]]``."""
-    new = np.ones(keys.size + 1, dtype=bool)
+    new = np.empty(keys.size + 1, dtype=bool)
+    new[0] = new[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
     return new.nonzero()[0]
 
@@ -203,7 +206,7 @@ def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if np.logical_or.reduce((Q <= 0.0) & pos, axis=None):
         raise ValueError("reference assigns zero mass where the policy is positive")
     p = P[pos]
-    return segment_sums(p * np.log(p / Q[pos]), np.add.reduce(pos, axis=1))
+    return segment_sums(p * np.log(p / Q[pos]), np.add.reduce(pos.T.copy(), axis=0))
 
 
 def evaluate(

@@ -265,7 +265,7 @@ def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """:func:`kl_penalty` gradient per row."""
     pos = P > 0.0
     log_ratio = np.log(np.where(pos, P / Q, 1.0))
-    kl = segment_sums((P * log_ratio)[pos], np.add.reduce(pos, axis=1))
+    kl = segment_sums((P * log_ratio)[pos], np.add.reduce(pos.T.copy(), axis=0))
     return P * (log_ratio - kl[:, None])
 
 
@@ -296,10 +296,11 @@ def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: np.ndarray):
     base = np.arange(0, n * v, v)
     top = (-Q).argsort(axis=1, kind="stable")[:, :np.maximum.reduce(k)] + base[:, None]
     keep = (top != (base + tokens)[:, None]) & (np.arange(top.shape[1]) < k[:, None])
-    width = np.add.reduce(keep, axis=1)
+    width = np.add.reduce(keep.T.copy(), axis=0)
     member = np.zeros(n * v, dtype=bool)
     member[top[keep]] = True
-    z_ref = np.ones(n)
+    z_ref = np.empty(n)
+    z_ref.fill(1.0)
     groups, grouped = [], []
     for w in np.bincount(width).nonzero()[0].tolist():
         at = width == w

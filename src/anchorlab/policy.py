@@ -56,8 +56,11 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """The arithmetic of :func:`softmax`, without its checks, for float64
     logits already known finite (a :class:`LogitTable`'s rows). The
     subtraction makes the one new array and the rest runs in place on it,
-    never on ``z``, which belongs to the caller."""
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    never on ``z``, which belongs to the caller. The maxima are one pass
+    across the rows of a transposed copy, far faster than numpy's reduction
+    along each short row; they can differ only in the sign of a zero, which
+    ``exp`` maps to 1.0. The normaliser stays a pairwise sum along the row."""
+    e = z - np.maximum.reduce(z.T.copy(), axis=0).T[..., None]
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
@@ -89,7 +92,8 @@ def distinct(ids: np.ndarray) -> np.ndarray:
     sort of a copy and a compress, a few numpy calls whatever the size."""
     out = ids.copy()
     out.sort()
-    first = np.ones(out.size, dtype=bool)
+    first = np.empty(out.size, dtype=bool)
+    first[:1] = True
     np.not_equal(out[1:], out[:-1], out=first[1:])
     return out.compress(first)
 

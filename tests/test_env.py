@@ -244,6 +244,16 @@ class _AllOnes:
         return 1.0 if shape is None else np.ones(shape)
 
 
+class _Replay:
+    """Stub generator whose scalar draws are the entries of ``u`` in order."""
+
+    def __init__(self, u):
+        self._u = iter(u.ravel().tolist())
+
+    def random(self):
+        return next(self._u)
+
+
 class TestRollout:
     def test_one_hot_policy_is_deterministic(self):
         tree = generate_tree(EnvConfig(depth=3, branching=3, num_valid_leaves=1, seed=2))
@@ -322,6 +332,31 @@ class TestRollout:
         assert tokens.tolist() == [[3, 3, 3]] * 6
         assert sample_token(tree.ref_policy.dist(tree.ROOT), _AllOnes()) == 3
         assert contexts.tolist() == [[0, 4, 20]] * 6
+
+    def test_large_block_matches_sample_token_and_cdf_ties_go_right(self):
+        # 1,200 rollouts in one call. A uniform 4-way row's CDF is exactly
+        # [0.25, 0.5, 0.75, 1.0], so draw u gives token floor(4u): every
+        # other row draws exactly on a CDF value (or 0.0), and
+        # searchsorted(side="right") sends it to the next token.
+        tree = generate_tree(
+            EnvConfig(depth=3, branching=4, num_valid_leaves=4,
+                      ref_concentration=0.0, ref_noise=0.0, seed=6)
+        )
+        u = np.random.default_rng(9).random((1200, 3))
+        u[::2] = np.resize([0.25, 0.5, 0.75, 0.0], (600, 3))
+        tokens, contexts, _, _ = rollout(tree, tree.ref_policy, u)
+        assert tokens.tolist() == (4.0 * u).astype(np.int64).tolist()
+        assert tokens[::2].ravel().tolist()[:4] == [1, 2, 3, 0]
+        assert (tokens.tolist(), contexts.tolist()) == scalar_rollouts(
+            tree, tree.ref_policy, 1200, _Replay(u))
+        # A peaked policy over a wider tree, through a block of 1,000 rows.
+        tree = generate_tree(EnvConfig(depth=4, branching=8, num_valid_leaves=8, seed=3))
+        policy = LogitTable(8.0 * np.random.default_rng(4).standard_normal((585, 8)))
+        u = np.random.default_rng(5).random((1000, 4))
+        tokens, contexts, _, rows = rollout(tree, policy, u)
+        assert rows.tobytes() == policy.dist(contexts).tobytes()
+        assert (tokens.tolist(), contexts.tolist()) == scalar_rollouts(
+            tree, policy, 1000, _Replay(u))
 
     def test_uniform_policy_mean_reward(self):
         tree = generate_tree(

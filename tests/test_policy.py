@@ -40,14 +40,26 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("v", [1, 2, 3, 8, 9, 32])
     def test_rows_of_2d_call_equal_1d_call_bitwise(self, v):
-        z = 5.0 * np.random.default_rng(v).standard_normal((17, v))
-        picked = [3, 0, 3, 16]
+        # 4,099 rows: the maxima run across the rows of a transposed copy,
+        # so a block of a wide stack's size is checked as well as one row.
+        # Rows 0-7 tie at their maximum; rows 8-11 peak at a signed zero,
+        # (+0, -0), (-0, +0), (-0, -0) and (+0, +0) in their first entries.
+        rng = np.random.default_rng(v)
+        z = 5.0 * rng.standard_normal((4099, v))
+        z[:8] = rng.integers(-2, 2, (8, v))
+        w = min(v, 2)
+        z[8:12] = -1.0 - rng.random((4, v))
+        z[8:12, :w] = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])[:, :w]
+        picked = [3, 0, 3, 9, 4098]
         rows, fancy = softmax(z), softmax(z[picked])
-        assert rows.shape == (17, v) and fancy.shape == (4, v)
-        for i in range(17):
+        assert rows.shape == z.shape and fancy.shape == (len(picked), v)
+        for i in range(len(z)):
             assert rows[i].tobytes() == softmax(z[i]).tobytes()
         for j, i in enumerate(picked):
             assert fancy[j].tobytes() == softmax(z[i]).tobytes()
+        # The same arithmetic with the maxima taken along each row.
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        assert rows.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
     @pytest.mark.parametrize(
         "logits",

@@ -1033,7 +1033,7 @@ class TestScatterByBincount:
         assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
 
 
-WRAPPER_FILES = ("fromnumeric.py", "_methods.py")
+WRAPPER_FILES = ("fromnumeric.py", "_methods.py", "numeric.py")
 
 
 def wrapper_calls(fn):
@@ -1056,9 +1056,10 @@ def wrapper_calls(fn):
 
 class TestNoNumpyPythonWrappers:
     """A train step and an evaluation call numpy's C functions directly: a
-    wrapper such as ``np.mean`` or ``ndarray.sum`` passes through Python in
-    ``fromnumeric.py`` or ``_methods.py`` first, which at a step's array
-    sizes costs about what the arithmetic does."""
+    wrapper such as ``np.mean``, ``ndarray.sum`` or ``np.ones`` passes
+    through Python in ``fromnumeric.py``, ``_methods.py`` or ``numeric.py``
+    first, which at a step's array sizes costs about what the arithmetic
+    does."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_train_step(self, monkeypatch, method):
