@@ -10,8 +10,10 @@ from, a row map, and a private copy of each row a cell has updated, so S
 cells cost one table plus the rows they write, not S tables. The stack is
 read and written only by key, cell s's context ``ctx`` being key
 ``s * C + ctx``; :meth:`StackedTable.cell` copies one cell out as a dense
-table, for tests and dumps. The trainer keeps the sampling policy's rows
-of each batch, not a copy of the table.
+table, for tests and dumps. A stack with room for every key also keeps
+each row's softmax beside its logits, so reading it, or its start table,
+is a gather. The trainer keeps the sampling policy's rows of each batch,
+not a copy of the table.
 Logits are checked finite when set, so every softmax row is a valid
 distribution and hot loops do not re-check it.
 
@@ -158,8 +160,12 @@ class LogitTable:
     """Dense logit table: row ``ctx`` of one finite float64 ``(C, V)`` array
     holds the logits of heap context ``ctx`` (root 0, contexts 0..C-1).
     Context ids are not range-checked on access: as in numpy, a negative id
-    counts from the last row. A table has no writer.
+    counts from the last row. A table has no writer. While it is the start
+    table of a :class:`StackedTable` that mirrors, ``dist`` gathers the
+    stack's softmax rows instead of taking the softmax again.
     """
+
+    _p: np.ndarray | None = None  # the (C, V) softmax rows, when a stack mirrors them
 
     def __init__(self, z: np.ndarray):
         z = np.array(z, dtype=np.float64)
@@ -184,6 +190,8 @@ class LogitTable:
     def dist(self, ctx: ContextId | np.ndarray) -> np.ndarray:
         """Distribution at ``ctx``, or an ``(n, V)`` stack for a vector of ids;
         the rows are finite by construction, so they are not re-checked."""
+        if self._p is not None:
+            return self._p.take(ctx, axis=0)
         return _softmax_rows(self._z.take(ctx, axis=0))
 
     def copy(self) -> "LogitTable":
@@ -213,6 +221,16 @@ class StackedTable:
     the reserved rows are left uninitialized until a cell writes them. The
     start table itself then reads the stack's copy of its rows, read-only,
     so the stack adds no second copy of it and nothing can write it.
+
+    A stack whose capacity covers every key (``S*C`` private rows) mirrors
+    its rows: a second array of the same shape holds each row's softmax,
+    filled for the start rows at construction and for the rows
+    :meth:`add_to_logits` writes when it writes them, so :meth:`dist` is a
+    gather and a row's softmax is taken once per write, not once per read.
+    The start table then gathers its distributions from the mirror too.
+    A stack with less room keeps the softmax on read: mirroring its start
+    table would take the softmax of every context, of which a short run
+    reads a few.
     """
 
     def __init__(self, start: LogitTable, cells: int, capacity: int | None = None):
@@ -225,6 +243,14 @@ class StackedTable:
         # of the start table stays alive, not two, and it cannot be written.
         start._z = self._z[:c]
         start._z.flags.writeable = False
+        # It reads this stack's mirror too, or none: a view of an earlier
+        # stack's mirror would keep that whole array alive.
+        self._p = start._p = None
+        if capacity == cells * c:
+            self._p = np.empty_like(self._z)
+            self._p[:c] = _softmax_rows(start._z)
+            start._p = self._p[:c]
+            start._p.flags.writeable = False
         rows = np.arange(c, dtype=np.int32 if c + capacity <= 2**31 - 1 else np.intp)
         self._map = np.tile(rows, cells)
         self._c = c
@@ -245,7 +271,10 @@ class StackedTable:
     def dist(self, keys: np.ndarray) -> np.ndarray:
         """The ``(n, V)`` distributions at a vector of keys, or the one at
         a single key."""
-        return _softmax_rows(self._z.take(self._map.take(keys), axis=0))
+        rows = self._map.take(keys)
+        if self._p is not None:
+            return self._p.take(rows, axis=0)
+        return _softmax_rows(self._z.take(rows, axis=0))
 
     def add_to_logits(self, keys: np.ndarray, delta: np.ndarray) -> None:
         """Add the ``(n, V)`` block ``delta`` to the rows of n distinct keys,
@@ -273,6 +302,8 @@ class StackedTable:
             self._map[owners] = new
             self._used = end
         self._z[rows] = updated
+        if self._p is not None:
+            self._p[rows] = _softmax_rows(updated)
 
     def cell(self, s: int) -> LogitTable:
         """Cell s's policy as a dense :class:`LogitTable` of its own: a

@@ -31,16 +31,15 @@ rows, not a second softmax; with them come each token's flat index into
 the ``(N, V)`` rows and its old probability, and each token's method
 config as per-token columns: its clip bounds, and the rows, coefficients
 and reference rows of the branches only some tokens take (nsr's, the KL
-penalty's and apo's negative branch). The reference rows are taken with
-one softmax per step, at the distinct contexts of the KL and apo rows
-only. For the apo rows the reference half of every anchor is built once,
-as fixed-width gather tables, with one
-:func:`~anchorlab.objectives.anchor_reference` call per step whatever
-the rows' ``anchor_k``; no table is copied.
+penalty's and apo's negative branch). The reference rows are read with
+one ``dist`` call per step, at the KL and apo rows only. For the apo
+rows the reference half of every anchor is built once, as fixed-width
+gather tables, with one :func:`~anchorlab.objectives.anchor_reference`
+call per step whatever the rows' ``anchor_k``; no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
 rows as the live policies', since no policy has changed since the
-rollout; only later passes take the stack's softmax, once per pass.
+rollout; only later passes read the stack, once per pass.
 Gradients are averaged over each cell's tokens (token-mean) and applied
 as a plain SGD ascent step on the logits. Each pass is dense: one
 :func:`~anchorlab.objectives.token_gradients` call over every token of
@@ -59,6 +58,18 @@ not once per tree: ranking every row of a large tree's reference costs
 more than a short cell spends on anchors. For the 37,449-row deep_sweep
 tree a softmax and stable argsort of the whole reference takes 11-12 ms;
 the 10 steps of an apo cell there spend under 0.5 ms building anchors.
+The reference's softmax is kept per tree only when the run can visit
+every context, that is when :func:`private_rows` is C
+(``total_steps * G * n >= B**(D-1)``). The stack then reserves a row for
+every key and mirrors the softmax of its rows
+(:class:`~anchorlab.policy.StackedTable`); the tree's reference, its
+start table, reads that mirror, so every read of the policies or the
+reference in a step or an evaluation is a gather, and a softmax is taken
+only at the rows each pass writes. A stack that cannot hold every key
+takes the softmax where it reads, since a short run on a deep tree reads
+few of its contexts: deep_sweep's stacks reserve 5 x 1,033 of 5 x 37,449
+rows, and mirroring them took its train call from 27.9 to 31.6 ms on a
+2-vCPU VM.
 
 Seeding: a cell's seed feeds ``numpy.random.SeedSequence(seed)``; its
 two spawned children drive the training stream and the evaluation stream,
@@ -170,9 +181,9 @@ class TokenBatch:
     ``(U, 1)`` column), and ``columns``, the tokens' method configs as
     per-token columns
     (:class:`~anchorlab.objectives.TokenColumns`). Their reference rows
-    come from one softmax at the distinct contexts of the KL and apo rows,
-    the only rows that read the reference, and none when there are none.
-    So a pass only gathers the live rows and combines them."""
+    come from one ``ref_policy.dist`` call at the contexts of the KL and
+    apo rows, the only rows that read the reference, and none when there
+    are none. So a pass only gathers the live rows and combines them."""
 
     __slots__ = ("ctx", "tok", "adv", "old", "cell", "keys", "at", "bins", "flat", "old_tok",
                  "scale", "columns")
@@ -191,13 +202,8 @@ class TokenBatch:
         # Python's float quotient is the scalar lr / N bit for bit.
         scale = [lr / k if k else 0.0 for lr, k in zip(stack.learning_rate, counts)]
         self.scale = np.array(scale).take(self.keys // c)[:, None]
-
-        def reference(rows):
-            at = ctx.take(rows)
-            contexts = distinct(at)
-            return ref_policy.dist(contexts).take(contexts.searchsorted(at), axis=0)
-
-        self.columns = stack.methods.columns(self.cell, tok, adv, reference)
+        self.columns = stack.methods.columns(self.cell, tok, adv,
+                                             lambda rows: ref_policy.dist(ctx.take(rows)))
 
     def __len__(self) -> int:
         return self.ctx.size
@@ -345,7 +351,8 @@ def run_experiment(
     per-cell constants a step reads are built once, as a :class:`Stack`.
     Each evaluation is one :func:`evaluate` call for the whole stack. The
     stacked table reserves room for the most rows the cells can update
-    (:func:`private_rows`), so it never grows.
+    (:func:`private_rows`), so it never grows; when that is every key, the
+    stack mirrors its softmax rows and ``tree.ref_policy`` reads them too.
     """
     stack = Stack(train, [m for m, _ in cells], tree)
     streams = [np.random.SeedSequence(seed).spawn(2) for _, seed in cells]

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import anchorlab.metrics as metrics
 import anchorlab.objectives as objectives
+import anchorlab.policy as policy_module
 import anchorlab.trainer as trainer
 from anchorlab.env import EnvConfig, generate_tree, rollout, verify
 from anchorlab.gradients import grad_log_prob
@@ -18,7 +20,7 @@ from anchorlab.objectives import (
     method_token_update,
     token_gradients,
 )
-from anchorlab.policy import LogitTable, StackedTable, dump_logit_table
+from anchorlab.policy import LogitTable, StackedTable, dump_logit_table, softmax
 from anchorlab.trainer import (
     Stack,
     StepStats,
@@ -792,9 +794,9 @@ class TestStack:
     @pytest.mark.parametrize("methods", [("grpo", "apo"), ("grpo", "nsr"), tuple(METHODS)])
     def test_reference_rows_only_at_the_tokens_of_methods_that_read_them(self, monkeypatch,
                                                                         methods):
-        # One reference softmax per step, at the distinct contexts of the
-        # tokens that read it only (the KL rows and apo's negative-advantage
-        # rows): none for a grpo and nsr stack.
+        # One reference read per step, at the contexts of the tokens that
+        # read it only (the KL rows and apo's negative-advantage rows), in
+        # their order: none for a grpo and nsr stack.
         tree = generate_tree(STACK_ENV)
         cells = [(MethodConfig(method=m, learning_rate=1.0), seed)
                  for seed, m in enumerate(methods, 1)]
@@ -823,7 +825,7 @@ class TestStack:
             read = np.concatenate((cols.kl, cols.apo))
             assert len(taken) == int(read.size > 0)
             if read.size:
-                assert taken[0].tolist() == sorted(set(batch.ctx[read].tolist()))
+                assert taken[0].tolist() == batch.ctx[read].tolist()
             assert_columns(batch, methods_of(cells), ref_dist(batch.ctx))
             cell_reads = reads.take(batch.cell)
             mixed += bool(cell_reads.any() and not cell_reads.all())
@@ -1031,6 +1033,90 @@ class TestScatterByBincount:
         assert not signed_zeros(tree.ref_policy.logits(np.arange(len(policy)))).any()
         assert not signed_zeros(z).any()
         assert dump_logit_table(policy) != dump_logit_table(initial_policy(tree))
+
+
+# All five methods on the collapse tree; apo with a Top-1 anchor, which is
+# empty (degenerate) whenever the token is the reference's top token.
+MIRROR_CELLS = [(replace(collapse_cfg(m), anchor_k=1), seed) for seed, m in enumerate(METHODS, 1)]
+
+
+class TestSoftmaxMirror:
+    """A stack whose capacity covers every key keeps each row's softmax
+    beside its logits and takes it only at the rows it writes; with one row
+    less it takes the softmax where it reads. The two train the same cells
+    bit for bit, and the reference reads as its softmax either way."""
+
+    def run(self, tree, capacity, softmaxed):
+        """Six steps of ``MIRROR_CELLS`` on a stack of ``capacity`` rows
+        started from ``tree.ref_policy``: every train and evaluation
+        rollout's outputs, each step's untimed statistics, every cell's
+        logits after each step, the evaluation records at step 0 and after
+        each step, and the rows ``softmaxed`` and written after the stack
+        is built."""
+        train, mcfgs = replace(COLLAPSE_TRAIN, total_steps=6), methods_of(MIRROR_CELLS)
+        c = tree.num_contexts()
+        table = StackedTable(tree.ref_policy, len(mcfgs), capacity)
+        softmaxed.clear()
+        written = []
+
+        def add_to_logits(keys, block, call=table.add_to_logits):
+            written.append(keys.size)
+            return call(keys, block)
+
+        table.add_to_logits = add_to_logits
+        stack = Stack(train, mcfgs, tree)
+        rngs, eval_rngs = cell_rngs(MIRROR_CELLS), cell_rngs(MIRROR_CELLS, 100)
+        out = {"stats": [], "logits": [], "records": [evaluate(table, tree, 0, 16, eval_rngs, 4)]}
+        for step in range(1, train.total_steps + 1):
+            out["stats"].append([untimed(s) for s in train_step(table, tree, stack, rngs, step)])
+            out["logits"].append([bits(table.cell(s).logits(np.arange(c)))
+                                  for s in range(len(mcfgs))])
+            out["records"].append(evaluate(table, tree, step, 16, eval_rngs, 4))
+        return out, sum(softmaxed), sum(written)
+
+    def test_mirrored_and_unmirrored_stacks_train_bit_for_bit_alike(self, monkeypatch):
+        tree = generate_tree(COLLAPSE_ENV)
+        c, cells = tree.num_contexts(), len(MIRROR_CELLS)
+        ref = tree.ref_policy
+        every = np.arange(c)
+        rollouts, softmaxed = [], []
+
+        def spy_rollout(*args, call=rollout):
+            outputs = call(*args)
+            rollouts.append([bits(a) for a in outputs])
+            return outputs
+
+        def spy_softmax(z, call=policy_module._softmax_rows):
+            softmaxed.append(len(np.atleast_2d(z)))
+            return call(z)
+
+        def reference_softmaxed():
+            """Checks that the reference reads as the softmax of its logits,
+            bit for bit, and returns the rows it took the softmax of."""
+            want = [bits(softmax(ref.logits(every))), bits(softmax(ref.logits(0)))]
+            softmaxed.clear()
+            assert [bits(ref.dist(every)), bits(ref.dist(0))] == want
+            return sum(softmaxed)
+
+        monkeypatch.setattr(trainer, "rollout", spy_rollout)
+        monkeypatch.setattr(metrics, "rollout", spy_rollout)
+        monkeypatch.setattr(policy_module, "_softmax_rows", spy_softmax)
+        mirrored, mirrored_softmaxed, mirrored_written = self.run(tree, cells * c, softmaxed)
+        mirrored_rollouts = rollouts[:]
+        assert reference_softmaxed() == 0  # the mirrored start table gathers
+        rollouts.clear()
+        plain, plain_softmaxed, plain_written = self.run(tree, cells * c - 1, softmaxed)
+        assert reference_softmaxed() == c + 1  # and now takes the softmax again
+        assert rollouts == mirrored_rollouts
+        assert plain["logits"] == mirrored["logits"]
+        # repr, which round-trips every float, tells the bits apart.
+        for key in ("stats", "records"):
+            assert repr(plain[key]) == repr(mirrored[key])
+        # The mirrored stack takes the softmax of the rows it writes and of
+        # nothing else; the other takes it where it reads.
+        assert mirrored_softmaxed == mirrored_written > 0
+        assert plain_softmaxed > plain_written == mirrored_written
+        assert sum(s["degenerate_anchors"] for step in mirrored["stats"] for s in step) > 0
 
 
 WRAPPER_FILES = ("fromnumeric.py", "_methods.py", "numeric.py")
