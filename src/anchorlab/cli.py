@@ -4,15 +4,16 @@ Subcommands::
 
     train      run an experiment spec (method x seed sweep) and summarize
     dynamics   emit the collapse/recovery scenario curves as CSV
-    coverage   teacher-forced Top-K recall table for a generated tree
+    coverage   teacher-forced Top-K recall table for a spec's tree
     gradcheck  finite-difference verification of every analytic gradient
     summarize  aggregate per-cell metrics into a per-method mean/std table
 
-Specs are JSON files (see README for the schema). Exit codes: 0 success,
-2 malformed config, 3 I/O failure. ``--seeds`` overrides the spec's seed
-list, for ``train`` and ``summarize`` alike. A spec's cells are its
-``(MethodConfig, seed)`` pairs, and all of them train with the spec's
-``train`` section, one :class:`~anchorlab.trainer.TrainConfig`.
+Specs are JSON files (see README for the schema); a spec's ``env`` is the
+one name of a tree, for ``train`` and ``coverage`` alike. Exit codes: 0
+success, 2 malformed config, 3 I/O failure. ``--seeds`` overrides the
+spec's seed list, for ``train`` and ``summarize`` alike. A spec's cells
+are its ``(MethodConfig, seed)`` pairs, and all of them train with the
+spec's ``train`` section, one :class:`~anchorlab.trainer.TrainConfig`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .metrics import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from .objectives import MethodConfig, kl_penalty, method_token_update
+from .objectives import METHODS, MethodConfig, kl_penalty, method_token_update
 from .policy import check_int, softmax
 from .trainer import TrainConfig, run_experiment, write_steps_jsonl
 
@@ -193,7 +194,7 @@ def gradient_check_suite(n_cases: int = 1000, seed: int = 0) -> dict[str, float]
             track("grad_anchor_ratio", grad_anchor_ratio(dist, anch),
                   finite_diff(lambda zz: float(softmax(zz)[idx].sum()) / zm, z, h))
 
-        for method in ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"):
+        for method in METHODS:
             cfg = MethodConfig(method=method, anchor_k=max(1, min(8, v - 1)))
 
             def surrogate(zz, c=cfg):
@@ -350,14 +351,8 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    if args.spec:
-        env = load_spec(args.spec).env
-    else:
-        try:
-            env = EnvConfig(args.depth, args.branching, args.leaves,
-                            args.concentration, args.noise, args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    # A spec whose env seed is null reports the tree of env seed 0.
+    env = load_spec(args.spec).env
     ks = _parse_ints(args.k_values, "--k-values")
     tree = _tree(env)
     try:
@@ -455,14 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.set_defaults(func=cmd_summarize)
 
     p_cov = sub.add_parser("coverage", help="teacher-forced Top-K recall table")
-    p_cov.add_argument("--spec", default=None)
+    p_cov.add_argument("--spec", required=True)
     p_cov.add_argument("--k-values", default="1,4,8")
-    p_cov.add_argument("--depth", type=int, default=4)
-    p_cov.add_argument("--branching", type=int, default=8)
-    p_cov.add_argument("--leaves", type=int, default=8)
-    p_cov.add_argument("--concentration", type=float, default=1.5)
-    p_cov.add_argument("--noise", type=float, default=0.5)
-    p_cov.add_argument("--seed", type=int, default=0)
     p_cov.add_argument("--out", default=None)
     p_cov.set_defaults(func=cmd_coverage)
 

@@ -20,18 +20,17 @@ rolls out every cell of a :class:`~anchorlab.policy.StackedTable` at once,
 each cell from its own rows of the uniform block, so a stack of cells pays
 a rollout's numpy calls once per step, not once per cell.
 The generated reference is the table :func:`generate_tree` built, handed
-over without a copy.
+over without a copy. A tree's one name is its :class:`EnvConfig`, a spec's
+``env``: the same config rebuilds the same bytes, so a tree is never saved.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .anchor import top_k
-from .policy import LogitTable, check_float, check_int, distinct, dump_logit_table, load_logit_table
+from .policy import LogitTable, check_float, check_int, distinct
 
 
 @dataclass
@@ -191,54 +190,22 @@ def oracle_coverage(
 
     For every valid leaf and every step, feed the ground-truth prefix and
     check whether the true next token lands in the model's Top-K; recall is
-    the hit fraction over all (leaf, step) pairs.
+    the hit fraction over all (leaf, step) pairs. The pairs are scored in
+    one pass: the true token's rank is the count of tokens ahead of it
+    under :func:`~anchorlab.anchor.top_k`'s order, a higher probability or
+    an equal one at a lower index, and it is a hit at every K above that.
     """
     ks = sorted(set(int(k) for k in k_values))
-    if not ks or ks[0] < 1 or ks[-1] > tree.branching:
-        raise ValueError(f"k_values must lie in [1, {tree.branching}], got {ks}")
-    hits = {k: 0 for k in ks}
-    total = 0
-    for leaf in sorted(tree.valid_leaves):
-        ctx = tree.ROOT
-        for t in leaf:
-            dist = model.dist(ctx)
-            ranked = top_k(dist, tree.branching)
-            for k in ks:
-                if t in ranked[:k]:
-                    hits[k] += 1
-            total += 1
-            ctx = tree.child_context(ctx, t)
-    return {k: hits[k] / total for k in ks}
-
-
-def dump_tree(tree: ReasoningTree) -> str:
-    lines = [f"D={tree.depth} B={tree.branching}"]
-    for leaf in sorted(tree.valid_leaves):
-        lines.append(",".join(str(t) for t in leaf))
-    return "\n".join(lines) + "\n" + dump_logit_table(tree.ref_policy)
-
-
-def load_tree(text: str) -> ReasoningTree:
-    """Parse :func:`dump_tree` text; raises ValueError unless every leaf is
-    D tokens in ``[0, B)`` and the reference is a (C, B) table."""
-    lines = text.splitlines()
-    head = re.fullmatch(r"D=(\d+) B=(\d+)", lines[0]) if lines else None
-    if head is None or int(head[1]) < 1 or int(head[2]) < 2:
-        raise ValueError("tree text must start with a 'D=<int> B=<int>' header, D >= 1, B >= 2")
-    depth, branching = int(head[1]), int(head[2])
-    leaves = set()
-    i = 1
-    while i < len(lines) and not lines[i].startswith("V="):
-        if lines[i].strip():
-            leaf = tuple(int(t) for t in lines[i].split(","))
-            if len(leaf) != depth or not all(0 <= t < branching for t in leaf):
-                raise ValueError(f"leaf {lines[i]!r} is not {depth} tokens in [0, {branching})")
-            leaves.add(leaf)
-        i += 1
-    ref = load_logit_table("\n".join(lines[i:]))
-    tree = ReasoningTree(depth, branching, frozenset(leaves), ref)
-    if (len(ref), ref.vocab_size) != (tree.num_contexts(), branching):
-        raise ValueError(
-            f"reference is {len(ref)}x{ref.vocab_size}, expected {tree.num_contexts()}x{branching}"
-        )
-    return tree
+    b, d = tree.branching, tree.depth
+    if not ks or ks[0] < 1 or ks[-1] > b:
+        raise ValueError(f"k_values must lie in [1, {b}], got {ks}")
+    # Each valid leaf's tokens (its base-B digits) and the contexts along its path.
+    tokens = tree.valid_ids[:, None] // b ** np.arange(d - 1, -1, -1, dtype=np.int64) % b
+    contexts = np.zeros_like(tokens)
+    for step in range(1, d):
+        contexts[:, step] = contexts[:, step - 1] * b + tokens[:, step - 1] + 1
+    t = tokens.reshape(-1, 1)
+    p = model.dist(contexts.ravel())
+    p_t = np.take_along_axis(p, t, axis=1)
+    rank = np.add.reduce((p > p_t) | ((p == p_t) & (np.arange(b) < t)), axis=1)
+    return {k: int(np.count_nonzero(rank < k)) / t.size for k in ks}

@@ -19,8 +19,10 @@ READERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 ORACLES = (
     ("sample_token", "scalar inverse-CDF draw, the oracle that rollout is tested against"),
     ("verify", "scalar reward check, the oracle for rollout's leaf-id lookup"),
-    ("dump_tree", "writes a tree as text; saving each cell's tree is still open"),
-    ("load_tree", "reads dump_tree text back; what reads a saved tree is still open"),
+    ("ReasoningTree.child_context",
+     "scalar heap rule, the oracle that rollout and oracle_coverage are tested against"),
+    ("dump_logit_table", "writes a policy as text; saving each cell's final policy is still open"),
+    ("load_logit_table", "reads dump_logit_table text back, for a train --init-policy still open"),
     ("DynamicsReport.series", "one quantity of a report, as the dynamics tests read it"),
 )
 

@@ -19,7 +19,7 @@ from anchorlab.cli import (
 )
 from anchorlab.env import EnvConfig
 from anchorlab.metrics import MetricRecord, read_metrics_csv
-from anchorlab.objectives import MethodConfig
+from anchorlab.objectives import METHODS, MethodConfig
 from anchorlab.trainer import StepStats, TrainConfig
 
 SHIPPED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "collapse.json"
@@ -331,23 +331,23 @@ class TestMalformedInput:
             (["summarize", "--seeds", ""], None, None),
             (["coverage", "--k-values", "0,9"], None, None),
             (["coverage", "--k-values", "x"], None, None),
-            (["coverage", "--depth", "0"], None, None),
+            (["coverage"], "depth must be >= 1, got 0", {"depth": 0}),
             (["train", "--jobs", "0"], "--jobs must be >= 1, got 0", None),
             (["train", "--jobs", "-3"], None, None),
             (["train", "--seeds=-2"], "--seeds must be >= 0, got -2", None),
             (["train", "--seeds", "3,-2"], "--seeds must be >= 0, got -2", None),
             (["gradcheck", "--seed", "-1"], None, None),
             (["dynamics", "--seed", "-1", "--out", "out"], None, None),
-            (["coverage", "--seed", "-1"], None, None),
+            (["coverage"], "seed must be >= 0, got -1", {"seed": -1}),
             (["gradcheck", "--cases", "0"], "--cases must be >= 1, got 0", None),
             (["gradcheck", "--cases", "-3"], None, None),
             (["dynamics", "--steps", "-2", "--out", "out"], "--steps must be >= 0, got -2",
              None),
-            (["coverage", "--depth", "30"], None, None),
+            (["coverage"], None, {"depth": 30, "branching": 8}),
             # concentration + noise * N(0, 1) overflows float64: no traceback,
             # no numpy RuntimeWarning (pyproject.toml makes one an error).
             (["train"], OVERFLOW, {"ref_noise": 1e308}),
-            (["coverage", "--concentration", "1.0", "--noise", "1e308"], OVERFLOW, None),
+            (["coverage"], OVERFLOW, {"ref_noise": 1e308}),
         ],
         ids=["train-seeds", "summarize-seeds", "train-seeds-empty", "summarize-seeds-empty",
              "k-values-range", "k-values-text",
@@ -361,14 +361,12 @@ class TestMalformedInput:
     def test_exits_2_with_config_error(self, tmp_path, monkeypatch, capsys, argv, message,
                                        spec_env):
         # ``message``, when given, is the whole error line after the prefix;
-        # ``spec_env`` updates the env section of the spec train is given.
+        # ``spec_env`` updates the env section of the spec the command is given.
         monkeypatch.chdir(tmp_path)
-        if argv[0] in ("train", "summarize"):
+        if argv[0] in ("train", "summarize", "coverage"):
             data = dict(SPEC, env={**SPEC["env"], **(spec_env or {})})
             argv = argv + ["--spec", str(write_spec(tmp_path, data)),
                            "--out", str(tmp_path / "out")]
-        elif argv[0] == "coverage":
-            argv = argv + ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: config:")
@@ -413,13 +411,9 @@ class TestMalformedInput:
         # more than a 128 TiB user address space: the allocation fails at
         # once without touching memory.
         out = tmp_path / "out"
-        if command == "coverage":
-            argv = ["coverage", "--depth", "30", "--branching", "3", "--out", str(out)]
-        else:
-            env = dict(SPEC["env"], depth=30, branching=3)
-            argv = ["train", "--spec", str(write_spec(tmp_path, dict(SPEC, env=env))),
-                    "--out", str(out)]
-        assert main(argv) == 2
+        env = dict(SPEC["env"], depth=30, branching=3)
+        assert main([command, "--spec", str(write_spec(tmp_path, dict(SPEC, env=env))),
+                     "--out", str(out)]) == 2
         printed = capsys.readouterr().out
         assert printed.startswith(MEMORY_ERROR)
         assert printed.count("\n") == 1
@@ -597,8 +591,8 @@ class TestAtomicWrites:
                 dynamics.write_reports_csv([report, SimpleNamespace(csv_rows=lambda: [1])], path)
             else:
                 monkeypatch.setattr(cli, "oracle_coverage", lambda *args: {1: NotAscii(0.5)})
-                main(["coverage", "--depth", "2", "--branching", "3", "--leaves", "2",
-                      "--k-values", "1", "--out", str(path.parent)])
+                main(["coverage", "--spec", str(write_spec(tmp_path)), "--k-values", "1",
+                      "--out", str(path.parent)])
         assert os.listdir(path.parent) == ([name] if earlier else [])
         if earlier:
             assert path.read_text() == "earlier\n"
@@ -702,12 +696,17 @@ class TestSummarizeCommand:
         assert len(read) == len(set(read)) == len(SPEC["methods"]) * len(SPEC["seeds"])
 
 
+def coverage_spec(tmp_path, **env):
+    """A spec whose env is ``env``, with the generator's default
+    coefficients for the keys it leaves out."""
+    return str(write_spec(tmp_path, dict(SPEC, env=env)))
+
+
 class TestCoverageCommand:
     def test_monotone_recall_and_top_v_row(self, tmp_path, capsys):
-        assert main([
-            "coverage", "--depth", "3", "--branching", "4", "--leaves", "5",
-            "--seed", "2", "--k-values", "1,2,4", "--out", str(tmp_path),
-        ]) == 0
+        spec = coverage_spec(tmp_path, depth=3, branching=4, num_valid_leaves=5, seed=2)
+        assert main(["coverage", "--spec", spec, "--k-values", "1,2,4",
+                     "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "coverage.csv").read_text().splitlines()
         assert lines[0] == "K,recall,loss_rate"
         recalls = [float(l.split(",")[1]) for l in lines[1:]]
@@ -715,19 +714,49 @@ class TestCoverageCommand:
         assert recalls[-1] == 1.0
 
     def test_one_row_per_distinct_k(self, tmp_path, capsys):
-        assert main(["coverage", "--k-values", "4,4,1", "--out", str(tmp_path)]) == 0
+        spec = coverage_spec(tmp_path, depth=4, branching=8, num_valid_leaves=8, seed=0)
+        assert main(["coverage", "--spec", spec, "--k-values", "4,4,1",
+                     "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "coverage.csv").read_text().splitlines()
         assert [l.split(",")[0] for l in lines] == ["K", "1", "4"]
         assert capsys.readouterr().out.splitlines() == lines
+
+    def test_null_env_seed_reports_the_seed_0_tree(self, tmp_path, capsys):
+        env = json.loads(SHIPPED_SPEC.read_text())["env"]
+        assert env["seed"] is None
+        printed = []
+        for spec in (str(SHIPPED_SPEC), coverage_spec(tmp_path, **dict(env, seed=0))):
+            assert main(["coverage", "--spec", spec, "--k-values", "1,2,4,8"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--depth", "4"), ("--branching", "8"), ("--leaves", "8"), ("--concentration", "1.5"),
+        ("--noise", "0.5"), ("--seed", "0")])
+    def test_removed_tree_flag_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                         flag, value):
+        # The spec's env is the only name of a tree: a tree flag is unknown.
+        monkeypatch.chdir(tmp_path)
+        spec = write_spec(tmp_path)
+        for argv in (["coverage", flag, value],
+                     ["coverage", "--spec", str(spec), flag, value, "--out", "out"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in printed.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 class TestGradcheckCommand:
     def test_exit_zero_and_reports_all_kernels(self, capsys):
         assert main(["gradcheck", "--cases", "200"]) == 0
         out = capsys.readouterr().out
-        for name in ("grad_log_prob", "grad_prob", "grad_support_mass",
-                      "grad_anchor_ratio", "kl_penalty", "surrogate_apo"):
-            assert name in out
+        names = ["grad_log_prob", "grad_prob", "grad_support_mass", "grad_anchor_ratio",
+                 "kl_penalty"] + [f"surrogate_{m}" for m in METHODS]
+        assert [line.split(":")[0] for line in out.splitlines()] == sorted(names)
+        assert all(line.endswith("[ok]") for line in out.splitlines())
 
     def test_suite_values_below_tolerance(self):
         worst = gradient_check_suite(200, seed=1)

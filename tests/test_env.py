@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorlab.anchor import top_k
 from anchorlab.env import (
     EnvConfig,
     ReasoningTree,
-    dump_tree,
     generate_tree,
-    load_tree,
     oracle_coverage,
     rollout,
     verify,
 )
-from anchorlab.policy import LogitTable, dump_logit_table, sample_token
+from anchorlab.objectives import MethodConfig
+from anchorlab.policy import LogitTable, StackedTable, dump_logit_table, sample_token
+from anchorlab.trainer import Stack, TrainConfig, train_step
 
 
 def all_leaves(tree):
@@ -69,7 +70,8 @@ class TestGenerateTree:
         cfg = EnvConfig(depth=3, branching=4, num_valid_leaves=5, seed=42)
         a, b = generate_tree(cfg), generate_tree(cfg)
         assert a.valid_leaves == b.valid_leaves
-        assert dump_tree(a) == dump_tree(b)
+        assert bits(a.valid_ids) == bits(b.valid_ids)
+        assert dump_logit_table(a.ref_policy) == dump_logit_table(b.ref_policy)
 
     def test_reference_strictly_positive_everywhere(self):
         cfg = EnvConfig(depth=3, branching=3, num_valid_leaves=2, seed=7)
@@ -90,7 +92,7 @@ class TestGenerateTree:
         # Oracle: draw the reference one context at a time, breadth first,
         # adding the bonus once per (context, token) before the noise. With
         # noise 0 a different order of additions would turn +0.0 into -0.0,
-        # which the text format keeps.
+        # which dump_logit_table keeps.
         cfg = EnvConfig(depth=4, branching=3, num_valid_leaves=5,
                         ref_concentration=1.5, ref_noise=noise, seed=seed)
         rng = np.random.default_rng(seed)
@@ -388,7 +390,90 @@ class TestRollout:
         assert abs(hits / n - exact) < 3 * sigma + 1e-9
 
 
+def shapes(max_leaves=1024):
+    return st.tuples(st.integers(1, 6), st.integers(2, 6)).filter(
+        lambda s: s[1] ** s[0] <= max_leaves)
+
+
+def walked_coverage(tree, model, ks):
+    """Oracle: the recall table walked one (valid leaf, step) pair at a
+    time, each step ranking the model's row with :func:`top_k`."""
+    hits = {k: 0 for k in ks}
+    total = 0
+    for leaf in sorted(tree.valid_leaves):
+        ctx = tree.ROOT
+        for t in leaf:
+            ranked = top_k(model.dist(ctx), tree.branching)
+            for k in ks:
+                hits[k] += t in ranked[:k]
+            total += 1
+            ctx = tree.child_context(ctx, t)
+    return {k: hits[k] / total for k in ks}
+
+
+def trained_cell(tree, steps=6):
+    """Cell 0 of a one-cell grpo stack after ``steps`` steps from the
+    reference clipped to [-3, 3], so that no start row is one-hot and every
+    tree's rollouts vary: a model that is not the reference."""
+    start = LogitTable(np.clip(tree.ref_policy.logits(np.arange(tree.num_contexts())), -3, 3))
+    table = StackedTable(start, 1)
+    stack = Stack(TrainConfig(groups_per_step=4), [MethodConfig(learning_rate=2.0)], tree)
+    rngs = [np.random.default_rng(tree.depth)]
+    for step in range(steps):
+        train_step(table, tree, stack, rngs, step)
+    cell = table.cell(0)
+    assert dump_logit_table(cell) not in map(dump_logit_table, (start, tree.ref_policy))
+    return cell
+
+
+COVERAGE_TREES = [
+    EnvConfig(depth=3, branching=4, num_valid_leaves=9, ref_concentration=0.0,
+              ref_noise=0.0, seed=3),  # every row uniform: every rank decided by ties
+    EnvConfig(depth=3, branching=5, num_valid_leaves=11, ref_concentration=1.0,
+              ref_noise=400.0, seed=1),  # rows of exact 0.0 entries, tied below the top
+    EnvConfig(depth=1, branching=6, num_valid_leaves=3, seed=5),
+    EnvConfig(depth=2, branching=2, num_valid_leaves=3, seed=0),
+    EnvConfig(depth=4, branching=8, num_valid_leaves=8, ref_noise=0.75, seed=0),
+    EnvConfig(depth=3, branching=32, num_valid_leaves=64, ref_concentration=3.0,
+              ref_noise=1.0, seed=2),
+    EnvConfig(depth=5, branching=3, num_valid_leaves=40, seed=7),
+]
+
+
 class TestOracleCoverage:
+    @pytest.mark.parametrize("model", ["reference", "trained", "integer-logits"])
+    @pytest.mark.parametrize("cfg", COVERAGE_TREES,
+                             ids=["all-ties", "zeros", "depth-1", "D2-B2", "collapse-shape",
+                                  "D3-B32", "D5-B3"])
+    def test_equals_per_pair_walk_at_every_k(self, cfg, model):
+        tree = generate_tree(cfg)
+        b = tree.branching
+        if model == "reference":
+            policy = tree.ref_policy
+        elif model == "trained":
+            policy = trained_cell(tree)
+        else:
+            # Logits in {-2, ..., 2}: ties among some tokens of a row, not all.
+            rng = np.random.default_rng(cfg.seed)
+            policy = LogitTable(rng.integers(-2, 3, (tree.num_contexts(), b)).astype(float))
+        ks = range(1, b + 1)
+        assert repr(oracle_coverage(tree, policy, ks)) == repr(walked_coverage(tree, policy, ks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=shapes(max_leaves=256), data=st.data())
+    def test_generated_trees_equal_per_pair_walk(self, shape, data):
+        depth, branching = shape
+        cfg = EnvConfig(
+            depth, branching,
+            data.draw(st.integers(1, branching**depth), label="num_valid_leaves"),
+            ref_concentration=data.draw(st.sampled_from([0.0, 1.5, 3.0]), label="concentration"),
+            ref_noise=data.draw(st.sampled_from([0.0, 0.5, 400.0]), label="noise"),
+            seed=data.draw(st.integers(0, 2**16), label="seed"))
+        tree = generate_tree(cfg)
+        ks = range(1, branching + 1)
+        assert repr(oracle_coverage(tree, tree.ref_policy, ks)) == repr(
+            walked_coverage(tree, tree.ref_policy, ks))
+
     def brute_force(self, tree, model, k):
         hits = total = 0
         for leaf in sorted(tree.valid_leaves):
@@ -455,53 +540,6 @@ class TestOracleCoverage:
             oracle_coverage(tree, tree.ref_policy, {4})
 
 
-# A valid reference for a D=2, B=3 tree: 4 contexts, V=3.
-TABLE_4X3 = dump_logit_table(LogitTable(np.zeros((4, 3))))
-
-
-class TestTreeSerialization:
-    def test_round_trip(self):
-        tree = generate_tree(EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=31))
-        loaded = load_tree(dump_tree(tree))
-        assert loaded.depth == tree.depth
-        assert loaded.branching == tree.branching
-        assert loaded.valid_leaves == tree.valid_leaves
-        assert len(loaded.ref_policy) == len(tree.ref_policy)
-        for ctx in range(len(tree.ref_policy)):
-            np.testing.assert_array_equal(
-                loaded.ref_policy.logits(ctx), tree.ref_policy.logits(ctx)
-            )
-
-    def test_header(self):
-        tree = generate_tree(EnvConfig(depth=2, branching=3, num_valid_leaves=2, seed=1))
-        assert dump_tree(tree).splitlines()[0] == "D=2 B=3"
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "D=2 B=3\n0,5\nV=3\nctx=0 z=0.0,0.0,0.0\n",
-            "D=2\n0,1\n" + TABLE_4X3,
-            "D=x B=3\n0,1\n" + TABLE_4X3,
-            "D=2 B=3 C=4\n0,1\n" + TABLE_4X3,
-            "",
-            "D=2 B=3\n0,1,2\n" + TABLE_4X3,
-            "D=2 B=3\n0\n" + TABLE_4X3,
-            "D=2 B=3\n0,3\n" + TABLE_4X3,
-            "D=2 B=3\n-1,0\n" + TABLE_4X3,
-            "D=2 B=3\n0,1\n" + dump_logit_table(LogitTable(np.zeros((4, 2)))),
-            "D=2 B=3\n0,1\nV=3\nctx=0 z=0.0,0.0,0.0\n",
-            "D=2 B=3\n0,1\n" + dump_logit_table(LogitTable(np.zeros((5, 3)))),
-        ],
-        ids=["leaf-token-5-and-one-row", "header-no-B", "header-not-int", "header-extra",
-             "empty", "leaf-too-long", "leaf-too-short", "leaf-token-B", "leaf-token-negative",
-             "ref-V-not-B", "ref-one-row", "ref-too-many-rows"],
-    )
-    def test_malformed_tree_rejected_at_load(self, text):
-        assert load_tree("D=2 B=3\n0,1\n" + TABLE_4X3).valid_leaves == {(0, 1)}
-        with pytest.raises(ValueError):
-            load_tree(text)
-
-
 class _LeafWalk:
     """Stub generator whose draws walk a uniform policy through every leaf
     once, in lexicographic order: draw (k + 0.5) / B selects token k."""
@@ -530,19 +568,13 @@ def assert_rewards_are_verify(tree):
     assert tree.valid_ids.tolist() == sorted(tree.valid_ids.tolist())
 
 
-def shapes(max_leaves=1024):
-    return st.tuples(st.integers(1, 6), st.integers(2, 6)).filter(
-        lambda s: s[1] ** s[0] <= max_leaves)
-
-
-def tree_text(depth, branching, leaf_ids):
-    """:func:`dump_tree` text for the leaves with the given lexicographic
-    indices and a zero reference."""
+def chosen_tree(depth, branching, leaf_ids):
+    """A tree whose valid leaves have the given lexicographic indices, with
+    a zero reference."""
     leaves = list(itertools.product(range(branching), repeat=depth))
     c = (branching**depth - 1) // (branching - 1)
-    lines = [f"D={depth} B={branching}"]
-    lines += [",".join(map(str, leaves[i])) for i in leaf_ids]
-    return "\n".join(lines) + "\n" + dump_logit_table(LogitTable(np.zeros((c, branching))))
+    return ReasoningTree(depth, branching, frozenset(leaves[i] for i in leaf_ids),
+                         LogitTable(np.zeros((c, branching))))
 
 
 class TestRewardFromLeafIds:
@@ -556,18 +588,18 @@ class TestRewardFromLeafIds:
 
     @settings(max_examples=60, deadline=None)
     @given(shape=shapes(), data=st.data())
-    def test_loaded_trees(self, shape, data):
+    def test_chosen_leaf_ids(self, shape, data):
         depth, branching = shape
         ids = data.draw(st.lists(st.integers(0, branching**depth - 1), unique=True),
                         label="leaf ids")
-        tree = load_tree(tree_text(depth, branching, ids))
+        tree = chosen_tree(depth, branching, ids)
         assert tree.valid_ids.tolist() == sorted(ids)
         assert_rewards_are_verify(tree)
 
     @pytest.mark.parametrize("depth, branching", [(1, 2), (3, 3), (5, 2), (2, 7)])
     def test_every_leaf_valid(self, depth, branching):
         every = range(branching**depth)
-        for tree in (load_tree(tree_text(depth, branching, every)),
+        for tree in (chosen_tree(depth, branching, every),
                      generate_tree(EnvConfig(depth, branching, branching**depth))):
             assert tree.valid_ids.tolist() == list(every)
             assert_rewards_are_verify(tree)

@@ -14,6 +14,8 @@ from anchorlab.gradients import (
     max_relative_error,
 )
 from anchorlab.objectives import (
+    _ROLES,
+    METHODS,
     CellMethods,
     MethodConfig,
     anchor_reference,
@@ -282,6 +284,11 @@ class TestApoTokenUpdate:
 
 
 class TestMethodDispatch:
+    def test_every_method_has_roles(self):
+        # The gradient kernel reads a token's role from _ROLES, and gradcheck
+        # checks the surrogate of every METHODS entry: the two name one set.
+        assert set(_ROLES) == set(METHODS)
+
     def test_grpo_kl_reduces_to_grpo_at_reference(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
