@@ -479,7 +479,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # Values that all pass their bounds may still size an array beyond
         # memory: a tree's (C, B) reference table, or a sample block sized
-        # by groups_per_step or eval_samples_k.
+        # by groups_per_step, group_size or eval_samples_k, even one numpy
+        # cannot shape (policy.uniform_block).
         print(f"error: config: an array sized by the config does not fit in memory: {exc}")
         return 2
     except OSError as exc:

@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import ReasoningTree, rollout
-from .policy import StackedTable, distinct, segment_sums
+from .objectives import kl_rows
+from .policy import StackedTable, distinct, segment_sums, uniform_block
 
 CSV_HEADER = "step,pass1,passK,entropy,maxprob,diversity,support_mass,kl,eval_K"
 
@@ -202,11 +203,9 @@ def kl_to_reference(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Exact KL(policy || ref) of each of n contexts, from their ``(n, V)``
     policy and reference rows, each as
     :func:`~anchorlab.objectives.kl_penalty` sums it."""
-    pos = P > 0.0
-    if np.logical_or.reduce((Q <= 0.0) & pos, axis=None):
+    if np.logical_or.reduce((Q <= 0.0) & (P > 0.0), axis=None):
         raise ValueError("reference assigns zero mass where the policy is positive")
-    p = P[pos]
-    return segment_sums(p * np.log(p / Q[pos]), np.add.reduce(pos.T.copy(), axis=0))
+    return kl_rows(P, Q)[1]
 
 
 def evaluate(
@@ -235,7 +234,7 @@ def evaluate(
     elif not 1 <= support_k <= tree.branching:
         raise ValueError(f"support_k must be in [1, {tree.branching}], got {support_k}")
     cells, c = len(rngs), table.contexts
-    u = np.empty((cells * eval_k, tree.depth))
+    u = uniform_block(cells * eval_k, tree.depth)
     for s, rng in enumerate(rngs):
         rng.random(out=u[s * eval_k:(s + 1) * eval_k])
     base = np.arange(0, cells * c, c).repeat(eval_k)

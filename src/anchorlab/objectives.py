@@ -38,7 +38,7 @@ import numpy as np
 
 from .anchor import DegenerateAnchorError, build_anchor, grad_anchor_ratio
 from .gradients import grad_log_prob, grad_prob
-from .policy import check_float, check_int, segment_sums
+from .policy import check_float, check_int, layout_sums, segment_layout, segment_sums
 
 METHODS = ("grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo")
 
@@ -244,9 +244,9 @@ def method_token_update(
 # ---------------------------------------------------------------------------
 # Dense kernel: every token of a stack's batch at once, each under its own
 # cell's method config. Each expression is evaluated in the scalar kernels'
-# order. A sum over part of a row is a
-# :func:`~anchorlab.policy.segment_sums` call, or for the anchor a sum over
-# fixed-width gather tables that :func:`anchor_reference` builds per step.
+# order. A sum over part of a row is a :func:`~anchorlab.policy.segment_sums`
+# call, or for the anchor a sum through the segment layout that
+# :func:`anchor_reference` builds per step.
 
 # What a token's update is, by its method and the sign of its advantage:
 # the clipped surrogate alone, nsr's log-likelihood term, the clipped
@@ -261,36 +261,30 @@ _ROLES = {  # method: (role at advantage >= 0, role at advantage < 0)
 }
 
 
-def _kl_grads(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """:func:`kl_penalty` gradient per row."""
+def kl_rows(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: ``log(P / Q)``, 0.0 where ``P`` is 0, and KL(P || Q) summed
+    over the positive entries in token order, as :func:`kl_penalty` does."""
     pos = P > 0.0
-    log_ratio = np.log(np.where(pos, P / Q, 1.0))
-    kl = segment_sums((P * log_ratio)[pos], np.add.reduce(pos.T.copy(), axis=0))
-    return P * (log_ratio - kl[:, None])
+    # Divided only where P > 0, so a Q that underflows to 0 with P gives no 0/0.
+    log_ratio = np.log(np.divide(P, Q, out=np.where(pos, P, 1.0), where=pos))
+    return log_ratio, segment_sums((P * log_ratio)[pos], np.add.reduce(pos.T.copy(), axis=0))
 
 
 def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: np.ndarray):
     """The reference half of :func:`~anchorlab.anchor.build_anchor` per row,
-    laid out as gather tables for the passes of a step.
+    laid out for the passes of a step.
 
     It reads only the reference rows ``Q``, the tokens and each row's
     anchor width ``k`` (an ``(N,)`` int array), so a train step builds it
-    once for all its passes and all its rows' widths. Every anchor is the
-    Top-k minus the row's token, so a row has min(k, V) members, or one
-    fewer when its token is in the Top-k. Returns ``(member, z_ref, empty,
-    groups, order)``: ``member`` is the ``(N, V)`` member mask, ``z_ref``
-    each row's Z_ref (1.0 for an empty anchor) and ``empty`` marks rows
-    with no member. ``groups`` holds one table per distinct member count,
-    ascending, for the rows with that count in batch order. Each is an
-    ``(r, 2, width)`` array of flat indices into the ``(N, V)`` rows that
-    lists each of its rows' members twice: in Top-k order, as
-    ``build_anchor`` sums the anchor mass and Z_ref, and in ascending token
-    order, as ``grad_support_mass`` sums P_safe. So
-    ``P.take(idx).sum(axis=-1)`` is bitwise the scalar kernel's sums, and
-    row i's are row ``order[i]`` of the groups' sums concatenated. Short
-    rows are not zero-padded to a common width: numpy sums 8 or more terms
-    pairwise, so 7 or 15 members and a trailing +0.0 would be summed in
-    another order.
+    once for all its passes and widths. An anchor is the Top-k minus the
+    row's token: min(k, V) members, or one fewer when the token is in the
+    Top-k. Returns ``(member, z_ref, empty, layout)``: the ``(N, V)`` member
+    mask, each row's Z_ref (1.0 for an empty anchor), the rows with no
+    member, and a :func:`~anchorlab.policy.segment_layout` of flat indices
+    into the ``(N, V)`` rows that lists every row's members in Top-k order,
+    as ``build_anchor`` sums the anchor mass and Z_ref, then every row's in
+    ascending token order, as ``grad_support_mass`` sums P_safe. So
+    ``layout_sums(P, layout)`` is the scalar kernel's masses, then P_safes.
     """
     n, v = Q.shape
     base = np.arange(0, n * v, v)
@@ -299,23 +293,11 @@ def anchor_reference(Q: np.ndarray, tokens: np.ndarray, k: np.ndarray):
     width = np.add.reduce(keep.T.copy(), axis=0)
     member = np.zeros(n * v, dtype=bool)
     member[top[keep]] = True
-    z_ref = np.empty(n)
-    z_ref.fill(1.0)
-    groups, grouped = [], []
-    for w in np.bincount(width).nonzero()[0].tolist():
-        at = width == w
-        rows = at.nonzero()[0]
-        ranked = top[keep & at[:, None]].reshape(rows.size, w)
-        if w:
-            z_ref[rows] = np.add.reduce(Q.take(ranked), axis=-1)
-        idx = np.concatenate((ranked, ranked), axis=1)
-        idx[:, w:].sort(axis=1)
-        groups.append(idx.reshape(rows.size, 2, w))
-        grouped.append(rows)
-    order = np.empty(n, dtype=np.intp)
-    order[np.concatenate(grouped)] = np.arange(n)
+    layout = segment_layout(np.concatenate((width, width)),
+                            np.concatenate((top[keep], member.nonzero()[0])))
     # Only a Top-1 anchor can be empty, when the token is the Top-1.
-    return member.reshape(n, v), z_ref, width == 0, tuple(groups), order
+    empty = width == 0
+    return member.reshape(n, v), np.where(empty, 1.0, layout_sums(Q, layout)[:n]), empty, layout
 
 
 class TokenColumns(NamedTuple):
@@ -327,8 +309,8 @@ class TokenColumns(NamedTuple):
     advantage, with their ``(n, 1)`` ``kl_coef`` column and reference rows
     ``kl_ref`` (None when no row reads the reference); the apo tokens with
     a negative advantage, with their ``push_coef`` and ``pull_coef``
-    columns and anchor tables (:func:`anchor_reference`; None when there
-    are no such tokens)."""
+    columns and anchors ``(member, z_ref, empty, layout)``
+    (:func:`anchor_reference`; None when there are no such tokens)."""
 
     low: np.ndarray
     high: np.ndarray
@@ -398,10 +380,11 @@ def token_gradients(
     ``i * V + tokens[i]`` into the rows, ``o_t`` the old probability of
     each token, ``O.take(flat)``, and ``cols`` the per-token columns. Every
     token's clipped-surrogate gradient is computed, and the nsr, KL and apo
-    rows then get their own. Multiplying by a per-row column gives the bits
-    that multiplying by the config's scalar gives. Returns ``(N, V)``
-    gradients and ``(N,)`` boolean clipped and degenerate-anchor flags, all
-    bitwise equal to the scalar kernel's.
+    rows then get their own, apo's anchor mass and P_safe in one sum through
+    the layout of ``cols.anchors``. A product with a per-row column has the
+    bits of the product with the config's scalar. Returns ``(N, V)``
+    gradients and ``(N,)`` clipped and degenerate-anchor flags, bitwise the
+    scalar kernel's.
     """
     p_t = P.take(flat)
     a = adv[:, None]
@@ -429,16 +412,16 @@ def token_gradients(
         grads[nsr] = nsr_grads
         clipped[nsr] = False
     if kl.size:
-        kl_grads = _kl_grads(P.take(kl, axis=0), cols.kl_ref)
-        grads[kl] = grads.take(kl, axis=0) - cols.kl_coef * kl_grads
+        P_kl = P.take(kl, axis=0)
+        log_ratio, value = kl_rows(P_kl, cols.kl_ref)
+        grads[kl] = grads.take(kl, axis=0) - cols.kl_coef * (P_kl * (log_ratio - value[:, None]))
     if not apo.size:
         return grads, clipped, degenerate
 
     # apo: the rectified ratio on negative advantages, gated by the window.
-    member, z_ref, empty, groups, order = cols.anchors
+    member, z_ref, empty, layout = cols.anchors
     P = P.take(apo, axis=0)
-    sums = np.concatenate([np.add.reduce(P.take(idx), axis=-1) for idx in groups])
-    mass, p_safe = sums.take(order, axis=0).T
+    mass, p_safe = layout_sums(P, layout).reshape(2, apo.size)
     a = a.take(apo, axis=0)
     # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms
     # are +0.0 and leave the push-only update bit for bit.

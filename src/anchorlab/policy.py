@@ -68,24 +68,39 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments of the 1-D array ``flat``, with lengths
-    ``counts``; each is bitwise the ``.sum()`` of its segment.
-
-    This is the lab's one rule for a sum over part of a probability row:
-    the row's subset compressed in the order the scalar kernel takes it,
-    then summed. numpy sums 8 or more terms pairwise, so a masked or
-    zero-padded full-row sum would differ in the last bits; segments of
-    one length m are summed as rows of an ``(r, m)`` block instead.
-    """
-    if counts.size and np.logical_and.reduce(counts == counts[0]):
-        return np.add.reduce(flat.reshape(counts.size, counts[0]), axis=1)
+def segment_layout(counts: np.ndarray, index: np.ndarray | None = None) -> tuple:
+    """The lab's one rule for sums over parts of probability rows, laid out
+    once: consecutive segments of lengths ``counts`` of the terms ``index``
+    (default 0, 1, 2, ...) in the scalar kernel's order, as one ``(rows,
+    table)`` pair per distinct length m, the ids of its segments and the
+    ``(r, m)`` flat positions of their terms, which :func:`layout_sums` sums
+    as the rows of a block: numpy sums 8 or more terms pairwise, so a
+    masked or zero-padded full-row sum would differ in the last bits."""
     starts = counts.cumsum() - counts
-    out = np.empty(counts.size)
+    layout = []
     for m in set(counts.tolist()):
         rows = (counts == m).nonzero()[0]
-        out[rows] = np.add.reduce(flat.take(starts[rows, None] + np.arange(m)), axis=1)
+        at = starts[rows, None] + np.arange(m)
+        layout.append((rows, at if index is None else index.take(at)))
+    return tuple(layout)
+
+
+def layout_sums(values: np.ndarray, layout: tuple) -> np.ndarray:
+    """Each segment's sum of ``values`` (flattened) at the positions of a
+    :func:`segment_layout`, bitwise their ``.sum()``; an empty one is 0.0."""
+    out = np.empty(sum(rows.size for rows, _ in layout))
+    for rows, table in layout:
+        out[rows] = np.add.reduce(values.take(table), axis=1)
     return out
+
+
+def segment_sums(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of the 1-D array ``flat`` with lengths
+    ``counts``: one :func:`segment_layout`, built and summed once, or one
+    reshape when every segment has one length."""
+    if counts.size and np.logical_and.reduce(counts == counts[0]):
+        return np.add.reduce(flat.reshape(counts.size, counts[0]), axis=1)
+    return layout_sums(flat, segment_layout(counts))
 
 
 def distinct(ids: np.ndarray) -> np.ndarray:
@@ -98,6 +113,15 @@ def distinct(ids: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(out[1:], out[:-1], out=first[1:])
     return out.compress(first)
+
+
+def uniform_block(rows: int, depth: int) -> np.ndarray:
+    """An unfilled float64 ``(rows, depth)`` block; a shape numpy cannot even
+    represent raises MemoryError, as one too large to allocate does."""
+    try:
+        return np.empty((rows, depth))
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
 
 
 def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:

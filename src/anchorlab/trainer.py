@@ -33,9 +33,9 @@ config as per-token columns: its clip bounds, and the rows, coefficients
 and reference rows of the branches only some tokens take (nsr's, the KL
 penalty's and apo's negative branch). The reference rows are read with
 one ``dist`` call per step, at the KL and apo rows only. For the apo
-rows the reference half of every anchor is built once, as fixed-width
-gather tables, with one :func:`~anchorlab.objectives.anchor_reference`
-call per step whatever the rows' ``anchor_k``; no table is copied.
+rows the reference half of every anchor and its segment layout are built
+once, by one :func:`~anchorlab.objectives.anchor_reference` call per step
+whatever the rows' ``anchor_k``; no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
 rows as the live policies', since no policy has changed since the
@@ -88,7 +88,7 @@ import numpy as np
 from .env import ReasoningTree, generate_tree, rollout  # noqa: F401
 from .metrics import MetricRecord, atomic_open, evaluate
 from .objectives import CellMethods, MethodConfig, group_advantages, token_gradients
-from .policy import LogitTable, StackedTable, check_int, distinct
+from .policy import LogitTable, StackedTable, check_int, distinct, uniform_block
 
 
 @dataclass
@@ -158,7 +158,7 @@ class Stack:
         self.train, self.cells, self.group_size = train, cells, n
         # The largest array first and left unwritten: a schedule too large
         # for memory fails at this allocation, before any array is filled.
-        self.u = np.empty((cells * g * n, tree.depth))
+        self.u = uniform_block(cells * g * n, tree.depth)
         self.methods = CellMethods(mcfgs)
         self.adv_eps = np.array([m.adv_eps for m in mcfgs]).repeat(g)[:, None]
         self.learning_rate = [m.learning_rate for m in mcfgs]

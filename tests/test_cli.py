@@ -419,19 +419,31 @@ class TestMalformedInput:
         assert printed.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("eval_samples_k", 10**11),
-                                            ("groups_per_step", 10**10)])
+    @pytest.mark.parametrize("key, value, why", [
+        ("eval_samples_k", 10**11, "TiB"),
+        ("groups_per_step", 10**10, "TiB"),
+        # Blocks numpy cannot even shape: more bytes than an array can
+        # hold, or a dimension past the int64 range.
+        ("groups_per_step", 10**17, "array is too big"),
+        ("eval_samples_k", 2**62, "Maximum allowed dimension exceeded"),
+        ("group_size", 10**29, "Maximum allowed dimension exceeded"),
+    ], ids=["eval_samples_k-100000000000", "groups_per_step-10000000000",
+            "groups_per_step-1e17", "eval_samples_k-2**62", "group_size-1e29"])
     def test_sample_block_too_large_for_memory_exits_2_before_any_cell(self, tmp_path,
-                                                                      capsys, key, value):
+                                                                      capsys, key, value, why):
         # Every value is in bounds, but the 2 cells' (cells*K, D) evaluation
-        # block, or their (cells*G*n, D) training block, is over 2 TiB: the
-        # allocation fails at once, and no cell of the stack is written.
-        spec = dict(SPEC, train=dict(SPEC["train"], **{key: value}))
+        # block, or their (cells*G*n, D) training block, is over 2 TiB or
+        # past what numpy can shape: the allocation fails at once, and no
+        # cell of the stack is written.
+        if key == "group_size":  # a stack's cells share it
+            spec = dict(SPEC, methods=[dict(m, group_size=value) for m in SPEC["methods"]])
+        else:
+            spec = dict(SPEC, train=dict(SPEC["train"], **{key: value}))
         out = tmp_path / "out"
         assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
                      "--out", str(out)]) == 2
         printed = capsys.readouterr().out
-        assert printed.startswith(MEMORY_ERROR) and "TiB" in printed
+        assert printed.startswith(MEMORY_ERROR) and why in printed
         assert printed.count("\n") == 1
         assert not any(p.is_file() for p in out.rglob("*"))
 

@@ -459,6 +459,15 @@ class TestKlToReference:
         assert moved > 1e-9
         assert kept == pytest.approx(0.0, abs=1e-12)
 
+    def test_entries_zero_in_both_rows_are_skipped(self):
+        # A reference that underflows to 0 where the policy does too: the
+        # entry adds nothing and is never divided (0/0 would warn).
+        z = np.array([[0.0, -800.0, 0.3, 0.0], [0.2, 0.0, -900.0, 0.0]])
+        P, Q = LogitTable(z + [0.5, 0.0, 0.0, 0.0]).dist([0, 1]), LogitTable(z).dist([0, 1])
+        assert np.count_nonzero(P == 0.0) == np.count_nonzero(Q == 0.0) == 2
+        want = [kl_penalty(p, q)[0] for p, q in zip(P, Q)]
+        assert [bits(x) for x in kl_to_reference(P, Q)] == [bits(x) for x in want]
+
 
 class TestEvaluate:
     def test_record_consistency(self):

@@ -28,7 +28,7 @@ from anchorlab.objectives import (
     method_token_update,
     token_gradients,
 )
-from anchorlab.policy import softmax
+from anchorlab.policy import layout_sums, softmax
 
 DEFAULTS = MethodConfig()
 
@@ -432,8 +432,14 @@ class TestTokenGradients:
             MethodConfig(method="apo", pull_coef=0.2, anchor_k=2, push_coef=1.1),
             MethodConfig(method="apo", pull_coef=0.05, anchor_k=1, clip_eps=0.25),
             MethodConfig(method="apo", pull_coef=0.3, anchor_k=4),
+            # At V = 40 these give anchors of 6 to 16 members, across
+            # numpy's 8-term pairwise boundary, in the one layout.
+            MethodConfig(method="apo", anchor_k=7),
+            MethodConfig(method="apo", anchor_k=8),
+            MethodConfig(method="apo", anchor_k=9),
+            MethodConfig(method="apo", anchor_k=16),
         ]
-        n = 600
+        n = 900
         tokens, P, O, Q, adv = kernel_rows(v, 4, n, v)
         # Every fourth token is its reference's Top-1, which leaves a Top-1
         # anchor empty.
@@ -454,6 +460,16 @@ class TestTokenGradients:
             (method == "grpo_kl_error_only") & neg)).nonzero()[0].tolist()
         assert cols.apo.tolist() == ((method == "apo") & neg).nonzero()[0].tolist()
         assert cols.nsr.tolist() == (method == "nsr").nonzero()[0].tolist()
+
+    def test_kl_skips_entries_zero_in_both_rows(self):
+        # A reference that underflows to 0 where the policy does too: the
+        # entry is never divided (0/0 would warn) and adds nothing.
+        n = 200
+        tokens, P, O, Q, adv = kernel_rows(8, 4, n, 5)
+        Q = np.where(P == 0.0, 0.0, Q)
+        cfgs, cell = [MethodConfig(method="grpo_kl")], np.zeros(n, dtype=np.intp)
+        (grads, clipped, degenerate), _, _ = dense_gradients(cfgs, cell, tokens, P, O, Q, adv)
+        assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate)
 
     def test_one_anchor_reference_for_every_anchor_k(self, monkeypatch):
         import anchorlab.objectives as objectives
@@ -479,9 +495,9 @@ class TestTokenGradients:
 
 
 class TestAnchorReference:
-    """The per-step anchor tables against the scalar build_anchor, row by
-    row: the member set, Z_ref and the empty flag, and the anchor mass and
-    P_safe that a pass sums from the gather tables."""
+    """The per-step anchors against the scalar build_anchor, row by row:
+    the member set, Z_ref and the empty flag, and the anchor mass and
+    P_safe that a pass sums through the segment layout."""
 
     @pytest.mark.parametrize("tokens_at", ["mixed", "inside", "outside"])
     @pytest.mark.parametrize("v", [2, 3, 8, 12, 40])
@@ -504,15 +520,19 @@ class TestAnchorReference:
             low, high = {"mixed": (0, v), "inside": (0, m), "outside": (m, v)}[tokens_at]
             pick = rng.integers(low, high, size=n)
             tokens = ranked[np.arange(n), pick]
-            member, z_ref, empty, groups, order = anchor_reference(Q, tokens, np.full(n, k))
+            member, z_ref, empty, layout = anchor_reference(Q, tokens, np.full(n, k))
 
-            # Each row is one row of a group, whose width is its member count.
-            assert sorted(order.tolist()) == list(range(n))
-            widths = np.concatenate([np.full(len(idx), idx.shape[2]) for idx in groups])[order]
-            mass, p_safe = np.concatenate([P.take(idx).sum(axis=-1) for idx in groups])[order].T
+            # Each row's two segments, its Top-k and its ascending list, are
+            # rows of the table of their width, which is its member count.
+            widths = np.empty(2 * n, dtype=np.intp)
+            for rows, table in layout:
+                widths[rows] = table.shape[1]
+            assert sorted(np.concatenate([rows for rows, _ in layout]).tolist()) == \
+                list(range(2 * n))
+            mass, p_safe = layout_sums(P, layout).reshape(2, n)
             count = np.where(pick < m, m - 1, m)
-            assert [idx.shape[2] for idx in groups] == sorted(set(count.tolist()))
-            assert np.all(widths == count)
+            assert sorted(table.shape[1] for _, table in layout) == sorted(set(count.tolist()))
+            assert np.all(widths == np.concatenate((count, count)))
 
             for i in range(n):
                 tok = int(tokens[i])

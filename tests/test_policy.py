@@ -12,8 +12,10 @@ from anchorlab.policy import (
     distinct,
     dump_logit_table,
     entropy,
+    layout_sums,
     load_logit_table,
     sample_token,
+    segment_layout,
     segment_sums,
     softmax,
 )
@@ -302,6 +304,23 @@ class TestSegmentSums:
         assert got.shape == (counts.size,)
         for i, (start, end) in enumerate(zip(ends - counts, ends)):
             assert got[i].tobytes() == flat[start:end].copy().sum().tobytes()
+
+    def test_layout_through_an_index_sums_each_segment_as_its_1d_sum(self):
+        # Lengths on both sides of numpy's 8-term pairwise boundary, mixed
+        # and repeated in one layout, each segment's terms at the positions
+        # a shuffled index array lists, of a 2-D array read flat.
+        counts = np.array([17, 0, 8, 1, 15, 7, 9, 16, 8, 0, 17, 1, 9, 7, 16, 15], dtype=np.intp)
+        rng = np.random.default_rng(24)
+        values = rng.random((4, counts.sum())) * 10.0 ** rng.integers(-8, 8, (4, counts.sum()))
+        index = rng.permutation(values.size)[:counts.sum()]
+        layout = segment_layout(counts, index)
+        assert sorted(table.shape[1] for _, table in layout) == [0, 1, 7, 8, 9, 15, 16, 17]
+        got = layout_sums(values, layout)
+        assert got.shape == (counts.size,)
+        ends = np.cumsum(counts)
+        for i, (start, end) in enumerate(zip(ends - counts, ends)):
+            want = values.ravel()[index[start:end]].sum()
+            assert got[i].tobytes() == want.tobytes()
 
 
 def test_entropy_reference_values():

@@ -20,7 +20,7 @@ from anchorlab.objectives import (
     method_token_update,
     token_gradients,
 )
-from anchorlab.policy import LogitTable, StackedTable, dump_logit_table, softmax
+from anchorlab.policy import LogitTable, StackedTable, dump_logit_table, layout_sums, softmax
 from anchorlab.trainer import (
     Stack,
     StepStats,
@@ -129,11 +129,15 @@ def assert_columns(batch, mcfgs, ref_rows):
     if apo:
         assert cols.push_coef.tolist() == [cfgs[i].push_coef for i in apo]
         assert cols.pull_coef.tolist() == [cfgs[i].pull_coef for i in apo]
-        member, z_ref, empty, _, _ = cols.anchors
+        member, z_ref, empty, layout = cols.anchors
+        # Both sums of every row, its Top-k's and its ascending list's, here
+        # over the reference rows.
+        sums = layout_sums(ref_rows.take(apo, axis=0), layout).reshape(2, len(apo))
         for j, i in enumerate(apo):
-            m, z, e, _, _ = anchor_reference(ref_rows[i:i + 1], batch.tok[i:i + 1],
-                                             np.array([cfgs[i].anchor_k]))
+            m, z, e, one = anchor_reference(ref_rows[i:i + 1], batch.tok[i:i + 1],
+                                            np.array([cfgs[i].anchor_k]))
             assert (bits(member[j]), bits(z_ref[j]), empty[j]) == (bits(m[0]), bits(z[0]), e[0])
+            assert bits(sums[:, j]) == bits(layout_sums(ref_rows[i:i + 1], one))
 
 
 def small_cfg(**overrides):
@@ -229,13 +233,14 @@ class TestTrainStep:
     def test_anchor_reference_built_once_per_step(self, monkeypatch, method, builds):
         # An anchor's reference half reads only the reference rows and the
         # tokens, which are fixed for the step: apo builds it once for all
-        # three passes, the other methods never. apo's passes sum their
-        # anchors from its gather tables, never with segment_sums, and the
-        # reference softmax is taken once per step, only by the methods
-        # that read it.
+        # three passes, the other methods never. So is its segment layout,
+        # which no pass builds: apo's passes sum their anchors through it,
+        # never with segment_sums, and the reference softmax is taken once
+        # per step, only by the methods that read it.
         tree = generate_tree(SMALL_ENV)
         cfg, mcfg = small_cfg(inner_epochs=3), MethodConfig(method=method, learning_rate=5.0)
-        calls = {"anchor_reference": [], "segment_sums": [], "ref_dist": []}
+        calls = {"anchor_reference": [], "segment_sums": [], "ref_dist": [], "layout": [],
+                 "pass": []}
 
         def spy(owner, name, key):
             def counted(*args, call=getattr(owner, name)):
@@ -245,6 +250,18 @@ class TestTrainStep:
 
         spy(objectives, "anchor_reference", "anchor_reference")
         spy(objectives, "segment_sums", "segment_sums")
+        spy(objectives, "segment_layout", "layout")
+        spy(policy_module, "segment_layout", "layout")
+        layouts_in_passes = []
+
+        def spy_pass(*args, call=trainer.apply_token_batch):
+            before = len(calls["layout"])
+            calls["pass"].append(args)
+            out = call(*args)
+            layouts_in_passes.append(len(calls["layout"]) - before)
+            return out
+
+        monkeypatch.setattr(trainer, "apply_token_batch", spy_pass)
         table = cell_of_one(tree)
         spy(tree.ref_policy, "dist", "ref_dist")
         rng = np.random.default_rng(11)
@@ -254,9 +271,11 @@ class TestTrainStep:
             for key in calls:
                 calls[key].clear()
             one_step(table, tree, cfg, mcfg, rng, step)
-            assert len(calls["anchor_reference"]) == builds
+            assert len(calls["anchor_reference"]) == len(calls["layout"]) == builds
+            assert len(calls["pass"]) == cfg.inner_epochs
             assert len(calls["ref_dist"]) == int(reads_reference)
             sums += len(calls["segment_sums"])
+        assert layouts_in_passes == [0] * (4 * cfg.inner_epochs)
         # The spy does see the KL methods' sums, so the zeros are not vacuous.
         assert (sums > 0) == (method in ("grpo_kl", "grpo_kl_error_only"))
         assert dump_logit_table(table.cell(0)) != dump_logit_table(initial_policy(tree))
