@@ -158,7 +158,7 @@ def collapse_trajectory(
     valid = sorted(set(int(t) for t in valid_set))
     if not valid or valid[0] < 0 or valid[-1] >= z.size:
         raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
-    tree = ReasoningTree(1, z.size, frozenset((t,) for t in valid), LogitTable(z[None]))
+    tree = ReasoningTree(1, z.size, valid, LogitTable(z[None]))  # token t is leaf id t
     table = StackedTable(tree.ref_policy, 1)  # a stack of one cell: key 0 is the root
     stack = Stack(TrainConfig(groups_per_step=1, inner_epochs=1), [cfg], tree)
     manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))

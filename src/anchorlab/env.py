@@ -10,7 +10,9 @@ Context ids use heap indexing: root = 0, child(ctx, token) = ctx*B + token + 1,
 so the C = (B^D - 1) / (B - 1) internal nodes are 0..C-1 in breadth-first
 order and the reference policy is one dense (C, B) logit table. A rollout's
 final heap context minus C is its leaf's lexicographic index, so rewards are
-looked up in the tree's sorted valid leaf ids.
+looked up in the tree's sorted valid leaf ids. A tree holds its valid set in
+that one form, with each valid leaf's tokens and contexts, computed once when
+it is built: the reference's bonus, coverage and :func:`verify` read those.
 A batch of n rollouts is four arrays: ``(n, D)`` tokens, the ``(n, D)``
 contexts they were drawn from, ``(n,)`` verified rewards, and the
 ``(n, D, V)`` policy rows the tokens were sampled from. The trainer's old
@@ -64,20 +66,22 @@ class EnvConfig:
 
 
 class ReasoningTree:
-    def __init__(
-        self,
-        depth: int,
-        branching: int,
-        valid_leaves: frozenset[tuple[int, ...]],
-        ref_policy: LogitTable,
-    ):
+    """A depth-D, B-ary tree and its valid leaves, given as ids in any order:
+    ``valid_ids``, their sorted distinct lexicographic indices, and the
+    ``(L, D)`` int64 ``valid_tokens`` (each id's base-B digits) and
+    ``valid_contexts`` (the heap contexts they are drawn from)."""
+
+    def __init__(self, depth: int, branching: int, valid_ids, ref_policy: LogitTable):
         self.depth = depth
         self.branching = branching
-        self.valid_leaves = valid_leaves
         self.ref_policy = ref_policy
-        # Lexicographic indices of the valid leaves; sorted tuples are ascending.
-        leaves = np.array(sorted(valid_leaves), dtype=np.int64).reshape(len(valid_leaves), depth)
-        self.valid_ids = leaves @ branching ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+        self.valid_ids = distinct(np.asarray(valid_ids, dtype=np.int64))
+        # Column s of prefix is each leaf's length-(s + 1) prefix index; a length-s
+        # prefix's context is its index plus the (B^s - 1) / (B - 1) nodes above.
+        level, b = np.arange(depth, dtype=np.int64), branching
+        prefix = self.valid_ids[:, None] // b ** (depth - 1 - level)
+        self.valid_tokens = prefix % b
+        self.valid_contexts = (b**level - 1) // (b - 1) + prefix // b
 
     ROOT = 0
 
@@ -97,26 +101,20 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
     spread between two logits is beyond the float64 range."""
     rng = np.random.default_rng(cfg.seed)
     b, d = cfg.branching, cfg.depth
-    leaf_ids = np.sort(rng.choice(b**d, size=cfg.num_valid_leaves, replace=False))
-    # The base-B digits of each leaf id, most significant first: its tokens.
-    leaves = leaf_ids[:, None] // b ** np.arange(d - 1, -1, -1, dtype=np.int64) % b
-    valid = frozenset(map(tuple, leaves.tolist()))
+    ids = rng.choice(b**d, size=cfg.num_valid_leaves, replace=False)
 
     # Row ctx of the reference is context ctx; rows 0..C-1 are the internal
     # nodes in breadth-first order, so one (C, B) draw fixes the rng stream.
-    # The draw is made into the table itself, which is then built in place.
-    c = (b**d - 1) // (b - 1)
-    z = np.empty((c, b))
+    # The draw is made into the tree's table itself, then built in place.
+    z = np.empty(((b**d - 1) // (b - 1), b))
     rng.standard_normal(out=z)
-    # The flat (context, token) cells of the valid leaves' prefixes.
-    bonus, ctx = [], np.zeros(len(leaves), dtype=np.int64)
-    for step in range(d):
-        bonus.append(ctx * b + leaves[:, step])
-        ctx = bonus[-1] + 1
+    tree = ReasoningTree(d, b, ids, LogitTable.adopt(z))
     with np.errstate(over="ignore", invalid="ignore"):
         z *= cfg.ref_noise
         z += 0.0  # a -0.0 becomes +0.0, as it does in the sum 0.0 + x
-        z.ravel()[distinct(np.concatenate(bonus))] += cfg.ref_concentration
+        # The flat (context, token) cells along the valid leaves' paths.
+        z.ravel()[distinct((tree.valid_contexts * b + tree.valid_tokens).ravel())] += (
+            cfg.ref_concentration)
         # Finite logits whose spread overflows would overflow the max
         # subtraction of a softmax.
         spread = np.maximum.reduce(z, axis=None) - np.minimum.reduce(z, axis=None)
@@ -125,16 +123,17 @@ def generate_tree(cfg: EnvConfig) -> ReasoningTree:
             f"ref_concentration {cfg.ref_concentration!r} and ref_noise {cfg.ref_noise!r} "
             "give reference logits beyond the float64 range"
         )
-    # The spread is finite, so every logit is: the table takes z as it is.
-    return ReasoningTree(d, b, valid, LogitTable.adopt(z))
+    # The spread is finite, so every logit of the tree's table, z itself, is.
+    return tree
 
 
 def verify(tree: ReasoningTree, tokens) -> int:
-    """Binary verifiable reward: 1 iff ``tokens`` is a valid leaf."""
+    """Binary verifiable reward: 1 iff ``tokens`` is a row of
+    ``tree.valid_tokens``, the oracle for :func:`rollout`'s id lookup."""
     seq = tuple(int(t) for t in tokens)
     if len(seq) != tree.depth:
         raise ValueError(f"expected {tree.depth} tokens, got {len(seq)}")
-    return 1 if seq in tree.valid_leaves else 0
+    return int((tree.valid_tokens == seq).all(axis=1).any())
 
 
 def rollout(
@@ -190,22 +189,18 @@ def oracle_coverage(
 
     For every valid leaf and every step, feed the ground-truth prefix and
     check whether the true next token lands in the model's Top-K; recall is
-    the hit fraction over all (leaf, step) pairs. The pairs are scored in
-    one pass: the true token's rank is the count of tokens ahead of it
-    under :func:`~anchorlab.anchor.top_k`'s order, a higher probability or
-    an equal one at a lower index, and it is a hit at every K above that.
+    the hit fraction over all (leaf, step) pairs, the cells of the tree's
+    ``valid_contexts`` and ``valid_tokens``. The pairs are scored in one
+    pass: the true token's rank is the count of tokens ahead of it under
+    :func:`~anchorlab.anchor.top_k`'s order, a higher probability or an
+    equal one at a lower index, and it is a hit at every K above that.
     """
     ks = sorted(set(int(k) for k in k_values))
-    b, d = tree.branching, tree.depth
+    b = tree.branching
     if not ks or ks[0] < 1 or ks[-1] > b:
         raise ValueError(f"k_values must lie in [1, {b}], got {ks}")
-    # Each valid leaf's tokens (its base-B digits) and the contexts along its path.
-    tokens = tree.valid_ids[:, None] // b ** np.arange(d - 1, -1, -1, dtype=np.int64) % b
-    contexts = np.zeros_like(tokens)
-    for step in range(1, d):
-        contexts[:, step] = contexts[:, step - 1] * b + tokens[:, step - 1] + 1
-    t = tokens.reshape(-1, 1)
-    p = model.dist(contexts.ravel())
+    t = tree.valid_tokens.reshape(-1, 1)
+    p = model.dist(tree.valid_contexts.ravel())
     p_t = np.take_along_axis(p, t, axis=1)
     rank = np.add.reduce((p > p_t) | ((p == p_t) & (np.arange(b) < t)), axis=1)
     return {k: int(np.count_nonzero(rank < k)) / t.size for k in ks}

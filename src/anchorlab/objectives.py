@@ -422,11 +422,15 @@ def token_gradients(
     member, z_ref, empty, layout = cols.anchors
     P = P.take(apo, axis=0)
     mass, p_safe = layout_sums(P, layout).reshape(2, apo.size)
-    a = a.take(apo, axis=0)
     # An empty anchor has mass 0, z_ref 1 and no members, so its pull terms
-    # are +0.0 and leave the push-only update bit for bit.
-    rectified = cols.push_coef * ratio.take(apo) - cols.pull_coef * (mass / z_ref)
+    # are +0.0 and leave the push-only update bit for bit. As in the scalar
+    # kernel's Python floats, a ratio past the float64 range warns of
+    # nothing and is gated; a gated row's products, which the scalar kernel
+    # never forms and which may overflow, are taken with advantage 0.0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rectified = cols.push_coef * ratio.take(apo) - cols.pull_coef * (mass / z_ref)
     outside = ~((cols.low.take(apo) <= rectified) & (rectified <= cols.high.take(apo)))
+    a = np.where(outside[:, None], 0.0, a.take(apo, axis=0))
     rect = (a * cols.push_coef[:, None]) * push_apo
     # grad_support_mass (P * (1 - P_safe) on members, -P * P_safe elsewhere)
     # over Z_ref, times the pull weight; products commute bit for bit, so

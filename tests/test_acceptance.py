@@ -188,7 +188,7 @@ def test_criterion_6_oracle_coverage_analogue():
 
         hits = {k: 0 for k in ks}
         total = 0
-        for leaf in sorted(tree.valid_leaves):
+        for leaf in tree.valid_tokens.tolist():
             ctx = tree.ROOT
             for t in leaf:
                 dist = tree.ref_policy.dist(ctx)

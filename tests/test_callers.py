@@ -20,7 +20,7 @@ ORACLES = (
     ("sample_token", "scalar inverse-CDF draw, the oracle that rollout is tested against"),
     ("verify", "scalar reward check, the oracle for rollout's leaf-id lookup"),
     ("ReasoningTree.child_context",
-     "scalar heap rule, the oracle that rollout and oracle_coverage are tested against"),
+     "scalar heap rule, the oracle for rollout's contexts and a tree's valid paths"),
     ("dump_logit_table", "writes a policy as text; saving each cell's final policy is still open"),
     ("load_logit_table", "reads dump_logit_table text back, for a train --init-policy still open"),
     ("DynamicsReport.series", "one quantity of a report, as the dynamics tests read it"),

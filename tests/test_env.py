@@ -25,6 +25,19 @@ def all_leaves(tree):
     return itertools.product(range(tree.branching), repeat=tree.depth)
 
 
+def leaves(tree):
+    """The valid leaves' token tuples in lexicographic order: each of
+    ``tree.valid_ids`` decoded into its base-B digits with divmod."""
+    out = []
+    for index in tree.valid_ids.tolist():
+        digits = []
+        for _ in range(tree.depth):
+            index, token = divmod(index, tree.branching)
+            digits.append(token)
+        out.append(tuple(reversed(digits)))
+    return out
+
+
 def bits(a):
     return np.asarray(a).dtype.kind, np.asarray(a).shape, np.asarray(a).tobytes()
 
@@ -44,7 +57,7 @@ class TestGenerateTree:
         cfg = EnvConfig(depth=1, branching=4, num_valid_leaves=1,
                         ref_concentration=math.log(3), ref_noise=0.0, seed=0)
         tree = generate_tree(cfg)
-        (leaf,) = tree.valid_leaves
+        (leaf,) = leaves(tree)
         expected = np.full(4, 1 / 6)
         expected[leaf[0]] = 0.5
         np.testing.assert_allclose(tree.ref_policy.dist(tree.ROOT), expected, atol=1e-12)
@@ -69,8 +82,9 @@ class TestGenerateTree:
     def test_determinism(self):
         cfg = EnvConfig(depth=3, branching=4, num_valid_leaves=5, seed=42)
         a, b = generate_tree(cfg), generate_tree(cfg)
-        assert a.valid_leaves == b.valid_leaves
-        assert bits(a.valid_ids) == bits(b.valid_ids)
+        assert leaves(a) == leaves(b)
+        for name in ("valid_ids", "valid_tokens", "valid_contexts"):
+            assert bits(getattr(a, name)) == bits(getattr(b, name))
         assert dump_logit_table(a.ref_policy) == dump_logit_table(b.ref_policy)
 
     def test_reference_strictly_positive_everywhere(self):
@@ -83,7 +97,7 @@ class TestGenerateTree:
     def test_every_valid_leaf_reachable(self):
         cfg = EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=3)
         tree = generate_tree(cfg)
-        for leaf in tree.valid_leaves:
+        for leaf in leaves(tree):
             assert leaf_probability(tree, tree.ref_policy, leaf) > 0.0
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
@@ -98,9 +112,9 @@ class TestGenerateTree:
         rng = np.random.default_rng(seed)
         b, d = cfg.branching, cfg.depth
         ids = rng.choice(b**d, size=cfg.num_valid_leaves, replace=False)
-        leaves = sorted(tuple(int(i) // b**(d - 1 - k) % b for k in range(d)) for i in ids)
+        paths = sorted(tuple(int(i) // b**(d - 1 - k) % b for k in range(d)) for i in ids)
         bonus = {}
-        for leaf in leaves:
+        for leaf in paths:
             ctx = 0
             for t in leaf:
                 bonus.setdefault(ctx, set()).add(t)
@@ -118,7 +132,7 @@ class TestGenerateTree:
             frontier = [ctx * b + t + 1 for ctx in frontier for t in range(b)]
 
         tree = generate_tree(cfg)
-        assert sorted(tree.valid_leaves) == leaves
+        assert leaves(tree) == paths
         expected = np.array(rows)
         got = np.array([tree.ref_policy.logits(c) for c in range(len(tree.ref_policy))])
         np.testing.assert_array_equal(got, expected)
@@ -144,18 +158,18 @@ class TestGenerateTree:
         rng = np.random.default_rng(cfg.seed)
         b, d = cfg.branching, cfg.depth
         ids = sorted(rng.choice(b**d, size=cfg.num_valid_leaves, replace=False).tolist())
-        leaves = []
+        paths = []
         for index in ids:
             digits = []
             for _ in range(d):
                 index, token = divmod(index, b)
                 digits.append(token)
-            leaves.append(tuple(reversed(digits)))
+            paths.append(tuple(reversed(digits)))
         c = (b**d - 1) // (b - 1)
         bonus = np.zeros((c, b), dtype=bool)
-        ctx = np.zeros(len(leaves), dtype=np.int64)
+        ctx = np.zeros(len(paths), dtype=np.int64)
         for step in range(d):
-            tokens = np.array([leaf[step] for leaf in leaves])
+            tokens = np.array([leaf[step] for leaf in paths])
             bonus[ctx, tokens] = True
             ctx = ctx * b + tokens + 1
         z = np.zeros((c, b))
@@ -163,7 +177,8 @@ class TestGenerateTree:
         z += cfg.ref_noise * rng.standard_normal((c, b))
 
         tree = generate_tree(cfg)
-        assert tree.valid_leaves == frozenset(leaves)
+        assert leaves(tree) == paths
+        assert tree.valid_tokens.tolist() == [list(leaf) for leaf in paths]
         assert bits(tree.valid_ids) == bits(np.array(ids, dtype=np.int64))
         got = np.array([tree.ref_policy.logits(i) for i in range(c)])
         assert bits(got) == bits(z)
@@ -210,9 +225,9 @@ class TestVerify:
         return generate_tree(EnvConfig(depth=2, branching=3, num_valid_leaves=3, seed=9))
 
     def test_members_and_non_members(self, tree):
-        for leaf in tree.valid_leaves:
+        for leaf in leaves(tree):
             assert verify(tree, leaf) == 1
-        invalid = next(l for l in all_leaves(tree) if l not in tree.valid_leaves)
+        invalid = next(l for l in all_leaves(tree) if l not in leaves(tree))
         assert verify(tree, invalid) == 0
 
     def test_exhaustive_count(self, tree):
@@ -259,7 +274,7 @@ class _Replay:
 class TestRollout:
     def test_one_hot_policy_is_deterministic(self):
         tree = generate_tree(EnvConfig(depth=3, branching=3, num_valid_leaves=1, seed=2))
-        (leaf,) = tree.valid_leaves
+        (leaf,) = leaves(tree)
         z = np.zeros((tree.num_contexts(), 3))
         ctx = tree.ROOT
         for t in leaf:
@@ -381,7 +396,7 @@ class TestRollout:
     def test_monte_carlo_matches_enumeration(self):
         tree = generate_tree(EnvConfig(depth=3, branching=3, num_valid_leaves=4, seed=19))
         exact = sum(
-            leaf_probability(tree, tree.ref_policy, leaf) for leaf in tree.valid_leaves
+            leaf_probability(tree, tree.ref_policy, leaf) for leaf in leaves(tree)
         )
         rng = np.random.default_rng(23)
         n = 4000
@@ -400,7 +415,7 @@ def walked_coverage(tree, model, ks):
     time, each step ranking the model's row with :func:`top_k`."""
     hits = {k: 0 for k in ks}
     total = 0
-    for leaf in sorted(tree.valid_leaves):
+    for leaf in leaves(tree):
         ctx = tree.ROOT
         for t in leaf:
             ranked = top_k(model.dist(ctx), tree.branching)
@@ -476,7 +491,7 @@ class TestOracleCoverage:
 
     def brute_force(self, tree, model, k):
         hits = total = 0
-        for leaf in sorted(tree.valid_leaves):
+        for leaf in leaves(tree):
             ctx = tree.ROOT
             for t in leaf:
                 dist = model.dist(ctx)
@@ -511,7 +526,7 @@ class TestOracleCoverage:
             EnvConfig(depth=2, branching=2, num_valid_leaves=4,
                       ref_concentration=0.0, ref_noise=0.0, seed=0)
         )
-        tree = type(tree)(2, 2, frozenset({(0, 0), (1, 1)}), tree.ref_policy)
+        tree = type(tree)(2, 2, [0, 3], tree.ref_policy)  # leaves (0, 0) and (1, 1)
         z = np.zeros((tree.num_contexts(), 2))
         z[tree.ROOT] = [50.0, 0.0]
         z[tree.child_context(tree.ROOT, 0)] = [50.0, 0.0]
@@ -526,7 +541,7 @@ class TestOracleCoverage:
             EnvConfig(depth=2, branching=2, num_valid_leaves=4,
                       ref_concentration=0.0, ref_noise=0.0, seed=0)
         )
-        tree = type(base)(2, 2, frozenset({(0, 0), (0, 1)}), base.ref_policy)
+        tree = type(base)(2, 2, [0, 1], base.ref_policy)  # leaves (0, 0) and (0, 1)
         z = np.zeros((tree.num_contexts(), 2))
         z[tree.ROOT] = [50.0, 0.0]
         z[tree.child_context(tree.ROOT, 0)] = [50.0, 0.0]
@@ -568,32 +583,66 @@ def assert_rewards_are_verify(tree):
     assert tree.valid_ids.tolist() == sorted(tree.valid_ids.tolist())
 
 
+def walked_paths(tree):
+    """Oracle: each valid leaf's tokens and the contexts they are drawn
+    from, walked one :meth:`~ReasoningTree.child_context` step at a time
+    from the root."""
+    tokens, contexts = [], []
+    for leaf in leaves(tree):
+        ctx, path = tree.ROOT, []
+        for t in leaf:
+            path.append(ctx)
+            ctx = tree.child_context(ctx, t)
+        tokens.append(list(leaf))
+        contexts.append(path)
+    return tokens, contexts
+
+
+def assert_paths_are_walked(tree):
+    for got, want in zip((tree.valid_tokens, tree.valid_contexts), walked_paths(tree)):
+        assert got.dtype == np.int64 and got.shape == (tree.valid_ids.size, tree.depth)
+        assert got.tolist() == want
+
+
 def chosen_tree(depth, branching, leaf_ids):
     """A tree whose valid leaves have the given lexicographic indices, with
     a zero reference."""
-    leaves = list(itertools.product(range(branching), repeat=depth))
     c = (branching**depth - 1) // (branching - 1)
-    return ReasoningTree(depth, branching, frozenset(leaves[i] for i in leaf_ids),
-                         LogitTable(np.zeros((c, branching))))
+    return ReasoningTree(depth, branching, leaf_ids, LogitTable(np.zeros((c, branching))))
 
 
 class TestRewardFromLeafIds:
+    """Trees built from leaf ids: each valid path equals a walk of it, and
+    rewards looked up from the ids equal :func:`verify` on every leaf."""
+
     @settings(max_examples=60, deadline=None)
     @given(shape=shapes(), data=st.data())
     def test_generated_trees(self, shape, data):
         depth, branching = shape
         valid = data.draw(st.integers(1, branching**depth), label="num_valid_leaves")
         seed = data.draw(st.integers(0, 2**16), label="seed")
-        assert_rewards_are_verify(generate_tree(EnvConfig(depth, branching, valid, seed=seed)))
+        tree = generate_tree(EnvConfig(depth, branching, valid, seed=seed))
+        assert tree.valid_ids.size == valid
+        assert_paths_are_walked(tree)
+        assert_rewards_are_verify(tree)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=shapes(), data=st.data())
     def test_chosen_leaf_ids(self, shape, data):
+        # Ids in any order, repeats included, as a list or an int64 array,
+        # build the tree of their sorted distinct form.
         depth, branching = shape
-        ids = data.draw(st.lists(st.integers(0, branching**depth - 1), unique=True),
-                        label="leaf ids")
-        tree = chosen_tree(depth, branching, ids)
-        assert tree.valid_ids.tolist() == sorted(ids)
+        ids = sorted(data.draw(st.sets(st.integers(0, branching**depth - 1)), label="leaf ids"))
+        repeats = data.draw(st.lists(st.sampled_from(ids)), label="repeats") if ids else []
+        given_ids = data.draw(st.permutations(ids + repeats), label="given ids")
+        if data.draw(st.booleans(), label="as an int64 array"):
+            given_ids = np.array(given_ids, dtype=np.int64)
+        tree = chosen_tree(depth, branching, given_ids)
+        assert tree.valid_ids.tolist() == ids
+        want = chosen_tree(depth, branching, ids)
+        for name in ("valid_ids", "valid_tokens", "valid_contexts"):
+            assert bits(getattr(tree, name)) == bits(getattr(want, name))
+        assert_paths_are_walked(tree)
         assert_rewards_are_verify(tree)
 
     @pytest.mark.parametrize("depth, branching", [(1, 2), (3, 3), (5, 2), (2, 7)])
@@ -602,9 +651,13 @@ class TestRewardFromLeafIds:
         for tree in (chosen_tree(depth, branching, every),
                      generate_tree(EnvConfig(depth, branching, branching**depth))):
             assert tree.valid_ids.tolist() == list(every)
+            assert_paths_are_walked(tree)
             assert_rewards_are_verify(tree)
 
     def test_no_valid_leaf(self):
-        tree = ReasoningTree(2, 3, frozenset(), LogitTable(np.zeros((4, 3))))
-        assert tree.valid_ids.shape == (0,)
-        assert_rewards_are_verify(tree)
+        for depth, branching in ((2, 3), (1, 4)):
+            tree = chosen_tree(depth, branching, [])
+            assert tree.valid_ids.shape == (0,)
+            assert tree.valid_tokens.shape == tree.valid_contexts.shape == (0, depth)
+            assert_paths_are_walked(tree)
+            assert_rewards_are_verify(tree)

@@ -163,7 +163,7 @@ class TestPassMetrics:
     def test_all_zero(self):
         # A one-hot policy onto an invalid leaf never succeeds.
         tree = self.tree(2, 3, 1)
-        (leaf,) = tree.valid_leaves
+        (leaf,) = tree.valid_tokens.tolist()
         z = np.full((tree.num_contexts(), 3), -300.0)
         z[:, (leaf[0] + 1) % 3] = 300.0
         rec = evaluate_one(LogitTable(z), tree, 0, 8, np.random.default_rng(0))

@@ -471,6 +471,40 @@ class TestTokenGradients:
         (grads, clipped, degenerate), _, _ = dense_gradients(cfgs, cell, tokens, P, O, Q, adv)
         assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coef", ["push_coef", "pull_coef"])
+    def test_coefficient_past_float64_range_warns_on_no_gated_row(self, coef):
+        # At a coefficient of 1e308 the products of a row the window gates
+        # overflow, and the scalar kernel forms none of them: the dense
+        # kernel may not warn there either, and keeps the scalar bits. The
+        # ratios are a second pass's, some above 1, so the rectified ratio
+        # itself overflows. In every third row the policy has no mass on the
+        # anchor (nor the old policy, so its ratio stays near 1), so at
+        # pull_coef 1e308 those rows can still be in the window.
+        n = 600
+        tokens, P, O, Q, adv = kernel_rows(8, 4, n, 11)
+        # An advantage of -2.5 times 1e308 overflows, in the scalar kernel
+        # too, so it is kept off the rows that can be in the window.
+        adv = np.where(adv < -1.0, -2.5, adv)
+        adv[::3] = np.maximum(adv[::3], -0.9)
+        for i in range(0, n, 3):
+            anchor = [t for t in top_k(Q[i], 4) if t != tokens[i]]
+            P[i, anchor] = O[i, anchor] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+        O /= O.sum(axis=1, keepdims=True)
+        cfgs = [MethodConfig(method="apo", anchor_k=4, **{coef: 1e308})]
+        cell = np.zeros(n, dtype=np.intp)
+        (grads, clipped, degenerate), cols, _ = dense_gradients(cfgs, cell, tokens, P, O, Q, adv)
+        assert_rows_equal_scalar(cfgs, cell, tokens, P, O, Q, adv, grads, clipped, degenerate)
+        flat = np.arange(n) * 8 + tokens
+        assert (P.take(flat) > O.take(flat)).take(cols.apo).any()
+        gated = clipped.take(cols.apo)
+        assert gated.any()
+        # Only the anchor-free rows escape a pull of 1e308; no row escapes
+        # a push of 1e308.
+        assert (~gated).any() == (coef == "pull_coef")
+        assert (cols.apo.take((~gated).nonzero()[0]) % 3 == 0).all()
+
     def test_one_anchor_reference_for_every_anchor_k(self, monkeypatch):
         import anchorlab.objectives as objectives
 

@@ -296,7 +296,7 @@ class TestTrainStep:
         env = EnvConfig(depth=2, branching=3, num_valid_leaves=1,
                         ref_concentration=1.0, ref_noise=0.3, seed=21)
         tree = generate_tree(env)
-        (leaf,) = tree.valid_leaves
+        (leaf,) = tree.valid_tokens.tolist()
 
         def leaf_prob(policy):
             prob, ctx = 1.0, tree.ROOT
