@@ -71,8 +71,12 @@ class ExperimentSpec:
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     try:
-        name = data["name"]
-        env_data = dict(data["env"])
+        name, env_data, train = data["name"], data["env"], data.get("train", {})
+        # dict() would also take an array of [key, value] pairs.
+        for key, section in (("env", env_data), ("train", train)):
+            if not isinstance(section, dict):
+                raise ConfigError(f"{key} must be a JSON object")
+        env_data = dict(env_data)
         follows_cell = env_data.get("seed", 0) is None
         if follows_cell:
             env_data["seed"] = 0
@@ -84,7 +88,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"methods[{i}]: {exc}") from exc
         seeds = list(data["seeds"])
-        train = dict(data.get("train", {}))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -128,7 +131,8 @@ def load_spec(path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # A deeply nested value exhausts the parser's recursion limit.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -228,9 +232,9 @@ def _tree(env: EnvConfig) -> ReasoningTree:
 
 def _run_stack(spec: ExperimentSpec, cells: list[tuple[MethodConfig, int]],
                tree: ReasoningTree, out_root: Path, timestamp: str | None) -> None:
-    """Train ``cells`` ((method, seed) pairs sharing ``tree`` and a group
-    size) as one stack, then write each cell's files in the order given, so
-    a stack that fails leaves none of its cells written."""
+    """Train ``cells`` ((method, seed) pairs sharing ``tree``) as one
+    stack, then write each cell's files in the order given, so a stack that
+    fails leaves none of its cells written."""
     for (m, seed), (records, stats) in zip(cells, run_experiment(spec.train, cells, tree)):
         cell_dir = out_root / spec.name / m.method / str(seed)
         cell_dir.mkdir(parents=True, exist_ok=True)
@@ -316,10 +320,10 @@ def cmd_train(args) -> int:
         sweep = [(replace(spec.env, seed=seed), [seed]) for seed in spec.seeds]
     else:
         sweep = [(spec.env, spec.seeds)]
-    # The cells that share a tree and a group size train in lockstep as one
-    # stack, method by method, whatever their methods and coefficients: a
-    # pass makes one token_gradients call for the whole stack. Training
-    # only reads the tree (a stack copies the reference once).
+    # The cells that share a tree train in lockstep as one stack, method by
+    # method, whatever their methods and coefficients: a pass makes one
+    # token_gradients call for the whole stack. Training only reads the
+    # tree (a stack copies the reference once).
     # What is alive now (modules, the spec) outlives the sweep, so the
     # collector is told not to rescan it during the cells; unfreezing
     # afterwards lets a process that calls main() again free it.
@@ -328,9 +332,8 @@ def cmd_train(args) -> int:
         for env, seeds in sweep:
             tree = None  # free the last seed's tree before building the next
             tree = _tree(env)
-            for size in dict.fromkeys(m.group_size for m in spec.methods):
-                _run_stack(spec, [(m, seed) for m in spec.methods if m.group_size == size
-                                  for seed in seeds], tree, out_root, timestamp)
+            _run_stack(spec, [(m, seed) for m in spec.methods for seed in seeds], tree,
+                       out_root, timestamp)
     finally:
         gc.unfreeze()
     summary = _write_summary(spec, out_root, _summary_rows(spec, out_root), timestamp)

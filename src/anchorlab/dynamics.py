@@ -148,9 +148,9 @@ def collapse_trajectory(
 
     The bandit is a depth-1 tree with reference ``logits``, so each step is
     one :func:`~anchorlab.trainer.train_step` with one group of
-    ``cfg.group_size`` rollouts and one pass. Records per step: each valid
-    token's probability, the entropy, and the mass on the reference Top-K
-    manifold.
+    :class:`~anchorlab.trainer.TrainConfig`'s default ``group_size`` (8)
+    rollouts and one pass. Records per step: each valid token's
+    probability, the entropy, and the mass on the reference Top-K manifold.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 2:

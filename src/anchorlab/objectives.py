@@ -54,18 +54,15 @@ class MethodConfig:
     anchor_k: int = 8
     kl_coef: float = 0.01
     learning_rate: float = 0.5
-    group_size: int = 8
-    adv_eps: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        for name in ("clip_eps", "push_coef", "learning_rate", "adv_eps"):
+        for name in ("clip_eps", "push_coef", "learning_rate"):
             check_float(name, getattr(self, name), positive=True)
         for name in ("pull_coef", "kl_coef"):
             check_float(name, getattr(self, name))
-        for name, low in (("anchor_k", 1), ("group_size", 2)):
-            check_int(name, getattr(self, name), low)
+        check_int("anchor_k", self.anchor_k, 1)
 
 
 @dataclass

@@ -1,35 +1,35 @@
 """On-policy training loop: grouped rollouts, token-mean updates, evaluation.
 
 A cell is a ``(MethodConfig, seed)`` pair, and cells train in stacks:
-every cell of a stack shares one tree, one ``group_size`` and one
-:class:`TrainConfig` (the step and evaluation schedule), and the stack's
-cells train in lockstep on one
+every cell of a stack shares one tree and one :class:`TrainConfig` (the
+step and evaluation schedule, group size and advantage epsilon among
+them), and the stack's cells train in lockstep on one
 :class:`~anchorlab.policy.StackedTable`, cell s reading and writing its
 own rows of it. A step's numpy calls are made once for the whole stack,
 not once per cell or per method, because at a step's array sizes the
 call, not the arithmetic, is the cost. A single cell is a stack of one.
 What a step reads of the cells' method configs is built once per run, as
 a :class:`Stack`: what the gradient kernel reads of them as per-cell
-arrays (:class:`~anchorlab.objectives.CellMethods`), each group's
-``adv_eps``, each cell's learning rate and each rollout's key offset into
-the stacked table.
+arrays (:class:`~anchorlab.objectives.CellMethods`), each cell's
+learning rate and each rollout's key offset into the stacked table.
 
 Each outer step draws every cell's ``groups_per_step`` groups of
 ``group_size`` rollouts from the tree root with one ``rollout`` call:
 cell s draws its own ``(G*n, D)`` uniform block from its own training
-stream, and the call returns ``(S*G*n, D)`` token and context arrays
+stream, so cells of equal seed draw the same uniforms whatever their
+methods, and the call returns ``(S*G*n, D)`` token and context arrays
 sampled with the live policies and the ``(S*G*n, D, V)`` policy rows they
 were drawn from; no policy changes while they are drawn. Cell s's group g
 is rows (s*G + g)*n onwards, the rows G separate calls of that cell would
 draw. Group-relative advantages come from one call on the ``(S*G, n)``
-rewards, with each group's ``adv_eps`` as a per-row array. Groups whose
-advantages are all zero are dropped, and the kept tokens of all cells
-form one :class:`TokenBatch`, the step's plan: it holds everything the
-passes need that depends only on the batch, so a pass only gathers the
-live rows and combines them. Its old rows are the kept groups' rollout
-rows, not a second softmax; with them come each token's flat index into
-the ``(N, V)`` rows and its old probability, and each token's method
-config as per-token columns: its clip bounds, and the rows, coefficients
+rewards with the schedule's ``adv_eps``. Groups whose advantages are all
+zero are dropped, and the kept tokens of all cells form one
+:class:`TokenBatch`, the step's plan: it holds everything the passes need
+that depends only on the batch, so a pass only gathers the live rows and
+combines them. Its old rows are the kept groups' rollout rows, not a
+second softmax; with them come each token's flat index into the
+``(N, V)`` rows and its old probability, and each token's method config
+as per-token columns: its clip bounds, and the rows, coefficients
 and reference rows of the branches only some tokens take (nsr's, the KL
 penalty's and apo's negative branch). The reference rows are read with
 one ``dist`` call per step, at the KL and apo rows only. For the apo
@@ -88,13 +88,16 @@ import numpy as np
 from .env import ReasoningTree, generate_tree, rollout  # noqa: F401
 from .metrics import MetricRecord, atomic_open, evaluate
 from .objectives import CellMethods, MethodConfig, group_advantages, token_gradients
-from .policy import LogitTable, StackedTable, check_int, distinct, uniform_block
+from .policy import LogitTable, StackedTable, check_float, check_int, distinct, uniform_block
 
 
 @dataclass
 class TrainConfig:
     """The schedule every cell of a stack shares: a spec's ``train``
-    section. A cell is a ``(MethodConfig, seed)`` pair."""
+    section. A cell is a ``(MethodConfig, seed)`` pair. The group settings
+    are part of the schedule, ``group_size`` rollouts per group and the
+    ``adv_eps`` of their advantages, so cells of equal seed draw the same
+    training uniforms whatever their methods."""
 
     total_steps: int = 300
     groups_per_step: int = 4
@@ -102,11 +105,14 @@ class TrainConfig:
     eval_every: int = 25
     eval_samples_k: int = 64
     support_k: int | None = None
+    group_size: int = 8
+    adv_eps: float = 1e-6
 
     def __post_init__(self) -> None:
         for name, low in (("total_steps", 0), ("groups_per_step", 1), ("inner_epochs", 1),
-                          ("eval_every", 1), ("eval_samples_k", 2)):
+                          ("eval_every", 1), ("eval_samples_k", 2), ("group_size", 2)):
             check_int(name, getattr(self, name), low)
+        check_float("adv_eps", self.adv_eps, positive=True)
         if self.support_k is not None:
             check_int("support_k", self.support_k, 1)
 
@@ -142,25 +148,18 @@ class Stack:
     per run. ``u`` is the ``(S*G*n, D)`` block every step refills with its
     uniform draws, ``methods`` what the gradient kernel reads of the
     configs as per-cell arrays (:class:`~anchorlab.objectives.CellMethods`),
-    ``adv_eps`` each group's ``adv_eps`` as an ``(S*G, 1)`` column,
     ``learning_rate`` each cell's as a list of floats, and ``base`` each
-    rollout's key offset into the stacked table, its cell times C. Raises
-    ValueError unless the cells share ``group_size``."""
+    rollout's key offset into the stacked table, its cell times C."""
 
-    __slots__ = ("train", "cells", "group_size", "u", "methods", "adv_eps", "learning_rate",
-                 "base")
+    __slots__ = ("train", "cells", "u", "methods", "learning_rate", "base")
 
     def __init__(self, train: TrainConfig, mcfgs: list[MethodConfig], tree: ReasoningTree):
-        n = mcfgs[0].group_size
-        if any(m.group_size != n for m in mcfgs):
-            raise ValueError("the cells of a stack must share group_size")
-        cells, g, c = len(mcfgs), train.groups_per_step, tree.num_contexts()
-        self.train, self.cells, self.group_size = train, cells, n
+        cells, g, n, c = len(mcfgs), train.groups_per_step, train.group_size, tree.num_contexts()
+        self.train, self.cells = train, cells
         # The largest array first and left unwritten: a schedule too large
         # for memory fails at this allocation, before any array is filled.
         self.u = uniform_block(cells * g * n, tree.depth)
         self.methods = CellMethods(mcfgs)
-        self.adv_eps = np.array([m.adv_eps for m in mcfgs]).repeat(g)[:, None]
         self.learning_rate = [m.learning_rate for m in mcfgs]
         self.base = np.arange(0, cells * c, c).repeat(g * n)
 
@@ -270,14 +269,14 @@ def train_step(
     statistics, in order."""
     t0 = time.perf_counter()
     train = stack.train
-    cells, g, n, d = stack.cells, train.groups_per_step, stack.group_size, tree.depth
+    cells, g, n, d = stack.cells, train.groups_per_step, train.group_size, tree.depth
     r = g * n
     u = stack.u
     for s, rng in enumerate(rngs):
         rng.random(out=u[s * r:(s + 1) * r])
     tokens, contexts, rewards, rows = rollout(tree, table, u, stack.base)
     t1 = time.perf_counter()
-    adv = group_advantages(rewards.reshape(cells * g, n), stack.adv_eps)
+    adv = group_advantages(rewards.reshape(cells * g, n), train.adv_eps)
     # A zero-variance group has all-zero advantages and no learning signal.
     kept = np.logical_or.reduce(adv != 0.0, axis=1)
     counts = (np.add.reduce(kept.reshape(cells, g), axis=1) * (n * d)).tolist()
@@ -331,10 +330,10 @@ def initial_policy(tree: ReasoningTree) -> LogitTable:
     return tree.ref_policy.copy()
 
 
-def private_rows(tree: ReasoningTree, train: TrainConfig, group_size: int) -> int:
+def private_rows(tree: ReasoningTree, train: TrainConfig) -> int:
     """The most contexts one cell's run can update: a step updates only
     contexts its G*n rollouts visit, at most G*n of the B**l at level l."""
-    visits = train.total_steps * train.groups_per_step * group_size
+    visits = train.total_steps * train.groups_per_step * train.group_size
     return sum(min(tree.branching**level, visits) for level in range(tree.depth))
 
 
@@ -346,10 +345,9 @@ def run_experiment(
     """Full deterministic run of a stack of ``(method config, seed)`` cells
     trained in lockstep on ``tree`` with the schedule ``train``: returns
     each cell's metric records (step 0, every ``eval_every`` steps, and the
-    final step) and per-step statistics, in the order of ``cells``. The
-    cells must share ``group_size``; a cell alone is a stack of one. The
-    per-cell constants a step reads are built once, as a :class:`Stack`.
-    Each evaluation is one :func:`evaluate` call for the whole stack. The
+    final step) and per-step statistics, in the order of ``cells``. A cell
+    alone is a stack of one. The per-cell constants a step reads are built
+    once, as a :class:`Stack`. Each evaluation is one :func:`evaluate` call for the whole stack. The
     stacked table reserves room for the most rows the cells can update
     (:func:`private_rows`), so it never grows; when that is every key, the
     stack mirrors its softmax rows and ``tree.ref_policy`` reads them too.
@@ -360,7 +358,7 @@ def run_experiment(
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
 
     table = StackedTable(tree.ref_policy, len(cells),
-                         len(cells) * private_rows(tree, train, stack.group_size))
+                         len(cells) * private_rows(tree, train))
     k, support_k = train.eval_samples_k, train.support_k
     records = [[rec] for rec in evaluate(table, tree, 0, k, eval_rngs, support_k)]
     stats: list[list[StepStats]] = [[] for _ in cells]

@@ -213,15 +213,15 @@ class TestTrainCommand:
             assert_same_tree(tree, generate(env))
 
     @pytest.mark.parametrize("env_seed", [4, None], ids=["fixed", "null"])
-    def test_cells_stack_by_tree_and_group_size(self, tmp_path, monkeypatch, env_seed):
-        # grpo and apo share a group size, nsr has its own. A fixed env seed
-        # is one tree, so one stack per group size over both seeds; a null
-        # one is a tree per seed, so stacks per seed. A stack's cells come
+    def test_cells_stack_by_tree(self, tmp_path, monkeypatch, env_seed):
+        # A fixed env seed is one tree, so one stack over both seeds; a null
+        # one is a tree per seed, so a stack per seed. A stack's cells come
         # method by method, each method's seeds side by side, and are
-        # written in that order after the stack trains.
-        methods = [{"method": "grpo"}, {"method": "nsr", "group_size": 4},
-                   {"method": "apo", "anchor_k": 2}]
-        spec = dict(SPEC, methods=methods, env=dict(SPEC["env"], seed=env_seed))
+        # written in that order after the stack trains. The schedule's group
+        # size, off its default, is every cell's.
+        methods = [{"method": "grpo"}, {"method": "nsr"}, {"method": "apo", "anchor_k": 2}]
+        train = dict(SPEC["train"], group_size=4)
+        spec = dict(SPEC, methods=methods, env=dict(SPEC["env"], seed=env_seed), train=train)
         events = []
         run, write = cli.run_experiment, cli.write_metrics_csv
 
@@ -243,11 +243,11 @@ class TestTrainCommand:
             return [("stack", cells)] + [("write", cell) for cell in cells]
 
         if env_seed is None:
-            want = (stack([("grpo", 1), ("apo", 1)]) + stack([("nsr", 1)])
-                    + stack([("grpo", 2), ("apo", 2)]) + stack([("nsr", 2)]))
+            want = (stack([("grpo", 1), ("nsr", 1), ("apo", 1)])
+                    + stack([("grpo", 2), ("nsr", 2), ("apo", 2)]))
         else:
-            want = (stack([("grpo", 1), ("grpo", 2), ("apo", 1), ("apo", 2)])
-                    + stack([("nsr", 1), ("nsr", 2)]))
+            want = stack([("grpo", 1), ("grpo", 2), ("nsr", 1), ("nsr", 2), ("apo", 1),
+                          ("apo", 2)])
         assert events == want
         # Every cell is the cell trained alone, byte for byte.
         monkeypatch.undo()
@@ -255,21 +255,52 @@ class TestTrainCommand:
             for seed in SPEC["seeds"]:
                 env = EnvConfig(**dict(SPEC["env"], seed=seed if env_seed is None else env_seed))
                 [(records, _)] = trainer.run_experiment(
-                    TrainConfig(**SPEC["train"]), [(MethodConfig(**m), seed)],
+                    TrainConfig(**train), [(MethodConfig(**m), seed)],
                     trainer.generate_tree(env))
                 alone = tmp_path / f"{m['method']}{seed}.csv"
                 cli.write_metrics_csv(records, alone)
                 cell = out / "smoke" / m["method"] / str(seed) / "metrics.csv"
                 assert cell.read_bytes() == alone.read_bytes()
 
+    def test_cells_of_equal_seed_draw_the_same_training_uniforms(self, tmp_path, monkeypatch):
+        # The premise of comparing methods seed by seed: whatever its method,
+        # a cell draws its equal-seed peers' uniforms at every step, so
+        # before any update it samples their tokens too.
+        methods = [{"method": "grpo"}, {"method": "apo", "pull_coef": 0.3}, {"method": "nsr"}]
+        spec = dict(SPEC, methods=methods, seeds=[0, 1])
+        rollout, calls = trainer.rollout, []
+
+        def spy(tree, table, u, base):
+            result = rollout(tree, table, u, base)
+            calls.append((u.copy(), result[0].copy()))
+            return result
+
+        monkeypatch.setattr(trainer, "rollout", spy)
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)), "--out",
+                     str(tmp_path / "out"), "--no-timestamp"]) == 0
+        assert len(calls) == SPEC["train"]["total_steps"]
+        rows = SPEC["train"]["groups_per_step"] * TrainConfig().group_size
+        for step, (u, tokens) in enumerate(calls, 1):
+            # Cells come method by method, each method's seeds side by side.
+            for block in (u, tokens) if step == 1 else (u,):
+                cells = block.reshape(len(methods), 2, rows, -1)
+                assert cells[0, 0].tobytes() != cells[0, 1].tobytes()
+                for m in range(1, len(methods)):
+                    assert cells[m].tobytes() == cells[0].tobytes(), (step, m)
+
     def test_failed_stack_writes_none_of_its_cells(self, tmp_path, monkeypatch, capsys):
-        # The nsr stack fails mid-run: the stack before it is written whole,
-        # and no file of its own cells exists.
-        spec = dict(SPEC, methods=[{"method": "grpo"}, {"method": "nsr", "group_size": 4}])
+        # A null env seed makes a stack per seed. The seed-2 stack fails
+        # mid-run: the seed-1 stack before it is written whole, and no file
+        # of its own cells exists.
+        spec = dict(SPEC, methods=[{"method": "grpo"}, {"method": "nsr"}],
+                    env=dict(SPEC["env"], seed=None))
         step = trainer.train_step
+        stacks = []
 
         def failing(table, tree, stack, rngs, k):
-            if stack.group_size == 4 and k == 3:  # the nsr stack
+            if stack not in stacks:
+                stacks.append(stack)
+            if stacks.index(stack) == 1 and k == 3:  # the seed-2 stack
                 raise OSError("device lost")
             return step(table, tree, stack, rngs, k)
 
@@ -280,7 +311,7 @@ class TestTrainCommand:
         assert "error: io: device lost" in capsys.readouterr().out
         files = sorted(p.relative_to(out / "smoke").as_posix() for p in out.rglob("*")
                        if p.is_file())
-        assert files == [f"grpo/{seed}/{name}" for seed in SPEC["seeds"]
+        assert files == [f"{method}/1/{name}" for method in ("grpo", "nsr")
                          for name in ("metrics.csv", "steps.jsonl")]
 
     def test_jobs_2_sweep_leaves_the_shared_tree_as_generated(self, tmp_path, monkeypatch):
@@ -386,6 +417,40 @@ class TestMalformedInput:
         assert capsys.readouterr().out.startswith("error: config:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "summarize", "coverage"])
+    def test_deeply_nested_spec_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # Past the JSON parser's recursion limit: no RecursionError traceback.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "spec.json"
+        path.write_text("[" * 200_000)
+        assert main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: config: {path}:") and out.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["env", "train"])
+    def test_section_given_as_array_of_pairs_exits_2(self, tmp_path, capsys, section):
+        # dict() would read [[key, value], ...] as the object it lists.
+        spec = dict(SPEC, **{section: [list(item) for item in SPEC[section].items()]})
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: config: {section} must be a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("group_size", 4), ("adv_eps", 1e-3)])
+    def test_group_setting_under_a_method_exits_2(self, tmp_path, capsys, key, value):
+        # The group settings are the schedule's: a method that sets one would
+        # draw, or scale, its groups apart from the cells it is paired with.
+        spec = dict(SPEC, methods=[SPEC["methods"][0], dict(SPEC["methods"][1], **{key: value})])
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("error: config: methods[1]: ") and printed.count("\n") == 1
+        assert f"unexpected keyword argument '{key}'" in printed
+        assert not out.exists()
+
     def test_empty_methods_exits_2_before_any_cell(self, tmp_path, capsys):
         out = tmp_path / "out"
         spec = write_spec(tmp_path, dict(SPEC, methods=[]))
@@ -435,10 +500,7 @@ class TestMalformedInput:
         # block, or their (cells*G*n, D) training block, is over 2 TiB or
         # past what numpy can shape: the allocation fails at once, and no
         # cell of the stack is written.
-        if key == "group_size":  # a stack's cells share it
-            spec = dict(SPEC, methods=[dict(m, group_size=value) for m in SPEC["methods"]])
-        else:
-            spec = dict(SPEC, train=dict(SPEC["train"], **{key: value}))
+        spec = dict(SPEC, train=dict(SPEC["train"], **{key: value}))
         out = tmp_path / "out"
         assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
                      "--out", str(out)]) == 2
@@ -480,9 +542,9 @@ class TestMalformedInput:
         "section, key, value",
         [
             ("methods", "anchor_k", 2.5),
-            ("methods", "group_size", 4.0),
             ("methods", "anchor_k", True),
             ("train", "total_steps", 3.5),
+            ("train", "group_size", 4.0),
             ("train", "eval_samples_k", 8.0),
             ("train", "support_k", True),
             ("env", "depth", 2.0),
@@ -515,8 +577,8 @@ class TestMalformedInput:
             ("methods", "push_coef", float("nan")),
             ("methods", "kl_coef", float("inf")),
             ("methods", "clip_eps", True),
-            ("methods", "adv_eps", float("nan")),
             ("methods", "learning_rate", float("nan")),
+            ("train", "adv_eps", float("nan")),
             ("env", "ref_noise", float("nan")),
             ("env", "ref_concentration", float("inf")),
         ],
@@ -527,7 +589,7 @@ class TestMalformedInput:
         if section == "methods":
             spec = dict(SPEC, methods=[{"method": "apo", key: value}])
         else:
-            spec = dict(SPEC, env=dict(SPEC["env"], **{key: value}))
+            spec = dict(SPEC, **{section: dict(SPEC[section], **{key: value})})
         out = tmp_path / "out"
         assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
                      "--out", str(out)]) == 2

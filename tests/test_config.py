@@ -33,8 +33,6 @@ ROWS = [
     (MethodConfig, "anchor_k", int, [1], 0, "anchor_k must be >= 1, got 0"),
     (MethodConfig, "kl_coef", float, [0.0], -TINY, "kl_coef must be >= 0, got -5e-324"),
     (MethodConfig, "learning_rate", float, [TINY], 0, "learning_rate must be > 0, got 0"),
-    (MethodConfig, "group_size", int, [2], 1, "group_size must be >= 2, got 1"),
-    (MethodConfig, "adv_eps", float, [TINY], -1.5, "adv_eps must be > 0, got -1.5"),
     (TrainConfig, "total_steps", int, [0], -1, "total_steps must be >= 0, got -1"),
     (TrainConfig, "groups_per_step", int, [1], 0, "groups_per_step must be >= 1, got 0"),
     (TrainConfig, "inner_epochs", int, [1], 0, "inner_epochs must be >= 1, got 0"),
@@ -43,6 +41,8 @@ ROWS = [
     # Its upper bound, the tree's branching, is checked with the spec
     # (tests/test_cli.py::test_bad_train_value_exits_2_before_any_cell).
     (TrainConfig, "support_k", int, [1, 3, None], 0, "support_k must be >= 1, got 0"),
+    (TrainConfig, "group_size", int, [2], 1, "group_size must be >= 2, got 1"),
+    (TrainConfig, "adv_eps", float, [TINY], -1.5, "adv_eps must be > 0, got -1.5"),
     (EnvConfig, "depth", int, [1], 0, "depth must be >= 1, got 0"),
     (EnvConfig, "branching", int, [2], 1, "branching must be >= 2, got 1"),
     (EnvConfig, "num_valid_leaves", int, [1, 9], 0, "num_valid_leaves must be in [1, 9], got 0"),

@@ -13,13 +13,16 @@ from anchorlab.anchor import top_k
 from anchorlab.gradients import grad_prob, grad_support_mass
 from anchorlab.objectives import METHODS, MethodConfig, group_advantages, method_token_update
 from anchorlab.policy import entropy, sample_token, softmax
+from anchorlab.trainer import TrainConfig
 
 
 def scalar_bandit(logits, valid_set, cfg, steps, rng):
     """The bandit written out token by token, as the records of
     :func:`collapse_trajectory`: one group of scalar ``sample_token`` draws
     per step, 1-D group advantages, and each token's ``method_token_update``
-    gradient summed in draw order and applied as ``z + lr * grad / n``."""
+    gradient summed in draw order and applied as ``z + lr * grad / n``, with
+    the default schedule's group settings."""
+    train = TrainConfig()
     z = np.array(logits, dtype=np.float64)
     valid = sorted(valid_set)
     ref = softmax(z)
@@ -32,9 +35,9 @@ def scalar_bandit(logits, valid_set, cfg, steps, rng):
                     (step, "p_safe", float(dist[manifold].sum()))]
         if step == steps:
             break
-        tokens = [sample_token(dist, rng) for _ in range(cfg.group_size)]
+        tokens = [sample_token(dist, rng) for _ in range(train.group_size)]
         rewards = np.array([1.0 if t in valid else 0.0 for t in tokens])
-        advantages = group_advantages(rewards, cfg.adv_eps)
+        advantages = group_advantages(rewards, train.adv_eps)
         if np.all(advantages == 0.0):
             continue
         grad = np.zeros_like(z)

@@ -29,6 +29,7 @@ from anchorlab.objectives import (
     token_gradients,
 )
 from anchorlab.policy import layout_sums, softmax
+from anchorlab.trainer import TrainConfig
 
 DEFAULTS = MethodConfig()
 
@@ -49,7 +50,9 @@ class TestMethodConfig:
         assert cfg.pull_coef == 0.1
         assert cfg.anchor_k == 8
         assert cfg.kl_coef == 0.01
-        assert cfg.group_size == 8
+        # The group settings are the schedule's, shared by a stack's cells.
+        assert TrainConfig().group_size == 8
+        assert not hasattr(cfg, "group_size") and not hasattr(cfg, "adv_eps")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,7 +60,7 @@ class TestMethodConfig:
         with pytest.raises(ValueError):
             MethodConfig(clip_eps=0.0)
         with pytest.raises(ValueError):
-            MethodConfig(group_size=1)
+            TrainConfig(group_size=1)
 
 
 class TestGroupAdvantages:

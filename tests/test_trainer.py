@@ -36,15 +36,16 @@ from anchorlab.trainer import (
 SMALL_ENV = EnvConfig(depth=3, branching=4, num_valid_leaves=4, seed=5)
 
 
-def separate_groups(tree, policy, mcfg, groups, rng):
+def separate_groups(tree, policy, train, groups, rng):
     """The step's groups drawn one at a time, as G separate ``rollout``
-    calls of n rows, with rewards from :func:`verify` and advantages from
-    one 1-D :func:`group_advantages` call per group."""
+    calls of the schedule ``train``'s n rows, with rewards from
+    :func:`verify` and advantages from one 1-D :func:`group_advantages`
+    call per group with its ``adv_eps``."""
     out = []
     for _ in range(groups):
-        tokens, contexts, _, _ = rollout(tree, policy, rng.random((mcfg.group_size, tree.depth)))
+        tokens, contexts, _, _ = rollout(tree, policy, rng.random((train.group_size, tree.depth)))
         rewards = np.array([verify(tree, row) for row in tokens])
-        out.append((tokens, contexts, rewards, group_advantages(rewards, mcfg.adv_eps)))
+        out.append((tokens, contexts, rewards, group_advantages(rewards, train.adv_eps)))
     return out
 
 
@@ -171,7 +172,7 @@ class TestTrainStep:
         pi_old = initial_policy(tree)
         rng2 = np.random.default_rng(12)
         ctxs, toks, advs = concat_kept(separate_groups(
-            tree, pi_old, mcfg, cfg.groups_per_step, rng2))
+            tree, pi_old, cfg, cfg.groups_per_step, rng2))
         grads = {}
         for ctx, token, adv in zip(ctxs.tolist(), toks.tolist(), advs.tolist()):
             dz = adv * grad_log_prob(pi_old.dist(ctx), token)
@@ -218,7 +219,7 @@ class TestTrainStep:
         pi_old = initial_policy(tree)
         rng = np.random.default_rng(11)
         ctx, tok, adv = concat_kept(separate_groups(
-            tree, pi_old, mcfg, cfg.groups_per_step, rng))
+            tree, pi_old, cfg, cfg.groups_per_step, rng))
         batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree, mcfg)
         # apo's anchors come from the reference; grpo never reads it.
         assert_columns(batch, [mcfg], tree.ref_policy.dist(batch.ctx))
@@ -347,7 +348,8 @@ class TestTokenMeanAggregation:
         mcfg = MethodConfig(method="apo", anchor_k=3)
         pi_old = initial_policy(tree).copy()
         rng = np.random.default_rng(9)
-        ((tokens, contexts, _, advantages),) = separate_groups(tree, pi_old, mcfg, 1, rng)
+        ((tokens, contexts, _, advantages),) = separate_groups(
+            tree, pi_old, TrainConfig(), 1, rng)
         batch = one_cell_batch(
             contexts.ravel(),
             tokens.ravel(),
@@ -447,8 +449,8 @@ class TestDenseMatchesScalar:
         for seed in range(3):
             pi_old = initial_policy(tree).copy()
             rng = np.random.default_rng(seed)
-            ctx, tok, adv = (np.tile(a, copies)
-                             for a in concat_kept(separate_groups(tree, pi_old, mcfg, 4, rng)))
+            groups = separate_groups(tree, pi_old, TrainConfig(), 4, rng)
+            ctx, tok, adv = (np.tile(a, copies) for a in concat_kept(groups))
             batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree, mcfg)
             dense_table, scalar = cell_of_one(tree), start_logits(tree)
             for _ in range(epochs):
@@ -476,7 +478,7 @@ def separate_groups_step(z, tree, cfg, mcfg, rng, step):
     logits ``z`` in place. Returns the groups, the batch arrays and the
     step's statistics."""
     pi_old = LogitTable(z)
-    groups = separate_groups(tree, pi_old, mcfg, cfg.groups_per_step, rng)
+    groups = separate_groups(tree, pi_old, cfg, cfg.groups_per_step, rng)
     ctx, tok, adv = concat_kept(groups)
     batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree, mcfg)
     pos = neg = degenerate = 0
@@ -553,7 +555,7 @@ class TestOneRolloutPerStep:
 
         table, expected = cell_of_one(tree), start_logits(tree)
         rng, rng_old = np.random.default_rng(31), np.random.default_rng(31)
-        n = mcfg.group_size
+        n = cfg.group_size
         for step in range(1, 4):
             seen.clear()
             sampled_from = table.cell(0)
@@ -589,21 +591,22 @@ class TestOneRolloutPerStep:
 
 STACK_ENV = EnvConfig(depth=3, branching=9, num_valid_leaves=5, seed=8)
 # (method config, seed) of each cell of a mixed stack: all five methods,
-# unequal learning rates and adv_eps, apo with a Top-1 and a Top-8 anchor,
-# and two adjacent cells with one config.
+# unequal learning rates, apo with a Top-1 and a Top-8 anchor, and two
+# adjacent cells with one config.
 STACK_CELLS = [
     (MethodConfig(method="grpo", learning_rate=0.3), 1),
-    (MethodConfig(method="grpo_kl", learning_rate=1.0, adv_eps=0.1), 2),
+    (MethodConfig(method="grpo_kl", learning_rate=1.0), 2),
     (MethodConfig(method="grpo_kl_error_only", learning_rate=2.0), 3),
-    (MethodConfig(method="nsr", learning_rate=0.5, adv_eps=1e-3), 4),
+    (MethodConfig(method="nsr", learning_rate=0.5), 4),
     (MethodConfig(method="apo", anchor_k=1, learning_rate=2.0), 5),
     (MethodConfig(method="apo", anchor_k=8, learning_rate=1.5), 6),
     (MethodConfig(method="apo", anchor_k=8, learning_rate=1.5), 7),
 ]
 
 
+# Group settings off their defaults, so the trainer must read the schedule's.
 STACK_TRAIN = TrainConfig(total_steps=8, groups_per_step=2, inner_epochs=2, eval_every=3,
-                          eval_samples_k=8)
+                          eval_samples_k=8, group_size=4, adv_eps=1e-3)
 
 
 def methods_of(cells):
@@ -862,17 +865,6 @@ class TestStack:
         run_experiment(replace(STACK_TRAIN, total_steps=10), STACK_CELLS,
                        generate_tree(STACK_ENV))
         assert calls == [(step, len(STACK_CELLS)) for step in (0, 3, 6, 9, 10)]
-
-    # The cells share the stack's tree and TrainConfig by construction;
-    # group_size is the one per-cell value they must agree on.
-    @pytest.mark.parametrize("name, change", [
-        ("group_size", lambda mcfg: replace(mcfg, group_size=4)),
-    ])
-    def test_cells_that_cannot_share_a_step_are_rejected(self, name, change):
-        (first, seed), (second, other) = STACK_CELLS[:2]
-        with pytest.raises(ValueError, match=name):
-            run_experiment(STACK_TRAIN, [(first, seed), (change(second), other)],
-                           generate_tree(STACK_ENV))
 
 
 class TestStackMemory:
