@@ -69,13 +69,24 @@ class ExperimentSpec:
     env_seed_follows_cell: bool = False
 
 
+# A spec's top-level keys; the last two may be left out.
+SPEC_KEYS = ("name", "env", "methods", "seeds", "train", "output_dir")
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
+    unknown = set(data) - set(SPEC_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
+    missing = [key for key in SPEC_KEYS[:4] if key not in data]
+    if missing:
+        raise ConfigError(f"missing spec keys: {missing}")
+    name, env_data, train = data["name"], data["env"], data.get("train", {})
+    # dict() would also take an array of [key, value] pairs, and list() an
+    # object's keys.
+    for key, kind in (("env", dict), ("train", dict), ("methods", list), ("seeds", list)):
+        if not isinstance(data.get(key, kind()), kind):
+            raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'array'}")
     try:
-        name, env_data, train = data["name"], data["env"], data.get("train", {})
-        # dict() would also take an array of [key, value] pairs.
-        for key, section in (("env", env_data), ("train", train)):
-            if not isinstance(section, dict):
-                raise ConfigError(f"{key} must be a JSON object")
         env_data = dict(env_data)
         follows_cell = env_data.get("seed", 0) is None
         if follows_cell:
@@ -90,7 +101,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         seeds = list(data["seeds"])
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if not methods:
         raise ConfigError("methods must be nonempty")

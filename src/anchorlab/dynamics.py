@@ -16,9 +16,9 @@ import numpy as np
 from .anchor import top_k
 from .env import ReasoningTree
 from .metrics import atomic_open
-from .objectives import MethodConfig
+from .objectives import CellMethods, MethodConfig
 from .policy import LogitTable, StackedTable, entropy, softmax
-from .trainer import Stack, TrainConfig, train_step
+from .trainer import TrainConfig, train_step
 
 
 @dataclass
@@ -147,8 +147,9 @@ def collapse_trajectory(
     """Single-context bandit: reward 1 iff the sampled token is valid.
 
     The bandit is a depth-1 tree with reference ``logits``, so each step is
-    one :func:`~anchorlab.trainer.train_step` with one group of
-    :class:`~anchorlab.trainer.TrainConfig`'s default ``group_size`` (8)
+    one :func:`~anchorlab.trainer.train_step` of a stack of one cell, whose
+    :class:`~anchorlab.objectives.CellMethods` holds ``cfg``, with one group
+    of :class:`~anchorlab.trainer.TrainConfig`'s default ``group_size`` (8)
     rollouts and one pass. Records per step: each valid token's
     probability, the entropy, and the mass on the reference Top-K manifold.
     """
@@ -160,7 +161,7 @@ def collapse_trajectory(
         raise ValueError(f"valid_set must be a nonempty subset of [0, {z.size}), got {valid}")
     tree = ReasoningTree(1, z.size, valid, LogitTable(z[None]))  # token t is leaf id t
     table = StackedTable(tree.ref_policy, 1)  # a stack of one cell: key 0 is the root
-    stack = Stack(TrainConfig(groups_per_step=1, inner_epochs=1), [cfg], tree)
+    train, methods = TrainConfig(groups_per_step=1, inner_epochs=1), CellMethods([cfg])
     manifold = list(top_k(tree.ref_policy.dist(tree.ROOT), cfg.anchor_k))
     report = DynamicsReport(f"collapse_{cfg.method}")
 
@@ -171,5 +172,5 @@ def collapse_trajectory(
         report.add(step, "entropy", entropy(dist))
         report.add(step, "p_safe", float(dist[manifold].sum()))
         if step < steps:
-            train_step(table, tree, stack, [rng], step + 1)
+            train_step(table, tree, train, methods, [rng], step + 1)
     return report

@@ -14,13 +14,14 @@ looked up in the tree's sorted valid leaf ids. A tree holds its valid set in
 that one form, with each valid leaf's tokens and contexts, computed once when
 it is built: the reference's bonus, coverage and :func:`verify` read those.
 A batch of n rollouts is four arrays: ``(n, D)`` tokens, the ``(n, D)``
-contexts they were drawn from, ``(n,)`` verified rewards, and the
-``(n, D, V)`` policy rows the tokens were sampled from. The trainer's old
-rows and first pass, and an evaluation's entropy and max-prob, read those
-rows instead of taking the softmax again. One :func:`rollout` call also
-rolls out every cell of a :class:`~anchorlab.policy.StackedTable` at once,
-each cell from its own rows of the uniform block, so a stack of cells pays
-a rollout's numpy calls once per step, not once per cell.
+keys they were drawn at (for one table, their contexts), ``(n,)`` verified
+rewards, and the ``(n, D, V)`` policy rows the tokens were sampled from.
+The trainer's old rows and first pass, and an evaluation's entropy and
+max-prob, read those rows instead of taking the softmax again. One
+:func:`rollout` call also rolls out every cell of a
+:class:`~anchorlab.policy.StackedTable` at once, each cell from its own
+equal share of the uniform block's rows at its own keys, so a stack of
+cells pays a rollout's numpy calls once per step, not once per cell.
 The generated reference is the table :func:`generate_tree` built, handed
 over without a copy. A tree's one name is its :class:`EnvConfig`, a spec's
 ``env``: the same config rebuilds the same bytes, so a tree is never saved.
@@ -137,34 +138,40 @@ def verify(tree: ReasoningTree, tokens) -> int:
 
 
 def rollout(
-    tree: ReasoningTree, policy, u: np.ndarray, base: np.ndarray | None = None
+    tree: ReasoningTree, policy, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sample one root-to-leaf rollout per row of the ``(n, D)`` uniform
-    block ``u``: ``(tokens, contexts, rewards, rows)``.
+    block ``u``: ``(tokens, keys, rewards, rows)``.
 
     Rollout i consumes row i of ``u``. With ``u = rng.random((n, D))`` that
     is the stream of n*D scalar :func:`~anchorlab.policy.sample_token`
     draws, so one call for G*n rollouts draws what G calls for n would.
-    ``policy`` is a :class:`~anchorlab.policy.LogitTable` read at the
-    contexts themselves, or, with ``base``, a
-    :class:`~anchorlab.policy.StackedTable` read at key
-    ``base[i] + ctx`` for row i: ``base`` holds each row's cell times C, so
-    one call rolls out every cell of a stack, each from its own rows of
-    ``u``. A reward is 1 iff the final context minus C is one of
-    ``tree.valid_ids``, which is :func:`verify` of the row. ``rows`` is the
-    ``(n, D, V)`` stack of the distributions each token was drawn from,
-    bitwise the policy's ``dist`` at them, so callers that need the policy
-    at the visited contexts read it here instead of taking the softmax
+    ``policy`` holds S = ``len(policy) // C`` cells, one for a
+    :class:`~anchorlab.policy.LogitTable`; cell s of a
+    :class:`~anchorlab.policy.StackedTable` rolls out the s-th n/S rows of
+    ``u`` at keys ``s*C + ctx``, and ``keys`` holds each token's (for one
+    table, its context). A block whose rows do not split evenly among the
+    cells raises ValueError. A reward is 1 iff the final context minus C is
+    one of ``tree.valid_ids``, which is :func:`verify` of the row. ``rows``
+    is the ``(n, D, V)`` stack of the distributions each token was drawn
+    from, bitwise the policy's ``dist`` at them, so callers that need the
+    policy at the visited keys read it here instead of taking the softmax
     again. Each step's CDF and token counts run across the rows of a
     transposed copy; the CDF still adds left to right, bitwise a row cumsum.
     """
     n, d, b, v = len(u), tree.depth, tree.branching, policy.vocab_size
+    c = tree.num_contexts()
+    per_cell, rest = divmod(n, len(policy) // c)
+    if rest:
+        raise ValueError(f"{n} rollouts do not split evenly among {len(policy) // c} cells")
+    base = np.arange(0, len(policy), c).repeat(per_cell)  # each row's cell times C
     tokens = np.empty((n, d), dtype=np.int64)
-    contexts = np.empty((n, d), dtype=np.int64)
+    keys = np.empty((n, d), dtype=np.int64)
     rows = np.empty((n, d, v))
     ctx = np.zeros(n, dtype=np.int64)  # the root
     for step in range(d):
-        dist = policy.dist(ctx if base is None else base + ctx)
+        key = base + ctx
+        dist = policy.dist(key)
         rows[:, step] = dist
         # searchsorted(side="right") per row, clamped to V - 1 as in
         # sample_token. A cumsum of non-negative terms never decreases, so
@@ -172,14 +179,14 @@ def rollout(
         # over all V is at most one more, and only when every entry counts.
         cdf = np.add.accumulate(dist.T[:-1].copy(), axis=0)
         tok = np.add.reduce(cdf <= u[:, step], axis=0)
-        contexts[:, step] = ctx
+        keys[:, step] = key
         tokens[:, step] = tok
         ctx = ctx * b + tok + 1  # tree.child_context, inline
-    leaf = ctx - tree.num_contexts()
+    leaf = ctx - c
     ids = tree.valid_ids
     # Ids are distinct: the count of leaf in ids is 0 or 1.
     rewards = ids.searchsorted(leaf, side="right") - ids.searchsorted(leaf)
-    return tokens, contexts, rewards, rows
+    return tokens, keys, rewards, rows
 
 
 def oracle_coverage(

@@ -27,7 +27,9 @@ stack: entropy and max-prob per visited step, from the ``(S*K, D, V)``
 rows the rollout sampled from; reward and BLEU per sample; support mass
 and KL per distinct visited key. A cell's record holds the means over its
 own contiguous slices: one row-wise sum over the ``(S, n)`` block for the
-equal slices of steps and samples, one mean per cell for the keys.
+equal slices of steps and samples, and one
+:func:`~anchorlab.policy.segment_sums` call over each cell's run of keys,
+divided by the run's length.
 """
 
 from __future__ import annotations
@@ -61,17 +63,11 @@ class MetricRecord:
     eval_k: int
 
 
-def _mean(x: np.ndarray) -> float:
-    """``float(np.mean(x))`` of a nonempty 1-D array, bit for bit: numpy's
-    pairwise sum in float64 over the count."""
-    return float(np.add.reduce(x, dtype=np.float64) / x.size)
-
-
 def _means(x: np.ndarray, cells: int) -> list[float]:
-    """:func:`_mean` of each of ``cells`` equal consecutive slices of the
-    1-D float64 or 0/1 integer array ``x``, bit for bit: numpy sums each row
-    of the ``(cells, n)`` block pairwise, as it sums a 1-D slice, and sums
-    of 0s and 1s are exact in either type."""
+    """``float(np.mean(x))`` of each of ``cells`` equal consecutive slices
+    of the 1-D float64 or 0/1 integer array ``x``, bit for bit: numpy sums
+    each row of the ``(cells, n)`` block pairwise, as it sums a 1-D slice,
+    and sums of 0s and 1s are exact in either type."""
     x = x.reshape(cells, -1)
     return (np.add.reduce(x, axis=1) / x.shape[1]).tolist()
 
@@ -219,7 +215,9 @@ def evaluate(
     """Roll out ``eval_k`` samples of every cell of ``table`` from the root
     and summarize each cell's: returns one record per cell, in order.
 
-    Cell s draws its ``(eval_k, D)`` uniform block from ``rngs[s]``.
+    Cell s's ``eval_k`` rows of the uniform block come from ``rngs[s]``
+    (:func:`~anchorlab.policy.uniform_block`), and the rollout returns each
+    visited key, so the distinct keys of cell s are one sorted run.
     ``support_k`` defaults to half the vocabulary (at least 1), and must be
     in [1, B]: a wider Top-K would hold every token and score support mass
     1.0 whatever the policy. Entropy and max-prob average over visited
@@ -234,16 +232,13 @@ def evaluate(
     elif not 1 <= support_k <= tree.branching:
         raise ValueError(f"support_k must be in [1, {tree.branching}], got {support_k}")
     cells, c = len(rngs), table.contexts
-    u = uniform_block(cells * eval_k, tree.depth)
-    for s, rng in enumerate(rngs):
-        rng.random(out=u[s * eval_k:(s + 1) * eval_k])
-    base = np.arange(0, cells * c, c).repeat(eval_k)
-    tokens, contexts, rewards, rows = rollout(tree, table, u, base)
+    tokens, keys, rewards, rows = rollout(tree, table, uniform_block(rngs, eval_k, tree.depth))
     # Sorted keys: cell s's distinct visited contexts are one run, in order.
-    keys = distinct((contexts + base[:, None]).ravel())
+    keys = distinct(keys.ravel())
     P, Q = table.dist(keys), tree.ref_policy.dist(keys % c)
-    edges = keys.searchsorted(np.arange(0, (cells + 1) * c, c)).tolist()
-    mass, kl = ([_mean(x[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    visited = np.bincount(keys // c, minlength=cells)
+    # A segment's pairwise sum over its count is np.mean's quotient bit for bit.
+    mass, kl = ((segment_sums(x, visited) / visited).tolist()
                 for x in (support_mass(P, Q, support_k), kl_to_reference(P, Q)))
     ents, maxps = entropy_and_maxprob(rows)
     hits = np.logical_or.reduce(rewards.reshape(cells, eval_k) > 0, axis=1).tolist()

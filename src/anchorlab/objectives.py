@@ -322,19 +322,21 @@ class TokenColumns(NamedTuple):
 
 
 class CellMethods:
-    """What :meth:`columns` reads of the method configs of a stack's
-    cells, as per-cell arrays built once per run; :meth:`columns` takes
-    them at a batch's tokens. Each clip bound is computed per cell as a
-    Python float, as the scalar kernel computes it."""
+    """Everything a train step reads of the method configs of a stack's
+    cells, as per-cell arrays built once per run: each cell's
+    ``learning_rate``, and what :meth:`columns` takes of them at a batch's
+    tokens. Each clip bound is computed per cell as a Python float, as the
+    scalar kernel computes it."""
 
-    __slots__ = ("role", "low", "high", "kl_coef", "push_coef", "pull_coef", "anchor_k")
+    __slots__ = ("role", "low", "high", "kl_coef", "push_coef", "pull_coef", "anchor_k",
+                 "learning_rate")
 
     def __init__(self, cfgs: list[MethodConfig]):
         # Indexed by cell * 2 + (advantage < 0).
         self.role = np.array([_ROLES[m.method] for m in cfgs]).ravel()
         self.low = np.array([1.0 - m.clip_eps for m in cfgs])
         self.high = np.array([1.0 + m.clip_eps for m in cfgs])
-        for name in ("kl_coef", "push_coef", "pull_coef", "anchor_k"):
+        for name in ("kl_coef", "push_coef", "pull_coef", "anchor_k", "learning_rate"):
             setattr(self, name, np.array([getattr(m, name) for m in cfgs]))
 
     def columns(self, cell: np.ndarray, tokens: np.ndarray, adv: np.ndarray,

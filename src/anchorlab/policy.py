@@ -115,13 +115,18 @@ def distinct(ids: np.ndarray) -> np.ndarray:
     return out.compress(first)
 
 
-def uniform_block(rows: int, depth: int) -> np.ndarray:
-    """An unfilled float64 ``(rows, depth)`` block; a shape numpy cannot even
-    represent raises MemoryError, as one too large to allocate does."""
+def uniform_block(rngs: list[np.random.Generator], n: int, depth: int) -> np.ndarray:
+    """The float64 ``(S*n, depth)`` uniform block of S cells: cell s's n
+    rows, the s-th, drawn from its stream ``rngs[s]``. A shape numpy cannot
+    even represent raises MemoryError, as one too large to allocate does,
+    before any stream is drawn."""
     try:
-        return np.empty((rows, depth))
+        u = np.empty((len(rngs) * n, depth))
     except ValueError as exc:
         raise MemoryError(str(exc)) from exc
+    for s, rng in enumerate(rngs):
+        rng.random(out=u[s * n:(s + 1) * n])
+    return u
 
 
 def check_dist(probs: np.ndarray, atol: float = DIST_ATOL) -> np.ndarray:

@@ -9,33 +9,33 @@ own rows of it. A step's numpy calls are made once for the whole stack,
 not once per cell or per method, because at a step's array sizes the
 call, not the arithmetic, is the cost. A single cell is a stack of one.
 What a step reads of the cells' method configs is built once per run, as
-a :class:`Stack`: what the gradient kernel reads of them as per-cell
-arrays (:class:`~anchorlab.objectives.CellMethods`), each cell's
-learning rate and each rollout's key offset into the stacked table.
+one :class:`~anchorlab.objectives.CellMethods` of per-cell arrays, each
+cell's learning rate among them.
 
 Each outer step draws every cell's ``groups_per_step`` groups of
 ``group_size`` rollouts from the tree root with one ``rollout`` call:
-cell s draws its own ``(G*n, D)`` uniform block from its own training
-stream, so cells of equal seed draw the same uniforms whatever their
-methods, and the call returns ``(S*G*n, D)`` token and context arrays
-sampled with the live policies and the ``(S*G*n, D, V)`` policy rows they
-were drawn from; no policy changes while they are drawn. Cell s's group g
-is rows (s*G + g)*n onwards, the rows G separate calls of that cell would
-draw. Group-relative advantages come from one call on the ``(S*G, n)``
-rewards with the schedule's ``adv_eps``. Groups whose advantages are all
-zero are dropped, and the kept tokens of all cells form one
-:class:`TokenBatch`, the step's plan: it holds everything the passes need
-that depends only on the batch, so a pass only gathers the live rows and
-combines them. Its old rows are the kept groups' rollout rows, not a
-second softmax; with them come each token's flat index into the
-``(N, V)`` rows and its old probability, and each token's method config
-as per-token columns: its clip bounds, and the rows, coefficients
+cell s fills its own ``G*n`` rows of the step's uniform block from its
+own training stream (:func:`~anchorlab.policy.uniform_block`), so cells
+of equal seed draw the same uniforms whatever their methods, and the
+call returns ``(S*G*n, D)`` token and key arrays sampled with the live
+policies and the ``(S*G*n, D, V)`` policy rows they were drawn from; no
+policy changes while they are drawn. Cell s's group g is rows
+(s*G + g)*n onwards, the rows G separate calls of that cell would draw,
+at cell s's keys ``s*C + ctx``. Group-relative advantages come from one call on
+the ``(S*G, n)`` rewards with the schedule's ``adv_eps``. Groups whose
+advantages are all zero are dropped, and the kept tokens of all cells
+form one :class:`TokenBatch`, the step's plan: it holds everything the
+passes need that depends only on the batch, so a pass only gathers the
+live rows and combines them. Its old rows are the kept groups' rollout
+rows, not a second softmax; with them come each token's flat index into
+the ``(N, V)`` rows and its old probability, and each token's method
+config as per-token columns: its clip bounds, and the rows, coefficients
 and reference rows of the branches only some tokens take (nsr's, the KL
 penalty's and apo's negative branch). The reference rows are read with
 one ``dist`` call per step, at the KL and apo rows only. For the apo
 rows the reference half of every anchor and its segment layout are built
-once, by one :func:`~anchorlab.objectives.anchor_reference` call per step
-whatever the rows' ``anchor_k``; no table is copied.
+once, by one :func:`~anchorlab.objectives.anchor_reference` call per
+step whatever the rows' ``anchor_k``; no table is copied.
 Then the step performs ``inner_epochs`` passes in which every sampled
 token contributes one surrogate gradient. The first pass reads the old
 rows as the live policies', since no policy has changed since the
@@ -142,37 +142,16 @@ class StepStats:
     frac_clipped_neg: float = 0.0
 
 
-class Stack:
-    """A stack: the schedule ``train`` its cells share and everything a
-    step reads of their method configs ``mcfgs`` on ``tree``, built once
-    per run. ``u`` is the ``(S*G*n, D)`` block every step refills with its
-    uniform draws, ``methods`` what the gradient kernel reads of the
-    configs as per-cell arrays (:class:`~anchorlab.objectives.CellMethods`),
-    ``learning_rate`` each cell's as a list of floats, and ``base`` each
-    rollout's key offset into the stacked table, its cell times C."""
-
-    __slots__ = ("train", "cells", "u", "methods", "learning_rate", "base")
-
-    def __init__(self, train: TrainConfig, mcfgs: list[MethodConfig], tree: ReasoningTree):
-        cells, g, n, c = len(mcfgs), train.groups_per_step, train.group_size, tree.num_contexts()
-        self.train, self.cells = train, cells
-        # The largest array first and left unwritten: a schedule too large
-        # for memory fails at this allocation, before any array is filled.
-        self.u = uniform_block(cells * g * n, tree.depth)
-        self.methods = CellMethods(mcfgs)
-        self.learning_rate = [m.learning_rate for m in mcfgs]
-        self.base = np.arange(0, cells * c, c).repeat(g * n)
-
-
 class TokenBatch:
     """Every token of the kept groups of a stack's cells, flattened in cell,
-    group, rollout and step order: its context, token and advantage, and
-    ``old``, the ``(N, V)`` sampling-policy rows the rollout drew each token
-    from. ``counts[s]`` is the number of tokens of cell s, whose tokens
-    come s-th, and ``stack`` the :class:`Stack` they belong to. On
-    construction it records everything a pass needs that depends only on
-    the batch: each token's cell ``cell``, the sorted distinct keys
-    ``keys`` of the stacked table (``cell * C + ctx``) and each token's
+    group, rollout and step order: its key ``key`` in the stacked table
+    (:func:`~anchorlab.env.rollout`'s ``s*C + ctx`` for a token of cell s),
+    token and advantage, and ``old``, the ``(N, V)`` sampling-policy rows
+    the rollout drew each token from. ``counts[s]`` is the number of tokens
+    of cell s, whose tokens come s-th, and ``methods`` the cells'
+    :class:`~anchorlab.objectives.CellMethods`. On construction it records
+    everything a pass needs that depends only on the batch: each token's
+    cell ``cell``, the sorted distinct keys ``keys`` and each token's
     position ``at`` in them, the flat ids ``bins`` of each token's V cells
     in the ``(U, V)`` block of per-key sums, each token's flat index
     ``flat`` into the ``(N, V)`` rows and its old probability ``old_tok``,
@@ -180,38 +159,38 @@ class TokenBatch:
     ``(U, 1)`` column), and ``columns``, the tokens' method configs as
     per-token columns
     (:class:`~anchorlab.objectives.TokenColumns`). Their reference rows
-    come from one ``ref_policy.dist`` call at the contexts of the KL and
-    apo rows, the only rows that read the reference, and none when there
-    are none. So a pass only gathers the live rows and combines them."""
+    come from one ``ref_policy.dist`` call at the contexts ``key % C`` of
+    the KL and apo rows, the only rows that read the reference, and none
+    when there are none. So a pass only gathers the live rows and combines
+    them."""
 
-    __slots__ = ("ctx", "tok", "adv", "old", "cell", "keys", "at", "bins", "flat", "old_tok",
+    __slots__ = ("key", "tok", "adv", "old", "cell", "keys", "at", "bins", "flat", "old_tok",
                  "scale", "columns")
 
-    def __init__(self, ctx: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
-                 ref_policy: LogitTable, stack: Stack, counts: list[int]):
-        self.ctx, self.tok, self.adv, self.old = ctx, tok, adv, old
+    def __init__(self, key: np.ndarray, tok: np.ndarray, adv: np.ndarray, old: np.ndarray,
+                 ref_policy: LogitTable, methods: CellMethods, counts: list[int]):
+        self.key, self.tok, self.adv, self.old = key, tok, adv, old
         c, v = len(ref_policy), old.shape[1]
-        self.cell = np.arange(len(counts)).repeat(counts)
-        key = self.cell * c + ctx
+        self.cell = key // c
         self.keys = distinct(key)
         self.at = self.keys.searchsorted(key)
         self.bins = (self.at[:, None] * v + np.arange(v)).ravel()
         self.flat = np.arange(tok.size) * v + tok
         self.old_tok = old.take(self.flat)
         # Python's float quotient is the scalar lr / N bit for bit.
-        scale = [lr / k if k else 0.0 for lr, k in zip(stack.learning_rate, counts)]
+        scale = [lr / k if k else 0.0 for lr, k in zip(methods.learning_rate.tolist(), counts)]
         self.scale = np.array(scale).take(self.keys // c)[:, None]
-        self.columns = stack.methods.columns(self.cell, tok, adv,
-                                             lambda rows: ref_policy.dist(ctx.take(rows)))
+        self.columns = methods.columns(self.cell, tok, adv,
+                                       lambda rows: ref_policy.dist(key.take(rows) % c))
 
     def __len__(self) -> int:
-        return self.ctx.size
+        return self.key.size
 
 
 def apply_token_batch(
     table: StackedTable,
     tree: ReasoningTree,
-    stack: Stack,
+    methods: CellMethods,
     batch: TokenBatch,
     live: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +215,9 @@ def apply_token_batch(
     clipped and degenerate-anchor flags; a token with a zero advantage is
     never clipped. Replicating a cell's tokens m times leaves the applied
     update unchanged (sums scale by m, the mean does not). ``tree`` and
-    ``stack`` are not read, since the batch holds the reference rows and
-    columns built from them; the arguments keep the batch fourth, where
-    perfbench's traced run counts its tokens.
+    ``methods`` are not read, since the batch holds the reference rows,
+    step sizes and columns built from them; the arguments keep the batch
+    fourth, where perfbench's traced run counts its tokens.
     """
     if not len(batch):
         none = np.zeros(0, dtype=bool)
@@ -258,23 +237,19 @@ def apply_token_batch(
 def train_step(
     table: StackedTable,
     tree: ReasoningTree,
-    stack: Stack,
+    train: TrainConfig,
+    methods: CellMethods,
     rngs: list[np.random.Generator],
     step: int = 0,
 ) -> list[StepStats]:
     """One outer optimization step of every cell of a stack (mutates
-    ``table`` in place): cell s is ``table``'s cell s, trained by the
-    stack's method config s from the training stream ``rngs[s]``, with the
-    stack's ``groups_per_step`` and ``inner_epochs``. Returns each cell's
-    statistics, in order."""
+    ``table`` in place): cell s is ``table``'s cell s, trained by method
+    config s of ``methods`` from the training stream ``rngs[s]``, with the
+    schedule ``train``. Returns each cell's statistics, in order."""
     t0 = time.perf_counter()
-    train = stack.train
-    cells, g, n, d = stack.cells, train.groups_per_step, train.group_size, tree.depth
+    cells, g, n, d = len(rngs), train.groups_per_step, train.group_size, tree.depth
     r = g * n
-    u = stack.u
-    for s, rng in enumerate(rngs):
-        rng.random(out=u[s * r:(s + 1) * r])
-    tokens, contexts, rewards, rows = rollout(tree, table, u, stack.base)
+    tokens, keys, rewards, rows = rollout(tree, table, uniform_block(rngs, r, d))
     t1 = time.perf_counter()
     adv = group_advantages(rewards.reshape(cells * g, n), train.adv_eps)
     # A zero-variance group has all-zero advantages and no learning signal.
@@ -282,12 +257,12 @@ def train_step(
     counts = (np.add.reduce(kept.reshape(cells, g), axis=1) * (n * d)).tolist()
     v = table.vocab_size
     batch = TokenBatch(
-        contexts.reshape(cells * g, -1).compress(kept, axis=0).ravel(),
+        keys.reshape(cells * g, -1).compress(kept, axis=0).ravel(),
         tokens.reshape(cells * g, -1).compress(kept, axis=0).ravel(),
         adv.compress(kept, axis=0).ravel().repeat(d),
         rows.reshape(cells * g, -1, v).compress(kept, axis=0).reshape(-1, v),
         tree.ref_policy,
-        stack,
+        methods,
         counts,
     )
 
@@ -295,7 +270,7 @@ def train_step(
     epochs = train.inner_epochs
     for epoch in range(epochs):
         # Until the first pass updates it, the table is the one sampled from.
-        c, dg = apply_token_batch(table, tree, stack, batch, batch.old if epoch == 0 else None)
+        c, dg = apply_token_batch(table, tree, methods, batch, batch.old if epoch == 0 else None)
         clipped = clipped + c
         degenerate = degenerate + dg
     t2 = time.perf_counter()
@@ -346,13 +321,14 @@ def run_experiment(
     trained in lockstep on ``tree`` with the schedule ``train``: returns
     each cell's metric records (step 0, every ``eval_every`` steps, and the
     final step) and per-step statistics, in the order of ``cells``. A cell
-    alone is a stack of one. The per-cell constants a step reads are built
-    once, as a :class:`Stack`. Each evaluation is one :func:`evaluate` call for the whole stack. The
+    alone is a stack of one. What a step reads of the cells' method configs
+    is built once, as a :class:`~anchorlab.objectives.CellMethods`. Each
+    evaluation is one :func:`evaluate` call for the whole stack. The
     stacked table reserves room for the most rows the cells can update
     (:func:`private_rows`), so it never grows; when that is every key, the
     stack mirrors its softmax rows and ``tree.ref_policy`` reads them too.
     """
-    stack = Stack(train, [m for m, _ in cells], tree)
+    methods = CellMethods([m for m, _ in cells])
     streams = [np.random.SeedSequence(seed).spawn(2) for _, seed in cells]
     train_rngs = [np.random.default_rng(train_ss) for train_ss, _ in streams]
     eval_rngs = [np.random.default_rng(eval_ss) for _, eval_ss in streams]
@@ -363,7 +339,7 @@ def run_experiment(
     records = [[rec] for rec in evaluate(table, tree, 0, k, eval_rngs, support_k)]
     stats: list[list[StepStats]] = [[] for _ in cells]
     for step in range(1, train.total_steps + 1):
-        step_stats = train_step(table, tree, stack, train_rngs, step)
+        step_stats = train_step(table, tree, train, methods, train_rngs, step)
         for cell, cell_stats in zip(stats, step_stats):
             cell.append(cell_stats)
         if step % train.eval_every == 0 or step == train.total_steps:

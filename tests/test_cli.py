@@ -270,8 +270,8 @@ class TestTrainCommand:
         spec = dict(SPEC, methods=methods, seeds=[0, 1])
         rollout, calls = trainer.rollout, []
 
-        def spy(tree, table, u, base):
-            result = rollout(tree, table, u, base)
+        def spy(tree, table, u):
+            result = rollout(tree, table, u)
             calls.append((u.copy(), result[0].copy()))
             return result
 
@@ -297,12 +297,12 @@ class TestTrainCommand:
         step = trainer.train_step
         stacks = []
 
-        def failing(table, tree, stack, rngs, k):
-            if stack not in stacks:
-                stacks.append(stack)
-            if stacks.index(stack) == 1 and k == 3:  # the seed-2 stack
+        def failing(table, tree, train, methods, rngs, k):
+            if methods not in stacks:
+                stacks.append(methods)
+            if stacks.index(methods) == 1 and k == 3:  # the seed-2 stack
                 raise OSError("device lost")
-            return step(table, tree, stack, rngs, k)
+            return step(table, tree, train, methods, rngs, k)
 
         monkeypatch.setattr(trainer, "train_step", failing)
         out = tmp_path / "out"
@@ -436,6 +436,48 @@ class TestMalformedInput:
         assert main(["train", "--spec", str(write_spec(tmp_path, spec)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().out == f"error: config: {section} must be a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rename, unknown", [
+        ({"train": "trian"}, ["trian"]),
+        ({"train": "trian", "seeds": "seed"}, ["seed", "trian"]),
+        ({}, ["output-dir"]),
+    ], ids=["trian", "seed-and-trian", "output-dir"])
+    def test_unknown_top_level_key_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                     rename, unknown):
+        # A misspelled train section would otherwise train the default
+        # schedule, and a misspelled output_dir write to ./results.
+        monkeypatch.chdir(tmp_path)
+        spec = {rename.get(key, key): value for key, value in SPEC.items()}
+        if not rename:
+            spec["output-dir"] = "elsewhere"
+        assert main(["train", "--spec", str(write_spec(tmp_path, spec))]) == 2
+        assert capsys.readouterr().out == f"error: config: unknown spec keys: {unknown}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    @pytest.mark.parametrize("command", ["train", "summarize", "coverage"])
+    @pytest.mark.parametrize("key", ["name", "env", "methods", "seeds"])
+    def test_missing_top_level_key_exits_2_naming_it(self, tmp_path, capsys, command, key):
+        spec = {k: v for k, v in SPEC.items() if k != key}
+        out = tmp_path / "out"
+        assert main([command, "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: config: missing spec keys: ['{key}']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, value", [
+        ("methods", {"grpo": {}}),
+        ("methods", {"method": "grpo"}),
+        ("seeds", {"1": 2}),
+        ("seeds", "12"),
+    ], ids=["methods-by-name", "methods-one-object", "seeds-object", "seeds-string"])
+    def test_methods_or_seeds_not_an_array_exits_2(self, tmp_path, capsys, section, value):
+        # list() would read an object's keys, or a string's characters, as
+        # the entries.
+        out = tmp_path / "out"
+        assert main(["train", "--spec", str(write_spec(tmp_path, dict(SPEC, **{section: value}))),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: config: {section} must be a JSON array\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("group_size", 4), ("adv_eps", 1e-3)])

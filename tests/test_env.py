@@ -15,9 +15,9 @@ from anchorlab.env import (
     rollout,
     verify,
 )
-from anchorlab.objectives import MethodConfig
+from anchorlab.objectives import CellMethods, MethodConfig
 from anchorlab.policy import LogitTable, StackedTable, dump_logit_table, sample_token
-from anchorlab.trainer import Stack, TrainConfig, train_step
+from anchorlab.trainer import TrainConfig, train_step
 
 
 def all_leaves(tree):
@@ -405,6 +405,54 @@ class TestRollout:
         assert abs(hits / n - exact) < 3 * sigma + 1e-9
 
 
+def trained_stack(tree, steps=5):
+    """A stack of grpo, nsr and apo cells after ``steps`` steps, with each
+    cell copied out: cells whose policies differ from each other."""
+    cfgs = [MethodConfig(method=m, anchor_k=2, learning_rate=2.0)
+            for m in ("grpo", "nsr", "apo")]
+    table = StackedTable(tree.ref_policy.copy(), len(cfgs))
+    train, methods = TrainConfig(groups_per_step=4), CellMethods(cfgs)
+    rngs = [np.random.default_rng(seed) for seed in range(len(cfgs))]
+    for step in range(1, steps + 1):
+        train_step(table, tree, train, methods, rngs, step)
+    cells = [table.cell(s) for s in range(len(cfgs))]
+    assert len({dump_logit_table(cell) for cell in cells}) == len(cells)
+    return table, cells
+
+
+class TestStackedRollout:
+    """One rollout of a stack of S cells gives cell s the s-th n/S rows of
+    the block, read at its keys s*C + ctx: each cell's share is that cell
+    rolled out alone, bit for bit."""
+
+    TREE = EnvConfig(depth=3, branching=4, num_valid_leaves=6, seed=2)
+
+    def test_each_cell_rolls_out_as_alone_at_its_own_keys(self):
+        tree = generate_tree(self.TREE)
+        table, cells = trained_stack(tree)
+        c, n = tree.num_contexts(), 40
+        u = np.random.default_rng(9).random((len(cells) * n, tree.depth))
+        tokens, keys, rewards, rows = rollout(tree, table, u)
+        for s, cell in enumerate(cells):
+            share = slice(s * n, (s + 1) * n)
+            want_tokens, contexts, want_rewards, want_rows = rollout(tree, cell, u[share])
+            assert bits(tokens[share]) == bits(want_tokens)
+            assert bits(rewards[share]) == bits(want_rewards)
+            assert bits(rows[share]) == bits(want_rows)
+            assert bits(keys[share]) == bits(contexts + s * c)
+            # Another cell's policy draws other rows from the same uniforms,
+            # so a share read at another cell's keys would not pass.
+            other = cells[(s + 1) % len(cells)]
+            assert bits(rollout(tree, other, u[share])[3]) != bits(want_rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 11])
+    def test_block_that_does_not_split_evenly_among_the_cells_raises(self, n):
+        tree = generate_tree(self.TREE)
+        table, _ = trained_stack(tree, steps=1)
+        with pytest.raises(ValueError, match=f"{n} rollouts do not split evenly among 3 cells"):
+            rollout(tree, table, np.zeros((n, tree.depth)))
+
+
 def shapes(max_leaves=1024):
     return st.tuples(st.integers(1, 6), st.integers(2, 6)).filter(
         lambda s: s[1] ** s[0] <= max_leaves)
@@ -432,10 +480,11 @@ def trained_cell(tree, steps=6):
     tree's rollouts vary: a model that is not the reference."""
     start = LogitTable(np.clip(tree.ref_policy.logits(np.arange(tree.num_contexts())), -3, 3))
     table = StackedTable(start, 1)
-    stack = Stack(TrainConfig(groups_per_step=4), [MethodConfig(learning_rate=2.0)], tree)
+    train = TrainConfig(groups_per_step=4)
+    methods = CellMethods([MethodConfig(learning_rate=2.0)])
     rngs = [np.random.default_rng(tree.depth)]
     for step in range(steps):
-        train_step(table, tree, stack, rngs, step)
+        train_step(table, tree, train, methods, rngs, step)
     cell = table.cell(0)
     assert dump_logit_table(cell) not in map(dump_logit_table, (start, tree.ref_policy))
     return cell

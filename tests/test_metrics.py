@@ -214,8 +214,8 @@ class TestEntropyAndMaxProb:
         ents, maxps = entropy_and_maxprob(self.make_policy().dist(np.array([[0, 1]])))
         assert ents == pytest.approx([math.log(8), 0.0], abs=1e-12)
         assert maxps == pytest.approx([0.125, 1.0], abs=1e-12)
-        assert metrics._mean(ents) == pytest.approx(math.log(8) / 2, abs=1e-12)
-        assert metrics._mean(maxps) == pytest.approx((0.125 + 1.0) / 2, abs=1e-12)
+        assert float(np.mean(ents)) == pytest.approx(math.log(8) / 2, abs=1e-12)
+        assert float(np.mean(maxps)) == pytest.approx((0.125 + 1.0) / 2, abs=1e-12)
 
 
 class TestDiversityScore:
@@ -404,10 +404,10 @@ class TestDenseMetricsMatchLoops:
             mass = support_mass(P, Q, k)
             assert [bits(x) for x in mass] == \
                 [bits(loop_support_mass(policy, ref, k, [ctx])) for ctx in ctxs]
-            assert bits(metrics._mean(mass)) == bits(loop_support_mass(policy, ref, k, ctxs))
+            assert bits(float(np.mean(mass))) == bits(loop_support_mass(policy, ref, k, ctxs))
         kl = kl_to_reference(P, Q)
         assert [bits(x) for x in kl] == [bits(loop_kl(policy, ref, [ctx])) for ctx in ctxs]
-        assert bits(metrics._mean(kl)) == bits(loop_kl(policy, ref, ctxs))
+        assert bits(float(np.mean(kl))) == bits(loop_kl(policy, ref, ctxs))
 
     @settings(max_examples=200, deadline=None)
     @given(policy_pairs())
@@ -420,7 +420,7 @@ class TestDenseMetricsMatchLoops:
         want = [loop_entropy_and_maxprob(policy, [ctx]) for ctx in visits.ravel().tolist()]
         assert [(bits(e), bits(m)) for e, m in zip(ents, maxps)] == \
             [(bits(e), bits(m)) for e, m in want]
-        means = metrics._mean(ents), metrics._mean(maxps)
+        means = float(np.mean(ents)), float(np.mean(maxps))
         assert [bits(x) for x in means] == \
             [bits(x) for x in loop_entropy_and_maxprob(policy, visits)]
 

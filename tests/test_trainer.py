@@ -14,6 +14,7 @@ from anchorlab.env import EnvConfig, generate_tree, rollout, verify
 from anchorlab.gradients import grad_log_prob
 from anchorlab.metrics import evaluate
 from anchorlab.objectives import (
+    CellMethods,
     MethodConfig,
     anchor_reference,
     group_advantages,
@@ -22,7 +23,6 @@ from anchorlab.objectives import (
 )
 from anchorlab.policy import LogitTable, StackedTable, dump_logit_table, layout_sums, softmax
 from anchorlab.trainer import (
-    Stack,
     StepStats,
     TokenBatch,
     TrainConfig,
@@ -83,7 +83,7 @@ def dump(z):
 
 def step_stack(table, tree, train, mcfgs, rngs, step=0):
     """:func:`train_step` of the stack of cells with configs ``mcfgs``."""
-    return train_step(table, tree, Stack(train, mcfgs, tree), rngs, step)
+    return train_step(table, tree, train, CellMethods(mcfgs), rngs, step)
 
 
 def one_step(table, tree, train, mcfg, rng, step=0):
@@ -94,16 +94,14 @@ def one_step(table, tree, train, mcfg, rng, step=0):
 
 def one_cell_batch(ctx, tok, adv, old, tree, mcfg):
     """The :class:`TokenBatch` of a stack of one cell."""
-    return TokenBatch(ctx, tok, adv, old, tree.ref_policy, Stack(TrainConfig(), [mcfg], tree),
-                      [ctx.size])
+    return TokenBatch(ctx, tok, adv, old, tree.ref_policy, CellMethods([mcfg]), [ctx.size])
 
 
 def apply_one(table, tree, mcfg, batch, live=None):
     """:func:`apply_token_batch` for a stack of one cell, with the clipped
     counts of the positive- and negative-advantage tokens and the
     degenerate-anchor count of the pass."""
-    clipped, degenerate = apply_token_batch(table, tree, Stack(TrainConfig(), [mcfg], tree),
-                                            batch, live)
+    clipped, degenerate = apply_token_batch(table, tree, CellMethods([mcfg]), batch, live)
     neg = batch.adv < 0.0
     return int((clipped & ~neg).sum()), int((clipped & neg).sum()), int(degenerate.sum())
 
@@ -222,7 +220,7 @@ class TestTrainStep:
             tree, pi_old, cfg, cfg.groups_per_step, rng))
         batch = one_cell_batch(ctx, tok, adv, pi_old.dist(ctx), tree, mcfg)
         # apo's anchors come from the reference; grpo never reads it.
-        assert_columns(batch, [mcfg], tree.ref_policy.dist(batch.ctx))
+        assert_columns(batch, [mcfg], tree.ref_policy.dist(batch.key))
         assert (batch.columns.anchors is None) == (method == "grpo")
         clipped = sum(sum(scalar_pass(expected, pi_old, tree, batch, mcfg)[:2])
                       for _ in range(cfg.inner_epochs))
@@ -361,7 +359,7 @@ class TestTokenMeanAggregation:
         assert len(batch) == tokens.size
         thrice_batch = one_cell_batch(
             *(np.tile(a, (3,) + (1,) * (a.ndim - 1))
-              for a in (batch.ctx, batch.tok, batch.adv, batch.old)),
+              for a in (batch.key, batch.tok, batch.adv, batch.old)),
             tree, mcfg,
         )
 
@@ -381,12 +379,13 @@ METHODS = ["grpo", "grpo_kl", "grpo_kl_error_only", "nsr", "apo"]
 def scalar_pass(z, pi_old, tree, batch, mcfg):
     """The per-token oracle for apply_token_batch: method_token_update per
     token, summed per context in batch order, then lr/N added to the
-    logits ``z`` in place. Returns the clipped counts of the positive- and
-    negative-advantage tokens and the degenerate-anchor count."""
+    logits ``z`` in place. In a stack of one a token's key is its context.
+    Returns the clipped counts of the positive- and negative-advantage
+    tokens and the degenerate-anchor count."""
     policy = LogitTable(z)  # the logits before the pass
     grads = {}
     clipped_pos = clipped_neg = degenerate = 0
-    for ctx, token, adv in zip(batch.ctx.tolist(), batch.tok.tolist(), batch.adv.tolist()):
+    for ctx, token, adv in zip(batch.key.tolist(), batch.tok.tolist(), batch.adv.tolist()):
         update = method_token_update(
             policy.dist(ctx), pi_old.dist(ctx), tree.ref_policy.dist(ctx), token, adv, mcfg
         )
@@ -407,7 +406,7 @@ def assert_rows_match_scalar(policy, pi_old, tree, batch, mcfg):
     """Every token's dense gradient row and flags equal the scalar kernel's
     bit for bit, sign of zero included (a last-bit difference in a gradient
     can round away in the logits it is added to)."""
-    P, O, Q = (t.dist(batch.ctx) for t in (policy, pi_old, tree.ref_policy))
+    P, O, Q = (t.dist(batch.key) for t in (policy, pi_old, tree.ref_policy))
     grads, clipped, degenerate = token_gradients(P, batch.old_tok, batch.flat, batch.adv,
                                                  batch.columns)
     for i, (token, adv) in enumerate(zip(batch.tok.tolist(), batch.adv.tolist())):
@@ -574,7 +573,7 @@ class TestOneRolloutPerStep:
             batches = seen["apply_token_batch"]
             assert len(batches) == epochs and all(b is batches[0] for b in batches)
             batch = batches[0]
-            for got, want in zip((batch.ctx, batch.tok, batch.adv, batch.old), old_batch):
+            for got, want in zip((batch.key, batch.tok, batch.adv, batch.old), old_batch):
                 assert bits(got) == bits(want)
             # Reference rows only at the tokens that read them: none for
             # grpo and nsr.
@@ -820,6 +819,7 @@ class TestStack:
         # read it only (the KL rows and apo's negative-advantage rows), in
         # their order: none for a grpo and nsr stack.
         tree = generate_tree(STACK_ENV)
+        c = tree.num_contexts()
         cells = [(MethodConfig(method=m, learning_rate=1.0), seed)
                  for seed, m in enumerate(methods, 1)]
         table = StackedTable(initial_policy(tree), len(cells))
@@ -847,8 +847,8 @@ class TestStack:
             read = np.concatenate((cols.kl, cols.apo))
             assert len(taken) == int(read.size > 0)
             if read.size:
-                assert taken[0].tolist() == batch.ctx[read].tolist()
-            assert_columns(batch, methods_of(cells), ref_dist(batch.ctx))
+                assert taken[0].tolist() == (batch.key[read] % c).tolist()
+            assert_columns(batch, methods_of(cells), ref_dist(batch.key % c))
             cell_reads = reads.take(batch.cell)
             mixed += bool(cell_reads.any() and not cell_reads.all())
         assert mixed > 0 or not reads.any()  # a step with tokens of both kinds
@@ -1075,11 +1075,12 @@ class TestSoftmaxMirror:
             return call(keys, block)
 
         table.add_to_logits = add_to_logits
-        stack = Stack(train, mcfgs, tree)
+        methods = CellMethods(mcfgs)
         rngs, eval_rngs = cell_rngs(MIRROR_CELLS), cell_rngs(MIRROR_CELLS, 100)
         out = {"stats": [], "logits": [], "records": [evaluate(table, tree, 0, 16, eval_rngs, 4)]}
         for step in range(1, train.total_steps + 1):
-            out["stats"].append([untimed(s) for s in train_step(table, tree, stack, rngs, step)])
+            out["stats"].append([untimed(s)
+                                 for s in train_step(table, tree, train, methods, rngs, step)])
             out["logits"].append([bits(table.cell(s).logits(np.arange(c)))
                                   for s in range(len(mcfgs))])
             out["records"].append(evaluate(table, tree, step, 16, eval_rngs, 4))
